@@ -19,8 +19,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .magnus import default_expansion
+from .magnus import default_expansion, tensor_letter
 from .surface import FreeWord, LoopClass, SurfaceSpec
+from .tensoralg import TermSum
 
 _LETTER_PREFIX = {"xi": "x", "eta": "y", "zeta": "z"}
 
@@ -31,11 +32,6 @@ def _tensor_name(letter):
         if letter.startswith(prefix) and letter[len(prefix):].isdigit():
             return gen + letter[len(prefix):]
     raise ValueError(f"letter {letter!r} does not pair with a generator")
-
-
-def _base_tensor_name(base):
-    # surface generator "a3" -> expansion letter "x3"
-    return {"a": "x", "b": "y", "c": "z"}[base[0]] + base[1:]
 
 
 class DgaModel:
@@ -129,63 +125,36 @@ def closed_model(genus):
     return DgaModel("closed", degrees, products)
 
 
-class BarElement:
+class BarElement(TermSum):
     """Rational combination of bar words over a fixed model."""
+
+    __slots__ = ("model",)
+
+    _FIELDS = ("model",)
 
     def __init__(self, model, terms=None):
         self.model = model
-        self.terms = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for word, coeff in items:
-                self.add_term(word, coeff)
+        super().__init__(terms)
 
     @classmethod
     def word(cls, model, letters, coeff=1):
         return cls(model, [(tuple(letters), coeff)])
 
     def add_term(self, word, coeff):
+        """Add coeff * word; every letter must belong to the model."""
         word = tuple(word)
         for letter in word:
             self.model.degree(letter)
-        coeff = Fraction(coeff)
-        c = self.terms.get(word, Fraction(0)) + coeff
-        if c:
-            self.terms[word] = c
-        else:
-            self.terms.pop(word, None)
+        TermSum.add_term(self, word, coeff)
 
-    def is_zero(self):
-        return not self.terms
+    def _sort_key(self, word):
+        return self.model.sort_key(word)
 
     def augmentation(self):
         return self.terms.get((), Fraction(0))
 
     def bar_degree(self, word):
         return sum(self.model.degree(letter) - 1 for letter in word)
-
-    def scaled(self, scalar):
-        scalar = Fraction(scalar)
-        return BarElement(self.model, [(w, c * scalar)
-                                       for w, c in self.terms.items()])
-
-    def __add__(self, other):
-        _check_model(self.model, other.model)
-        out = BarElement(self.model, dict(self.terms))
-        for word, coeff in other.terms.items():
-            out.add_term(word, coeff)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __eq__(self, other):
-        return (isinstance(other, BarElement) and self.model == other.model
-                and self.terms == other.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda item: self.model.sort_key(item[0]))
 
     def render(self):
         if not self.terms:
@@ -379,7 +348,7 @@ def eval_hat_cs(e, w, gamma):
     w_gen = _tensor_name(w)
     total = Fraction(0)
     for p, (base, eps) in enumerate(letters):
-        if _base_tensor_name(base) != w_gen:
+        if tensor_letter(base) != w_gen:
             continue
         rest = theta.expand_word(FreeWord(letters[p + 1:] + letters[:p]))
         for word, coeff in e.terms.items():
@@ -461,7 +430,7 @@ def eval_hat_kk(middle, gamma, model):
         kmax += 1
     total = Fraction(0)
     for p, (base, eps) in enumerate(letters):
-        if _base_tensor_name(base) != w_gen:
+        if tensor_letter(base) != w_gen:
             continue
         pre = theta.expand_word(FreeWord(letters[:p]))
         suf = theta.expand_word(FreeWord(letters[p + 1:]))
@@ -476,24 +445,3 @@ def eval_hat_kk(middle, gamma, model):
                 total += (eps * (eps ** (k - i)) * c_pre * c_suf
                           * Fraction(1, factorial(k - i + 1)))
     return total
-
-
-def relation_element(model, f, letters, position):
-    """Difference of the two sides of a coefficient-absorption relation.
-
-    `f` is a scalar (the shipped models have only the unit in degree 0),
-    so df = 0 kills the inserted-letter side by multilinearity, and both
-    absorptions of f scale the same bar word; the difference is exactly
-    zero whatever the position. Kept as a computation, not an assertion,
-    so the pairing sweep can confirm it.
-    """
-    letters = tuple(letters)
-    for letter in letters:
-        model.degree(letter)
-    if not 0 <= position <= len(letters):
-        raise ValueError(f"position {position} outside 0..{len(letters)}")
-    f = Fraction(f)
-    lhs = BarElement(model)  # the word containing df = 0
-    rhs = (BarElement.word(model, letters, f)
-           - BarElement.word(model, letters, f))
-    return lhs - rhs

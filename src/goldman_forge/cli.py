@@ -28,8 +28,8 @@ from .goldman import (
 )
 from .magnus import (
     default_expansion,
+    invert_expansion,
     is_symplectic,
-    kvi_automorphism,
     kvi_check,
     resolution_check,
     solve_symplectic,
@@ -126,10 +126,6 @@ def _valuation(series):
     return None if v is None else int(v)
 
 
-def _centered(u):
-    return u + LoopSum.of(u.spec, FreeWord(), -u.augmentation())
-
-
 def cmd_bracket(args):
     spec = _surface(args)
     left = cyclic_normal_form(_word(args.words[0]))
@@ -141,8 +137,8 @@ def cmd_bracket(args):
     bracket = goldman_bracket(u, v)
     expansion = expand_loop_sum(bracket, theta)
     vals = {
-        "left": _valuation(expand_loop_sum(_centered(u), theta)),
-        "right": _valuation(expand_loop_sum(_centered(v), theta)),
+        "left": _valuation(expand_loop_sum(u.reduced(), theta)),
+        "right": _valuation(expand_loop_sum(v.reduced(), theta)),
         "bracket": _valuation(expansion),
     }
     payload = {
@@ -268,7 +264,7 @@ def cmd_kvi_check(args):
         theta = solve_symplectic(args.g, args.b - 1, trunc)
     except ValueError as err:
         raise UsageError(str(err)) from None
-    cert = kvi_check(kvi_automorphism(theta))
+    cert = kvi_check(invert_expansion(theta))
     payload = {
         "command": "kvi-check",
         "surface": [args.g, args.b],
@@ -303,8 +299,15 @@ def cmd_bar_pair(args):
 def cmd_resolution(args):
     try:
         report = resolution_check(args.g, args.max_n)
-    except (ValueError, AssertionError) as err:
+    except ValueError as err:
         raise UsageError(str(err)) from None
+    except AssertionError as err:
+        # a certificate failed: that is a checked property, not usage
+        report = {"genus": args.g, "max_n": args.max_n, "passed": False,
+                  "failures": [str(err)]}
+        _emit(args, {"command": "resolution", "report": report},
+              ["FAILED: %s" % err])
+        return EXIT_FAILED
     payload = {"command": "resolution", "report": report}
     lines = ["degree dims: %s" % report["dims"]]
     for row in report["rows"]:

@@ -30,7 +30,7 @@ from .surface import (
     render_word,
     ribbon_structure,
 )
-from .tensoralg import Derivation, TensorSeries, log
+from .tensoralg import Derivation, TensorSeries, TermSum, log
 
 __all__ = [
     "LoopSum",
@@ -56,41 +56,25 @@ __all__ = [
 CONVENTIONS = ("default", "reversed")
 
 
-def _coeff(value):
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
-class LoopSum:
+class LoopSum(TermSum):
     """Rational combination of free loop classes, with a twist counter."""
 
-    __slots__ = ("spec", "terms", "twist")
+    __slots__ = ("spec", "twist")
+
+    _FIELDS = ("spec", "twist")
 
     def __init__(self, spec, terms=None, twist=0):
         self.spec = spec
         self.twist = twist
-        self.terms = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for cls, coeff in items:
-                self.add_term(cls, coeff)
+        super().__init__(terms)
 
     @classmethod
     def of(cls, spec, word, coeff=1, twist=0):
         """Single class from a FreeWord (normalized here)."""
         return cls(spec, [(cyclic_normal_form(word), coeff)], twist)
 
-    def add_term(self, loop_class, coeff):
-        coeff = _coeff(coeff)
-        if coeff == 0:
-            return
-        c = self.terms.get(loop_class, 0) + coeff
-        if c:
-            self.terms[loop_class] = c
-        else:
-            del self.terms[loop_class]
-
-    def is_zero(self):
-        return not self.terms
+    def _sort_key(self, loop_class):
+        return _word_key_letters(loop_class.word)
 
     def augmentation(self):
         return sum(self.terms.values(), Fraction(0))
@@ -100,35 +84,6 @@ class LoopSum:
         out = self.copy()
         out.add_term(LoopClass(()), -self.augmentation())
         return out
-
-    def copy(self):
-        return LoopSum(self.spec, dict(self.terms), self.twist)
-
-    def scaled(self, scalar):
-        scalar = _coeff(scalar)
-        return LoopSum(self.spec,
-                       {c: coeff * scalar for c, coeff in self.terms.items()}
-                       if scalar else None,
-                       self.twist)
-
-    def __add__(self, other):
-        _check_sum_compat(self, other)
-        out = self.copy()
-        for cls, coeff in other.terms.items():
-            out.add_term(cls, coeff)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __eq__(self, other):
-        if not isinstance(other, LoopSum):
-            return NotImplemented
-        return (self.spec == other.spec and self.twist == other.twist
-                and self.terms == other.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _class_key(kv[0]))
 
     def to_json(self):
         return {
@@ -144,21 +99,19 @@ class LoopSum:
         return "<LoopSum tw=%d: %s>" % (self.twist, body)
 
 
-class PathSum:
+class PathSum(TermSum):
     """Rational combination of paths sharing endpoint tags."""
 
-    __slots__ = ("spec", "from_tag", "to_tag", "terms", "twist")
+    __slots__ = ("spec", "from_tag", "to_tag", "twist")
+
+    _FIELDS = ("spec", "from_tag", "to_tag", "twist")
 
     def __init__(self, spec, from_tag, to_tag, terms=None, twist=0):
         self.spec = spec
         self.from_tag = from_tag
         self.to_tag = to_tag
         self.twist = twist
-        self.terms = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for path, coeff in items:
-                self.add_term(path, coeff)
+        super().__init__(terms)
 
     @classmethod
     def of(cls, spec, path, coeff=1, twist=0):
@@ -169,17 +122,10 @@ class PathSum:
             raise ValueError("path endpoints %s->%s do not match sum %s->%s"
                              % (path.from_tag, path.to_tag,
                                 self.from_tag, self.to_tag))
-        coeff = _coeff(coeff)
-        if coeff == 0:
-            return
-        c = self.terms.get(path, 0) + coeff
-        if c:
-            self.terms[path] = c
-        else:
-            del self.terms[path]
+        TermSum.add_term(self, path, coeff)
 
-    def is_zero(self):
-        return not self.terms
+    def _sort_key(self, path):
+        return _word_key_letters(path.word.letters)
 
     def augmentation(self):
         return sum(self.terms.values(), Fraction(0))
@@ -189,39 +135,6 @@ class PathSum:
         out = self.copy()
         out.add_term(Path(self.from_tag, self.to_tag), -self.augmentation())
         return out
-
-    def copy(self):
-        return PathSum(self.spec, self.from_tag, self.to_tag,
-                       dict(self.terms), self.twist)
-
-    def scaled(self, scalar):
-        scalar = _coeff(scalar)
-        return PathSum(self.spec, self.from_tag, self.to_tag,
-                       {p: c * scalar for p, c in self.terms.items()}
-                       if scalar else None,
-                       self.twist)
-
-    def __add__(self, other):
-        _check_sum_compat(self, other)
-        if self.from_tag != other.from_tag or self.to_tag != other.to_tag:
-            raise ValueError("path sums have different endpoints")
-        out = self.copy()
-        for path, coeff in other.terms.items():
-            out.add_term(path, coeff)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __eq__(self, other):
-        if not isinstance(other, PathSum):
-            return NotImplemented
-        return (self.spec == other.spec and self.twist == other.twist
-                and self.from_tag == other.from_tag
-                and self.to_tag == other.to_tag and self.terms == other.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _word_key(kv[0].word))
 
     def to_json(self):
         return {
@@ -240,63 +153,21 @@ class PathSum:
                                                self.twist, body)
 
 
-class PathPairSum:
+class PathPairSum(TermSum):
     """Rational combination of ordered path pairs (the two-path pairing)."""
 
-    __slots__ = ("spec", "terms", "twist")
+    __slots__ = ("spec", "twist")
+
+    _FIELDS = ("spec", "twist")
 
     def __init__(self, spec, terms=None, twist=0):
         self.spec = spec
         self.twist = twist
-        self.terms = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for pair, coeff in items:
-                self.add_term(pair, coeff)
+        super().__init__(terms)
 
-    def add_term(self, pair, coeff):
-        coeff = _coeff(coeff)
-        if coeff == 0:
-            return
-        c = self.terms.get(pair, 0) + coeff
-        if c:
-            self.terms[pair] = c
-        else:
-            del self.terms[pair]
-
-    def is_zero(self):
-        return not self.terms
-
-    def copy(self):
-        return PathPairSum(self.spec, dict(self.terms), self.twist)
-
-    def scaled(self, scalar):
-        scalar = _coeff(scalar)
-        return PathPairSum(self.spec,
-                           {p: c * scalar for p, c in self.terms.items()}
-                           if scalar else None,
-                           self.twist)
-
-    def __add__(self, other):
-        _check_sum_compat(self, other)
-        out = self.copy()
-        for pair, coeff in other.terms.items():
-            out.add_term(pair, coeff)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __eq__(self, other):
-        if not isinstance(other, PathPairSum):
-            return NotImplemented
-        return (self.spec == other.spec and self.twist == other.twist
-                and self.terms == other.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: (_word_key(kv[0][0].word),
-                                      _word_key(kv[0][1].word)))
+    def _sort_key(self, pair):
+        return (_word_key_letters(pair[0].word.letters),
+                _word_key_letters(pair[1].word.letters))
 
     def to_json(self):
         return {
@@ -317,21 +188,6 @@ class PathPairSum:
                               render_word(r.word) or "1")
             for (l, r), c in self.sorted_terms()[:4]) or "0"
         return "<PathPairSum tw=%d: %s>" % (self.twist, body)
-
-
-def _check_sum_compat(a, b):
-    if a.spec != b.spec:
-        raise ValueError("sums live on different surfaces")
-    if a.twist != b.twist:
-        raise ValueError("sums carry different twists")
-
-
-def _class_key(cls):
-    return _word_key_letters(cls.word)
-
-
-def _word_key(word):
-    return _word_key_letters(word.letters)
 
 
 def _word_key_letters(letters):
@@ -391,7 +247,7 @@ class _Chord:
         self.passage = passage
 
 
-def _draw(spec, operands, convention):
+def _draw(ribbon, operands, convention):
     """Chord families for the operands, under one perturbation rule.
 
     Strands of one edge are ranked by (operand tag, chord position);
@@ -402,7 +258,6 @@ def _draw(spec, operands, convention):
     """
     if convention not in CONVENTIONS:
         raise ValueError("unknown perturbation convention %r" % (convention,))
-    ribbon = ribbon_structure(spec)
     slot = ribbon.slot
 
     edge_visits = {}
@@ -492,8 +347,8 @@ def _cross_sign(u_chord, v_chord):
     raise AssertionError("crossing chords with unreadable endpoint order")
 
 
-def _crossings(spec, left, right, convention):
-    chords = _draw(spec, [left, right], convention)
+def _crossings(ribbon, left, right, convention):
+    chords = _draw(ribbon, [left, right], convention)
     left_chords = [c for c in chords if c.tag == 0]
     right_chords = [c for c in chords if c.tag == 1]
     for cu in left_chords:
@@ -521,6 +376,7 @@ def goldman_bracket(u, v, convention="default"):
     """Bilinear loop bracket: signed resmoothings at each crossing."""
     if u.spec != v.spec:
         raise ValueError("operands live on different surfaces")
+    ribbon = ribbon_structure(u.spec)
     out = LoopSum(u.spec, twist=u.twist + v.twist + 1)
     for cu, coeff_u in u.terms.items():
         if not cu.word:
@@ -531,7 +387,7 @@ def goldman_bracket(u, v, convention="default"):
             coeff = coeff_u * coeff_v
             left = _loop_operand(0, cu)
             right = _loop_operand(1, cv)
-            for sign, chord_u, chord_v in _crossings(u.spec, left, right,
+            for sign, chord_u, chord_v in _crossings(ribbon, left, right,
                                                      convention):
                 spliced = (_rotated(cu.word, chord_u.split)
                            + _rotated(cv.word, chord_v.split))
@@ -545,6 +401,7 @@ def kk_action(u, gamma, convention="default"):
     crossing between the loop and the path."""
     if u.spec != gamma.spec:
         raise ValueError("operands live on different surfaces")
+    ribbon = ribbon_structure(u.spec)
     out = PathSum(gamma.spec, gamma.from_tag, gamma.to_tag,
                   twist=u.twist + gamma.twist + 1)
     for cu, coeff_u in u.terms.items():
@@ -555,7 +412,7 @@ def kk_action(u, gamma, convention="default"):
             left = _loop_operand(0, cu)
             right = _path_operand(1, path)
             w = path.word.letters
-            for sign, chord_u, chord_v in _crossings(u.spec, left, right,
+            for sign, chord_u, chord_v in _crossings(ribbon, left, right,
                                                      convention):
                 k = chord_v.split
                 inserted = w[:k] + _rotated(cu.word, chord_u.split) + w[k:]
@@ -574,6 +431,7 @@ def bi_pairing(gamma1, gamma2, convention="default"):
     if tags1 & tags2:
         raise ValueError("path endpoint tags must be disjoint, got %s and %s"
                          % (sorted(tags1), sorted(tags2)))
+    ribbon = ribbon_structure(gamma1.spec)
     out = PathPairSum(gamma1.spec, twist=gamma1.twist + gamma2.twist + 1)
     for p1, c1 in gamma1.terms.items():
         for p2, c2 in gamma2.terms.items():
@@ -582,7 +440,7 @@ def bi_pairing(gamma1, gamma2, convention="default"):
             right = _path_operand(1, p2)
             w1 = p1.word.letters
             w2 = p2.word.letters
-            for sign, chord_u, chord_v in _crossings(gamma1.spec, left, right,
+            for sign, chord_u, chord_v in _crossings(ribbon, left, right,
                                                      convention):
                 k1, k2 = chord_u.split, chord_v.split
                 first = Path(p1.from_tag, p2.to_tag,
@@ -611,8 +469,8 @@ def crossing_trace(spec, left, right, convention="default"):
         "sign": sign,
         "left": chord_u.passage.to_json(),
         "right": chord_v.passage.to_json(),
-    } for sign, chord_u, chord_v in _crossings(spec, ops[0], ops[1],
-                                               convention)]
+    } for sign, chord_u, chord_v in _crossings(ribbon_structure(spec), ops[0],
+                                               ops[1], convention)]
 
 
 # -- classes, powers, logarithms ----------------------------------------

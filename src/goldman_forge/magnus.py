@@ -9,20 +9,22 @@ weight splitting, and the quadratic-algebra resolution certificate.
 All arithmetic is exact.
 """
 
-import itertools
 from fractions import Fraction
 
-from .surface import FreeWord, SurfaceSpec, boundary_word
+from .surface import SurfaceSpec, boundary_word
 from .tensoralg import (
     AlgebraMap,
     GenSignature,
     TensorSeries,
+    TermSum,
+    as_coeff,
     exp,
     is_group_like,
     is_primitive,
     lie_bracket,
     linear_solve,
     log,
+    matrix_rank,
 )
 
 __all__ = [
@@ -30,7 +32,6 @@ __all__ = [
     "NecklaceWord",
     "CyclicSeries",
     "default_expansion",
-    "expand",
     "expand_class",
     "necklace_project",
     "gr_necklace_bracket",
@@ -41,7 +42,6 @@ __all__ = [
     "compose_automorphism",
     "is_symplectic",
     "invert_expansion",
-    "kvi_automorphism",
     "kvi_check",
     "adams_series_check",
     "weight_split",
@@ -121,11 +121,6 @@ def default_expansion(spec, trunc):
     return MagnusExpansion(spec, trunc, logs)
 
 
-def expand(word, theta):
-    """Multiplicative extension of the expansion to a free-group word."""
-    return theta.expand_word(word)
-
-
 class NecklaceWord:
     """Cyclic word: the lexicographically least rotation is stored."""
 
@@ -150,38 +145,34 @@ class NecklaceWord:
         return "NecklaceWord(%s)" % (" ".join(self.word) or "1")
 
 
-class CyclicSeries:
+class CyclicSeries(TermSum):
     """Rational combination of necklace words, truncated by weight.
 
     The integer twist is pure bookkeeping for the Tate shift carried by
     bracket-like outputs; sums require equal twist, brackets add them.
     """
 
-    __slots__ = ("sig", "trunc", "terms", "twist")
+    __slots__ = ("sig", "trunc", "twist")
+
+    _FIELDS = ("sig", "trunc", "twist")
 
     def __init__(self, sig, trunc, terms=None, twist=0):
         self.sig = sig
         self.trunc = trunc
         self.twist = twist
-        self.terms = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for necklace, coeff in items:
-                self.add_term(necklace, coeff)
+        super().__init__(terms)
 
     def add_term(self, necklace, coeff):
+        """Add coeff * necklace; words past the truncation are dropped."""
         if not isinstance(necklace, NecklaceWord):
             necklace = NecklaceWord(necklace)
-        if self.sig.degree(necklace.word) > self.trunc or coeff == 0:
-            return
-        c = self.terms.get(necklace, 0) + coeff
-        if c:
-            self.terms[necklace] = c
-        elif necklace in self.terms:
-            del self.terms[necklace]
+        if self.sig.degree(necklace.word) <= self.trunc:
+            TermSum.add_term(self, necklace, coeff)
+        else:
+            as_coeff(coeff)     # inexact input is an error even when dropped
 
-    def is_zero(self):
-        return not self.terms
+    def _sort_key(self, necklace):
+        return self.sig.sort_key(necklace.word)
 
     def coefficient(self, word):
         return self.terms.get(NecklaceWord(word), Fraction(0))
@@ -192,46 +183,15 @@ class CyclicSeries:
         return min(self.sig.degree(n.word) for n in self.terms)
 
     def homogeneous_component(self, d):
-        out = CyclicSeries(self.sig, self.trunc, twist=self.twist)
-        for necklace, coeff in self.terms.items():
-            if self.sig.degree(necklace.word) == d:
-                out.add_term(necklace, coeff)
-        return out
+        degree = self.sig.degree
+        return self._with_terms({n: c for n, c in self.terms.items()
+                                 if degree(n.word) == d})
 
     def reduced(self):
         """Drop the empty-necklace (constant) term."""
-        out = CyclicSeries(self.sig, self.trunc, dict(self.terms), self.twist)
+        out = self.copy()
         out.terms.pop(NecklaceWord(()), None)
         return out
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda item: self.sig.sort_key(item[0].word))
-
-    def __add__(self, other):
-        if (self.sig != other.sig or self.trunc != other.trunc
-                or self.twist != other.twist):
-            raise ValueError("cyclic series mismatch (signature, truncation "
-                             "or twist)")
-        out = CyclicSeries(self.sig, self.trunc, dict(self.terms), self.twist)
-        for necklace, coeff in other.terms.items():
-            out.add_term(necklace, coeff)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def scaled(self, scalar):
-        out = CyclicSeries(self.sig, self.trunc, twist=self.twist)
-        for necklace, coeff in self.terms.items():
-            out.add_term(necklace, coeff * scalar)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, CyclicSeries):
-            return NotImplemented
-        return (self.sig == other.sig and self.trunc == other.trunc
-                and self.twist == other.twist and self.terms == other.terms)
 
     def __repr__(self):
         parts = ["%s |%s|" % (c, " ".join(n.word) or "1")
@@ -301,14 +261,9 @@ def gr_necklace_bracket(u, v):
 
 def transported_bracket(u, v, theta):
     """Necklace expansion of the Goldman bracket of two loop sums."""
-    from .goldman import goldman_bracket  # deferred: goldman builds on this module
-    bracket = goldman_bracket(u, v)
-    out = CyclicSeries(theta.sig, theta.trunc, twist=bracket.twist)
-    for loop_class, coeff in bracket.terms.items():
-        series = theta.expand_word(loop_class.free_word())
-        for word, c in series.items():
-            out.add_term(NecklaceWord(word), coeff * c)
-    return out
+    # deferred: goldman builds on this module
+    from .goldman import expand_loop_sum, goldman_bracket
+    return expand_loop_sum(goldman_bracket(u, v), theta)
 
 
 def omega(sig, trunc):
@@ -506,7 +461,9 @@ def invert_expansion(theta):
     theta induces the algebra map Psi: gen -> log theta(word); since
     gr(Psi) = id the fixed-point iteration Phi(g) = g - Phi(Psi(g) - g)
     converges within the truncation.  Both composites are verified on
-    every generator before returning.
+    every generator before returning.  For a symplectic theta this is
+    the tangential automorphism it induces: it carries the symplectic
+    element to the BCH logarithm of the surface relation.
     """
     sig, trunc = theta.sig, theta.trunc
     psi = _substitution_of(theta)
@@ -538,15 +495,6 @@ def invert_expansion(theta):
         if phi.apply(psi.image(name)) != gen or psi.apply(phi.image(name)) != gen:
             raise AssertionError("inverse verification failed on %s" % name)
     return phi
-
-
-def kvi_automorphism(theta):
-    """The tangential automorphism induced by a symplectic expansion.
-
-    Realized as the inverse of theta's substitution: it carries the
-    symplectic element to the BCH logarithm of the surface relation.
-    """
-    return invert_expansion(theta)
 
 
 def _extract_conjugator(phi, k):
@@ -752,16 +700,14 @@ def _normal_form(word, lead, replacement, memo):
 
 
 def _normal_words(letters, lead, length):
-    words = [()]
-    for _ in range(length):
-        extended = []
-        for w in words:
-            for letter in letters:
-                if w and w[-1] == lead[0] and letter == lead[1]:
-                    continue
-                extended.append(w + (letter,))
-        words = extended
-    return words
+    """Words avoiding the factor lead, lazily and in lexicographic order."""
+    if length == 0:
+        yield ()
+        return
+    for w in _normal_words(letters, lead, length - 1):
+        for letter in letters:
+            if not (w and w[-1] == lead[0] and letter == lead[1]):
+                yield w + (letter,)
 
 
 def _has_lead(word, lead):
@@ -770,12 +716,6 @@ def _has_lead(word, lead):
         if word[p] == first and word[p + 1] == second:
             return True
     return False
-
-
-def _iter_normal(letters, lead, length):
-    for word in itertools.product(letters, repeat=length):
-        if not _has_lead(word, lead):
-            yield word
 
 
 def _normal_counts(letters, lead, max_len):
@@ -792,31 +732,6 @@ def _normal_counts(letters, lead, max_len):
                        for q in letters}
         dims.append(sum(by_last.values()))
     return dims
-
-
-def _matrix_rank(rows):
-    rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 def resolution_check(genus, n_max, rank_limit=400, sweep_limit=150000):
@@ -856,7 +771,7 @@ def resolution_check(genus, n_max, rank_limit=400, sweep_limit=150000):
 
     def basis(m):
         if m not in basis_cache:
-            words = _normal_words(letters, lead, m)
+            words = list(_normal_words(letters, lead, m))
             if len(words) != dims[m]:
                 raise AssertionError("enumeration disagrees with the "
                                      "transfer count at degree %d" % m)
@@ -907,7 +822,7 @@ def resolution_check(genus, n_max, rank_limit=400, sweep_limit=150000):
         if surjective_swept:
             words = basis_cache.get(n + 2)
             if words is None:
-                words = _iter_normal(letters, lead, n + 2)
+                words = _normal_words(letters, lead, n + 2)
             for w in words:
                 if _has_lead(w[1:], lead):
                     surjective_ok = False
@@ -936,8 +851,8 @@ def resolution_check(genus, n_max, rank_limit=400, sweep_limit=150000):
                     for w, c in nf((letter,) + v).items():
                         column[index_n2[w]] += c
                     d1_cols.append(column)
-            rank_d2 = _matrix_rank(d2_cols)  # columns as rows: row rank = rank
-            rank_d1 = _matrix_rank(d1_cols)
+            rank_d2 = matrix_rank(d2_cols)  # columns as rows: row rank = rank
+            rank_d1 = matrix_rank(d1_cols)
             if rank_d2 != dims[n] or rank_d1 != dims[n + 2]:
                 passed = False
             cross_checked = True

@@ -9,9 +9,7 @@ offending input; replaying with the same seed reproduces them.
 
 import inspect
 import itertools
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .barcx import (
@@ -42,18 +40,16 @@ from .goldman import (
     twist_derivation,
 )
 from .magnus import (
-    _matrix_rank,
     adams_series_check,
     bch_right_side,
     default_expansion,
     gr_necklace_bracket,
+    invert_expansion,
     is_symplectic,
-    kvi_automorphism,
     kvi_check,
     resolution_check,
     right_normed_bracket,
     solve_symplectic,
-    transported_bracket,
 )
 from .surface import (
     FreeWord,
@@ -62,32 +58,16 @@ from .surface import (
     boundary_word,
     cyclic_normal_form,
 )
-from .tensoralg import derivation_exp, log
+from .tensoralg import derivation_exp, log, matrix_rank
 
 DEFAULT_SEED = 7
 
 MAX_REPORTED_FAILURES = 5
 
 
-def thread_cap():
-    """Worker cap from GOLDMAN_FORGE_THREADS; 1 keeps runs in-process."""
-    raw = os.environ.get("GOLDMAN_FORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _run_cases(case, inputs):
-    cap = thread_cap()
-    if cap == 1:
-        results = [case(item) for item in inputs]
-    else:
-        # cases are pure; map preserves input order, so reports stay
-        # byte-identical no matter how the pool schedules them
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            results = list(pool.map(case, inputs))
-    return [r for r in results if r is not None]
+    """Failure messages of the cases that fail, in input order."""
+    return [r for r in map(case, inputs) if r is not None]
 
 
 def _check(name, cases, failures):
@@ -130,11 +110,6 @@ def _random_loop_sum(rng, spec, max_len):
         out = out + LoopSum.of(spec, _random_word(rng, spec, max_len),
                                rng.choice((1, -1, 2, -2)))
     return out
-
-
-def _centered(u):
-    # subtract the augmentation so the expansion starts in weight >= 1
-    return u + LoopSum.of(u.spec, FreeWord(), -u.augmentation())
 
 
 def _valuation_of(series):
@@ -213,8 +188,8 @@ def gr_bracket(genus=1, boundary=1, trunc=6, count=200, pairs=100,
     theta = default_expansion(spec, trunc)
     rng = random.Random(seed)
 
-    bracket_cases = [(_centered(_random_loop_sum(rng, spec, 4)),
-                      _centered(_random_loop_sum(rng, spec, 4)))
+    bracket_cases = [(_random_loop_sum(rng, spec, 4).reduced(),
+                      _random_loop_sum(rng, spec, 4).reduced())
                      for _ in range(count)]
 
     def bracket_shift(args):
@@ -228,7 +203,7 @@ def gr_bracket(genus=1, boundary=1, trunc=6, count=200, pairs=100,
 
     action_cases = []
     for _ in range(count):
-        u = _centered(_random_loop_sum(rng, spec, 4))
+        u = _random_loop_sum(rng, spec, 4).reduced()
         t1 = rng.randrange(boundary)
         t2 = rng.randrange(boundary)
         g = PathSum.of(spec, Path(t1, t2, _random_word(rng, spec, 4,
@@ -253,14 +228,14 @@ def gr_bracket(genus=1, boundary=1, trunc=6, count=200, pairs=100,
     while len(agreements) < pairs:
         u = _random_loop_sum(rng, spec, 4)
         v = _random_loop_sum(rng, spec, 4)
-        cu = expand_loop_sum(_centered(u), theta)
-        cv = expand_loop_sum(_centered(v), theta)
+        cu = expand_loop_sum(u.reduced(), theta)
+        cv = expand_loop_sum(v.reduced(), theta)
         m, n = cu.valuation(), cv.valuation()
         if m is None or n is None or m + n - 2 > trunc:
             continue
         agreements.append(None)
-        lhs = transported_bracket(u, v, theta).homogeneous_component(
-            m + n - 2)
+        lhs = expand_loop_sum(goldman_bracket(u, v),
+                              theta).homogeneous_component(m + n - 2)
         rhs = gr_necklace_bracket(cu.homogeneous_component(m),
                                   cv.homogeneous_component(n))
         if lhs.terms != rhs.terms:
@@ -405,7 +380,7 @@ def _kernel_rank_sample(max_len, trunc):
             for word, coeff in d.apply(theta.image(name)).items():
                 row[gi * len(index) + index[tuple(word)]] = coeff
         rows.append(row)
-    return len(classes), _matrix_rank(rows)
+    return len(classes), matrix_rank(rows)
 
 
 def adams(trunc=8, count=60, seed=DEFAULT_SEED):
@@ -443,7 +418,7 @@ def adams(trunc=8, count=60, seed=DEFAULT_SEED):
             return "composition fails: %d, %d, %r" % (m, n, u)
 
     filtration_cases = [(rng.randrange(2, 5),
-                         _centered(_random_loop_sum(rng, spec, 4)))
+                         _random_loop_sum(rng, spec, 4).reduced())
                         for _ in range(count)]
 
     def filtration_case(args):
@@ -592,7 +567,7 @@ def kvi(trunc=6):
     for g, b in ((1, 1), (2, 1), (1, 2)):
         theta = solve_symplectic(g, b - 1, trunc)
         symplectic = is_symplectic(theta)
-        cert = kvi_check(kvi_automorphism(theta))
+        cert = kvi_check(invert_expansion(theta))
         ok = bool(symplectic and cert["passed"])
         failures = []
         if not ok:

@@ -21,11 +21,9 @@ __all__ = [
     "Path",
     "RibbonStructure",
     "ParseError",
-    "reduce",
     "cyclic_normal_form",
     "boundary_word",
     "ribbon_structure",
-    "faces",
     "parse_word",
     "render_word",
 ]
@@ -142,6 +140,7 @@ class FreeWord:
         return cls(((base, exp),))
 
     def reduce(self):
+        """Free reduction: cancel adjacent inverse pairs until none remain."""
         reduced = _reduce_letters(self.letters)
         return self if reduced == self.letters else FreeWord(reduced)
 
@@ -182,11 +181,6 @@ class FreeWord:
 
     def __str__(self):
         return render_word(self)
-
-
-def reduce(word):
-    """Free reduction: cancel adjacent inverse pairs until none remain."""
-    return word.reduce()
 
 
 class LoopClass:
@@ -392,10 +386,6 @@ def ribbon_structure(spec):
         order.append(d)
         order.extend(insert_after.get(d, ()))
     return RibbonStructure(spec, order)
-
-
-def faces(r):
-    return r.faces()
 
 
 _TOKEN = re.compile(r"^([abc])([1-9][0-9]*)(')?$")

@@ -19,9 +19,9 @@ __all__ = [
     "GenSignature",
     "TensorSeries",
     "TensorSquare",
+    "TermSum",
     "Derivation",
     "AlgebraMap",
-    "multiply",
     "exp",
     "log",
     "bch",
@@ -29,9 +29,9 @@ __all__ = [
     "coproduct",
     "is_primitive",
     "is_group_like",
-    "derivation_apply",
     "derivation_exp",
     "linear_solve",
+    "matrix_rank",
 ]
 
 
@@ -43,6 +43,88 @@ def as_coeff(value):
         return Fraction(value)
     raise TypeError("coefficient must be an integer or Fraction, got %r"
                     % type(value).__name__)
+
+
+class TermSum:
+    """Sparse exact combination: terms[key] is a nonzero Fraction.
+
+    A subclass names in _FIELDS the data two sums must share to be
+    added (surface, twist, truncation, ...), gives _sort_key for the
+    serialized term order, and overrides add_term when incoming keys
+    need a check or a rewrite.  Sums built from admitted terms (copy,
+    scaled, +, -) take them over without checking them again.
+    """
+
+    __slots__ = ("terms",)
+
+    _FIELDS = ()
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        if terms:
+            items = terms.items() if isinstance(terms, dict) else terms
+            for key, coeff in items:
+                self.add_term(key, coeff)
+
+    def add_term(self, key, coeff):
+        """Add coeff * key; a key whose coefficient reaches 0 is removed."""
+        if coeff.__class__ is not Fraction:
+            coeff = as_coeff(coeff)
+        if coeff:
+            terms = self.terms
+            c = terms.get(key, 0) + coeff
+            if c:
+                terms[key] = c
+            else:
+                del terms[key]
+
+    def _with_terms(self, terms):
+        out = object.__new__(self.__class__)
+        for name in self._FIELDS:
+            setattr(out, name, getattr(self, name))
+        out.terms = terms
+        return out
+
+    def _fields(self):
+        return [getattr(self, name) for name in self._FIELDS]
+
+    def is_zero(self):
+        return not self.terms
+
+    def copy(self):
+        return self._with_terms(dict(self.terms))
+
+    def scaled(self, scalar):
+        scalar = as_coeff(scalar)
+        if not scalar:
+            return self._with_terms({})
+        return self._with_terms({k: c * scalar for k, c in self.terms.items()})
+
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._fields() != other._fields():
+            raise ValueError("cannot add %s values with different %s"
+                             % (self.__class__.__name__,
+                                "/".join(self._FIELDS)))
+        out = self.copy()
+        for key, coeff in other.terms.items():
+            TermSum.add_term(out, key, coeff)
+        return out
+
+    def __sub__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self + other.scaled(-1)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields() and self.terms == other.terms
+
+    def sorted_terms(self):
+        key = self._sort_key
+        return sorted(self.terms.items(), key=lambda kv: key(kv[0]))
 
 
 class GenSignature:
@@ -328,11 +410,6 @@ class TensorSeries:
         return cls.from_terms(sig, data["truncation"], terms)
 
 
-def multiply(a, b):
-    """Concatenation product truncated by weighted degree."""
-    return a * b
-
-
 def exp(s):
     """Truncated exponential; needs vanishing constant term."""
     if s.constant_term() != 0:
@@ -376,7 +453,7 @@ def lie_bracket(u, v):
     return u * v - v * u
 
 
-class TensorSquare:
+class TensorSquare(TermSum):
     """Sparse element of the doubled algebra, for coproduct checks.
 
     Terms are (left word, right word) -> coefficient with total weighted
@@ -385,44 +462,25 @@ class TensorSquare:
     property of the coproduct.
     """
 
-    __slots__ = ("sig", "trunc", "terms")
+    __slots__ = ("sig", "trunc")
+
+    _FIELDS = ("sig", "trunc")
 
     def __init__(self, sig, trunc, terms=None):
         self.sig = sig
         self.trunc = trunc
-        self.terms = {}
-        if terms:
-            for pair, coeff in terms.items() if isinstance(terms, dict) else terms:
-                self.add_term(pair[0], pair[1], coeff)
+        super().__init__(terms)
 
-    def add_term(self, left, right, coeff):
-        coeff = as_coeff(coeff)
-        if coeff == 0:
-            return
-        left, right = tuple(left), tuple(right)
-        if self.sig.degree(left) + self.sig.degree(right) > self.trunc:
-            return
-        key = (left, right)
-        c = self.terms.get(key, 0) + coeff
-        if c:
-            self.terms[key] = c
-        elif key in self.terms:
-            del self.terms[key]
+    def add_term(self, pair, coeff):
+        """Add coeff * (left, right); pairs past the truncation are dropped."""
+        left, right = tuple(pair[0]), tuple(pair[1])
+        if self.sig.degree(left) + self.sig.degree(right) <= self.trunc:
+            TermSum.add_term(self, (left, right), coeff)
+        else:
+            as_coeff(coeff)     # inexact input is an error even when dropped
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = TensorSquare(self.sig, self.trunc, dict(self.terms))
-        for (l, r), c in other.terms.items():
-            out.add_term(l, r, c)
-        return out
-
-    def __sub__(self, other):
-        out = TensorSquare(self.sig, self.trunc, dict(self.terms))
-        for (l, r), c in other.terms.items():
-            out.add_term(l, r, -c)
-        return out
+    def _sort_key(self, pair):
+        return self.sig.sort_key(pair[0]), self.sig.sort_key(pair[1])
 
     def __mul__(self, other):
         # componentwise concatenation, truncated by total degree
@@ -433,21 +491,15 @@ class TensorSquare:
             for (l2, r2), c2 in other.terms.items():
                 if d1 + deg(l2) + deg(r2) > self.trunc:
                     continue
-                out.add_term(l1 + l2, r1 + r2, c1 * c2)
+                out.add_term((l1 + l2, r1 + r2), c1 * c2)
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorSquare):
-            return NotImplemented
-        return (self.sig == other.sig and self.trunc == other.trunc
-                and self.terms == other.terms)
 
     @classmethod
     def left(cls, s):
         """s tensor 1."""
         out = cls(s.sig, s.trunc)
         for word, coeff in s.items():
-            out.add_term(word, (), coeff)
+            out.add_term((word, ()), coeff)
         return out
 
     @classmethod
@@ -455,7 +507,7 @@ class TensorSquare:
         """1 tensor s."""
         out = cls(s.sig, s.trunc)
         for word, coeff in s.items():
-            out.add_term((), word, coeff)
+            out.add_term(((), word), coeff)
         return out
 
     @classmethod
@@ -465,7 +517,7 @@ class TensorSquare:
         out = cls(a.sig, a.trunc)
         for w1, c1 in a.items():
             for w2, c2 in b.items():
-                out.add_term(w1, w2, c1 * c2)
+                out.add_term((w1, w2), c1 * c2)
         return out
 
 
@@ -482,7 +534,7 @@ def coproduct(s):
         for mask in range(1 << k):
             left = tuple(word[i] for i in range(k) if (mask >> i) & 1)
             right = tuple(word[i] for i in range(k) if not (mask >> i) & 1)
-            out.add_term(left, right, coeff)
+            out.add_term((left, right), coeff)
     return out
 
 
@@ -572,10 +624,6 @@ class Derivation:
     def scaled(self, scalar):
         return Derivation(self.sig, self.trunc,
                           {name: img.scaled(scalar) for name, img in self.images.items()})
-
-
-def derivation_apply(d, s):
-    return d.apply(s)
 
 
 class AlgebraMap:
@@ -670,28 +718,19 @@ def derivation_exp(d, max_steps=None):
     return AlgebraMap(d.sig, d.trunc, images)
 
 
-def linear_solve(matrix, rhs):
-    """Exact Gaussian elimination over Q.
+def _gauss_jordan(rows, ncols):
+    """Reduce rows in place over their first ncols columns; return pivots.
 
-    matrix is a list of rows of ints/Fractions, rhs the right-hand
-    column.  Returns the solution with every free variable set to 0,
-    or None when the system is inconsistent.  Pivoting is deterministic:
-    leftmost pivot column, smallest row index.
+    Pivoting is deterministic: leftmost pivot column, smallest row
+    index.  Pivot rows are scaled to a leading 1 and cleared above and
+    below.
     """
-    m = len(matrix)
-    if m != len(rhs):
-        raise ValueError("matrix and rhs row counts differ")
-    if m == 0:
-        return []
-    ncols = len(matrix[0])
-    rows = []
-    for row, b in zip(matrix, rhs):
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        rows.append([as_coeff(x) for x in row] + [as_coeff(b)])
+    m = len(rows)
     pivots = []
     r = 0
     for col in range(ncols):
+        if r == m:
+            break
         pivot_row = None
         for i in range(r, m):
             if rows[i][col] != 0:
@@ -708,9 +747,35 @@ def linear_solve(matrix, rhs):
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
-        if r == m:
-            break
-    for i in range(r, m):
+    return pivots
+
+
+def matrix_rank(rows):
+    """Exact rank over Q of a list of rows of ints/Fractions."""
+    rows = [list(row) for row in rows]
+    return len(_gauss_jordan(rows, len(rows[0]) if rows else 0))
+
+
+def linear_solve(matrix, rhs):
+    """Exact Gaussian elimination over Q.
+
+    matrix is a list of rows of ints/Fractions, rhs the right-hand
+    column.  Returns the solution with every free variable set to 0,
+    or None when the system is inconsistent.
+    """
+    m = len(matrix)
+    if m != len(rhs):
+        raise ValueError("matrix and rhs row counts differ")
+    if m == 0:
+        return []
+    ncols = len(matrix[0])
+    rows = []
+    for row, b in zip(matrix, rhs):
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+        rows.append([as_coeff(x) for x in row] + [as_coeff(b)])
+    pivots = _gauss_jordan(rows, ncols)
+    for i in range(len(pivots), m):
         if rows[i][ncols] != 0:
             return None
     solution = [Fraction(0)] * ncols

@@ -24,7 +24,6 @@ from goldman_forge.barcx import (
     eval_hat_kk,
     open_model,
     parse_bar,
-    relation_element,
     shuffle_product,
 )
 from goldman_forge.surface import (
@@ -375,27 +374,3 @@ class TestEvalHatKk:
             rhs = chen_pairing(BarElement.word(om, left + (w,) + right),
                                gamma)
             assert lhs == rhs, (left, w, right, gamma)
-
-
-class TestRelations:
-    def test_all_positions_vanish(self):
-        for pos in range(3):
-            rel = relation_element(OM, Fraction(5, 2), ("xi1", "eta1"), pos)
-            assert rel.is_zero()
-        assert relation_element(OM, 3, (), 0).is_zero()
-
-    def test_position_out_of_range(self):
-        with pytest.raises(ValueError):
-            relation_element(OM, 1, ("xi1",), 2)
-
-    def test_pairing_annihilates_relations(self):
-        rng = random.Random(14)
-        letters = ["xi1", "eta1"]
-        for _ in range(15):
-            word = tuple(rng.choice(letters)
-                         for _ in range(rng.randrange(3)))
-            pos = rng.randrange(len(word) + 1)
-            rel = relation_element(OM, Fraction(rng.randrange(1, 5)),
-                                   word, pos)
-            gamma = random_free(rng, TORUS, 5)
-            assert chen_pairing(rel, gamma) == 0

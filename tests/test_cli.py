@@ -133,6 +133,22 @@ class TestCertificateCommands:
         assert "degree dims: [1, 4, 15, 56, 209]" in out
         assert out.strip().endswith("passed")
 
+    def test_resolution_certificate_failure_exits_1(self, capsys,
+                                                    monkeypatch):
+        def broken(genus, n_max):
+            raise AssertionError("dimension recursion failed at degree 3")
+        monkeypatch.setattr(cli, "resolution_check", broken)
+        code, out, err = run_cli(["resolution", "--g", "2"], capsys)
+        assert code == 1
+        assert "dimension recursion failed" in out
+        assert "Traceback" not in out + err
+        code, out, err = run_cli(["resolution", "--json", "--g", "2"], capsys)
+        assert code == 1
+        report = json.loads(out)["report"]
+        assert report["passed"] is False
+        assert report["failures"] == ["dimension recursion failed at degree 3"]
+        assert "Traceback" not in err
+
     def test_twist_check_reports_generators(self, capsys):
         code, out, _ = run_cli(["twist-check", "--surface", "1,1",
                                 "--N", "3"], capsys)

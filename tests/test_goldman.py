@@ -486,6 +486,30 @@ class TestTrace:
             crossing_trace(TORUS, "a1", Path(0, 0, parse_word("b1")))
 
 
+def test_ribbon_is_built_once_per_surgery_call(monkeypatch):
+    import goldman_forge.goldman as goldman
+    calls = []
+    real = goldman.ribbon_structure
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(goldman, "ribbon_structure", counted)
+    u = loop(TORUS, "a1") + loop(TORUS, "b1 a1", 2) + loop(TORUS, "a1 b1'")
+    v = loop(TORUS, "b1") + loop(TORUS, "a1 a1 b1", -1)
+    gamma = based(TORUS, "b1") + based(TORUS, "a1 b1")
+    path = PathSum.of(SurfaceSpec(0, 4), Path(0, 2))
+    other = PathSum.of(SurfaceSpec(0, 4), Path(1, 3))
+    assert not goldman_bracket(u, v).is_zero()
+    assert not kk_action(u, gamma).is_zero()
+    assert not bi_pairing(path, other).is_zero()
+    assert crossing_trace(TORUS, cyclic_normal_form(parse_word("a1")),
+                          Path(0, 0, parse_word("b1")))
+    # one ribbon per call, not one per pair of terms (6 + 6 + 1 + 1)
+    assert len(calls) == 4
+
+
 class TestFiltrationShift:
     def test_bracket_spot_checks(self):
         n = 5

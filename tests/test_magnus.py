@@ -1,5 +1,6 @@
 """Tests for expansions, necklace series, solvers, and certificates."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,13 +16,11 @@ from goldman_forge.magnus import (
     bch_right_side,
     default_expansion,
     dynkin_leading_split,
-    expand,
     expand_class,
     gr_necklace_bracket,
     compose_automorphism,
     invert_expansion,
     is_symplectic,
-    kvi_automorphism,
     kvi_check,
     necklace_project,
     omega,
@@ -78,7 +77,7 @@ class TestExpansion:
         sig = theta.sig
         x = TensorSeries.generator(sig, 4, "x1")
         assert theta.image("a1") == exp(x)
-        assert expand(parse_word("a1"), theta) == exp(x)
+        assert theta.expand_word(parse_word("a1")) == exp(x)
 
     def test_expansion_is_multiplicative(self):
         spec = SurfaceSpec(1, 2)
@@ -87,18 +86,21 @@ class TestExpansion:
         for _ in range(12):
             u = helpers.random_surface_word(rng, spec, 4)
             v = helpers.random_surface_word(rng, spec, 4)
-            assert expand(u * v, theta) == expand(u, theta) * expand(v, theta)
+            assert theta.expand_word(u * v) == \
+                theta.expand_word(u) * theta.expand_word(v)
 
     def test_inverse_word_expands_to_inverse(self):
         spec = SurfaceSpec(2, 1)
         theta = default_expansion(spec, 3)
         w = parse_word("a1 b2 a1'")
-        assert expand(w * w.inverse(), theta) == TensorSeries.unit(theta.sig, 3)
+        assert theta.expand_word(w * w.inverse()) == \
+            TensorSeries.unit(theta.sig, 3)
 
     def test_identity_word(self):
         spec = SurfaceSpec(1, 1)
         theta = default_expansion(spec, 3)
-        assert expand(FreeWord(()), theta) == TensorSeries.unit(theta.sig, 3)
+        assert theta.expand_word(FreeWord(())) == \
+            TensorSeries.unit(theta.sig, 3)
 
     def test_log_images_mismatched_truncation_rejected(self):
         spec = SurfaceSpec(1, 1)
@@ -311,7 +313,7 @@ class TestInversion:
 
     def test_kvi_certificate_passes_for_solved_expansion(self):
         theta = solve_symplectic(1, 0, 4)
-        report = kvi_check(kvi_automorphism(theta))
+        report = kvi_check(invert_expansion(theta))
         assert report["passed"]
         assert report["omega_image_matches"]
         assert report["gr_identity"]
@@ -320,7 +322,7 @@ class TestInversion:
 
     def test_kvi_certificate_with_puncture(self):
         theta = solve_symplectic(1, 1, 4)
-        report = kvi_check(kvi_automorphism(theta))
+        report = kvi_check(invert_expansion(theta))
         assert report["passed"]
         assert len(report["zk_conjugators"]) == 1
         assert report["zk_conjugators"][0] is not None
@@ -418,6 +420,23 @@ class TestResolution:
     def test_rejects_genus_zero(self):
         with pytest.raises(ValueError):
             resolution_check(0, 2)
+
+    def test_normal_words_are_lazy_and_lexicographic(self):
+        # the generator must list exactly the words avoiding the leading
+        # factor, in the order of a filtered itertools.product
+        from goldman_forge.magnus import _normal_words, _rewrite_rule
+        for genus in (1, 2):
+            letters = [name for i in range(1, genus + 1)
+                       for name in ("a%d" % i, "b%d" % i)]
+            lead, _ = _rewrite_rule(genus)
+            for length in range(5):
+                words = _normal_words(letters, lead, length)
+                assert iter(words) is words
+                expected = [w for w in itertools.product(letters,
+                                                         repeat=length)
+                            if all(w[p:p + 2] != lead
+                                   for p in range(length - 1))]
+                assert list(words) == expected
 
 
 class TestBchRightSide:

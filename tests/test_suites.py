@@ -26,24 +26,3 @@ class TestRunSuite:
         assert report["suite"] == "perturbation"
         assert all(set(check) == {"name", "cases", "passed", "failures"}
                    for check in report["checks"])
-
-
-class TestThreadCap:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("GOLDMAN_FORGE_THREADS", raising=False)
-        assert suites.thread_cap() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("GOLDMAN_FORGE_THREADS", "4")
-        assert suites.thread_cap() == 4
-
-    def test_garbage_env_value(self, monkeypatch):
-        monkeypatch.setenv("GOLDMAN_FORGE_THREADS", "lots")
-        assert suites.thread_cap() == 1
-
-    def test_threaded_run_matches_serial(self, monkeypatch):
-        monkeypatch.delenv("GOLDMAN_FORGE_THREADS", raising=False)
-        serial = suites.jacobi(count=8, max_len=4, seed=5)
-        monkeypatch.setenv("GOLDMAN_FORGE_THREADS", "3")
-        threaded = suites.jacobi(count=8, max_len=4, seed=5)
-        assert serial == threaded

@@ -10,9 +10,7 @@ from goldman_forge.surface import (
     SurfaceSpec,
     boundary_word,
     cyclic_normal_form,
-    faces,
     parse_word,
-    reduce,
     render_word,
     ribbon_structure,
 )
@@ -49,8 +47,8 @@ class TestSurfaceSpec:
 
 class TestReduce:
     def test_cancellation(self):
-        assert reduce(W("a1 a1'")) == FreeWord()
-        assert reduce(W("a1 b1 b1' a1")) == W("a1 a1")
+        assert W("a1 a1'").reduce() == FreeWord()
+        assert W("a1 b1 b1' a1").reduce() == W("a1 a1")
 
     def test_idempotent_on_random_words(self):
         rng = random.Random(3)
@@ -59,8 +57,8 @@ class TestReduce:
             letters = [(rng.choice(bases), rng.choice((1, -1)))
                        for _ in range(rng.randrange(12))]
             w = FreeWord(letters)
-            r = reduce(w)
-            assert reduce(r) == r
+            r = w.reduce()
+            assert r.reduce() == r
             assert len(r) <= len(w)
             assert r.is_reduced()
 
@@ -127,13 +125,13 @@ class TestRibbonStructure:
 
     def test_face_words_one_holed_torus(self):
         r = ribbon_structure(SurfaceSpec(1, 1))
-        words = faces(r)
+        words = r.faces()
         assert len(words) == 1
         assert cyclic_normal_form(words[0]) == cyclic_normal_form(W("a1 b1 a1' b1'"))
 
     def test_face_words_pair_of_pants(self):
         r = ribbon_structure(SurfaceSpec(0, 3))
-        classes = {cyclic_normal_form(w) for w in faces(r)}
+        classes = {cyclic_normal_form(w) for w in r.faces()}
         expected = {cyclic_normal_form(W("c1 c2")),
                     cyclic_normal_form(W("c1'")),
                     cyclic_normal_form(W("c2'"))}
@@ -146,7 +144,7 @@ class TestRibbonStructure:
                     continue
                 spec = SurfaceSpec(g, b)
                 r = ribbon_structure(spec)
-                face_words = faces(r)
+                face_words = r.faces()
                 assert len(face_words) == b
                 # capped surface Euler characteristic: 1 - edges + faces
                 edges = 2 * g + spec.punctures

@@ -11,7 +11,6 @@ from goldman_forge.tensoralg import (
     TensorSquare,
     bch,
     coproduct,
-    derivation_apply,
     derivation_exp,
     exp,
     is_group_like,
@@ -19,7 +18,7 @@ from goldman_forge.tensoralg import (
     lie_bracket,
     linear_solve,
     log,
-    multiply,
+    matrix_rank,
 )
 from helpers import random_primitive, random_series
 
@@ -60,8 +59,8 @@ class TestMultiply:
         one = TensorSeries.unit(SIG11, 4)
         for _ in range(10):
             s = random_series(rng, SIG11, 4)
-            assert multiply(one, s) == s
-            assert multiply(s, one) == s
+            assert one * s == s
+            assert s * one == s
 
     def test_basis_concatenation(self):
         x, y = gen(SIG11, 3, "x1"), gen(SIG11, 3, "y1")
@@ -244,7 +243,7 @@ class TestDerivation:
     def test_leibniz_on_word(self):
         d = self.d_x_to_z()
         s = S(SIG11, 4, (("x1", "y1"), 1))
-        assert derivation_apply(d, s) == S(SIG11, 4, (("z1", "y1"), 1))
+        assert d.apply(s) == S(SIG11, 4, (("z1", "y1"), 1))
 
     def test_leibniz_product_rule(self):
         rng = random.Random(43)
@@ -341,6 +340,30 @@ class TestLinearSolve:
             assert sol is not None
             for row, b in zip(matrix, rhs):
                 assert sum(r * s for r, s in zip(row, sol)) == b
+
+
+class TestMatrixRank:
+    def test_small_cases(self):
+        assert matrix_rank([]) == 0
+        assert matrix_rank([[0, 0], [0, 0]]) == 0
+        assert matrix_rank([[1, 2], [2, 4], [0, 1]]) == 2
+        assert matrix_rank([[F(1, 2), 1, 0], [0, 0, 3]]) == 2
+
+    def test_rank_matches_solvability(self):
+        # rank [A] == rank [A | b] exactly when A x = b has a solution
+        rng = random.Random(54)
+        for _ in range(40):
+            rows = rng.randint(1, 5)
+            cols = rng.randint(1, 5)
+            matrix = [[rng.randint(-2, 2) for _ in range(cols)]
+                      for _ in range(rows)]
+            rhs = [rng.randint(-2, 2) for _ in range(rows)]
+            augmented = [row + [b] for row, b in zip(matrix, rhs)]
+            solvable = linear_solve(matrix, rhs) is not None
+            assert solvable == (matrix_rank(matrix)
+                                == matrix_rank(augmented))
+            assert matrix_rank(matrix) == matrix_rank(
+                [[F(x) for x in row] for row in matrix])
 
 
 class TestSeriesBasics:
