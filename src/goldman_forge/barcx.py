@@ -62,10 +62,6 @@ class DgaModel:
         self.degree(b)
         return self.products.get((a, b), {})
 
-    def differential(self, letter):
-        self.degree(letter)
-        return {}
-
     @property
     def letters(self):
         return list(self.degrees)
@@ -152,9 +148,6 @@ class BarElement(TermSum):
 
     def augmentation(self):
         return self.terms.get((), Fraction(0))
-
-    def bar_degree(self, word):
-        return sum(self.model.degree(letter) - 1 for letter in word)
 
     def render(self):
         if not self.terms:
@@ -301,9 +294,8 @@ class ClassFunction:
     verify this rather than assuming it.
     """
 
-    def __init__(self, element, source=None):
+    def __init__(self, element):
         self.element = element
-        self.source = source
 
     def evaluate(self, loop):
         return chen_pairing(self.element, loop)
@@ -327,7 +319,7 @@ def dual_cs(e, w):
     for word, coeff in e.terms.items():
         for j in range(len(word) + 1):
             out.add_term(word[j:] + (w,) + word[:j], coeff)
-    return ClassFunction(out, source=(e, w))
+    return ClassFunction(out)
 
 
 def eval_hat_cs(e, w, gamma):

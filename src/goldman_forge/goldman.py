@@ -7,7 +7,7 @@ from endpoint alternation around the disk, and each crossing contributes
 one surgered term with an orientation sign.  Everything downstream
 (Goldman bracket, loop action on paths, the two-path pairing, induced
 derivations, Dehn-twist certificates) is a bilinear wrapper over that
-one enumeration.
+one enumeration, ``_surgeries``.
 """
 
 from fractions import Fraction
@@ -199,15 +199,15 @@ def _word_key_letters(letters):
 class Passage:
     """One traversal of the vertex disk by a drawn curve."""
 
-    __slots__ = ("owner", "in_dart", "in_sub", "out_dart", "out_sub", "split")
+    __slots__ = ("owner", "split", "in_dart", "in_sub", "in_key",
+                 "out_dart", "out_sub", "out_key")
 
-    def __init__(self, owner, in_dart, in_sub, out_dart, out_sub, split):
+    def __init__(self, owner, split, in_end, out_end):
         self.owner = owner          # (operand tag, chord index)
-        self.in_dart = in_dart      # dart or tail dart where the strand enters
-        self.in_sub = in_sub
-        self.out_dart = out_dart
-        self.out_sub = out_sub
         self.split = split          # surgery datum: rotation or cut index
+        # each end is (dart, offset within the dart, position around the disk)
+        self.in_dart, self.in_sub, self.in_key = in_end
+        self.out_dart, self.out_sub, self.out_key = out_end
 
     def to_json(self):
         return {
@@ -224,146 +224,86 @@ def _dart_name(dart):
     return base + ("+" if e > 0 else "-")
 
 
-class _Operand:
-    __slots__ = ("tag", "letters", "is_loop", "start", "end")
+def _stops(ribbon, item):
+    """(dart, position) stops of a LoopClass or Path, in traversal order.
 
-    def __init__(self, tag, letters, is_loop, start=None, end=None):
-        self.tag = tag
-        self.letters = tuple(letters)
-        self.is_loop = is_loop
-        self.start = start
-        self.end = end
-
-
-class _Chord:
-    __slots__ = ("tag", "index", "in_key", "out_key", "split", "passage")
-
-    def __init__(self, tag, index, in_key, out_key, split, passage):
-        self.tag = tag
-        self.index = index
-        self.in_key = in_key
-        self.out_key = out_key
-        self.split = split
-        self.passage = passage
+    A loop stops at each letter; a path also starts and ends at the tails
+    of its two tags, at positions -1 and len(word).
+    """
+    if isinstance(item, LoopClass):
+        return [(letter, i) for i, letter in enumerate(item.word)]
+    if isinstance(item, Path):
+        letters = item.word.letters
+        return ([(ribbon.tail(item.from_tag), -1)]
+                + [(letter, k) for k, letter in enumerate(letters)]
+                + [(ribbon.tail(item.to_tag), len(letters))])
+    raise TypeError("surgery operands must be LoopClass or Path values")
 
 
-def _draw(ribbon, operands, convention):
-    """Chord families for the operands, under one perturbation rule.
+def _draw(ribbon, items, convention):
+    """One chord list per operand, under one perturbation rule.
 
-    Strands of one edge are ranked by (operand tag, chord position);
-    the rank is the offset from the edge's left side seen from the
-    positive dart, so the offset reverses at the negative dart.  The
-    "reversed" convention ranks in the opposite order; outputs of the
-    surgeries must not depend on the choice.
+    Strands through one edge or tail are ranked by (operand tag, stop
+    position); the rank is the offset from the edge's left side seen
+    from the positive dart, so the offset reverses at the negative dart.
+    The "reversed" convention ranks in the opposite order; outputs of
+    the surgeries must not depend on the choice.  Chord j of an operand
+    runs from its stop j to its stop j+1 (cyclically for a loop) and
+    splits the word at the position of that second stop.
     """
     if convention not in CONVENTIONS:
         raise ValueError("unknown perturbation convention %r" % (convention,))
+    stops = [_stops(ribbon, item) for item in items]
+    visits = {}
+    for tag, item_stops in enumerate(stops):
+        for (base, _e), pos in item_stops:
+            visits.setdefault(base, []).append((tag, pos))
+    offset = {}
+    for base, strands in visits.items():
+        strands.sort(reverse=convention == "reversed")
+        last = len(strands) - 1
+        for r, (tag, pos) in enumerate(strands):
+            offset[(base, tag, pos)] = (r, last - r)
     slot = ribbon.slot
 
-    edge_visits = {}
-    tail_visits = {}
-    for op in operands:
-        for pos, (base, _e) in enumerate(op.letters):
-            edge_visits.setdefault(base, []).append((op.tag, 0, pos))
-        if not op.is_loop:
-            tail_visits.setdefault(op.start, []).append((op.tag, 0, -1))
-            tail_visits.setdefault(op.end, []).append(
-                (op.tag, 0, len(op.letters)))
-
-    reverse = convention == "reversed"
-    rank = {}
-    width = {}
-    for base, visits in edge_visits.items():
-        visits.sort(reverse=reverse)
-        width[base] = len(visits)
-        for r, (tag, occ, pos) in enumerate(visits):
-            rank[(base, tag, pos)] = r
-    tail_rank = {}
-    for tag_point, visits in tail_visits.items():
-        visits.sort(reverse=reverse)
-        for r, (tag, occ, pos) in enumerate(visits):
-            tail_rank[(tag_point, tag, pos)] = r
-
-    def edge_key(base, dart_sign, tag, pos):
-        r = rank[(base, tag, pos)]
-        sub = r if dart_sign > 0 else width[base] - 1 - r
-        return (slot[(base, dart_sign)], sub), (base, dart_sign), sub
-
-    def tail_key(tag_point, tag, pos):
-        dart = ribbon.tail(tag_point)
-        sub = tail_rank[(tag_point, tag, pos)]
-        return (slot[dart], sub), dart, sub
+    def end(dart, tag, pos):
+        sub = offset[(dart[0], tag, pos)][dart[1] < 0]
+        return dart, sub, (slot[dart], sub)
 
     chords = []
-    for op in operands:
-        letters = op.letters
-        m = len(letters)
-        if op.is_loop:
-            for i in range(m):
-                base_i, e_i = letters[i]
-                base_j, e_j = letters[(i + 1) % m]
-                in_key, in_dart, in_sub = edge_key(base_i, -e_i, op.tag, i)
-                out_key, out_dart, out_sub = edge_key(
-                    base_j, e_j, op.tag, (i + 1) % m)
-                split = (i + 1) % m     # rebased loop starts at this letter
-                passage = Passage((op.tag, i), in_dart, in_sub,
-                                  out_dart, out_sub, split)
-                chords.append(_Chord(op.tag, i, in_key, out_key, split,
-                                     passage))
+    for tag, (item, item_stops) in enumerate(zip(items, stops)):
+        if isinstance(item, LoopClass):
+            legs = zip(item_stops, item_stops[1:] + item_stops[:1])
+        elif item.is_identity():
+            legs = ()                   # identity path draws nothing
         else:
-            if m == 0 and op.start == op.end:
-                continue                # identity path draws nothing
-            for k in range(m + 1):
-                if k == 0:
-                    in_key, in_dart, in_sub = tail_key(op.start, op.tag, -1)
-                else:
-                    base, e = letters[k - 1]
-                    in_key, in_dart, in_sub = edge_key(base, -e, op.tag, k - 1)
-                if k == m:
-                    out_key, out_dart, out_sub = tail_key(op.end, op.tag, m)
-                else:
-                    base, e = letters[k]
-                    out_key, out_dart, out_sub = edge_key(base, e, op.tag, k)
-                passage = Passage((op.tag, k), in_dart, in_sub,
-                                  out_dart, out_sub, k)
-                chords.append(_Chord(op.tag, k, in_key, out_key, k, passage))
+            legs = zip(item_stops, item_stops[1:])
+        # a strand enters the disk at the reverse of the dart it left by
+        chords.append([
+            Passage((tag, j), out_pos,
+                    end((in_dart[0], -in_dart[1]), tag, in_pos),
+                    end(out_dart, tag, out_pos))
+            for j, ((in_dart, in_pos), (out_dart, out_pos)) in enumerate(legs)])
     return chords
 
 
-def _cross_sign(u_chord, v_chord):
+def _cross_sign(u, v):
     """+1/-1 when the chords cross (ccw frame rule), 0 otherwise."""
-    e1, e2 = u_chord.in_key, u_chord.out_key
-    lo, hi = (e1, e2) if e1 < e2 else (e2, e1)
-    vin, vout = v_chord.in_key, v_chord.out_key
-    if (lo < vin < hi) == (lo < vout < hi):
-        return 0
-    start = u_chord.in_key
-    rest = sorted([vin, u_chord.out_key, vout],
-                  key=lambda p: (p < start, p))
-    if rest == [vin, u_chord.out_key, vout]:
-        return 1
-    if rest == [vout, u_chord.out_key, vin]:
-        return -1
-    raise AssertionError("crossing chords with unreadable endpoint order")
+    a, b = u.in_key, u.out_key
+    vin, vout = v.in_key, v.out_key
+    if a < b:
+        return (a < vin < b) - (a < vout < b)
+    return (b < vout < a) - (b < vin < a)
 
 
 def _crossings(ribbon, left, right, convention):
-    chords = _draw(ribbon, [left, right], convention)
-    left_chords = [c for c in chords if c.tag == 0]
-    right_chords = [c for c in chords if c.tag == 1]
-    for cu in left_chords:
-        for cv in right_chords:
-            sign = _cross_sign(cu, cv)
+    """(sign, left passage, right passage) at every crossing of two items."""
+    left_chords, right_chords = _draw(ribbon, (left, right), convention)
+    for pu in left_chords:
+        for pv in right_chords:
+            sign = _cross_sign(pu, pv)
             if sign:
-                yield sign, cu, cv
-
-
-def _loop_operand(tag, loop_class):
-    return _Operand(tag, loop_class.word, True)
-
-
-def _path_operand(tag, path):
-    return _Operand(tag, path.word.letters, False, path.from_tag, path.to_tag)
+                yield sign, pu, pv
 
 
 def _rotated(word, start):
@@ -372,82 +312,58 @@ def _rotated(word, start):
 
 # -- the surgeries -------------------------------------------------------
 
-def goldman_bracket(u, v, convention="default"):
-    """Bilinear loop bracket: signed resmoothings at each crossing."""
+def _surgeries(u, v, convention):
+    """Every crossing of every pair of terms of two sums on one surface.
+
+    Checks the surfaces now and builds the ribbon once; the returned
+    iterator yields (signed coefficient, left term, right term, left
+    split, right split).
+    """
     if u.spec != v.spec:
         raise ValueError("operands live on different surfaces")
     ribbon = ribbon_structure(u.spec)
+    return ((coeff_a * coeff_b * sign, a, b, pa.split, pb.split)
+            for a, coeff_a in u.terms.items()
+            for b, coeff_b in v.terms.items()
+            for sign, pa, pb in _crossings(ribbon, a, b, convention))
+
+
+def goldman_bracket(u, v, convention="default"):
+    """Bilinear loop bracket: signed resmoothings at each crossing."""
     out = LoopSum(u.spec, twist=u.twist + v.twist + 1)
-    for cu, coeff_u in u.terms.items():
-        if not cu.word:
-            continue
-        for cv, coeff_v in v.terms.items():
-            if not cv.word:
-                continue
-            coeff = coeff_u * coeff_v
-            left = _loop_operand(0, cu)
-            right = _loop_operand(1, cv)
-            for sign, chord_u, chord_v in _crossings(ribbon, left, right,
-                                                     convention):
-                spliced = (_rotated(cu.word, chord_u.split)
-                           + _rotated(cv.word, chord_v.split))
-                out.add_term(cyclic_normal_form(FreeWord(spliced)),
-                             coeff * sign)
+    for coeff, a, b, i, j in _surgeries(u, v, convention):
+        spliced = _rotated(a.word, i) + _rotated(b.word, j)
+        out.add_term(cyclic_normal_form(FreeWord(spliced)), coeff)
     return out
 
 
 def kk_action(u, gamma, convention="default"):
     """Loop sum acting on a path sum: insert the rebased loop at each
     crossing between the loop and the path."""
-    if u.spec != gamma.spec:
-        raise ValueError("operands live on different surfaces")
-    ribbon = ribbon_structure(u.spec)
     out = PathSum(gamma.spec, gamma.from_tag, gamma.to_tag,
                   twist=u.twist + gamma.twist + 1)
-    for cu, coeff_u in u.terms.items():
-        if not cu.word:
-            continue
-        for path, coeff_p in gamma.terms.items():
-            coeff = coeff_u * coeff_p
-            left = _loop_operand(0, cu)
-            right = _path_operand(1, path)
-            w = path.word.letters
-            for sign, chord_u, chord_v in _crossings(ribbon, left, right,
-                                                     convention):
-                k = chord_v.split
-                inserted = w[:k] + _rotated(cu.word, chord_u.split) + w[k:]
-                out.add_term(Path(path.from_tag, path.to_tag,
-                                  FreeWord(inserted)),
-                             coeff * sign)
+    for coeff, a, path, i, k in _surgeries(u, gamma, convention):
+        w = path.word.letters
+        inserted = w[:k] + _rotated(a.word, i) + w[k:]
+        out.add_term(Path(path.from_tag, path.to_tag, FreeWord(inserted)),
+                     coeff)
     return out
 
 
 def bi_pairing(gamma1, gamma2, convention="default"):
     """Signed exchange pairing of two path sums with disjoint endpoints."""
-    if gamma1.spec != gamma2.spec:
-        raise ValueError("operands live on different surfaces")
+    crossings = _surgeries(gamma1, gamma2, convention)
     tags1 = {gamma1.from_tag, gamma1.to_tag}
     tags2 = {gamma2.from_tag, gamma2.to_tag}
     if tags1 & tags2:
         raise ValueError("path endpoint tags must be disjoint, got %s and %s"
                          % (sorted(tags1), sorted(tags2)))
-    ribbon = ribbon_structure(gamma1.spec)
     out = PathPairSum(gamma1.spec, twist=gamma1.twist + gamma2.twist + 1)
-    for p1, c1 in gamma1.terms.items():
-        for p2, c2 in gamma2.terms.items():
-            coeff = c1 * c2
-            left = _path_operand(0, p1)
-            right = _path_operand(1, p2)
-            w1 = p1.word.letters
-            w2 = p2.word.letters
-            for sign, chord_u, chord_v in _crossings(ribbon, left, right,
-                                                     convention):
-                k1, k2 = chord_u.split, chord_v.split
-                first = Path(p1.from_tag, p2.to_tag,
-                             FreeWord(w1[:k1] + w2[k2:]))
-                second = Path(p2.from_tag, p1.to_tag,
-                              FreeWord(w2[:k2] + w1[k1:]))
-                out.add_term((first, second), coeff * sign)
+    for coeff, p1, p2, k1, k2 in crossings:
+        w1, w2 = p1.word.letters, p2.word.letters
+        first = Path(p1.from_tag, p2.to_tag, FreeWord(w1[:k1] + w2[k2:]))
+        second = Path(p2.from_tag, p1.to_tag, FreeWord(w2[:k2] + w1[k1:]))
+        out.add_term((first, second), coeff)
     return out
 
 
@@ -457,20 +373,9 @@ def crossing_trace(spec, left, right, convention="default"):
     left and right are LoopClass or Path values; the trace lists the
     raw crossings before any normalization collapses terms.
     """
-    ops = []
-    for tag, item in enumerate((left, right)):
-        if isinstance(item, LoopClass):
-            ops.append(_loop_operand(tag, item))
-        elif isinstance(item, Path):
-            ops.append(_path_operand(tag, item))
-        else:
-            raise TypeError("trace operands must be LoopClass or Path")
-    return [{
-        "sign": sign,
-        "left": chord_u.passage.to_json(),
-        "right": chord_v.passage.to_json(),
-    } for sign, chord_u, chord_v in _crossings(ribbon_structure(spec), ops[0],
-                                               ops[1], convention)]
+    return [{"sign": sign, "left": pu.to_json(), "right": pv.to_json()}
+            for sign, pu, pv in _crossings(ribbon_structure(spec), left, right,
+                                           convention)]
 
 
 # -- classes, powers, logarithms ----------------------------------------

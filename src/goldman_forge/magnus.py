@@ -520,7 +520,7 @@ def _extract_conjugator(phi, k):
     return exp(h)
 
 
-def _multidegree(sig, word):
+def _multidegree(word):
     counts = {}
     for letter in word:
         counts[letter] = counts.get(letter, 0) + 1
@@ -538,17 +538,16 @@ def _solve_bracket_block(rhs, z, degree):
     z_letter = next(iter(z.items()))[0][0]
     blocks = {}
     for word, coeff in rhs.items():
-        blocks.setdefault(_multidegree(sig, word), {})[word] = coeff
+        blocks.setdefault(_multidegree(word), {})[word] = coeff
     result = TensorSeries.zero(sig, trunc)
     for mdeg, wanted in blocks.items():
         counts = dict(mdeg)
         if counts.get(z_letter, 0) < 1:
             return None
         counts[z_letter] -= 1
-        candidates = sorted(set(_words_of_multidegree(sig, counts)))
         columns = []
         usable = []
-        for w in candidates:
+        for w in _words_of_multidegree(counts):
             bracket = lie_bracket(right_normed_bracket(sig, trunc, w), z)
             if bracket.is_zero():
                 continue
@@ -566,7 +565,8 @@ def _solve_bracket_block(rhs, z, degree):
     return result
 
 
-def _words_of_multidegree(sig, counts):
+def _words_of_multidegree(counts):
+    """Words with the given letter counts, each once, in lexicographic order."""
     letters = sorted([l for l, c in counts.items() if c > 0])
     if not letters:
         yield ()
@@ -574,7 +574,7 @@ def _words_of_multidegree(sig, counts):
     for letter in letters:
         rest = dict(counts)
         rest[letter] -= 1
-        for suffix in _words_of_multidegree(sig, rest):
+        for suffix in _words_of_multidegree(rest):
             yield (letter,) + suffix
 
 
@@ -660,8 +660,11 @@ def adams_series_check(n, p, k):
 
 def weight_split(series):
     """Weighted-degree decomposition; reassembly is the identity."""
-    return {d: series.homogeneous_component(d)
-            for d in sorted(series._buckets)}
+    if series.is_zero():
+        return {}
+    parts = {d: series.homogeneous_component(d)
+             for d in range(series.valuation(), series.max_degree() + 1)}
+    return {d: part for d, part in parts.items() if not part.is_zero()}
 
 
 # -- quadratic surface algebra resolution -------------------------------

@@ -135,10 +135,6 @@ class FreeWord:
                 raise ValueError("bad letter %r; want (base, +1/-1)" % (letter,))
         self.letters = letters
 
-    @classmethod
-    def from_generator(cls, base, exp=1):
-        return cls(((base, exp),))
-
     def reduce(self):
         """Free reduction: cancel adjacent inverse pairs until none remain."""
         reduced = _reduce_letters(self.letters)
@@ -149,9 +145,6 @@ class FreeWord:
 
     def inverse(self):
         return FreeWord(tuple((base, -e) for base, e in reversed(self.letters)))
-
-    def concat(self, other):
-        return FreeWord(self.letters + other.letters)
 
     def __mul__(self, other):
         return FreeWord(self.letters + other.letters).reduce()

@@ -7,8 +7,6 @@ failures, and the timed criteria must also come in under their budgets.
 
 import time
 
-import pytest
-
 from goldman_forge import suites
 
 SURFACES = ((1, 1), (2, 1), (1, 2), (0, 3))

@@ -28,7 +28,6 @@ from goldman_forge.barcx import (
 )
 from goldman_forge.surface import (
     FreeWord,
-    LoopClass,
     SurfaceSpec,
     cyclic_normal_form,
     parse_word,

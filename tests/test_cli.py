@@ -9,8 +9,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 from goldman_forge import cli
 
 

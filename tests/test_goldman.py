@@ -17,7 +17,6 @@ from goldman_forge.goldman import (
     PathSum,
     adams,
     bi_pairing,
-    boundary_class,
     crossing_trace,
     dehn_twist,
     expand_loop_sum,
@@ -33,7 +32,6 @@ from goldman_forge.magnus import (
     CyclicSeries,
     default_expansion,
     expand_class,
-    necklace_project,
 )
 from goldman_forge.surface import (
     FreeWord,
@@ -44,7 +42,7 @@ from goldman_forge.surface import (
     cyclic_normal_form,
     parse_word,
 )
-from goldman_forge.tensoralg import TensorSeries, derivation_exp, log
+from goldman_forge.tensoralg import derivation_exp, log
 
 TORUS = SurfaceSpec(1, 1)
 

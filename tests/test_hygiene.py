@@ -1,0 +1,76 @@
+"""Import hygiene of the package and the tests, checked with ast.
+
+(a) Every imported name is used; names listed in ``__all__`` count as
+    used, and package ``__init__`` files are exempt.
+(b) No package module imports an underscore name from another module;
+    tests may import private names from the module they test.
+"""
+
+import ast
+import os
+
+import pytest
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+PACKAGE = os.path.join(os.path.dirname(TESTS), "src", "goldman_forge")
+
+
+def _sources(folder):
+    return sorted(os.path.join(folder, name) for name in os.listdir(folder)
+                  if name.endswith(".py") and name != "__init__.py")
+
+
+SOURCES = _sources(PACKAGE) + _sources(TESTS)
+
+
+def _tree(path):
+    with open(path) as fh:
+        return ast.parse(fh.read(), path)
+
+
+def _exported(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unused_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _exported(tree)
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def private_imports(tree):
+    return sorted((node.lineno, alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=os.path.basename)
+def test_no_unused_imports(path):
+    assert unused_imports(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", _sources(PACKAGE), ids=os.path.basename)
+def test_no_private_cross_module_imports(path):
+    assert private_imports(_tree(path)) == []
+
+
+def test_the_checks_catch_what_they_look_for():
+    tree = ast.parse("import os\nfrom .a import _b, c\n__all__ = ['c']\n")
+    assert unused_imports(tree) == [(1, "os"), (2, "_b")]
+    assert private_imports(tree) == [(2, "_b")]

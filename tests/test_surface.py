@@ -4,7 +4,6 @@ import pytest
 
 from goldman_forge.surface import (
     FreeWord,
-    LoopClass,
     ParseError,
     Path,
     SurfaceSpec,
