@@ -251,8 +251,6 @@ def _draw(ribbon, items, convention):
     runs from its stop j to its stop j+1 (cyclically for a loop) and
     splits the word at the position of that second stop.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError("unknown perturbation convention %r" % (convention,))
     stops = [_stops(ribbon, item) for item in items]
     visits = {}
     for tag, item_stops in enumerate(stops):
@@ -296,6 +294,11 @@ def _cross_sign(u, v):
     return (b < vout < a) - (b < vin < a)
 
 
+def _check_convention(convention):
+    if convention not in CONVENTIONS:
+        raise ValueError("unknown perturbation convention %r" % (convention,))
+
+
 def _crossings(ribbon, left, right, convention):
     """(sign, left passage, right passage) at every crossing of two items."""
     left_chords, right_chords = _draw(ribbon, (left, right), convention)
@@ -315,10 +318,11 @@ def _rotated(word, start):
 def _surgeries(u, v, convention):
     """Every crossing of every pair of terms of two sums on one surface.
 
-    Checks the surfaces now and builds the ribbon once; the returned
-    iterator yields (signed coefficient, left term, right term, left
-    split, right split).
+    Checks the surfaces and the convention now, so that a zero sum
+    raises too, and builds the ribbon once; the returned iterator yields
+    (signed coefficient, left term, right term, left split, right split).
     """
+    _check_convention(convention)
     if u.spec != v.spec:
         raise ValueError("operands live on different surfaces")
     ribbon = ribbon_structure(u.spec)
@@ -373,6 +377,7 @@ def crossing_trace(spec, left, right, convention="default"):
     left and right are LoopClass or Path values; the trace lists the
     raw crossings before any normalization collapses terms.
     """
+    _check_convention(convention)
     return [{"sign": sign, "left": pu.to_json(), "right": pv.to_json()}
             for sign, pu, pv in _crossings(ribbon_structure(spec), left, right,
                                            convention)]

@@ -11,7 +11,7 @@ All arithmetic is exact.
 
 from fractions import Fraction
 
-from .surface import SurfaceSpec, boundary_word
+from .surface import SurfaceSpec, boundary_word, least_rotation
 from .tensoralg import (
     AlgebraMap,
     GenSignature,
@@ -122,15 +122,15 @@ def default_expansion(spec, trunc):
 
 
 class NecklaceWord:
-    """Cyclic word: the lexicographically least rotation is stored."""
+    """Cyclic word stored as its least rotation (surface.least_rotation),
+    letters compared as strings, so "x10" < "x2"."""
 
     __slots__ = ("word",)
 
     def __init__(self, word):
         word = tuple(word)
-        if word:
-            word = min(word[i:] + word[:i] for i in range(len(word)))
-        self.word = word
+        start = least_rotation(word)
+        self.word = word[start:] + word[:start]
 
     def __eq__(self, other):
         return isinstance(other, NecklaceWord) and self.word == other.word

@@ -22,6 +22,7 @@ __all__ = [
     "RibbonStructure",
     "ParseError",
     "cyclic_normal_form",
+    "least_rotation",
     "boundary_word",
     "ribbon_structure",
     "parse_word",
@@ -211,18 +212,32 @@ class LoopClass:
         return render_word(FreeWord(self.word)) or "1"
 
 
+def least_rotation(seq):
+    """Start index of the least rotation of seq, in O(n): Duval's Lyndon
+    factorisation of seq + seq (J.-P. Duval, J. Algorithms 4, 1983).
+    Among equal least rotations the smallest start index is returned."""
+    n, s = len(seq), list(seq) * 2
+    i = start = 0
+    while i < n:
+        start, j, k = i, i + 1, i
+        while j < 2 * n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return start
+
+
 def cyclic_normal_form(word):
-    """Cyclic reduction plus canonical rotation; conjugation invariant."""
-    letters = list(_reduce_letters(word.letters))
-    while len(letters) >= 2 and letters[0][0] == letters[-1][0] \
-            and letters[0][1] == -letters[-1][1]:
-        letters = letters[1:-1]
-        letters = list(_reduce_letters(letters))
-    if not letters:
-        return LoopClass(())
-    rotations = [tuple(letters[i:] + letters[:i]) for i in range(len(letters))]
-    best = min(rotations, key=lambda rot: tuple(letter_key(l) for l in rot))
-    return LoopClass(best)
+    """Cyclic reduction plus the least rotation under letter_key (kind a < b
+    < c, index as an int, plain before inverse); conjugation invariant."""
+    letters = _reduce_letters(word.letters)
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i] == (letters[j][0], -letters[j][1]):
+        i, j = i + 1, j - 1
+    letters = letters[i:j + 1]
+    start = least_rotation([letter_key(l) for l in letters])
+    return LoopClass(letters[start:] + letters[:start])
 
 
 class Path:
