@@ -672,10 +672,10 @@ def weight_split(series):
 def _rewrite_rule(genus):
     """b_g a_g -> a_g b_g + sum_{i<g} (a_i b_i - b_i a_i)."""
     lead = ("b%d" % genus, "a%d" % genus)
-    replacement = {("a%d" % genus, "b%d" % genus): Fraction(1)}
+    replacement = {("a%d" % genus, "b%d" % genus): 1}
     for i in range(1, genus):
-        replacement[("a%d" % i, "b%d" % i)] = Fraction(1)
-        replacement[("b%d" % i, "a%d" % i)] = Fraction(-1)
+        replacement[("a%d" % i, "b%d" % i)] = 1
+        replacement[("b%d" % i, "a%d" % i)] = -1
     return lead, replacement
 
 
@@ -697,7 +697,7 @@ def _normal_form(word, lead, replacement, memo):
                         del out[w]
             memo[word] = out
             return out
-    out = {word: Fraction(1)}
+    out = {word: 1}
     memo[word] = out
     return out
 
@@ -757,6 +757,8 @@ def resolution_check(genus, n_max, rank_limit=400, sweep_limit=150000):
     """
     if genus < 1:
         raise ValueError("resolution needs genus >= 1")
+    if n_max < 0:
+        raise ValueError("resolution needs max degree >= 0")
     letters = []
     for i in range(1, genus + 1):
         letters.append("a%d" % i)
@@ -790,7 +792,7 @@ def resolution_check(genus, n_max, rank_limit=400, sweep_limit=150000):
         def nf(word):
             # most insertions stay normal; skip the rewriting machinery
             if not _has_lead(word, lead):
-                return {word: Fraction(1)}
+                return {word: 1}
             return _normal_form(word, lead, replacement, memo)
 
         # composite d1 o d2 = (multiply by the relator) = 0 in A
@@ -839,7 +841,7 @@ def resolution_check(genus, n_max, rank_limit=400, sweep_limit=150000):
             index_n2 = {w: i for i, w in enumerate(basis(n + 2))}
             d2_cols = []
             for u in basis(n):
-                column = [Fraction(0)] * middle_dim
+                column = [0] * middle_dim
                 for h, (a, b) in enumerate(pair_letters):
                     for w, c in nf((b,) + u).items():
                         column[2 * h * dims[n + 1] + index_n1[w]] += c
@@ -850,7 +852,7 @@ def resolution_check(genus, n_max, rank_limit=400, sweep_limit=150000):
             for h in range(2 * genus):
                 letter = letters[h]
                 for v in basis(n + 1):
-                    column = [Fraction(0)] * dims[n + 2]
+                    column = [0] * dims[n + 2]
                     for w, c in nf((letter,) + v).items():
                         column[index_n2[w]] += c
                     d1_cols.append(column)

@@ -14,6 +14,7 @@ fresh objects; nothing mutates a series after construction.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "GenSignature",
@@ -718,12 +719,37 @@ def derivation_exp(d, max_steps=None):
     return AlgebraMap(d.sig, d.trunc, images)
 
 
+def _int_rows(rows, ncols):
+    """Integer copies of rows, each scaled by the lcm of its denominators.
+
+    Entries must be ints or Fractions; an int has denominator 1, so one
+    lcm covers both and int entries are never converted.
+    """
+    out = []
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError("coefficient must be an integer or "
+                                "Fraction, got %r" % type(x).__name__)
+        scale = lcm(*[x.denominator for x in row])
+        out.append([x.numerator * (scale // x.denominator) for x in row])
+    return out
+
+
 def _gauss_jordan(rows, ncols):
-    """Reduce rows in place over their first ncols columns; return pivots.
+    """Reduce integer rows in place over ncols columns; return the pivots.
 
     Pivoting is deterministic: leftmost pivot column, smallest row
-    index.  Pivot rows are scaled to a leading 1 and cleared above and
-    below.
+    index.  Clearing column col of row i against pivot row r with
+    entries p and f sets r_i to (p/g) r_i - (f/g) r_r, g = gcd(p, f),
+    then divides r_i by the gcd of its entries, so no row leaves the
+    integers.  Invariant: every row is a nonzero integer multiple of the
+    matching row of the rational reduced row echelon form.  Pivot
+    columns, rank and consistency are therefore those of elimination
+    over Q, and row i's RREF entry in column j is
+    rows[i][j] / rows[i][pivots[i]].
     """
     m = len(rows)
     pivots = []
@@ -733,18 +759,22 @@ def _gauss_jordan(rows, ncols):
             break
         pivot_row = None
         for i in range(r, m):
-            if rows[i][col] != 0:
+            if rows[i][col]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
+        pivot = rows[r]
+        p = pivot[col]
         for i in range(m):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][col]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(rows[i], pivot)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
         r += 1
     return pivots
@@ -752,16 +782,17 @@ def _gauss_jordan(rows, ncols):
 
 def matrix_rank(rows):
     """Exact rank over Q of a list of rows of ints/Fractions."""
-    rows = [list(row) for row in rows]
-    return len(_gauss_jordan(rows, len(rows[0]) if rows else 0))
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    return len(_gauss_jordan(_int_rows(rows, ncols), ncols))
 
 
 def linear_solve(matrix, rhs):
     """Exact Gaussian elimination over Q.
 
     matrix is a list of rows of ints/Fractions, rhs the right-hand
-    column.  Returns the solution with every free variable set to 0,
-    or None when the system is inconsistent.
+    column.  Returns the solution as Fractions with every free variable
+    set to 0, or None when the system is inconsistent.
     """
     m = len(matrix)
     if m != len(rhs):
@@ -769,16 +800,11 @@ def linear_solve(matrix, rhs):
     if m == 0:
         return []
     ncols = len(matrix[0])
-    rows = []
-    for row, b in zip(matrix, rhs):
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        rows.append([as_coeff(x) for x in row] + [as_coeff(b)])
+    rows = _int_rows([[*row, b] for row, b in zip(matrix, rhs)], ncols + 1)
     pivots = _gauss_jordan(rows, ncols)
-    for i in range(len(pivots), m):
-        if rows[i][ncols] != 0:
-            return None
+    if any(row[ncols] for row in rows[len(pivots):]):
+        return None
     solution = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        solution[col] = rows[i][ncols]
+    for row, col in zip(rows, pivots):
+        solution[col] = Fraction(row[ncols], row[col])
     return solution

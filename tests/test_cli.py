@@ -131,6 +131,15 @@ class TestCertificateCommands:
         assert "degree dims: [1, 4, 15, 56, 209]" in out
         assert out.strip().endswith("passed")
 
+    def test_resolution_negative_degree_is_usage_error(self, capsys):
+        code, out, err = run_cli(["resolution", "--g", "1", "--max-n", "-1"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "max degree" in err
+        assert "Traceback" not in err
+
     def test_resolution_certificate_failure_exits_1(self, capsys,
                                                     monkeypatch):
         def broken(genus, n_max):

@@ -421,6 +421,11 @@ class TestResolution:
         with pytest.raises(ValueError):
             resolution_check(0, 2)
 
+    def test_rejects_negative_degree(self):
+        # a certificate over zero degrees would pass vacuously
+        with pytest.raises(ValueError, match="max degree"):
+            resolution_check(1, -1)
+
     def test_normal_words_are_lazy_and_lexicographic(self):
         # the generator must list exactly the words avoiding the leading
         # factor, in the order of a filtered itertools.product
