@@ -21,7 +21,7 @@ from math import factorial
 
 from .magnus import default_expansion, tensor_letter
 from .surface import FreeWord, LoopClass, SurfaceSpec
-from .tensoralg import TermSum
+from .tensoralg import GenSignature, TermSum
 
 _LETTER_PREFIX = {"xi": "x", "eta": "y", "zeta": "z"}
 
@@ -261,14 +261,14 @@ def _as_word(gamma):
     raise TypeError(f"cannot pair against {type(gamma).__name__}")
 
 
-def _open_setup(e, extra_weight=0):
+def _open_setup(e):
     model = e.model
     if model.surface is None:
         raise ValueError("pairing needs the open-surface model")
-    theta = _expansion(model.surface, 1)
-    sig = theta.sig
+    spec = model.surface
+    sig = GenSignature(spec.genus, spec.punctures)
     needed = max((_word_weight(w, sig) for w in e.terms), default=0)
-    return _expansion(model.surface, max(needed + extra_weight, 1))
+    return _expansion(spec, max(needed, 1))
 
 
 def chen_pairing(e, gamma):

@@ -22,9 +22,7 @@ from .goldman import (
     expand_loop_sum,
     goldman_bracket,
     kk_action,
-    dehn_twist,
     twist_curve_names,
-    twist_derivation,
 )
 from .magnus import (
     default_expansion,
@@ -35,7 +33,6 @@ from .magnus import (
     solve_symplectic,
 )
 from .surface import (
-    FreeWord,
     ParseError,
     Path,
     SurfaceSpec,
@@ -43,7 +40,6 @@ from .surface import (
     parse_word,
     render_word,
 )
-from .tensoralg import derivation_exp
 
 SCHEMA = "v1"
 
@@ -121,11 +117,6 @@ def _sum_lines(label, js):
             "twist: %d" % js["twist"]]
 
 
-def _valuation(series):
-    v = series.valuation()
-    return None if v is None else int(v)
-
-
 def cmd_bracket(args):
     spec = _surface(args)
     left = cyclic_normal_form(_word(args.words[0]))
@@ -137,9 +128,9 @@ def cmd_bracket(args):
     bracket = goldman_bracket(u, v)
     expansion = expand_loop_sum(bracket, theta)
     vals = {
-        "left": _valuation(expand_loop_sum(u.reduced(), theta)),
-        "right": _valuation(expand_loop_sum(v.reduced(), theta)),
-        "bracket": _valuation(expansion),
+        "left": expand_loop_sum(u.reduced(), theta).valuation(),
+        "right": expand_loop_sum(v.reduced(), theta).valuation(),
+        "bracket": expansion.valuation(),
     }
     payload = {
         "command": "bracket",
@@ -214,7 +205,7 @@ def cmd_expand(args):
         "series": series.to_json(),
     }
     lines = ["%s: %s" % (" ".join(word) or "1", coeff)
-             for word, coeff in series.items()]
+             for word, coeff in series.terms()]
     _emit(args, payload, lines or ["0"])
     return EXIT_OK
 
@@ -234,37 +225,35 @@ def cmd_adams(args):
     return EXIT_OK
 
 
-def cmd_solve_expansion(args):
+def _symplectic_expansion(args):
+    """The solved symplectic expansion of --g/--b at the truncation."""
     if args.b < 1:
         raise UsageError("the surface needs at least one boundary circle")
     trunc = _trunc(args)
     try:
-        theta = solve_symplectic(args.g, args.b - 1, trunc)
+        return solve_symplectic(args.g, args.b - 1, trunc)
     except ValueError as err:
         raise UsageError(str(err)) from None
+
+
+def cmd_solve_expansion(args):
+    theta = _symplectic_expansion(args)
     symplectic = is_symplectic(theta)
     payload = {
         "command": "solve-expansion",
         "surface": [args.g, args.b],
-        "truncation": trunc,
+        "truncation": theta.trunc,
         "symplectic": bool(symplectic),
         "expansion": theta.to_json(),
     }
     lines = ["symplectic expansion to degree %d: %s"
-             % (trunc, "verified" if symplectic else "NOT symplectic")]
+             % (theta.trunc, "verified" if symplectic else "NOT symplectic")]
     _emit(args, payload, lines)
     return EXIT_OK if symplectic else EXIT_FAILED
 
 
 def cmd_kvi_check(args):
-    if args.b < 1:
-        raise UsageError("the surface needs at least one boundary circle")
-    trunc = _trunc(args)
-    try:
-        theta = solve_symplectic(args.g, args.b - 1, trunc)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
-    cert = kvi_check(invert_expansion(theta))
+    cert = kvi_check(invert_expansion(_symplectic_expansion(args)))
     payload = {
         "command": "kvi-check",
         "surface": [args.g, args.b],
@@ -333,19 +322,11 @@ def cmd_twist_check(args):
         raise UsageError("no tabulated twist curves for surface %s"
                          % args.surface)
     trunc = _trunc(args)
-    theta = default_expansion(spec, trunc)
-    rows = []
-    ok = True
-    for curve in curves:
-        flow = derivation_exp(twist_derivation(spec, curve, trunc))
-        for name in spec.generators():
-            got = flow.apply(theta.image(name))
-            image = dehn_twist(spec, curve, FreeWord(((name, 1),)))
-            match = got == theta.expand_word(image)
-            ok = ok and match
-            rows.append({"curve": curve, "generator": name,
-                         "image": render_word(image) or "1",
-                         "matches": bool(match)})
+    rows = [{"curve": curve, "generator": name,
+             "image": render_word(image) or "1", "matches": match}
+            for curve, name, image, match
+            in suites.twist_formula_rows(spec, trunc)]
+    ok = all(r["matches"] for r in rows)
     payload = {
         "command": "twist-check",
         "surface": [spec.genus, spec.boundary],

@@ -10,6 +10,7 @@ All arithmetic is exact.
 """
 
 from fractions import Fraction
+from math import factorial
 
 from .surface import SurfaceSpec, boundary_word, least_rotation
 from .tensoralg import (
@@ -290,16 +291,14 @@ def bch_right_side(sig, trunc):
 
 
 def ad_exp(h, target):
-    """e^{ad_h}(target) = target + [h,target] + [h,[h,target]]/2 + ..."""
-    total = target
-    term = target
-    k = 1
-    while True:
-        term = lie_bracket(h, term).scaled(Fraction(1, k))
-        if term.is_zero():
-            return total
-        total = total + term
-        k += 1
+    """e^{ad_h}(target) = target + [h,target] + [h,[h,target]]/2 + ...
+
+    Computed as exp(h) target exp(-h), which needs h without constant
+    term.  The identity holds in the completed algebra, and truncation
+    at N is a ring map onto its quotient by the ideal of weighted degree
+    > N, so the truncated product is exactly the truncated series.
+    """
+    return exp(h) * target * exp(-h)
 
 
 def _right_normed_bracket_words(word):
@@ -425,13 +424,11 @@ def compose_automorphism(auto, theta):
     return MagnusExpansion(theta.spec, theta.trunc, logs)
 
 
-def is_symplectic(theta, trunc=None):
+def is_symplectic(theta):
     """Exact check: boundary image, group-likeness, graded identity."""
-    n = theta.trunc if trunc is None else trunc
     sig = theta.sig
     gamma0 = boundary_word(theta.spec)
-    value = log(theta.expand_word(gamma0)).truncated(n)
-    if value != omega(sig, theta.trunc).truncated(n):
+    if log(theta.expand_word(gamma0)) != omega(sig, theta.trunc):
         return False
     for base in theta.spec.generators():
         series = theta.log_image(base)
@@ -578,7 +575,7 @@ def _words_of_multidegree(counts):
             yield (letter,) + suffix
 
 
-def kvi_check(phi, trunc=None):
+def kvi_check(phi):
     """Certificate for the tangential automorphism conditions.
 
     Checks, exactly at the truncation: the symplectic element maps to
@@ -588,7 +585,6 @@ def kvi_check(phi, trunc=None):
     primitivity of generators).
     """
     sig = phi.sig
-    n = phi.trunc if trunc is None else trunc
     omega_ok = phi.apply(omega(sig, phi.trunc)) == bch_right_side(sig, phi.trunc)
     conjugators = []
     z_ok = True
@@ -615,7 +611,7 @@ def kvi_check(phi, trunc=None):
         "zk_conjugators": [g.to_json() if g is not None else None
                            for g in conjugators],
         "gr_identity": bool(gr_ok),
-        "checked_to_degree": n,
+        "checked_to_degree": phi.trunc,
         "passed": bool(omega_ok and z_ok and gr_ok),
     }
 
@@ -634,18 +630,12 @@ def adams_series_check(n, p, k):
     scaled = necklace_project(exp(p.scaled(n)))
     total = CyclicSeries(sig, trunc)
     power = TensorSeries.unit(sig, trunc)
-    factorial = 1
     m = 0
-    while True:
-        piece = necklace_project(power).scaled(Fraction(n ** m, factorial))
-        total = total + piece
-        if power.is_zero():
-            break
+    while not power.is_zero():
+        total = total + necklace_project(power).scaled(
+            Fraction(n ** m, factorial(m)))
         m += 1
-        factorial *= m
         power = power * p
-        if power.is_zero() and m > trunc:
-            break
     if total != scaled:
         return False
     low = p.valuation()
@@ -737,7 +727,13 @@ def _normal_counts(letters, lead, max_len):
     return dims
 
 
-def resolution_check(genus, n_max, rank_limit=400, sweep_limit=150000):
+# largest degree pieces the explicit surjectivity sweep and the exact
+# matrix-rank cross-check of resolution_check still run on
+_SWEEP_LIMIT = 150000
+_RANK_LIMIT = 400
+
+
+def resolution_check(genus, n_max):
     """Exactness certificate for 0 -> A -> H tensor A -> A -> Q -> 0.
 
     A is the tensor algebra on a_1..a_g, b_1..b_g modulo the symplectic
@@ -753,7 +749,7 @@ def resolution_check(genus, n_max, rank_limit=400, sweep_limit=150000):
     letter keeps words normal (a factor of w[1:] is a factor of w).
     The surjectivity sweep and the exact matrix-rank cross-checks rerun
     those arguments explicitly on every degree small enough to afford
-    it; sweep_limit and rank_limit set the cutoffs.
+    it; _SWEEP_LIMIT and _RANK_LIMIT set the cutoffs.
     """
     if genus < 1:
         raise ValueError("resolution needs genus >= 1")
@@ -802,12 +798,8 @@ def resolution_check(genus, n_max, rank_limit=400, sweep_limit=150000):
             for a, b in pair_letters:
                 for word, sign in (((a, b) + u, 1), ((b, a) + u, -1)):
                     for w, c in nf(word).items():
-                        cc = out.get(w, 0) + sign * c
-                        if cc:
-                            out[w] = cc
-                        elif w in out:
-                            del out[w]
-            if out:
+                        out[w] = out.get(w, 0) + sign * c
+            if any(out.values()):
                 composite_ok = False
                 break
         # injectivity: u -> normal form of b_1 u, the a_1 tensor component
@@ -822,7 +814,7 @@ def resolution_check(genus, n_max, rank_limit=400, sweep_limit=150000):
         if injective_ok and len(images) != dims[n]:
             injective_ok = False
         # surjectivity: strip the first letter of each target basis word
-        surjective_swept = dims[n + 2] <= sweep_limit
+        surjective_swept = dims[n + 2] <= _SWEEP_LIMIT
         surjective_ok = True
         if surjective_swept:
             words = basis_cache.get(n + 2)
@@ -836,7 +828,7 @@ def resolution_check(genus, n_max, rank_limit=400, sweep_limit=150000):
 
         cross_checked = False
         middle_dim = 2 * genus * dims[n + 1]
-        if middle_dim <= rank_limit:
+        if middle_dim <= _RANK_LIMIT:
             index_n1 = {w: i for i, w in enumerate(basis(n + 1))}
             index_n2 = {w: i for i, w in enumerate(basis(n + 2))}
             d2_cols = []

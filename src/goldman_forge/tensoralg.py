@@ -11,6 +11,16 @@ Series are sparse maps word -> coefficient, bucketed by weighted degree
 so truncated products only visit compatible degree pairs.  Words are
 tuples of generator names such as ("x1", "y1").  All operations return
 fresh objects; nothing mutates a series after construction.
+
+Series invariant: every bucket key is the weighted degree of its words
+and at most the truncation, the truncation is at least 1, and no
+coefficient is zero and no bucket empty.  from_terms checks each input
+word; the kernels that sum terms (from_terms, +, *, Derivation.apply,
+AlgebraMap.apply) accumulate raw into degree buckets and finish through
+TensorSeries._settled, the one place that drops zero coefficients and
+empty buckets; negation, nonzero scaling and truncation cannot make a
+zero and copy buckets directly.  Outside this module nothing reads
+_buckets or calls the bucket constructor (tests/test_hygiene.py).
 """
 
 from fractions import Fraction
@@ -189,7 +199,8 @@ class TensorSeries:
     """Sparse truncated series sum_w c_w * w.
 
     Storage: _buckets[d][word] == coeff, with d the weighted degree of
-    the word; no zero coefficients are kept, no empty buckets.
+    the word; no zero coefficients are kept, no empty buckets (see the
+    module docstring for where that is enforced).
     """
 
     __slots__ = ("sig", "trunc", "_buckets")
@@ -217,27 +228,34 @@ class TensorSeries:
 
     @classmethod
     def from_terms(cls, sig, trunc, terms):
-        """Build from (word, coeff) pairs; words past the truncation are dropped."""
+        """Build from (word, coeff) pairs; words past the truncation are dropped.
+
+        Every word and coefficient is checked, including those that are
+        then dropped for a zero coefficient or the truncation.
+        """
         if trunc < 1:
             raise ValueError("truncation must be >= 1")
         buckets = {}
         for word, coeff in terms:
             word = tuple(word)
             coeff = as_coeff(coeff)
-            if coeff == 0:
-                continue
             d = sig.degree(word)
-            if d > trunc:
-                continue
-            bucket = buckets.setdefault(d, {})
-            c = bucket.get(word, 0) + coeff
-            if c:
-                bucket[word] = c
-            elif word in bucket:
-                del bucket[word]
-        for d in [d for d, b in buckets.items() if not b]:
-            del buckets[d]
-        return cls(sig, trunc, buckets)
+            if d <= trunc:
+                bucket = buckets.setdefault(d, {})
+                old = bucket.get(word)
+                bucket[word] = coeff if old is None else old + coeff
+        return cls._settled(sig, trunc, buckets)
+
+    @classmethod
+    def _settled(cls, sig, trunc, buckets):
+        """The series of raw degree buckets, zero coefficients and empty
+        buckets dropped: the one normaliser behind every kernel."""
+        out = {}
+        for d, bucket in buckets.items():
+            bucket = {w: c for w, c in bucket.items() if c}
+            if bucket:
+                out[d] = bucket
+        return cls(sig, trunc, out)
 
     # -- inspection ----------------------------------------------------
 
@@ -286,7 +304,9 @@ class TensorSeries:
         return sum(len(b) for b in self._buckets.values())
 
     def truncated(self, new_trunc):
-        """The same series at a lower (or equal) truncation."""
+        """The same series at a lower (or equal) truncation, at least 1."""
+        if new_trunc < 1:
+            raise ValueError("truncation must be >= 1")
         if new_trunc > self.trunc:
             raise ValueError("cannot raise truncation from %d to %d"
                              % (self.trunc, new_trunc))
@@ -303,14 +323,9 @@ class TensorSeries:
         for d, bucket in other._buckets.items():
             mine = buckets.setdefault(d, {})
             for word, coeff in bucket.items():
-                c = mine.get(word, 0) + coeff
-                if c:
-                    mine[word] = c
-                elif word in mine:
-                    del mine[word]
-            if not mine:
-                del buckets[d]
-        return TensorSeries(self.sig, self.trunc, buckets)
+                old = mine.get(word)
+                mine[word] = coeff if old is None else old + coeff
+        return TensorSeries._settled(self.sig, self.trunc, buckets)
 
     __radd__ = __add__
 
@@ -319,8 +334,6 @@ class TensorSeries:
         return TensorSeries(self.sig, self.trunc, buckets)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TensorSeries.from_terms(self.sig, self.trunc, [((), other)])
         return self + (-other)
 
     def __rsub__(self, other):
@@ -349,14 +362,9 @@ class TensorSeries:
                 for w1, c1 in b1.items():
                     for w2, c2 in b2.items():
                         w = w1 + w2
-                        c = tgt.get(w, 0) + c1 * c2
-                        if c:
-                            tgt[w] = c
-                        elif w in tgt:
-                            del tgt[w]
-        for d in [d for d, b in out.items() if not b]:
-            del out[d]
-        return TensorSeries(self.sig, self.trunc, out)
+                        old = tgt.get(w)
+                        tgt[w] = c1 * c2 if old is None else old + c1 * c2
+        return TensorSeries._settled(self.sig, self.trunc, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -411,20 +419,29 @@ class TensorSeries:
         return cls.from_terms(sig, data["truncation"], terms)
 
 
+def _exp_sum(first, step):
+    """sum_k step^k(first) / k!, stopped at the first zero term; a sum
+    still running after (N+2)^2 terms, N the truncation, is a domain
+    error (step is not locally nilpotent) instead of a hang."""
+    cap = (first.trunc + 2) * (first.trunc + 2)
+    total = term = first
+    k = 1
+    while True:
+        term = step(term).scaled(Fraction(1, k))
+        if term.is_zero():
+            return total
+        if k > cap:
+            raise ValueError("exponential did not terminate; the step is "
+                             "not locally nilpotent")
+        total = total + term
+        k += 1
+
+
 def exp(s):
     """Truncated exponential; needs vanishing constant term."""
     if s.constant_term() != 0:
         raise ValueError("exp needs a series with zero constant term")
-    result = TensorSeries.unit(s.sig, s.trunc)
-    term = result
-    k = 1
-    while k <= s.trunc:
-        term = (term * s).scaled(Fraction(1, k))
-        if term.is_zero():
-            break
-        result = result + term
-        k += 1
-    return result
+    return _exp_sum(TensorSeries.unit(s.sig, s.trunc), lambda t: t * s)
 
 
 def log(s):
@@ -443,10 +460,8 @@ def log(s):
 
 
 def bch(u, v):
-    """log(exp(u) exp(v)) at the shared truncation."""
-    _check_compat(u, v)
-    if u.constant_term() != 0 or v.constant_term() != 0:
-        raise ValueError("bch needs series with zero constant term")
+    """log(exp(u) exp(v)) at the shared truncation; exp and the product
+    reject a constant term and a signature/truncation mismatch."""
     return log(exp(u) * exp(v))
 
 
@@ -496,22 +511,6 @@ class TensorSquare(TermSum):
         return out
 
     @classmethod
-    def left(cls, s):
-        """s tensor 1."""
-        out = cls(s.sig, s.trunc)
-        for word, coeff in s.items():
-            out.add_term((word, ()), coeff)
-        return out
-
-    @classmethod
-    def right(cls, s):
-        """1 tensor s."""
-        out = cls(s.sig, s.trunc)
-        for word, coeff in s.items():
-            out.add_term(((), word), coeff)
-        return out
-
-    @classmethod
     def pair(cls, a, b):
         """a tensor b, truncated by total degree."""
         _check_compat(a, b)
@@ -540,7 +539,9 @@ def coproduct(s):
 
 
 def is_primitive(s):
-    return (coproduct(s) - TensorSquare.left(s) - TensorSquare.right(s)).is_zero()
+    one = TensorSeries.unit(s.sig, s.trunc)
+    return (coproduct(s) - TensorSquare.pair(s, one)
+            - TensorSquare.pair(one, s)).is_zero()
 
 
 def is_group_like(s):
@@ -569,9 +570,7 @@ class Derivation:
         self.images = {}
         for name, image in images.items():
             sig.weight(name)
-            if image.sig != sig or image.trunc != trunc:
-                raise ValueError("derivation image for %s has mismatched "
-                                 "signature or truncation" % name)
+            _check_compat(self, image)
             if not image.is_zero():
                 self.images[name] = image
 
@@ -583,8 +582,7 @@ class Derivation:
 
     def apply(self, s):
         """Leibniz extension: d(w) = sum_i w[:i] d(w_i) w[i+1:]."""
-        if s.sig != self.sig or s.trunc != self.trunc:
-            raise ValueError("series does not match derivation signature/truncation")
+        _check_compat(self, s)
         sig = self.sig
         trunc = self.trunc
         out = {}
@@ -603,20 +601,14 @@ class Derivation:
                     tgt = out.setdefault(d, {})
                     for mid, c in bucket.items():
                         w = head + mid + tail
-                        cc = tgt.get(w, 0) + coeff * c
-                        if cc:
-                            tgt[w] = cc
-                        elif w in tgt:
-                            del tgt[w]
-        for d in [d for d, b in out.items() if not b]:
-            del out[d]
-        return TensorSeries(self.sig, self.trunc, out)
+                        old = tgt.get(w)
+                        tgt[w] = coeff * c if old is None else old + coeff * c
+        return TensorSeries._settled(sig, trunc, out)
 
     __call__ = apply
 
     def __add__(self, other):
-        if self.sig != other.sig or self.trunc != other.trunc:
-            raise ValueError("derivation signature/truncation mismatch")
+        _check_compat(self, other)
         images = dict(self.images)
         for name, img in other.images.items():
             images[name] = images[name] + img if name in images else img
@@ -643,9 +635,7 @@ class AlgebraMap:
         self.images = {}
         for name, image in images.items():
             sig.weight(name)
-            if image.sig != sig or image.trunc != trunc:
-                raise ValueError("image for %s has mismatched signature "
-                                 "or truncation" % name)
+            _check_compat(self, image)
             self.images[name] = image
         self._memo = {(): TensorSeries.unit(sig, trunc)}
 
@@ -671,51 +661,38 @@ class AlgebraMap:
         return product
 
     def apply(self, s):
-        if s.sig != self.sig or s.trunc != self.trunc:
-            raise ValueError("series does not match map signature/truncation")
-        acc = {}
+        _check_compat(self, s)
+        out = {}
         for word, coeff in s.items():
-            for w, c in self._word_image(word).items():
-                acc[w] = acc.get(w, 0) + coeff * c
-        return TensorSeries.from_terms(self.sig, self.trunc, acc.items())
+            for d, bucket in self._word_image(word)._buckets.items():
+                tgt = out.setdefault(d, {})
+                for w, c in bucket.items():
+                    old = tgt.get(w)
+                    tgt[w] = coeff * c if old is None else old + coeff * c
+        return TensorSeries._settled(self.sig, self.trunc, out)
 
     __call__ = apply
 
     def compose(self, other):
         """self after other."""
-        if self.sig != other.sig or self.trunc != other.trunc:
-            raise ValueError("map signature/truncation mismatch")
+        _check_compat(self, other)
         images = {name: self.apply(other.image(name)) for name in self.sig.gens}
         return AlgebraMap(self.sig, self.trunc, images)
 
 
-def derivation_exp(d, max_steps=None):
+def derivation_exp(d):
     """exp of a derivation as an algebra endomorphism.
 
     Works whenever iterated application eventually vanishes on every
     generator at the truncation.  Degree-raising images guarantee that;
     degree-preserving parts are fine too as long as they act nilpotently
-    (the Dehn-twist derivations are the motivating case).  A safety cap
-    turns a non-terminating exponential into a domain error instead of
-    a hang.
+    (the Dehn-twist derivations are the motivating case).  The cap of
+    the shared exponential loop turns a non-terminating exponential into
+    a domain error instead of a hang.
     """
-    if max_steps is None:
-        max_steps = (d.trunc + 2) * (d.trunc + 2)
-    images = {}
-    for name in d.sig.gens:
-        total = TensorSeries.generator(d.sig, d.trunc, name)
-        term = total
-        k = 1
-        while True:
-            term = d.apply(term).scaled(Fraction(1, k))
-            if term.is_zero():
-                break
-            if k > max_steps:
-                raise ValueError("derivation exponential did not terminate; "
-                                 "images are not locally nilpotent")
-            total = total + term
-            k += 1
-        images[name] = total
+    images = {name: _exp_sum(TensorSeries.generator(d.sig, d.trunc, name),
+                             d.apply)
+              for name in d.sig.gens}
     return AlgebraMap(d.sig, d.trunc, images)
 
 

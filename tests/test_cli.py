@@ -89,6 +89,22 @@ class TestExpansionCommands:
         assert code == 0
         assert out.strip() == "1: 1"
 
+    def test_expand_text_follows_the_json_term_order(self, capsys):
+        # degree first, then the letter order x1 < y1 < z1 in each degree
+        code, out, _ = run_cli(["expand", "--N", "2", "a1 b1"], capsys)
+        assert code == 0
+        assert out.splitlines() == ["1: 1", "x1: 1", "y1: 1", "x1 x1: 1/2",
+                                    "x1 y1: 1", "y1 y1: 1/2"]
+        code, out, _ = run_cli(["expand", "--N", "3", "--b", "2", "c1 a1'"],
+                               capsys)
+        assert code == 0
+        assert out.splitlines() == ["1: 1", "x1: -1", "x1 x1: 1/2", "z1: 1",
+                                    "x1 x1 x1: -1/6", "z1 x1: -1"]
+        code, out, _ = run_cli(["expand", "--json", "--N", "3", "--b", "2",
+                                "c1 a1'"], capsys)
+        assert [" ".join(t["word"]) for t in json.loads(out)["series"]
+                ["terms"]] == ["", "x1", "x1 x1", "z1", "x1 x1 x1", "z1 x1"]
+
     def test_adams_squares_the_word(self, capsys):
         code, out, _ = run_cli(["adams", "--n", "2", "a1"], capsys)
         assert code == 0

@@ -4,6 +4,10 @@
     used, and package ``__init__`` files are exempt.
 (b) No package module imports an underscore name from another module;
     tests may import private names from the module they test.
+(c) Only tensoralg touches the storage of a tensor series: no other
+    package module reads ``._buckets`` or builds a series through the
+    bucket constructors (``TensorSeries(...)`` or ``._settled``), so the
+    series invariant is kept in one module.
 """
 
 import ast
@@ -60,6 +64,24 @@ def private_imports(tree):
                   for alias in node.names if alias.name.startswith("_"))
 
 
+_BUCKET_NAMES = {"_buckets", "_settled"}
+
+
+def bucket_access(tree):
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _BUCKET_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute)
+                    else None)
+            if name == "TensorSeries":
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=os.path.basename)
 def test_no_unused_imports(path):
     assert unused_imports(_tree(path)) == []
@@ -70,7 +92,20 @@ def test_no_private_cross_module_imports(path):
     assert private_imports(_tree(path)) == []
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in _sources(PACKAGE)
+             if os.path.basename(p) != "tensoralg.py"],
+    ids=os.path.basename)
+def test_series_storage_stays_in_tensoralg(path):
+    assert bucket_access(_tree(path)) == []
+
+
 def test_the_checks_catch_what_they_look_for():
     tree = ast.parse("import os\nfrom .a import _b, c\n__all__ = ['c']\n")
     assert unused_imports(tree) == [(1, "os"), (2, "_b")]
     assert private_imports(tree) == [(2, "_b")]
+    tree = ast.parse("s._buckets\nTensorSeries(g, 2, {})\n"
+                     "t.TensorSeries(g, 2, {})\nS._settled(g, 2, {})\n"
+                     "TensorSeries.zero(g, 2)\n")
+    assert bucket_access(tree) == [(1, "_buckets"), (2, "TensorSeries"),
+                                   (3, "TensorSeries"), (4, "_settled")]

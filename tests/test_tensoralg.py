@@ -380,6 +380,62 @@ class TestSeriesBasics:
         assert t.trunc == 2
         assert t == S(SIG10, 2, ((), 1), (("x1",), 1), (("x1", "x1"), F(1, 2)))
 
+    def test_truncated_rejects_truncation_below_one(self):
+        s = exp(gen(SIG10, 4, "x1"))
+        with pytest.raises(ValueError):
+            s.truncated(0)
+        with pytest.raises(ValueError):
+            s.truncated(-1)
+        assert s.truncated(1) == S(SIG10, 1, ((), 1), (("x1",), 1))
+
+    def test_from_terms_checks_words_with_zero_coefficients(self):
+        for coeff in (0, 1, F(0)):
+            with pytest.raises(ValueError):
+                S(SIG10, 3, (("q9",), coeff))
+            with pytest.raises(ValueError):
+                S(SIG10, 3, (("x1",), 1), (("x1", "q9"), coeff))
+        with pytest.raises(TypeError):
+            S(SIG10, 3, (("x1",), 0.0))
+        # a known word past the truncation is still dropped, not an error
+        assert S(SIG10, 1, (("x1", "y1"), 1)).is_zero()
+
+    def test_kernels_leave_no_zero_terms_or_empty_buckets(self):
+        x, y = gen(SIG11, 3, "x1"), gen(SIG11, 3, "y1")
+        s = x + 2 * x * y + gen(SIG11, 3, "z1")
+        swap = AlgebraMap(SIG11, 3, {"x1": y, "y1": x})
+        d = Derivation(SIG11, 3, {"x1": y, "y1": x.scaled(-1)})
+        cancelled = [
+            S(SIG11, 3, (("x1",), 1), (("x1", "y1"), 2), (("x1",), -1),
+              (("x1", "y1"), -2)),
+            s + (-s), s - s, lie_bracket(s, s), s * TensorSeries.zero(SIG11, 3),
+            swap.apply(x * y - y * x) + (x * y - y * x),
+            d.apply(x * x + y * y),
+        ]
+        for value in cancelled:
+            assert value.is_zero()
+            assert value._buckets == {}
+        partial = s + S(SIG11, 3, (("x1",), -1))
+        for value in (partial, partial * partial, swap.apply(partial),
+                      d.apply(partial)):
+            assert all(bucket and all(bucket.values())
+                       for bucket in value._buckets.values())
+        assert 1 not in partial._buckets
+
+    def test_maps_reject_mismatched_series(self):
+        d = Derivation(SIG11, 3, {"x1": gen(SIG11, 3, "y1")})
+        phi = AlgebraMap(SIG11, 3, {"x1": gen(SIG11, 3, "y1")})
+        other = gen(SIG11, 4, "y1")
+        for build in (Derivation, AlgebraMap):
+            with pytest.raises(ValueError):
+                build(SIG11, 3, {"x1": other})
+        for call in (d.apply, phi.apply):
+            with pytest.raises(ValueError):
+                call(other)
+        with pytest.raises(ValueError):
+            d + Derivation(SIG10, 3, {})
+        with pytest.raises(ValueError):
+            phi.compose(AlgebraMap(SIG11, 4, {}))
+
     def test_term_order_deterministic(self):
         s = S(SIG11, 3, (("y1",), 1), (("x1",), 1), (("z1",), 1), ((), 5),
               (("x1", "y1"), 1))
