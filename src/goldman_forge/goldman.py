@@ -24,7 +24,6 @@ from .surface import (
     FreeWord,
     LoopClass,
     Path,
-    boundary_word,
     cyclic_normal_form,
     letter_key,
     render_word,
@@ -45,7 +44,6 @@ __all__ = [
     "log_class",
     "expand_loop_sum",
     "expand_path_sum",
-    "boundary_class",
     "dehn_twist",
     "twist_curve_names",
     "twist_derivation",
@@ -393,10 +391,6 @@ def adams(n, u):
     for cls, coeff in u.terms.items():
         out.add_term(cyclic_normal_form(FreeWord(cls.word * n)), coeff)
     return out
-
-
-def boundary_class(spec):
-    return cyclic_normal_form(boundary_word(spec))
 
 
 def expand_loop_sum(u, theta):

@@ -23,7 +23,6 @@ from .tensoralg import (
     is_group_like,
     is_primitive,
     lie_bracket,
-    linear_solve,
     log,
     matrix_rank,
 )
@@ -426,23 +425,23 @@ def compose_automorphism(auto, theta):
 
 def is_symplectic(theta):
     """Exact check: boundary image, group-likeness, graded identity."""
-    sig = theta.sig
     gamma0 = boundary_word(theta.spec)
-    if log(theta.expand_word(gamma0)) != omega(sig, theta.trunc):
+    if log(theta.expand_word(gamma0)) != omega(theta.sig, theta.trunc):
         return False
-    for base in theta.spec.generators():
-        series = theta.log_image(base)
-        if not is_primitive(series):
-            return False
-        letter = tensor_letter(base)
-        weight = sig.weight(letter)
-        lead = series.homogeneous_component(weight)
-        if lead != TensorSeries.generator(sig, theta.trunc, letter):
-            return False
-        low = series.valuation()
-        if low is None or low < weight:
-            return False
-    return True
+    return all(is_primitive(theta.log_image(base))
+               and _graded_identity(theta.log_image(base), tensor_letter(base))
+               for base in theta.spec.generators())
+
+
+def _graded_identity(image, name):
+    """Whether image is the generator `name` plus terms of higher weight.
+
+    A generator heavier than the truncation is zero, and so may be its
+    image: a zero difference passes.
+    """
+    sig = image.sig
+    low = (image - TensorSeries.generator(sig, image.trunc, name)).valuation()
+    return low is None or low > sig.weight(name)
 
 
 def _substitution_of(theta):
@@ -464,13 +463,10 @@ def invert_expansion(theta):
     """
     sig, trunc = theta.sig, theta.trunc
     psi = _substitution_of(theta)
-    remainder = {}
-    for name in sig.gens:
-        r = psi.image(name) - TensorSeries.generator(sig, trunc, name)
-        low = r.valuation()
-        if low is not None and low <= sig.weight(name):
-            raise ValueError("expansion is not graded-identity; cannot invert")
-        remainder[name] = r
+    if not all(_graded_identity(psi.image(name), name) for name in sig.gens):
+        raise ValueError("expansion is not graded-identity; cannot invert")
+    remainder = {name: psi.image(name) - TensorSeries.generator(sig, trunc, name)
+                 for name in sig.gens}
     images = {name: TensorSeries.generator(sig, trunc, name)
               for name in sig.gens}
     for _ in range(trunc + 1):
@@ -495,84 +491,56 @@ def invert_expansion(theta):
 
 
 def _extract_conjugator(phi, k):
-    """Group-like g with g z_k g^{-1} = phi(z_k), or None."""
+    """exp(h) with exp(h) z_k exp(-h) = phi(z_k), or None.
+
+    h grows block by block: the lowest block R of phi(z_k) - e^{ad_h}(z_k)
+    must be [b, z_k], and _bracket_preimage gives the next block in
+    closed form, b = sum_i z_k^i rho^{i+1}(R), unique up to the
+    centraliser Q[z_k] of z_k.  b need not be a Lie element, so exp(h)
+    need not be group-like; kvi_check decides that with is_group_like.
+    """
     sig, trunc = phi.sig, phi.trunc
-    z = TensorSeries.generator(sig, trunc, "z%d" % k)
-    target = phi.image("z%d" % k)
+    name = "z%d" % k
+    z = TensorSeries.generator(sig, trunc, name)
+    target = phi.image(name)
     if target.homogeneous_component(2) != z:
         return None
     h = TensorSeries.zero(sig, trunc)
     while True:
         diff = target - ad_exp(h, z)
         if diff.is_zero():
-            break
-        low = diff.valuation()
-        degree = low - 2
-        if degree < 1 or degree > trunc - 2:
-            return None
-        block = _solve_bracket_block(diff.homogeneous_component(low), z, degree)
+            return exp(h)
+        block = _bracket_preimage(diff.homogeneous_component(diff.valuation()),
+                                  name)
         if block is None:
             return None
         h = h + block
-    return exp(h)
 
 
-def _multidegree(word):
-    counts = {}
-    for letter in word:
-        counts[letter] = counts.get(letter, 0) + 1
-    return tuple(sorted(counts.items()))
+def _bracket_preimage(rhs, name):
+    """The h without pure powers of z = name with [h, z] = rhs, or None.
 
-
-def _solve_bracket_block(rhs, z, degree):
-    """Primitive h of the given degree with [h, z] = rhs, or None.
-
-    Unknowns range over right-normed bracketings of degree-`degree`
-    words (a spanning set of the free Lie component); the system splits
-    by multidegree, so each exact solve stays small.
+    Let rho keep the words ending in z and strip that z.  For h without
+    constant term rho(hz) = h and rho(zh) = z rho(h), so [h, z] = R
+    gives h = rho(R) + z rho(h), that is h = sum_i z^i rho^{i+1}(R); on
+    a word u z^j of R (u not ending in z) the sum is
+    sum_{i<j} z^i u z^{j-1-i}.  The centraliser of z is Q[z], so this is
+    the only solution without a pure power of z, and it is returned
+    only if it really brackets to R.  It need not be a Lie element.
     """
     sig, trunc = rhs.sig, rhs.trunc
-    z_letter = next(iter(z.items()))[0][0]
-    blocks = {}
+    terms = []
     for word, coeff in rhs.items():
-        blocks.setdefault(_multidegree(word), {})[word] = coeff
-    result = TensorSeries.zero(sig, trunc)
-    for mdeg, wanted in blocks.items():
-        counts = dict(mdeg)
-        if counts.get(z_letter, 0) < 1:
-            return None
-        counts[z_letter] -= 1
-        columns = []
-        usable = []
-        for w in _words_of_multidegree(counts):
-            bracket = lie_bracket(right_normed_bracket(sig, trunc, w), z)
-            if bracket.is_zero():
-                continue
-            columns.append(bracket)
-            usable.append(w)
-        rows = sorted(set(wanted) | {word for col in columns for word, _ in col.items()})
-        matrix = [[col.coefficient(word) for col in columns] for word in rows]
-        rhs_vec = [wanted.get(word, Fraction(0)) for word in rows]
-        solution = linear_solve(matrix, rhs_vec)
-        if solution is None:
-            return None
-        for w, c in zip(usable, solution):
-            if c:
-                result = result + right_normed_bracket(sig, trunc, w).scaled(c)
-    return result
-
-
-def _words_of_multidegree(counts):
-    """Words with the given letter counts, each once, in lexicographic order."""
-    letters = sorted([l for l, c in counts.items() if c > 0])
-    if not letters:
-        yield ()
-        return
-    for letter in letters:
-        rest = dict(counts)
-        rest[letter] -= 1
-        for suffix in _words_of_multidegree(rest):
-            yield (letter,) + suffix
+        j = len(word)
+        while j and word[j - 1] == name:
+            j -= 1
+        head, power = word[:j], len(word) - j
+        for i in range(power):
+            terms.append(((name,) * i + head + (name,) * (power - 1 - i),
+                          coeff))
+    h = TensorSeries.from_terms(sig, trunc, terms)
+    z = TensorSeries.generator(sig, trunc, name)
+    return h if lie_bracket(h, z) == rhs else None
 
 
 def kvi_check(phi):
@@ -580,32 +548,23 @@ def kvi_check(phi):
 
     Checks, exactly at the truncation: the symplectic element maps to
     the BCH logarithm of the surface relation; every z image is a
-    verified group-like conjugate of its generator; the automorphism
-    is the identity on the associated graded (and preserves
-    primitivity of generators).
+    group-like conjugate of its generator (the conjugator comes from
+    _extract_conjugator's closed-form blocks, h = sum_i z^i rho^{i+1}(R),
+    unique up to pure powers of z, and is_group_like alone decides
+    group-likeness, so a non-Lie h gives a null conjugator); the
+    automorphism preserves primitivity of generators and is the
+    identity on the associated graded.
     """
     sig = phi.sig
     omega_ok = phi.apply(omega(sig, phi.trunc)) == bch_right_side(sig, phi.trunc)
     conjugators = []
-    z_ok = True
     for k in range(1, sig.punctures + 1):
         g = _extract_conjugator(phi, k)
-        if g is None or not is_group_like(g):
-            z_ok = False
-            conjugators.append(None)
-        else:
-            conjugators.append(g)
-    gr_ok = True
-    for name in sig.gens:
-        image = phi.image(name)
-        if not is_primitive(image):
-            gr_ok = False
-            break
-        drift = image - TensorSeries.generator(sig, phi.trunc, name)
-        low = drift.valuation()
-        if low is not None and low <= sig.weight(name):
-            gr_ok = False
-            break
+        conjugators.append(g if g is not None and is_group_like(g) else None)
+    z_ok = all(g is not None for g in conjugators)
+    gr_ok = all(is_primitive(phi.image(name))
+                and _graded_identity(phi.image(name), name)
+                for name in sig.gens)
     return {
         "omega_image_matches": bool(omega_ok),
         "zk_conjugators": [g.to_json() if g is not None else None

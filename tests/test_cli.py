@@ -120,6 +120,17 @@ class TestExpansionCommands:
         assert code == 0
         assert "verified" in out
 
+    def test_boundary_letters_past_the_truncation(self, capsys):
+        # at N = 1 the weight-2 z letters and their images are zero,
+        # which is still the graded identity
+        code, out, _ = run_cli(["solve-expansion", "--g", "1", "--b", "2",
+                                "--N", "1"], capsys)
+        assert code == 0
+        assert "verified" in out
+        code, out, _ = run_cli(["verify", "kvi", "--N", "1"], capsys)
+        assert code == 0
+        assert out.strip().endswith("pass")
+
     def test_kvi_check_prints_certificate(self, capsys):
         code, out, _ = run_cli(["kvi-check", "--g", "1", "--b", "1",
                                 "--N", "3"], capsys)
@@ -189,6 +200,16 @@ class TestVerify:
         code, out, _ = run_cli(["verify", "jacobi", "--seed", "7"], capsys)
         assert code == 0
         assert out.strip().endswith("pass")
+
+    def test_operands_vanishing_through_the_truncation(self, capsys):
+        # such an operand lies in filtration N + 1, not infinitely deep,
+        # so the shift bounds hold at low truncation
+        for argv in (["verify", "gr-bracket", "--N", "1"],
+                     ["verify", "gr-bracket", "--N", "3"],
+                     ["verify", "bipair", "--N", "1"]):
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0, out
+            assert "inf" not in out
 
     def test_unknown_suite_exits_2(self, capsys):
         code, _, _ = run_cli(["verify", "nonsense"], capsys)

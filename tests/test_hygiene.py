@@ -8,15 +8,22 @@
     package module reads ``._buckets`` or builds a series through the
     bucket constructors (``TensorSeries(...)`` or ``._settled``), so the
     series invariant is kept in one module.
+(d) Every function in a package module's ``__all__`` is referenced
+    outside that module: by another package module, a test, or the
+    bench harness (names, attributes, imports, or the harness's string
+    entry-point tables).  Classes are exempt; some are only return
+    types.
 """
 
 import ast
+import functools
 import os
 
 import pytest
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 PACKAGE = os.path.join(os.path.dirname(TESTS), "src", "goldman_forge")
+PERFBENCH = os.path.join(os.path.dirname(TESTS), "perfbench")
 
 
 def _sources(folder):
@@ -82,6 +89,32 @@ def bucket_access(tree):
     return sorted(found)
 
 
+def exported_functions(tree):
+    exported = _exported(tree)
+    return sorted(node.name for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name in exported)
+
+
+def referenced_names(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+@functools.lru_cache(maxsize=None)
+def _references(path):
+    return referenced_names(_tree(path))
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=os.path.basename)
 def test_no_unused_imports(path):
     assert unused_imports(_tree(path)) == []
@@ -100,6 +133,16 @@ def test_series_storage_stays_in_tensoralg(path):
     assert bucket_access(_tree(path)) == []
 
 
+@pytest.mark.parametrize("path", _sources(PACKAGE), ids=os.path.basename)
+def test_exported_functions_have_outside_callers(path):
+    outside = set()
+    for other in SOURCES + _sources(PERFBENCH):
+        if other != path:
+            outside |= _references(other)
+    assert [name for name in exported_functions(_tree(path))
+            if name not in outside] == []
+
+
 def test_the_checks_catch_what_they_look_for():
     tree = ast.parse("import os\nfrom .a import _b, c\n__all__ = ['c']\n")
     assert unused_imports(tree) == [(1, "os"), (2, "_b")]
@@ -109,3 +152,8 @@ def test_the_checks_catch_what_they_look_for():
                      "TensorSeries.zero(g, 2)\n")
     assert bucket_access(tree) == [(1, "_buckets"), (2, "TensorSeries"),
                                    (3, "TensorSeries"), (4, "_settled")]
+    tree = ast.parse("__all__ = ['f', 'g', 'C']\ndef f(): pass\n"
+                     "def g(): pass\nclass C: pass\n")
+    assert exported_functions(tree) == ["f", "g"]
+    tree = ast.parse("from m import f\nm.g()\nh()\nT = ('m', 'k')\n")
+    assert {"f", "g", "h", "k"} <= referenced_names(tree)

@@ -8,6 +8,9 @@ import pytest
 
 import helpers
 from goldman_forge.magnus import (
+    _bracket_preimage,
+    _extract_conjugator,
+    _graded_identity,
     CyclicSeries,
     MagnusExpansion,
     NecklaceWord,
@@ -36,6 +39,7 @@ from goldman_forge.surface import (
     parse_word,
 )
 from goldman_forge.tensoralg import (
+    AlgebraMap,
     Derivation,
     GenSignature,
     TensorSeries,
@@ -44,6 +48,7 @@ from goldman_forge.tensoralg import (
     is_group_like,
     is_primitive,
     lie_bracket,
+    linear_solve,
     log,
 )
 
@@ -351,6 +356,175 @@ class TestInversion:
         assert moved
         # both expansions pass the certificate
         assert kvi_check(invert_expansion(theta2))["passed"]
+
+
+def _multidegree(word):
+    counts = {}
+    for letter in word:
+        counts[letter] = counts.get(letter, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def _solve_bracket_block(rhs, z, degree):
+    """Oracle: the linear solve over right-normed brackets that the closed
+    form replaced.  Primitive h with [h, z] = rhs, or None."""
+    sig, trunc = rhs.sig, rhs.trunc
+    z_letter = next(iter(z.items()))[0][0]
+    blocks = {}
+    for word, coeff in rhs.items():
+        blocks.setdefault(_multidegree(word), {})[word] = coeff
+    result = TensorSeries.zero(sig, trunc)
+    for mdeg, wanted in blocks.items():
+        counts = dict(mdeg)
+        if counts.get(z_letter, 0) < 1:
+            return None
+        counts[z_letter] -= 1
+        columns = []
+        usable = []
+        for w in _words_of_multidegree(counts):
+            bracket = lie_bracket(right_normed_bracket(sig, trunc, w), z)
+            if bracket.is_zero():
+                continue
+            columns.append(bracket)
+            usable.append(w)
+        rows = sorted(set(wanted) | {word for col in columns
+                                     for word, _ in col.items()})
+        matrix = [[col.coefficient(word) for col in columns] for word in rows]
+        rhs_vec = [wanted.get(word, Fraction(0)) for word in rows]
+        solution = linear_solve(matrix, rhs_vec)
+        if solution is None:
+            return None
+        for w, c in zip(usable, solution):
+            if c:
+                result = result + right_normed_bracket(sig, trunc, w).scaled(c)
+    return result
+
+
+def _words_of_multidegree(counts):
+    """Words with the given letter counts, each once, in lexicographic order."""
+    letters = sorted([l for l, c in counts.items() if c > 0])
+    if not letters:
+        yield ()
+        return
+    for letter in letters:
+        rest = dict(counts)
+        rest[letter] -= 1
+        for suffix in _words_of_multidegree(rest):
+            yield (letter,) + suffix
+
+
+class TestConjugator:
+    SIGNATURES = ((1, 1), (2, 1), (1, 2), (0, 2), (0, 3), (2, 2))
+
+    def _cases(self, rng, count):
+        """count nonzero (rhs, z name, kind), rhs one weight block as
+        _extract_conjugator passes it; kinds rotate through a Lie h, a
+        non-Lie h, and a Lie h plus one stray word."""
+        i = 0
+        while i < count:
+            sig = GenSignature(*self.SIGNATURES[i % len(self.SIGNATURES)])
+            trunc = rng.randint(3 if sig.genus else 4, 6)
+            name = "z%d" % rng.randint(1, sig.punctures)
+            z = TensorSeries.generator(sig, trunc, name)
+            kind = ("lie", "non-lie", "stray")[i % 3]
+            if kind == "non-lie":
+                h = helpers.random_series(rng, sig, trunc, with_constant=False)
+            else:
+                h = helpers.random_primitive(rng, sig, trunc,
+                                             max_depth=trunc - 2)
+            rhs = lie_bracket(h, z)
+            degrees = sorted({sig.degree(w) for w, _ in rhs.items()})
+            degree = rng.choice(degrees or [trunc])
+            if kind == "stray":
+                word, left = [], degree
+                while left:
+                    word.append(rng.choice([g for g in sig.gens
+                                            if sig.weight(g) <= left]))
+                    left -= sig.weight(word[-1])
+                rhs = rhs + TensorSeries.from_terms(
+                    sig, trunc, [(word, helpers.random_coeff(rng))])
+            rhs = rhs.homogeneous_component(degree)
+            if not rhs.is_zero():
+                i += 1
+                yield rhs, name, kind
+
+    def test_closed_form_matches_the_linear_solve(self):
+        rng = random.Random(2024)
+        seen = {}
+        for rhs, name, kind in self._cases(rng, 2000):
+            z = TensorSeries.generator(rhs.sig, rhs.trunc, name)
+            old = _solve_bracket_block(rhs, z, rhs.valuation())
+            new = _bracket_preimage(rhs, name)
+            if old is not None:
+                assert new == old, (rhs, name)
+            if new is not None:
+                assert lie_bracket(new, z) == rhs, (rhs, name)
+            outcome = ("solved" if old is not None
+                       else "none" if new is None else "non-lie")
+            seen[kind, outcome] = seen.get((kind, outcome), 0) + 1
+        # each kind of right-hand side reaches the outcome it should
+        assert seen[("lie", "solved")] == 667         # every Lie case
+        assert seen[("non-lie", "non-lie")] > 100
+        assert seen[("stray", "none")] > 600
+        assert all(outcome != "non-lie" or kind == "non-lie"
+                   for kind, outcome in seen)
+
+    def test_trailing_powers_of_z(self):
+        sig = GenSignature(1, 1)
+        x = TensorSeries.generator(sig, 7, "x1")
+        z = TensorSeries.generator(sig, 7, "z1")
+        h = lie_bracket(lie_bracket(x, z), z)       # ends in z z
+        assert _bracket_preimage(lie_bracket(h, z), "z1") == h
+
+    def test_pure_powers_of_z_have_no_preimage(self):
+        sig = GenSignature(0, 2)
+        z = TensorSeries.generator(sig, 6, "z1")
+        assert _bracket_preimage(z * z, "z1") is None
+        assert _bracket_preimage(z * z * z, "z1") is None
+
+    def test_non_primitive_conjugation_gives_a_null_conjugator(self):
+        sig = GenSignature(1, 1)
+        trunc = 6
+        images = {name: TensorSeries.generator(sig, trunc, name)
+                  for name in sig.gens}
+        h = series(sig, trunc, (("x1", "y1"), 1))         # not primitive
+        images["z1"] = ad_exp(h, images["z1"])
+        phi = AlgebraMap(sig, trunc, images)
+        g = _extract_conjugator(phi, 1)
+        # the closed form finds the conjugator; group-likeness rejects it
+        assert g == exp(h)
+        assert not is_group_like(g)
+        report = kvi_check(phi)
+        assert report["zk_conjugators"] == [None]
+        assert not report["passed"]
+
+
+class TestGradedIdentity:
+    def test_higher_terms_pass_and_same_weight_terms_fail(self):
+        sig = GenSignature(1, 1)
+        x = TensorSeries.generator(sig, 4, "x1")
+        y = TensorSeries.generator(sig, 4, "y1")
+        assert _graded_identity(x, "x1")
+        assert _graded_identity(x + lie_bracket(x, y), "x1")
+        assert not _graded_identity(x + y, "x1")
+        assert not _graded_identity(x.scaled(2), "x1")
+        assert not _graded_identity(TensorSeries.zero(sig, 4), "x1")
+        assert not _graded_identity(lie_bracket(x, y), "x1")
+
+    def test_generator_past_the_truncation(self):
+        sig = GenSignature(1, 1)
+        zero = TensorSeries.zero(sig, 1)
+        assert _graded_identity(zero, "z1")
+        assert not _graded_identity(
+            TensorSeries.generator(sig, 1, "x1"), "z1")
+
+    def test_kvi_graded_identity_rejects_a_same_weight_drift(self):
+        sig = GenSignature(1, 0)
+        x = TensorSeries.generator(sig, 4, "x1")
+        y = TensorSeries.generator(sig, 4, "y1")
+        report = kvi_check(AlgebraMap(sig, 4, {"x1": x + y, "y1": y}))
+        assert not report["gr_identity"]
+        assert not report["passed"]
 
 
 class TestAdamsSeries:
