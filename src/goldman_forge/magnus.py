@@ -301,7 +301,9 @@ def ad_exp(h, target):
 
 
 def _right_normed_bracket_words(word):
-    """Right-normed bracketing of a word, as a word->coeff dict."""
+    """Right-normed bracketing of a nonempty word, as a word->coeff dict."""
+    if not word:
+        raise ValueError("a right-normed bracket needs a nonempty word")
     if len(word) == 1:
         return {word: 1}
     inner = _right_normed_bracket_words(word[1:])
@@ -327,11 +329,16 @@ def dynkin_leading_split(series):
     R = (1/l) sum_w c_w [w_1,[w_2,[...]]]; grouping by the leading
     letter gives the tails.  The 1/l factor is per word length, which
     need not match the weighted degree when weight-2 letters appear.
-    Only valid on primitive input (the caller asserts primitivity).
+    Only valid on primitive input (the caller asserts primitivity);
+    a word shorter than two letters, the empty word included, has no
+    split and is a ValueError.
     """
     sig, trunc = series.sig, series.trunc
     parts = {}
     for word, coeff in series.items():
+        if len(word) < 2:
+            raise ValueError("the Dynkin split needs words of length >= 2, "
+                             "got %r" % (word,))
         head, tail = word[0], word[1:]
         bucket = parts.setdefault(head, {})
         for w, c in _right_normed_bracket_words(tail).items():

@@ -4,23 +4,29 @@ Everything downstream (Magnus expansions, necklace brackets, the bar
 pairings) lives inside the completed tensor algebra
 Q<<x1..xg, y1..yg, z1..zn>> truncated at a weighted degree: x and y
 letters weigh 1, z letters weigh 2.  Coefficients are
-fractions.Fraction; there is no floating point anywhere in this
-package.
+fractions.Fraction at the API; there is no floating point anywhere in
+this package.
 
-Series are sparse maps word -> coefficient, bucketed by weighted degree
-so truncated products only visit compatible degree pairs.  Words are
-tuples of generator names such as ("x1", "y1").  All operations return
-fresh objects; nothing mutates a series after construction.
+A series stores int numerators over one common denominator, bucketed
+by weighted degree so truncated products only visit compatible degree
+pairs: the coefficient of a word is _buckets[d][word] / _den.  Words
+are tuples of generator names such as ("x1", "y1").  All operations
+return fresh objects; nothing mutates a series after construction.
 
 Series invariant: every bucket key is the weighted degree of its words
-and at most the truncation, the truncation is at least 1, and no
-coefficient is zero and no bucket empty.  from_terms checks each input
-word; the kernels that sum terms (from_terms, +, *, Derivation.apply,
-AlgebraMap.apply) accumulate raw into degree buckets and finish through
-TensorSeries._settled, the one place that drops zero coefficients and
-empty buckets; negation, nonzero scaling and truncation cannot make a
-zero and copy buckets directly.  Outside this module nothing reads
-_buckets or calls the bucket constructor (tests/test_hygiene.py).
+and at most the truncation, the truncation is at least 1, no numerator
+is zero and no bucket empty, _den > 0, and gcd(_den, all numerators)
+is 1 (so the zero series has _den 1).  The form is unique, so == is a
+plain comparison.  from_terms checks each input word; the kernels that
+sum or rescale terms (from_terms, +, *, scaled, truncated,
+homogeneous_component, Derivation.apply, AlgebraMap.apply) accumulate
+ints into degree buckets over one denominator and finish through
+TensorSeries._settled, the one place that drops zero numerators and
+empty buckets and divides out the gcd; negation copies buckets
+directly.  Denominators: * multiplies them, + and from_terms take their
+lcm, the two maps bring their images to one lcm.  Outside this module
+nothing reads _buckets or _den or calls the bucket constructor
+(tests/test_hygiene.py).
 """
 
 from fractions import Fraction
@@ -83,7 +89,8 @@ class TermSum:
             coeff = as_coeff(coeff)
         if coeff:
             terms = self.terms
-            c = terms.get(key, 0) + coeff
+            old = terms.get(key)
+            c = coeff if old is None else old + coeff
             if c:
                 terms[key] = c
             else:
@@ -198,18 +205,20 @@ def _check_compat(a, b):
 class TensorSeries:
     """Sparse truncated series sum_w c_w * w.
 
-    Storage: _buckets[d][word] == coeff, with d the weighted degree of
-    the word; no zero coefficients are kept, no empty buckets (see the
-    module docstring for where that is enforced).
+    Storage: _buckets[d][word] == n, a nonzero int, with d the weighted
+    degree of the word and c_w == n / _den; _den > 0 and the gcd of _den
+    and all numerators is 1, no empty buckets (see the module docstring
+    for where that is enforced).  Coefficients leave as Fractions.
     """
 
-    __slots__ = ("sig", "trunc", "_buckets")
+    __slots__ = ("sig", "trunc", "_buckets", "_den")
 
-    def __init__(self, sig, trunc, buckets):
+    def __init__(self, sig, trunc, buckets, den=1):
         # internal constructor; use the classmethods below
         self.sig = sig
         self.trunc = trunc
         self._buckets = buckets
+        self._den = den
 
     @classmethod
     def zero(cls, sig, trunc):
@@ -235,27 +244,40 @@ class TensorSeries:
         """
         if trunc < 1:
             raise ValueError("truncation must be >= 1")
-        buckets = {}
+        kept = []
         for word, coeff in terms:
             word = tuple(word)
             coeff = as_coeff(coeff)
             d = sig.degree(word)
             if d <= trunc:
-                bucket = buckets.setdefault(d, {})
-                old = bucket.get(word)
-                bucket[word] = coeff if old is None else old + coeff
-        return cls._settled(sig, trunc, buckets)
+                kept.append((d, word, coeff))
+        den = lcm(*{coeff.denominator for _, _, coeff in kept})
+        buckets = {}
+        for d, word, coeff in kept:
+            num = coeff.numerator * (den // coeff.denominator)
+            bucket = buckets.setdefault(d, {})
+            old = bucket.get(word)
+            bucket[word] = num if old is None else old + num
+        return cls._settled(sig, trunc, buckets, den)
 
     @classmethod
-    def _settled(cls, sig, trunc, buckets):
-        """The series of raw degree buckets, zero coefficients and empty
-        buckets dropped: the one normaliser behind every kernel."""
+    def _settled(cls, sig, trunc, buckets, den):
+        """The series of raw int degree buckets over den, zero numerators
+        and empty buckets dropped and the common gcd divided out: the one
+        normaliser behind every kernel.  It may keep the bucket dicts it
+        is given; no series is mutated after construction."""
         out = {}
+        g = den
         for d, bucket in buckets.items():
-            bucket = {w: c for w, c in bucket.items() if c}
+            if 0 in bucket.values():
+                bucket = {w: c for w, c in bucket.items() if c}
             if bucket:
                 out[d] = bucket
-        return cls(sig, trunc, out)
+                if g != 1:
+                    g = gcd(g, *bucket.values())
+        if g != 1:
+            out = {d: {w: c // g for w, c in b.items()} for d, b in out.items()}
+        return cls(sig, trunc, out, den // g)
 
     # -- inspection ----------------------------------------------------
 
@@ -265,10 +287,10 @@ class TensorSeries:
     def coefficient(self, word):
         word = tuple(word)
         d = self.sig.degree(word)
-        return self._buckets.get(d, {}).get(word, Fraction(0))
+        return Fraction(self._buckets.get(d, {}).get(word, 0), self._den)
 
     def constant_term(self):
-        return self._buckets.get(0, {}).get((), Fraction(0))
+        return Fraction(self._buckets.get(0, {}).get((), 0), self._den)
 
     def valuation(self):
         """Smallest weighted degree carrying a term, or None for the zero series."""
@@ -282,23 +304,24 @@ class TensorSeries:
         return max(self._buckets)
 
     def homogeneous_component(self, d):
-        bucket = self._buckets.get(d)
-        if not bucket:
-            return TensorSeries.zero(self.sig, self.trunc)
-        return TensorSeries(self.sig, self.trunc, {d: dict(bucket)})
+        bucket = self._buckets.get(d, {})
+        return TensorSeries._settled(self.sig, self.trunc, {d: bucket}, self._den)
 
     def items(self):
         """Unordered (word, coeff) pairs; use terms() when order matters."""
+        den = self._den
         for bucket in self._buckets.values():
-            yield from bucket.items()
+            for word, c in bucket.items():
+                yield word, Fraction(c, den)
 
     def terms(self):
         """(word, coeff) pairs in degree-lexicographic order."""
         pos = self.sig._pos
+        den = self._den
         for d in sorted(self._buckets):
             bucket = self._buckets[d]
             for word in sorted(bucket, key=lambda w: tuple(pos[l] for l in w)):
-                yield word, bucket[word]
+                yield word, Fraction(bucket[word], den)
 
     def term_count(self):
         return sum(len(b) for b in self._buckets.values())
@@ -310,8 +333,8 @@ class TensorSeries:
         if new_trunc > self.trunc:
             raise ValueError("cannot raise truncation from %d to %d"
                              % (self.trunc, new_trunc))
-        buckets = {d: dict(b) for d, b in self._buckets.items() if d <= new_trunc}
-        return TensorSeries(self.sig, new_trunc, buckets)
+        buckets = {d: b for d, b in self._buckets.items() if d <= new_trunc}
+        return TensorSeries._settled(self.sig, new_trunc, buckets, self._den)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -319,19 +342,24 @@ class TensorSeries:
         if isinstance(other, (int, Fraction)):
             other = TensorSeries.from_terms(self.sig, self.trunc, [((), other)])
         _check_compat(self, other)
-        buckets = {d: dict(b) for d, b in self._buckets.items()}
+        den = lcm(self._den, other._den)
+        mine_scale, other_scale = den // self._den, den // other._den
+        buckets = {d: {w: c * mine_scale for w, c in b.items()}
+                   if mine_scale != 1 else dict(b)
+                   for d, b in self._buckets.items()}
         for d, bucket in other._buckets.items():
             mine = buckets.setdefault(d, {})
             for word, coeff in bucket.items():
+                coeff *= other_scale
                 old = mine.get(word)
                 mine[word] = coeff if old is None else old + coeff
-        return TensorSeries._settled(self.sig, self.trunc, buckets)
+        return TensorSeries._settled(self.sig, self.trunc, buckets, den)
 
     __radd__ = __add__
 
     def __neg__(self):
         buckets = {d: {w: -c for w, c in b.items()} for d, b in self._buckets.items()}
-        return TensorSeries(self.sig, self.trunc, buckets)
+        return TensorSeries(self.sig, self.trunc, buckets, self._den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -341,11 +369,11 @@ class TensorSeries:
 
     def scaled(self, scalar):
         scalar = as_coeff(scalar)
-        if scalar == 0:
-            return TensorSeries.zero(self.sig, self.trunc)
-        buckets = {d: {w: c * scalar for w, c in b.items()}
+        p = scalar.numerator
+        buckets = {d: {w: c * p for w, c in b.items()}
                    for d, b in self._buckets.items()}
-        return TensorSeries(self.sig, self.trunc, buckets)
+        return TensorSeries._settled(self.sig, self.trunc, buckets,
+                                     self._den * scalar.denominator)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -364,7 +392,8 @@ class TensorSeries:
                         w = w1 + w2
                         old = tgt.get(w)
                         tgt[w] = c1 * c2 if old is None else old + c1 * c2
-        return TensorSeries._settled(self.sig, self.trunc, out)
+        return TensorSeries._settled(self.sig, self.trunc, out,
+                                     self._den * other._den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -375,7 +404,7 @@ class TensorSeries:
         if not isinstance(other, TensorSeries):
             return NotImplemented
         return (self.sig == other.sig and self.trunc == other.trunc
-                and self._buckets == other._buckets)
+                and self._den == other._den and self._buckets == other._buckets)
 
     def __repr__(self):
         return "<TensorSeries %s N=%d: %s>" % (self.sig, self.trunc, self.pretty(6))
@@ -515,8 +544,9 @@ class TensorSquare(TermSum):
         """a tensor b, truncated by total degree."""
         _check_compat(a, b)
         out = cls(a.sig, a.trunc)
+        right = list(b.items())
         for w1, c1 in a.items():
-            for w2, c2 in b.items():
+            for w2, c2 in right:
                 out.add_term((w1, w2), c1 * c2)
         return out
 
@@ -585,25 +615,29 @@ class Derivation:
         _check_compat(self, s)
         sig = self.sig
         trunc = self.trunc
+        images = self.images
+        den = lcm(*[img._den for img in images.values()])
+        scale = {name: den // img._den for name, img in images.items()}
         out = {}
-        for word, coeff in s.items():
-            wdeg = sig.degree(word)
-            for i, letter in enumerate(word):
-                img = self.images.get(letter)
-                if img is None:
-                    continue
-                base = wdeg - sig.weight(letter)
-                head, tail = word[:i], word[i + 1:]
-                for d_img, bucket in img._buckets.items():
-                    d = base + d_img
-                    if d > trunc:
+        for wdeg, words in s._buckets.items():
+            for word, coeff in words.items():
+                for i, letter in enumerate(word):
+                    img = images.get(letter)
+                    if img is None:
                         continue
-                    tgt = out.setdefault(d, {})
-                    for mid, c in bucket.items():
-                        w = head + mid + tail
-                        old = tgt.get(w)
-                        tgt[w] = coeff * c if old is None else old + coeff * c
-        return TensorSeries._settled(sig, trunc, out)
+                    k = coeff * scale[letter]
+                    base = wdeg - sig.weight(letter)
+                    head, tail = word[:i], word[i + 1:]
+                    for d_img, bucket in img._buckets.items():
+                        d = base + d_img
+                        if d > trunc:
+                            continue
+                        tgt = out.setdefault(d, {})
+                        for mid, c in bucket.items():
+                            w = head + mid + tail
+                            old = tgt.get(w)
+                            tgt[w] = k * c if old is None else old + k * c
+        return TensorSeries._settled(sig, trunc, out, s._den * den)
 
     __call__ = apply
 
@@ -662,14 +696,18 @@ class AlgebraMap:
 
     def apply(self, s):
         _check_compat(self, s)
+        pairs = [(coeff, self._word_image(word))
+                 for words in s._buckets.values() for word, coeff in words.items()]
+        den = lcm(*{img._den for _, img in pairs})
         out = {}
-        for word, coeff in s.items():
-            for d, bucket in self._word_image(word)._buckets.items():
+        for coeff, img in pairs:
+            k = coeff * (den // img._den)
+            for d, bucket in img._buckets.items():
                 tgt = out.setdefault(d, {})
                 for w, c in bucket.items():
                     old = tgt.get(w)
-                    tgt[w] = coeff * c if old is None else old + coeff * c
-        return TensorSeries._settled(self.sig, self.trunc, out)
+                    tgt[w] = k * c if old is None else old + k * c
+        return TensorSeries._settled(self.sig, self.trunc, out, s._den * den)
 
     __call__ = apply
 

@@ -5,9 +5,10 @@
 (b) No package module imports an underscore name from another module;
     tests may import private names from the module they test.
 (c) Only tensoralg touches the storage of a tensor series: no other
-    package module reads ``._buckets`` or builds a series through the
-    bucket constructors (``TensorSeries(...)`` or ``._settled``), so the
-    series invariant is kept in one module.
+    package module reads ``._buckets`` or the common denominator
+    ``._den``, or builds a series through the bucket constructors
+    (``TensorSeries(...)`` or ``._settled``), so the series invariant is
+    kept in one module.
 (d) Every function in a package module's ``__all__`` is referenced
     outside that module: by another package module, a test, or the
     bench harness (names, attributes, imports, or the harness's string
@@ -71,7 +72,7 @@ def private_imports(tree):
                   for alias in node.names if alias.name.startswith("_"))
 
 
-_BUCKET_NAMES = {"_buckets", "_settled"}
+_BUCKET_NAMES = {"_buckets", "_den", "_settled"}
 
 
 def bucket_access(tree):
@@ -149,9 +150,10 @@ def test_the_checks_catch_what_they_look_for():
     assert private_imports(tree) == [(2, "_b")]
     tree = ast.parse("s._buckets\nTensorSeries(g, 2, {})\n"
                      "t.TensorSeries(g, 2, {})\nS._settled(g, 2, {})\n"
-                     "TensorSeries.zero(g, 2)\n")
+                     "TensorSeries.zero(g, 2)\ns._den\n")
     assert bucket_access(tree) == [(1, "_buckets"), (2, "TensorSeries"),
-                                   (3, "TensorSeries"), (4, "_settled")]
+                                   (3, "TensorSeries"), (4, "_settled"),
+                                   (6, "_den")]
     tree = ast.parse("__all__ = ['f', 'g', 'C']\ndef f(): pass\n"
                      "def g(): pass\nclass C: pass\n")
     assert exported_functions(tree) == ["f", "g"]

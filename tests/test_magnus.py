@@ -257,6 +257,16 @@ class TestDynkin:
                     total = total + lie_bracket(gen, tail)
                 assert total == r
 
+    def test_empty_word_is_a_value_error(self):
+        with pytest.raises(ValueError, match="nonempty word"):
+            right_normed_bracket(GenSignature(1, 1), 3, ())
+
+    def test_split_of_a_constant_term_is_a_value_error(self):
+        sig = GenSignature(1, 1)
+        r = series(sig, 4, ((), 1), (("x1", "y1"), 1), (("y1", "x1"), -1))
+        with pytest.raises(ValueError, match="length >= 2"):
+            dynkin_leading_split(r)
+
 
 class TestSymplecticSolve:
     def test_default_is_symplectic_only_to_degree_two(self):
