@@ -8,6 +8,7 @@ identical inputs and seeds print byte-identical JSON.  Exit codes:
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -78,9 +79,9 @@ def _surface(args):
         raise UsageError(str(err)) from None
 
 
-def _trunc(args, fallback=4):
+def _trunc(args):
     if args.N is None:
-        return fallback
+        return 4
     if args.N < 1:
         raise UsageError("the truncation degree must be at least 1")
     return args.N
@@ -343,8 +344,9 @@ def cmd_twist_check(args):
 
 
 def cmd_verify(args):
+    trunc = None if args.N is None else _trunc(args)
     report = suites.run_suite(args.suite, genus=args.g, boundary=args.b,
-                              trunc=args.N, seed=args.seed)
+                              trunc=trunc, seed=args.seed)
     payload = {"command": "verify", "report": report}
     lines = []
     for check in report["checks"]:
@@ -360,6 +362,7 @@ def cmd_verify(args):
     return EXIT_OK if report["passed"] else EXIT_FAILED
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="goldman-forge",

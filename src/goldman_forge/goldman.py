@@ -442,12 +442,12 @@ def _transport_log(s, t):
     return total
 
 
-def kk_derivation(u, trunc, tag=0):
+def kk_derivation(u, trunc):
     """The derivation a loop sum induces on the truncated tensor algebra.
 
     Generator images are chosen so that on group-likes the derivation
     reproduces the expanded action: D(theta(g)) = theta(kk_action(u, g))
-    for every surface generator g based at the given boundary tag.
+    for every surface generator g based at boundary tag 0.
     Images may carry constant terms, so the derivation can lower degree;
     see the Derivation notes on what the truncated product rule then
     guarantees.
@@ -456,7 +456,7 @@ def kk_derivation(u, trunc, tag=0):
     theta = default_expansion(spec, trunc)
     images = {}
     for base in spec.generators():
-        gen_path = PathSum.of(spec, Path(tag, tag, FreeWord(((base, 1),))))
+        gen_path = PathSum.of(spec, Path(0, 0, FreeWord(((base, 1),))))
         acted = kk_action(u, gen_path)
         t_series = expand_path_sum(acted, theta)
         images[tensor_letter(base)] = _transport_log(theta.image(base),

@@ -210,9 +210,9 @@ class CyclicSeries(TermSum):
         }
 
 
-def necklace_project(series, twist=0):
+def necklace_project(series):
     """Trace projection: identify words up to cyclic rotation."""
-    out = CyclicSeries(series.sig, series.trunc, twist=twist)
+    out = CyclicSeries(series.sig, series.trunc)
     for word, coeff in series.items():
         out.add_term(NecklaceWord(word), coeff)
     return out

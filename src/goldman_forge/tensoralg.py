@@ -23,9 +23,11 @@ homogeneous_component, Derivation.apply, AlgebraMap.apply) accumulate
 ints into degree buckets over one denominator and finish through
 TensorSeries._settled, the one place that drops zero numerators and
 empty buckets and divides out the gcd; negation copies buckets
-directly.  Denominators: * multiplies them, + and from_terms take their
-lcm, the two maps bring their images to one lcm.  Outside this module
-nothing reads _buckets or _den or calls the bucket constructor
+directly.  coproduct sums numerators per split and builds the only
+TensorSquare the primitive and group-like predicates read.
+Denominators: * multiplies them, + and from_terms take their lcm, the
+two maps bring their images to one lcm.  Outside this module nothing
+reads _buckets or _den or calls the bucket constructor
 (tests/test_hygiene.py).
 """
 
@@ -499,12 +501,10 @@ def lie_bracket(u, v):
 
 
 class TensorSquare(TermSum):
-    """Sparse element of the doubled algebra, for coproduct checks.
+    """Sparse element of the doubled algebra, the value of coproduct.
 
     Terms are (left word, right word) -> coefficient with total weighted
-    degree at most the truncation.  Just enough arithmetic for the
-    primitivity and group-likeness predicates and the algebra-map
-    property of the coproduct.
+    degree at most the truncation; * concatenates componentwise.
     """
 
     __slots__ = ("sig", "trunc")
@@ -528,26 +528,11 @@ class TensorSquare(TermSum):
         return self.sig.sort_key(pair[0]), self.sig.sort_key(pair[1])
 
     def __mul__(self, other):
-        # componentwise concatenation, truncated by total degree
+        # componentwise concatenation; add_term applies the truncation
         out = TensorSquare(self.sig, self.trunc)
-        deg = self.sig.degree
         for (l1, r1), c1 in self.terms.items():
-            d1 = deg(l1) + deg(r1)
             for (l2, r2), c2 in other.terms.items():
-                if d1 + deg(l2) + deg(r2) > self.trunc:
-                    continue
                 out.add_term((l1 + l2, r1 + r2), c1 * c2)
-        return out
-
-    @classmethod
-    def pair(cls, a, b):
-        """a tensor b, truncated by total degree."""
-        _check_compat(a, b)
-        out = cls(a.sig, a.trunc)
-        right = list(b.items())
-        for w1, c1 in a.items():
-            for w2, c2 in right:
-                out.add_term((w1, w2), c1 * c2)
         return out
 
 
@@ -556,28 +541,38 @@ def coproduct(s):
 
     On a word the coproduct distributes each letter to the left or the
     right factor, keeping relative order: Delta(w) = sum over subsets S
-    of positions of w_S tensor w_{S complement}.
+    of positions of w_S tensor w_{S complement}.  A split keeps its
+    word's degree, so none is dropped; int numerators are summed per
+    split and only the nonzero sums become Fractions.
     """
-    out = TensorSquare(s.sig, s.trunc)
-    for word, coeff in s.items():
-        k = len(word)
-        for mask in range(1 << k):
-            left = tuple(word[i] for i in range(k) if (mask >> i) & 1)
-            right = tuple(word[i] for i in range(k) if not (mask >> i) & 1)
-            out.add_term((left, right), coeff)
-    return out
+    sums = {}
+    for bucket in s._buckets.values():
+        for word, num in bucket.items():
+            splits = [((), ())]
+            for a in word:
+                splits = ([(left + (a,), right) for left, right in splits]
+                          + [(left, right + (a,)) for left, right in splits])
+            for split in splits:
+                sums[split] = sums.get(split, 0) + num
+    terms = {k: Fraction(n, s._den) for k, n in sums.items() if n}
+    return TensorSquare(s.sig, s.trunc)._with_terms(terms)
 
 
 def is_primitive(s):
-    one = TensorSeries.unit(s.sig, s.trunc)
-    return (coproduct(s) - TensorSquare.pair(s, one)
-            - TensorSquare.pair(one, s)).is_zero()
+    """Delta(s) == s (x) 1 + 1 (x) s, i.e. constant term 0 and no split
+    of coproduct(s) with both halves nonempty: for a word w != () the
+    keys (w, ()) and ((), w) are s (x) 1 and 1 (x) s, and ((), ())
+    occurs once in Delta(s) but twice on the right."""
+    return not s.constant_term() and all(
+        not left or not right for left, right in coproduct(s).terms)
 
 
 def is_group_like(s):
-    if s.constant_term() != 1:
-        return False
-    return (coproduct(s) - TensorSquare.pair(s, s)).is_zero()
+    """Delta(s) == s (x) s, i.e. constant term 1 and log(s) primitive:
+    Delta is an algebra map that keeps weighted degree, so it commutes
+    with truncation, exp and log, and log(s (x) s) == log(s) (x) 1 +
+    1 (x) log(s) because s (x) 1 and 1 (x) s commute."""
+    return s.constant_term() == 1 and is_primitive(log(s))
 
 
 class Derivation:

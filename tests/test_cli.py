@@ -5,11 +5,14 @@ output must be byte-stable for fixed inputs and seed, and every JSON
 document carries the schema marker.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
 
-from goldman_forge import cli
+import pytest
+
+from goldman_forge import cli, suites
 
 
 def run_cli(argv, capsys):
@@ -224,6 +227,30 @@ class TestVerify:
         payload = json.loads(first)
         assert payload["schema"] == "v1"
         assert payload["report"]["passed"] is True
+
+
+@pytest.mark.parametrize("trunc", ["0", "-1"])
+@pytest.mark.parametrize("suite", sorted(suites.SUITES))
+def test_verify_rejects_truncation_below_one(suite, trunc, capsys):
+    code, out, err = run_cli(["verify", suite, "--N", trunc], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reused_after_a_usage_error(self, capsys):
+        code, _, err = run_cli(["no-such-command"], capsys)
+        assert code == 2 and err
+        code, out, _ = run_cli(["bracket", "--json", "a1", "b1"], capsys)
+        assert code == 0
+        # the golden digest of bracket --g 1 --b 1 a1 b1 --json
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "33a638630dd8bfab490db02db6ccc16308b5997a67cea12a3e4b00a395af6c6d")
 
 
 def test_console_entry_point():

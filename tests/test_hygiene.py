@@ -14,6 +14,11 @@
     bench harness (names, attributes, imports, or the harness's string
     entry-point tables).  Classes are exempt; some are only return
     types.
+(e) Every defaulted parameter of a module-level package function is
+    passed, by position or by keyword, at some call site in the
+    package, the tests or the bench harness.  A function that escapes
+    as a value (a table entry such as ``suites.SUITES``, an argument)
+    is exempt, since its callers cannot be seen.
 """
 
 import ast
@@ -111,6 +116,75 @@ def referenced_names(tree):
     return names
 
 
+def defaulted_parameters(tree):
+    """(function, parameter, position) for every defaulted parameter of
+    a module-level function; position is None for keyword-only ones."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            found += [(node.name, arg.arg, i)
+                      for i, arg in enumerate(positional) if i >= first]
+            found += [(node.name, arg.arg, None)
+                      for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+    return found
+
+
+def calls_and_escapes(tree):
+    """Calls by function name, each as (positional count, keywords) with
+    None for an unpacked *args or **kwargs, and the names used as
+    values anywhere but in a call's function position."""
+    calls, called, escaped = {}, set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute)
+                    else None)
+            called.add(id(func))
+            star = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append(
+                (None if star else len(node.args),
+                 None if None in keywords else keywords))
+    for node in ast.walk(tree):
+        if id(node) in called:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            escaped.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            escaped.add(node.attr)
+    return calls, escaped
+
+
+def unpassed_defaults(tree, calls, escaped):
+    """Defaulted parameters of tree's functions that no call in calls
+    passes, for the functions whose names are not in escaped."""
+    def passes(site, param, position):
+        count, keywords = site
+        return (count is None or keywords is None or param in keywords
+                or (position is not None and count > position))
+    return [(name, param)
+            for name, param, position in defaulted_parameters(tree)
+            if name not in escaped
+            and not any(passes(site, param, position)
+                        for site in calls.get(name, ()))]
+
+
+@functools.lru_cache(maxsize=None)
+def _calls_and_escapes_everywhere():
+    calls, escaped = {}, set()
+    for path in SOURCES + _sources(PERFBENCH):
+        path_calls, path_escaped = calls_and_escapes(_tree(path))
+        for name, sites in path_calls.items():
+            calls.setdefault(name, []).extend(sites)
+        escaped |= path_escaped
+    return calls, escaped
+
+
 @functools.lru_cache(maxsize=None)
 def _references(path):
     return referenced_names(_tree(path))
@@ -144,6 +218,12 @@ def test_exported_functions_have_outside_callers(path):
             if name not in outside] == []
 
 
+@pytest.mark.parametrize("path", _sources(PACKAGE), ids=os.path.basename)
+def test_defaulted_parameters_are_passed(path):
+    calls, escaped = _calls_and_escapes_everywhere()
+    assert unpassed_defaults(_tree(path), calls, escaped) == []
+
+
 def test_the_checks_catch_what_they_look_for():
     tree = ast.parse("import os\nfrom .a import _b, c\n__all__ = ['c']\n")
     assert unused_imports(tree) == [(1, "os"), (2, "_b")]
@@ -159,3 +239,7 @@ def test_the_checks_catch_what_they_look_for():
     assert exported_functions(tree) == ["f", "g"]
     tree = ast.parse("from m import f\nm.g()\nh()\nT = ('m', 'k')\n")
     assert {"f", "g", "h", "k"} <= referenced_names(tree)
+    tree = ast.parse("def f(a, b=1, c=2, *, d=3): pass\ndef g(e=0): pass\n"
+                     "def h(k=0): pass\nf(1, 2)\nf(0, d=4)\nH = [h]\n")
+    assert unpassed_defaults(tree, *calls_and_escapes(tree)) == [("f", "c"),
+                                                                 ("g", "e")]
