@@ -355,32 +355,21 @@ def solve_symplectic(genus, punctures, trunc):
     lets degree-(d-1) corrections cancel it in closed form:
       a_j log += T_{y_j},   b_j log -= T_{x_j},
     and the z_k images are conjugated by exp(H_k) with H_k += T_{z_k}.
-    Every step re-verifies that all defects of degree <= d vanish; a
-    surviving defect is a fatal internal error, not a soft failure.
+    A degree-d step changes log theta(gamma_0) first in degree d, by
+    -R_d, so afterwards every defect of degree <= d vanishes.  One
+    expansion is advanced from the default one with with_logs, which
+    rebuilds only the logs a split touches.  Every step re-verifies the
+    vanishing; a surviving defect is a fatal internal error.
     """
     if genus < 0 or punctures < 0 or (genus == 0 and punctures == 0):
         raise ValueError("need genus >= 1 or punctures >= 1")
     spec = SurfaceSpec(genus, punctures + 1)
-    sig = GenSignature(genus, punctures)
     gamma0 = boundary_word(spec)
+    theta = default_expansion(spec, trunc)
+    sig = theta.sig
     target = omega(sig, trunc)
-
-    handle_logs = {}
-    for base in spec.generators():
-        if base[0] == "c":
-            continue
-        handle_logs[base] = TensorSeries.generator(sig, trunc, tensor_letter(base))
     conjugator = {k: TensorSeries.zero(sig, trunc)
                   for k in range(1, punctures + 1)}
-
-    def build():
-        logs = dict(handle_logs)
-        for k in range(1, punctures + 1):
-            z = TensorSeries.generator(sig, trunc, "z%d" % k)
-            logs["c%d" % k] = ad_exp(conjugator[k], z)
-        return MagnusExpansion(spec, trunc, logs)
-
-    theta = build()
     for d in range(3, trunc + 1):
         defect = log(theta.expand_word(gamma0)) - target
         low = defect.valuation()
@@ -394,18 +383,21 @@ def solve_symplectic(genus, punctures, trunc):
             raise AssertionError("defect at degree %d is not primitive; "
                                  "expansion images lost group-likeness" % d)
         split = dynkin_leading_split(r)
+        updates = {}
         for j in range(1, genus + 1):
             t_y = split.get("y%d" % j)
             if t_y is not None:
-                handle_logs["a%d" % j] = handle_logs["a%d" % j] + t_y
+                updates["a%d" % j] = theta.log_image("a%d" % j) + t_y
             t_x = split.get("x%d" % j)
             if t_x is not None:
-                handle_logs["b%d" % j] = handle_logs["b%d" % j] - t_x
+                updates["b%d" % j] = theta.log_image("b%d" % j) - t_x
         for k in range(1, punctures + 1):
             t_z = split.get("z%d" % k)
             if t_z is not None:
                 conjugator[k] = conjugator[k] + t_z
-        theta = build()
+                updates["c%d" % k] = ad_exp(
+                    conjugator[k], TensorSeries.generator(sig, trunc, "z%d" % k))
+        theta = theta.with_logs(updates)
 
     final_defect = log(theta.expand_word(gamma0)) - target
     if not final_defect.is_zero():
@@ -461,34 +453,28 @@ def _substitution_of(theta):
 def invert_expansion(theta):
     """Inverse of theta's substitution, as generator images.
 
-    theta induces the algebra map Psi: gen -> log theta(word); since
-    gr(Psi) = id the fixed-point iteration Phi(g) = g - Phi(Psi(g) - g)
-    converges within the truncation.  Both composites are verified on
-    every generator before returning.  For a symplectic theta this is
-    the tangential automorphism it induces: it carries the symplectic
+    theta induces the algebra map Psi: gen -> log theta(word).  The
+    inverse is the Neumann series Phi(g) = sum_k (id - Psi)^k (g): since
+    gr(Psi) = id, Psi(w) - w has weighted degree > deg w on every word
+    w, so id - Psi raises the valuation, (id - Psi)^k (g) vanishes at
+    the truncation for k >= trunc, and the sum over k <= trunc is exact.
+    Every term goes through the one substitution Psi, whose prefix memo
+    is shared by all generators.  Both composites are verified on every
+    generator before returning.  For a symplectic theta this is the
+    tangential automorphism it induces: it carries the symplectic
     element to the BCH logarithm of the surface relation.
     """
     sig, trunc = theta.sig, theta.trunc
     psi = _substitution_of(theta)
     if not all(_graded_identity(psi.image(name), name) for name in sig.gens):
         raise ValueError("expansion is not graded-identity; cannot invert")
-    remainder = {name: psi.image(name) - TensorSeries.generator(sig, trunc, name)
-                 for name in sig.gens}
-    images = {name: TensorSeries.generator(sig, trunc, name)
-              for name in sig.gens}
-    for _ in range(trunc + 1):
-        phi = AlgebraMap(sig, trunc, images)
-        new_images = {}
-        changed = False
-        for name in sig.gens:
-            series = TensorSeries.generator(sig, trunc, name) - phi.apply(remainder[name])
-            new_images[name] = series
-            changed = changed or series != images[name]
-        images = new_images
-        if not changed:
-            break
-    else:
-        raise AssertionError("inversion did not stabilize at truncation")
+    images = {}
+    for name in sig.gens:
+        total = term = TensorSeries.generator(sig, trunc, name)
+        for _ in range(trunc):
+            term = term - psi.apply(term)
+            total = total + term
+        images[name] = total
     phi = AlgebraMap(sig, trunc, images)
     for name in sig.gens:
         gen = TensorSeries.generator(sig, trunc, name)
@@ -635,26 +621,45 @@ def _rewrite_rule(genus):
     return lead, replacement
 
 
-def _normal_form(word, lead, replacement, memo):
-    found = memo.get(word)
-    if found is not None:
-        return found
-    for p in range(len(word) - 1):
-        if word[p] == lead[0] and word[p + 1] == lead[1]:
-            out = {}
-            prefix, suffix = word[:p], word[p + 2:]
-            for mid, c in replacement.items():
-                for w, c2 in _normal_form(prefix + mid + suffix, lead,
-                                          replacement, memo).items():
-                    cc = out.get(w, 0) + c * c2
-                    if cc:
-                        out[w] = cc
-                    elif w in out:
-                        del out[w]
-            memo[word] = out
-            return out
-    out = {word: 1}
-    memo[word] = out
+def _find_lead(word, lead, start):
+    """First p >= start with word[p:p + 2] == lead, or -1."""
+    first, second = lead
+    for p in range(start, len(word) - 1):
+        if word[p] == first and word[p + 1] == second:
+            return p
+    return -1
+
+
+def _normal_form(word, lead, replacement):
+    """Normal form of a word as a word -> nonzero int coefficient dict.
+
+    One worklist of (word, coefficient, scan start): an item's leftmost
+    lead factor at p is replaced by each term of the replacement, and
+    the results are rescanned from p - 1, since word[:p] has no lead and
+    only the letter before the replacement can start a new one.  Every
+    replacement word is smaller than b_g a_g in the length-lex order
+    with b_g the largest letter, a well-order on words of one length
+    that is kept under concatenation, so the worklist empties.  The
+    rule has no critical pairs (b_g a_g does not overlap itself), so
+    the rewriting is confluent and the leftmost strategy gives the one
+    normal form.
+    """
+    out = {}
+    work = [(word, 1, 0)]
+    while work:
+        word, coeff, start = work.pop()
+        p = _find_lead(word, lead, start)
+        if p < 0:
+            c = out.get(word, 0) + coeff
+            if c:
+                out[word] = c
+            else:
+                del out[word]
+            continue
+        prefix, suffix = word[:p], word[p + 2:]
+        start = max(p - 1, 0)
+        for mid, c in replacement.items():
+            work.append((prefix + mid + suffix, coeff * c, start))
     return out
 
 
@@ -667,14 +672,6 @@ def _normal_words(letters, lead, length):
         for letter in letters:
             if not (w and w[-1] == lead[0] and letter == lead[1]):
                 yield w + (letter,)
-
-
-def _has_lead(word, lead):
-    first, second = lead
-    for p in range(len(word) - 1):
-        if word[p] == first and word[p + 1] == second:
-            return True
-    return False
 
 
 def _normal_counts(letters, lead, max_len):
@@ -749,21 +746,13 @@ def resolution_check(genus, n_max):
     rows = []
     passed = True
     for n in range(n_max + 1):
-        memo = {}
-
-        def nf(word):
-            # most insertions stay normal; skip the rewriting machinery
-            if not _has_lead(word, lead):
-                return {word: 1}
-            return _normal_form(word, lead, replacement, memo)
-
         # composite d1 o d2 = (multiply by the relator) = 0 in A
         composite_ok = True
         for u in basis(n):
             out = {}
             for a, b in pair_letters:
                 for word, sign in (((a, b) + u, 1), ((b, a) + u, -1)):
-                    for w, c in nf(word).items():
+                    for w, c in _normal_form(word, lead, replacement).items():
                         out[w] = out.get(w, 0) + sign * c
             if any(out.values()):
                 composite_ok = False
@@ -772,7 +761,7 @@ def resolution_check(genus, n_max):
         images = set()
         injective_ok = True
         for u in basis(n):
-            image = nf(("b1",) + u)
+            image = _normal_form(("b1",) + u, lead, replacement)
             if len(image) != 1 or next(iter(image.values())) != 1:
                 injective_ok = False
                 break
@@ -787,7 +776,7 @@ def resolution_check(genus, n_max):
             if words is None:
                 words = _normal_words(letters, lead, n + 2)
             for w in words:
-                if _has_lead(w[1:], lead):
+                if _find_lead(w, lead, 1) >= 0:
                     surjective_ok = False
                     break
         rank_identity = dims[n] + dims[n + 2] == 2 * genus * dims[n + 1]
@@ -801,9 +790,11 @@ def resolution_check(genus, n_max):
             for u in basis(n):
                 column = [0] * middle_dim
                 for h, (a, b) in enumerate(pair_letters):
-                    for w, c in nf((b,) + u).items():
+                    for w, c in _normal_form((b,) + u, lead,
+                                              replacement).items():
                         column[2 * h * dims[n + 1] + index_n1[w]] += c
-                    for w, c in nf((a,) + u).items():
+                    for w, c in _normal_form((a,) + u, lead,
+                                              replacement).items():
                         column[(2 * h + 1) * dims[n + 1] + index_n1[w]] -= c
                 d2_cols.append(column)
             d1_cols = []
@@ -811,7 +802,8 @@ def resolution_check(genus, n_max):
                 letter = letters[h]
                 for v in basis(n + 1):
                     column = [0] * dims[n + 2]
-                    for w, c in nf((letter,) + v).items():
+                    for w, c in _normal_form((letter,) + v, lead,
+                                              replacement).items():
                         column[index_n2[w]] += c
                     d1_cols.append(column)
             rank_d2 = matrix_rank(d2_cols)  # columns as rows: row rank = rank

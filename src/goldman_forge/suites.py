@@ -58,7 +58,7 @@ from .surface import (
     boundary_word,
     cyclic_normal_form,
 )
-from .tensoralg import TensorSquare, derivation_exp, log, matrix_rank
+from .tensoralg import derivation_exp, log, matrix_rank
 
 DEFAULT_SEED = 7
 
@@ -693,19 +693,19 @@ def bipair(trunc=5, count=60, seed=DEFAULT_SEED):
                                      % (g1, g2, h))
 
     def pair_valuation(pairs):
-        # weight of the expanded output inside the tensor square, which
-        # is truncated at 2N so that no pair is dropped; the terms are
-        # summed first, so cross-term cancellation counts
-        total = TensorSquare(theta.sig, 2 * theta.trunc)
+        # weight of the expanded output in the untruncated tensor square;
+        # the terms are summed first, so cross-term cancellation counts
+        expanded, total = {}, {}
         for (p1, p2), coeff in pairs.terms.items():
-            s2 = list(theta.expand_word(p2.word).items())
-            for w1, c1 in theta.expand_word(p1.word).items():
-                for w2, c2 in s2:
-                    total.add_term((w1, w2), coeff * c1 * c2)
-        if total.is_zero():
-            return float("inf")
+            for word in (p1.word, p2.word):
+                if word not in expanded:
+                    expanded[word] = list(theta.expand_word(word).items())
+            for w1, c1 in expanded[p1.word]:
+                for w2, c2 in expanded[p2.word]:
+                    total[w1, w2] = total.get((w1, w2), 0) + coeff * c1 * c2
         degree = theta.sig.degree
-        return min(degree(w1) + degree(w2) for w1, w2 in total.terms)
+        return min((degree(w1) + degree(w2) for (w1, w2), c in total.items()
+                    if c), default=float("inf"))
 
     shift_failures = []
     for _ in range(count):

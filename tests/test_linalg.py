@@ -180,6 +180,29 @@ def test_empty_shapes():
     assert matrix_rank([[], [], []]) == 0
 
 
+def _normal_form_cases(genus, letters, lead, max_len):
+    """Every word up to max_len, the lead runs b_g^k a_g^k (k <= 4) bare
+    and inside a1 ... b1, and, for genus 3, the words resolution_check
+    rewrites: a 1-2 letter prefix on a normal word, up to length 8."""
+    for length in range(max_len + 1):
+        yield from itertools.product(letters, repeat=length)
+    for k in range(1, 5):
+        run = (lead[0],) * k + (lead[1],) * k
+        yield run
+        yield ("a1",) + run + ("b1",)
+    if genus == 3:
+        rng = random.Random(SWEEP_SEED)
+        for prefix_len in (1, 2):
+            for prefix in itertools.product(letters, repeat=prefix_len):
+                for _ in range(40):
+                    u, length = (), rng.randint(0, 8 - prefix_len)
+                    while len(u) < length:
+                        letter = rng.choice(letters)
+                        if not (u and u[-1] == lead[0] and letter == lead[1]):
+                            u += (letter,)
+                    yield prefix + u
+
+
 def test_normal_forms_match_fraction_code():
     for genus, max_len in ((1, 6), (2, 6), (3, 5)):
         letters = [name for i in range(1, genus + 1)
@@ -187,13 +210,12 @@ def test_normal_forms_match_fraction_code():
         lead, replacement = _rewrite_rule(genus)
         old_lead, old_replacement = old_rewrite_rule(genus)
         assert lead == old_lead and replacement == old_replacement
-        memo, old_memo = {}, {}
-        for length in range(max_len + 1):
-            for word in itertools.product(letters, repeat=length):
-                got = _normal_form(word, lead, replacement, memo)
-                assert got == old_normal_form(word, old_lead,
-                                              old_replacement, old_memo)
-                assert all(type(c) is int for c in got.values())
+        old_memo = {}
+        for word in _normal_form_cases(genus, letters, lead, max_len):
+            got = _normal_form(word, lead, replacement)
+            assert got == old_normal_form(word, old_lead, old_replacement,
+                                          old_memo)
+            assert all(type(c) is int for c in got.values())
 
 
 # -- row intake -----------------------------------------------------------

@@ -11,6 +11,7 @@ from goldman_forge.magnus import (
     _bracket_preimage,
     _extract_conjugator,
     _graded_identity,
+    _substitution_of,
     CyclicSeries,
     MagnusExpansion,
     NecklaceWord,
@@ -30,11 +31,13 @@ from goldman_forge.magnus import (
     resolution_check,
     right_normed_bracket,
     solve_symplectic,
+    tensor_letter,
     weight_split,
 )
 from goldman_forge.surface import (
     FreeWord,
     SurfaceSpec,
+    boundary_word,
     cyclic_normal_form,
     parse_word,
 )
@@ -309,6 +312,147 @@ class TestSymplecticSolve:
             solve_symplectic(0, 0, 3)
 
 
+# -- the replaced solvers, kept as oracles ---------------------------------
+
+def old_solve_symplectic(genus, punctures, trunc):
+    """The solver that rebuilt every log through build() at each degree."""
+    spec = SurfaceSpec(genus, punctures + 1)
+    sig = GenSignature(genus, punctures)
+    gamma0 = boundary_word(spec)
+    target = omega(sig, trunc)
+    handle_logs = {}
+    for base in spec.generators():
+        if base[0] == "c":
+            continue
+        handle_logs[base] = TensorSeries.generator(sig, trunc,
+                                                   tensor_letter(base))
+    conjugator = {k: TensorSeries.zero(sig, trunc)
+                  for k in range(1, punctures + 1)}
+
+    def build():
+        logs = dict(handle_logs)
+        for k in range(1, punctures + 1):
+            z = TensorSeries.generator(sig, trunc, "z%d" % k)
+            logs["c%d" % k] = ad_exp(conjugator[k], z)
+        return MagnusExpansion(spec, trunc, logs)
+
+    theta = build()
+    for d in range(3, trunc + 1):
+        defect = log(theta.expand_word(gamma0)) - target
+        low = defect.valuation()
+        assert low is None or low >= d
+        r = defect.homogeneous_component(d)
+        if r.is_zero():
+            continue
+        assert is_primitive(r)
+        split = dynkin_leading_split(r)
+        for j in range(1, genus + 1):
+            t_y = split.get("y%d" % j)
+            if t_y is not None:
+                handle_logs["a%d" % j] = handle_logs["a%d" % j] + t_y
+            t_x = split.get("x%d" % j)
+            if t_x is not None:
+                handle_logs["b%d" % j] = handle_logs["b%d" % j] - t_x
+        for k in range(1, punctures + 1):
+            t_z = split.get("z%d" % k)
+            if t_z is not None:
+                conjugator[k] = conjugator[k] + t_z
+        theta = build()
+    assert (log(theta.expand_word(gamma0)) - target).is_zero()
+    return theta
+
+
+def old_invert_expansion(theta):
+    """The fixed-point inversion Phi(g) = g - Phi(Psi(g) - g), with a
+    fresh AlgebraMap on every pass."""
+    sig, trunc = theta.sig, theta.trunc
+    psi = _substitution_of(theta)
+    if not all(_graded_identity(psi.image(name), name) for name in sig.gens):
+        raise ValueError("expansion is not graded-identity; cannot invert")
+    remainder = {name: psi.image(name)
+                 - TensorSeries.generator(sig, trunc, name)
+                 for name in sig.gens}
+    images = {name: TensorSeries.generator(sig, trunc, name)
+              for name in sig.gens}
+    for _ in range(trunc + 1):
+        phi = AlgebraMap(sig, trunc, images)
+        new_images = {}
+        changed = False
+        for name in sig.gens:
+            series = (TensorSeries.generator(sig, trunc, name)
+                      - phi.apply(remainder[name]))
+            new_images[name] = series
+            changed = changed or series != images[name]
+        images = new_images
+        if not changed:
+            break
+    else:
+        raise AssertionError("inversion did not stabilize at truncation")
+    return AlgebraMap(sig, trunc, images)
+
+
+# (genus, boundary) of the oracle sweep; genus 2 stops at N = 5
+ORACLE_SURFACES = ((1, 1), (2, 1), (1, 2), (0, 3), (2, 2))
+ORACLE_SEED = 1102
+
+
+def _oracle_cases():
+    for genus, boundary in ORACLE_SURFACES:
+        for trunc in range(1, 6 if genus == 2 else 7):
+            yield genus, boundary, trunc
+
+
+def _raised_primitive(rng, sig, trunc, name):
+    """A random Lie element with every term heavier than `name`."""
+    p = helpers.random_primitive(rng, sig, trunc, nterms=4, max_depth=4)
+    for d in range(1, sig.weight(name) + 1):
+        p = p - p.homogeneous_component(d)
+    return p
+
+
+def _assert_same_inverse(theta):
+    new, old = invert_expansion(theta), old_invert_expansion(theta)
+    for name in theta.sig.gens:
+        assert new.image(name) == old.image(name), (theta, name)
+
+
+class TestSolverOracles:
+    @pytest.mark.parametrize("genus,boundary,trunc", list(_oracle_cases()))
+    def test_solve_and_inverse_match_old_code(self, genus, boundary, trunc):
+        theta = solve_symplectic(genus, boundary - 1, trunc)
+        old = old_solve_symplectic(genus, boundary - 1, trunc)
+        assert theta.logs == old.logs
+        _assert_same_inverse(theta)
+
+    def test_inverse_of_non_symplectic_expansions_matches_old_code(self):
+        rng = random.Random(ORACLE_SEED)
+        moved_cases = 0
+        for genus, boundary, trunc in _oracle_cases():
+            theta = default_expansion(SurfaceSpec(genus, boundary), trunc)
+            # random primitive higher-degree drift on a random subset
+            drift = {base: theta.log_image(base) + _raised_primitive(
+                         rng, theta.sig, trunc, tensor_letter(base))
+                     for base in theta.spec.generators()
+                     if rng.random() < 0.7}
+            moved = theta.with_logs(drift)
+            moved_cases += moved.logs != theta.logs
+            _assert_same_inverse(moved)
+        assert moved_cases >= 15
+        for trunc in range(1, 7):
+            base = solve_symplectic(1, 0, trunc)
+            _assert_same_inverse(
+                compose_automorphism(_omega_fixing_automorphism(trunc), base))
+
+    def test_non_graded_identity_is_a_value_error(self):
+        spec = SurfaceSpec(1, 2)
+        theta = default_expansion(spec, 4)
+        x = theta.log_image("a1")
+        for skewed in ({"a1": x.scaled(2)}, {"a1": x + theta.log_image("b1")}):
+            for invert in (invert_expansion, old_invert_expansion):
+                with pytest.raises(ValueError, match="graded-identity"):
+                    invert(theta.with_logs(skewed))
+
+
 class TestInversion:
     def test_round_trip_on_solved_expansion(self):
         theta = solve_symplectic(1, 0, 4)
@@ -354,7 +498,6 @@ class TestInversion:
         theta1 = solve_symplectic(1, 0, 4)
         theta2 = compose_automorphism(_omega_fixing_automorphism(4), theta1)
         phi1 = invert_expansion(theta1)
-        from goldman_forge.magnus import _substitution_of
         psi2 = _substitution_of(theta2)
         moved = False
         for name in sig.gens:
