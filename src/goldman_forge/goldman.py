@@ -7,7 +7,8 @@ from endpoint alternation around the disk, and each crossing contributes
 one surgered term with an orientation sign.  Everything downstream
 (Goldman bracket, loop action on paths, the two-path pairing, induced
 derivations, Dehn-twist certificates) is a bilinear wrapper over that
-one enumeration, ``_surgeries``.
+one enumeration, ``_surgeries``; each sums the integer crossing signs
+per output term and pair of terms before it scales by coefficients.
 """
 
 from fractions import Fraction
@@ -307,66 +308,77 @@ def _crossings(ribbon, left, right, convention):
                 yield sign, pu, pv
 
 
-def _rotated(word, start):
-    return word[start:] + word[:start]
-
-
 # -- the surgeries -------------------------------------------------------
 
 def _surgeries(u, v, convention):
-    """Every crossing of every pair of terms of two sums on one surface.
+    """Every pair of terms of two sums on one surface, with its crossings.
 
     Checks the surfaces and the convention now, so that a zero sum
-    raises too, and builds the ribbon once; the returned iterator yields
-    (signed coefficient, left term, right term, left split, right split).
+    raises too, and builds the ribbon once.  The returned iterator
+    yields one record per pair of terms,
+    (coeff_a * coeff_b, a, b, [(sign, split_a, split_b), ...]).
     """
     _check_convention(convention)
     if u.spec != v.spec:
         raise ValueError("operands live on different surfaces")
     ribbon = ribbon_structure(u.spec)
-    return ((coeff_a * coeff_b * sign, a, b, pa.split, pb.split)
+    return ((coeff_a * coeff_b, a, b,
+             [(sign, pa.split, pb.split)
+              for sign, pa, pb in _crossings(ribbon, a, b, convention)])
             for a, coeff_a in u.terms.items()
-            for b, coeff_b in v.terms.items()
-            for sign, pa, pb in _crossings(ribbon, a, b, convention))
+            for b, coeff_b in v.terms.items())
+
+
+def _tally(out, records, splice):
+    """Sum the integer signs of each record's crossings per output term
+    splice(a, b, split_a, split_b), then add each nonzero count times
+    the record's coefficient to out, once per term."""
+    for coeff, a, b, crossings in records:
+        counts = {}
+        for sign, i, j in crossings:
+            key = splice(a, b, i, j)
+            counts[key] = counts.get(key, 0) + sign
+        for key, n in counts.items():
+            if n:
+                out.add_term(key, coeff * n)
+    return out
 
 
 def goldman_bracket(u, v, convention="default"):
     """Bilinear loop bracket: signed resmoothings at each crossing."""
+    def splice(a, b, i, j):
+        wa, wb = a.word, b.word
+        return cyclic_normal_form(wa[i:] + wa[:i] + wb[j:] + wb[:j])
     out = LoopSum(u.spec, twist=u.twist + v.twist + 1)
-    for coeff, a, b, i, j in _surgeries(u, v, convention):
-        spliced = _rotated(a.word, i) + _rotated(b.word, j)
-        out.add_term(cyclic_normal_form(FreeWord(spliced)), coeff)
-    return out
+    return _tally(out, _surgeries(u, v, convention), splice)
 
 
 def kk_action(u, gamma, convention="default"):
     """Loop sum acting on a path sum: insert the rebased loop at each
     crossing between the loop and the path."""
+    def insert(a, path, i, k):
+        w, wa = path.word.letters, a.word
+        return Path(gamma.from_tag, gamma.to_tag,
+                    FreeWord(w[:k] + wa[i:] + wa[:i] + w[k:]))
     out = PathSum(gamma.spec, gamma.from_tag, gamma.to_tag,
                   twist=u.twist + gamma.twist + 1)
-    for coeff, a, path, i, k in _surgeries(u, gamma, convention):
-        w = path.word.letters
-        inserted = w[:k] + _rotated(a.word, i) + w[k:]
-        out.add_term(Path(path.from_tag, path.to_tag, FreeWord(inserted)),
-                     coeff)
-    return out
+    return _tally(out, _surgeries(u, gamma, convention), insert)
 
 
 def bi_pairing(gamma1, gamma2, convention="default"):
     """Signed exchange pairing of two path sums with disjoint endpoints."""
-    crossings = _surgeries(gamma1, gamma2, convention)
+    records = _surgeries(gamma1, gamma2, convention)
     tags1 = {gamma1.from_tag, gamma1.to_tag}
     tags2 = {gamma2.from_tag, gamma2.to_tag}
     if tags1 & tags2:
         raise ValueError("path endpoint tags must be disjoint, got %s and %s"
                          % (sorted(tags1), sorted(tags2)))
-    out = PathPairSum(gamma1.spec, twist=gamma1.twist + gamma2.twist + 1)
-    for coeff, p1, p2, k1, k2 in crossings:
+    def exchange(p1, p2, k1, k2):
         w1, w2 = p1.word.letters, p2.word.letters
-        first = Path(p1.from_tag, p2.to_tag, FreeWord(w1[:k1] + w2[k2:]))
-        second = Path(p2.from_tag, p1.to_tag, FreeWord(w2[:k2] + w1[k1:]))
-        out.add_term((first, second), coeff)
-    return out
+        return (Path(p1.from_tag, p2.to_tag, FreeWord(w1[:k1] + w2[k2:])),
+                Path(p2.from_tag, p1.to_tag, FreeWord(w2[:k2] + w1[k1:])))
+    out = PathPairSum(gamma1.spec, twist=gamma1.twist + gamma2.twist + 1)
+    return _tally(out, records, exchange)
 
 
 def crossing_trace(spec, left, right, convention="default"):
@@ -389,7 +401,7 @@ def adams(n, u):
         raise ValueError("power maps are indexed by n >= 0")
     out = LoopSum(u.spec, twist=u.twist)
     for cls, coeff in u.terms.items():
-        out.add_term(cyclic_normal_form(FreeWord(cls.word * n)), coeff)
+        out.add_term(cyclic_normal_form(cls.word * n), coeff)
     return out
 
 
@@ -530,6 +542,5 @@ def twist_derivation(spec, curve, trunc):
         h_r = sum(Fraction(1, n * (r - n)) for n in range(1, r))
         for k in range(r + 1):
             coeff = Fraction((-1) ** r * comb(r, k) * (-1) ** (r - k), 2)
-            lift.add_term(cyclic_normal_form(FreeWord((alpha,) * k)),
-                          coeff * h_r)
+            lift.add_term(cyclic_normal_form((alpha,) * k), coeff * h_r)
     return kk_derivation(lift, trunc)

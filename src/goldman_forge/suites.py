@@ -370,7 +370,7 @@ def _kernel_rank_sample(max_len, trunc):
     seen = {}
     for n in range(1, max_len + 1):
         for combo in itertools.product(alphabet, repeat=n):
-            cls = cyclic_normal_form(FreeWord(combo))
+            cls = cyclic_normal_form(combo)
             if cls.word:
                 seen[cls.word] = cls
     classes = list(seen.values())

@@ -12,6 +12,7 @@ name such as "a1" and exp +1 or -1.  The token syntax is "a1" for the
 generator and "a1'" for its inverse, whitespace separated.
 """
 
+import functools
 import re
 
 __all__ = [
@@ -103,10 +104,12 @@ class SurfaceSpec:
 _LETTER_ORDER = {"a": 0, "b": 1, "c": 2, "t": 3}
 
 
+@functools.lru_cache(maxsize=1024)
 def letter_key(letter):
-    """Fixed total order on letters: kind, index, then inverse after plain."""
+    """Fixed total order on letters, as one int (indices below 2**39): kind
+    a < b < c < t, then index as an int (a2 < a10), then plain < inverse."""
     base, e = letter
-    return (_LETTER_ORDER[base[0]], int(base[1:] or 0), 0 if e > 0 else 1)
+    return _LETTER_ORDER[base[0]] << 40 | int(base[1:] or 0) << 1 | (e <= 0)
 
 
 def _reduce_letters(letters):
@@ -181,14 +184,17 @@ class LoopClass:
     """Conjugacy class of a free-group word.
 
     Stored cyclically reduced in the canonical rotation: the
-    lexicographically least rotation under the fixed letter order.
+    lexicographically least rotation under the fixed letter order.  The
+    constructor rejects any other word; cyclic_normal_form skips the check.
     """
 
     __slots__ = ("word",)
 
     def __init__(self, word):
-        # callers use cyclic_normal_form; this trusts its input
-        self.word = word
+        letters = FreeWord(word).letters
+        if cyclic_normal_form(letters).word != letters:
+            raise ValueError("not a cyclic normal form: %r" % (letters,))
+        self.word = letters
 
     def is_trivial(self):
         return not self.word
@@ -229,15 +235,18 @@ def least_rotation(seq):
 
 
 def cyclic_normal_form(word):
-    """Cyclic reduction plus the least rotation under letter_key (kind a < b
-    < c, index as an int, plain before inverse); conjugation invariant."""
-    letters = _reduce_letters(word.letters)
+    """Cyclic reduction plus the least rotation under letter_key; conjugation
+    invariant.  word is any sequence of letters (a FreeWord or a tuple) and
+    is trusted: letters are checked where they enter (FreeWord, parse_word)."""
+    letters = _reduce_letters(word)
     i, j = 0, len(letters) - 1
     while i < j and letters[i] == (letters[j][0], -letters[j][1]):
         i, j = i + 1, j - 1
     letters = letters[i:j + 1]
-    start = least_rotation([letter_key(l) for l in letters])
-    return LoopClass(letters[start:] + letters[:start])
+    start = least_rotation(list(map(letter_key, letters)))
+    cls = object.__new__(LoopClass)
+    cls.word = letters[start:] + letters[:start]
+    return cls
 
 
 class Path:
@@ -359,6 +368,7 @@ class RibbonStructure:
         return "RibbonStructure(%r, %d darts)" % (self.spec, len(self.order))
 
 
+@functools.lru_cache(maxsize=64)
 def ribbon_structure(spec):
     """The canonical ribbon graph for a surface spec.
 
@@ -366,6 +376,7 @@ def ribbon_structure(spec):
     dart cycle and face k is the monogon reading c_k inverse; the vertex
     order is derived from them.  The derived order must be a single
     cycle (one vertex) or the model is inconsistent for this spec.
+    Cached per spec: every caller shares one result, never mutated.
     """
     gamma0 = boundary_word(spec)
     cycles = [tuple(gamma0.letters)]

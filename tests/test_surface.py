@@ -4,6 +4,7 @@ import pytest
 
 from goldman_forge.surface import (
     FreeWord,
+    LoopClass,
     ParseError,
     Path,
     SurfaceSpec,
@@ -92,6 +93,26 @@ class TestCyclicNormalForm:
             conjugated = u * w * u.inverse()
             assert cyclic_normal_form(conjugated) == cyclic_normal_form(w)
 
+    def test_tuples_and_words_give_one_class(self):
+        w = W("a1' b1 a1 b1 b1'")
+        assert cyclic_normal_form(w.letters) == cyclic_normal_form(w)
+
+
+class TestLoopClass:
+    def test_rejects_words_not_in_normal_form(self):
+        for letters in ((("a1", 1), ("a1", -1)),   # not reduced
+                        (("b1", 1), ("a1", 1)),    # not the least rotation
+                        (("a1", 1), ("b1", 1), ("a1", -1)),
+                        (("a1", 2),)):
+            with pytest.raises(ValueError):
+                LoopClass(letters)
+
+    def test_accepts_normal_forms(self):
+        assert LoopClass(()).is_trivial()
+        cls = cyclic_normal_form(W("b1 a2' b1 a10"))
+        assert LoopClass(cls.word) == cls
+        assert LoopClass(list(cls.word)).word == cls.word
+
 
 class TestBoundaryWord:
     def test_one_holed_torus(self):
@@ -153,6 +174,13 @@ class TestRibbonStructure:
                 want += [cyclic_normal_form(W("c%d'" % k))
                          for k in range(1, spec.punctures + 1)]
                 assert got == sorted(str(c) for c in want)
+
+    def test_one_ribbon_per_surface(self):
+        spec = SurfaceSpec(2, 3)
+        ribbon = ribbon_structure(spec)
+        assert ribbon_structure(SurfaceSpec(2, 3)) is ribbon
+        assert ribbon_structure(spec).faces() == ribbon.faces()
+        assert ribbon_structure.__wrapped__(spec).faces() == ribbon.faces()
 
     def test_tail_slots(self):
         r = ribbon_structure(SurfaceSpec(1, 2))
