@@ -122,8 +122,8 @@ def cmd_bracket(args):
     spec = _surface(args)
     left = cyclic_normal_form(_word(args.words[0]))
     right = cyclic_normal_form(_word(args.words[1]))
-    u = LoopSum.of(spec, left.free_word())
-    v = LoopSum.of(spec, right.free_word())
+    u = LoopSum(spec, [(left, 1)])
+    v = LoopSum(spec, [(right, 1)])
     trunc = _trunc(args)
     theta = default_expansion(spec, trunc)
     bracket = goldman_bracket(u, v)
@@ -155,7 +155,8 @@ def cmd_bracket(args):
 
 def cmd_kk(args):
     spec = _surface(args)
-    u = LoopSum.of(spec, _word(args.loop))
+    loop = cyclic_normal_form(_word(args.loop))
+    u = LoopSum(spec, [(loop, 1)])
     gamma = _path(args.path)
     try:
         out = kk_action(u, PathSum.of(spec, gamma))
@@ -168,8 +169,7 @@ def cmd_kk(args):
     }
     lines = _sum_lines("action", payload["action"])
     if args.trace:
-        records = crossing_trace(spec, cyclic_normal_form(_word(args.loop)),
-                                 gamma)
+        records = crossing_trace(spec, loop, gamma)
         payload["trace"] = records
         lines.extend("crossing %d: sign %+d" % (i, r["sign"])
                      for i, r in enumerate(records))

@@ -10,7 +10,7 @@ All arithmetic is exact.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .surface import SurfaceSpec, boundary_word, least_rotation
 from .tensoralg import (
@@ -329,21 +329,30 @@ def dynkin_leading_split(series):
     R = (1/l) sum_w c_w [w_1,[w_2,[...]]]; grouping by the leading
     letter gives the tails.  The 1/l factor is per word length, which
     need not match the weighted degree when weight-2 letters appear.
-    Only valid on primitive input (the caller asserts primitivity);
-    a word shorter than two letters, the empty word included, has no
-    split and is a ValueError.
+    Each distinct tail is bracketed once; terms sum as ints over
+    lcm(denominators) * lcm(lengths).  Only valid on primitive input (the
+    caller asserts primitivity); a word shorter than two letters, the
+    empty word included, has no split and is a ValueError.
     """
-    sig, trunc = series.sig, series.trunc
-    parts = {}
-    for word, coeff in series.items():
+    terms = list(series.items())
+    den = lcm(*(coeff.denominator for _, coeff in terms))
+    scale = lcm(*(len(word) for word, _ in terms))
+    expanded, parts = {}, {}
+    for word, coeff in terms:
         if len(word) < 2:
             raise ValueError("the Dynkin split needs words of length >= 2, "
                              "got %r" % (word,))
         head, tail = word[0], word[1:]
+        if tail not in expanded:
+            expanded[tail] = _right_normed_bracket_words(tail)
+        num = (coeff.numerator * (den // coeff.denominator)
+               * (scale // len(word)))
         bucket = parts.setdefault(head, {})
-        for w, c in _right_normed_bracket_words(tail).items():
-            bucket[w] = bucket.get(w, 0) + Fraction(coeff * c, len(word))
-    return {letter: TensorSeries.from_terms(sig, trunc, bucket.items())
+        for w, c in expanded[tail].items():
+            bucket[w] = bucket.get(w, 0) + num * c
+    unit = Fraction(1, den * scale)
+    return {letter: TensorSeries.from_terms(series.sig, series.trunc,
+                                            bucket.items()).scaled(unit)
             for letter, bucket in parts.items()}
 
 
@@ -612,43 +621,41 @@ def weight_split(series):
 # -- quadratic surface algebra resolution -------------------------------
 
 def _rewrite_rule(genus):
-    """b_g a_g -> a_g b_g + sum_{i<g} (a_i b_i - b_i a_i)."""
-    lead = ("b%d" % genus, "a%d" % genus)
-    replacement = {("a%d" % genus, "b%d" % genus): 1}
-    for i in range(1, genus):
-        replacement[("a%d" % i, "b%d" % i)] = 1
-        replacement[("b%d" % i, "a%d" % i)] = -1
-    return lead, replacement
-
-
-def _find_lead(word, lead, start):
-    """First p >= start with word[p:p + 2] == lead, or -1."""
-    first, second = lead
-    for p in range(start, len(word) - 1):
-        if word[p] == first and word[p + 1] == second:
-            return p
-    return -1
+    """(letters, lead, replacement) for b_g a_g -> a_g b_g + sum_{i<g}
+    (a_i b_i - b_i a_i) on str words, one character per generator: a_i is
+    chr(63 + 2i) and b_i chr(64 + 2i), so letters = a_1 b_1 a_2 ... =
+    "ABC..." (genus <= 557,023)."""
+    letters = "".join(chr(65 + h) for h in range(2 * genus))
+    replacement = {letters[-2:]: 1}
+    for h in range(0, 2 * genus - 2, 2):
+        replacement[letters[h:h + 2]] = 1
+        replacement[letters[h + 1] + letters[h]] = -1
+    return letters, letters[-1] + letters[-2], replacement
 
 
 def _normal_form(word, lead, replacement):
-    """Normal form of a word as a word -> nonzero int coefficient dict.
+    """Normal form of a str word as a word -> nonzero int coefficient dict.
 
-    One worklist of (word, coefficient, scan start): an item's leftmost
-    lead factor at p is replaced by each term of the replacement, and
-    the results are rescanned from p - 1, since word[:p] has no lead and
-    only the letter before the replacement can start a new one.  Every
-    replacement word is smaller than b_g a_g in the length-lex order
-    with b_g the largest letter, a well-order on words of one length
-    that is kept under concatenation, so the worklist empties.  The
-    rule has no critical pairs (b_g a_g does not overlap itself), so
-    the rewriting is confluent and the leftmost strategy gives the one
-    normal form.
+    A word without the factor lead is normal: the loop below would
+    return {word: 1} for it, so the first line returns that at once.
+    Otherwise one worklist of (word, coefficient, scan start): an item's
+    leftmost lead at p = word.find(lead, start) is replaced by each term
+    of the replacement, and the results are rescanned from p - 1, since
+    word[:p] has no lead and only the letter before the replacement can
+    start a new one.  Every replacement word is smaller than b_g a_g in
+    the length-lex order with b_g the largest letter, a well-order on
+    words of one length that is kept under concatenation, so the
+    worklist empties.  The rule has no critical pairs (b_g a_g does not
+    overlap itself), so the rewriting is confluent and the leftmost
+    strategy gives the one normal form.
     """
+    if lead not in word:
+        return {word: 1}
     out = {}
     work = [(word, 1, 0)]
     while work:
         word, coeff, start = work.pop()
-        p = _find_lead(word, lead, start)
+        p = word.find(lead, start)
         if p < 0:
             c = out.get(word, 0) + coeff
             if c:
@@ -666,12 +673,12 @@ def _normal_form(word, lead, replacement):
 def _normal_words(letters, lead, length):
     """Words avoiding the factor lead, lazily and in lexicographic order."""
     if length == 0:
-        yield ()
+        yield ""
         return
     for w in _normal_words(letters, lead, length - 1):
         for letter in letters:
-            if not (w and w[-1] == lead[0] and letter == lead[1]):
-                yield w + (letter,)
+            if not (letter == lead[1] and w.endswith(lead[0])):
+                yield w + letter
 
 
 def _normal_counts(letters, lead, max_len):
@@ -712,17 +719,15 @@ def resolution_check(genus, n_max):
     letter keeps words normal (a factor of w[1:] is a factor of w).
     The surjectivity sweep and the exact matrix-rank cross-checks rerun
     those arguments explicitly on every degree small enough to afford
-    it; _SWEEP_LIMIT and _RANK_LIMIT set the cutoffs.
+    it; _SWEEP_LIMIT and _RANK_LIMIT set the cutoffs.  Words are str, one
+    character per generator (_rewrite_rule); the report holds only dims
+    and flags, so it does not depend on that encoding.
     """
     if genus < 1:
         raise ValueError("resolution needs genus >= 1")
     if n_max < 0:
         raise ValueError("resolution needs max degree >= 0")
-    letters = []
-    for i in range(1, genus + 1):
-        letters.append("a%d" % i)
-        letters.append("b%d" % i)
-    lead, replacement = _rewrite_rule(genus)
+    letters, lead, replacement = _rewrite_rule(genus)
 
     dims = _normal_counts(letters, lead, n_max + 2)
     for m in range(2, n_max + 3):
@@ -742,7 +747,7 @@ def resolution_check(genus, n_max):
             basis_cache[m] = words
         return basis_cache[m]
 
-    pair_letters = [("a%d" % i, "b%d" % i) for i in range(1, genus + 1)]
+    pair_letters = [letters[h:h + 2] for h in range(0, 2 * genus, 2)]
     rows = []
     passed = True
     for n in range(n_max + 1):
@@ -751,7 +756,7 @@ def resolution_check(genus, n_max):
         for u in basis(n):
             out = {}
             for a, b in pair_letters:
-                for word, sign in (((a, b) + u, 1), ((b, a) + u, -1)):
+                for word, sign in ((a + b + u, 1), (b + a + u, -1)):
                     for w, c in _normal_form(word, lead, replacement).items():
                         out[w] = out.get(w, 0) + sign * c
             if any(out.values()):
@@ -761,7 +766,7 @@ def resolution_check(genus, n_max):
         images = set()
         injective_ok = True
         for u in basis(n):
-            image = _normal_form(("b1",) + u, lead, replacement)
+            image = _normal_form(letters[1] + u, lead, replacement)
             if len(image) != 1 or next(iter(image.values())) != 1:
                 injective_ok = False
                 break
@@ -772,13 +777,9 @@ def resolution_check(genus, n_max):
         surjective_swept = dims[n + 2] <= _SWEEP_LIMIT
         surjective_ok = True
         if surjective_swept:
-            words = basis_cache.get(n + 2)
-            if words is None:
-                words = _normal_words(letters, lead, n + 2)
-            for w in words:
-                if _find_lead(w, lead, 1) >= 0:
-                    surjective_ok = False
-                    break
+            words = (basis_cache.get(n + 2)
+                     or _normal_words(letters, lead, n + 2))
+            surjective_ok = all(w.find(lead, 1) < 0 for w in words)
         rank_identity = dims[n] + dims[n + 2] == 2 * genus * dims[n + 1]
 
         cross_checked = False
@@ -790,19 +791,16 @@ def resolution_check(genus, n_max):
             for u in basis(n):
                 column = [0] * middle_dim
                 for h, (a, b) in enumerate(pair_letters):
-                    for w, c in _normal_form((b,) + u, lead,
-                                              replacement).items():
+                    for w, c in _normal_form(b + u, lead, replacement).items():
                         column[2 * h * dims[n + 1] + index_n1[w]] += c
-                    for w, c in _normal_form((a,) + u, lead,
-                                              replacement).items():
+                    for w, c in _normal_form(a + u, lead, replacement).items():
                         column[(2 * h + 1) * dims[n + 1] + index_n1[w]] -= c
                 d2_cols.append(column)
             d1_cols = []
-            for h in range(2 * genus):
-                letter = letters[h]
+            for letter in letters:
                 for v in basis(n + 1):
                     column = [0] * dims[n + 2]
-                    for w, c in _normal_form((letter,) + v, lead,
+                    for w, c in _normal_form(letter + v, lead,
                                               replacement).items():
                         column[index_n2[w]] += c
                     d1_cols.append(column)

@@ -109,6 +109,8 @@ def letter_key(letter):
     """Fixed total order on letters, as one int (indices below 2**39): kind
     a < b < c < t, then index as an int (a2 < a10), then plain < inverse."""
     base, e = letter
+    if base[:1] not in _LETTER_ORDER:
+        raise ValueError("bad letter %r; want kind a, b, c or t" % (base,))
     return _LETTER_ORDER[base[0]] << 40 | int(base[1:] or 0) << 1 | (e <= 0)
 
 
@@ -209,7 +211,7 @@ class LoopClass:
         return isinstance(other, LoopClass) and self.word == other.word
 
     def __hash__(self):
-        return hash(("loop", self.word))
+        return hash(self.word)
 
     def __repr__(self):
         return "LoopClass(%s)" % (render_word(FreeWord(self.word)) or "1")

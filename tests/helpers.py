@@ -60,3 +60,20 @@ def random_primitive(rng, sig, trunc, nterms=3, max_depth=3):
             elem = lie_bracket(elem, TensorSeries.generator(sig, trunc, letter))
         total = total + elem.scaled(random_coeff(rng))
     return total
+
+
+# The one-character encoding of the resolution rewriting, written out:
+# a_i and b_i take consecutive characters in the order a1, b1, a2, b2, ...
+RESOLUTION_CHAR = {"a1": "A", "b1": "B", "a2": "C", "b2": "D",
+                   "a3": "E", "b3": "F"}
+RESOLUTION_NAME = {c: name for name, c in RESOLUTION_CHAR.items()}
+
+
+def encode_word(names):
+    """Tuple of generator names -> the str word the rewriting works on."""
+    return "".join(RESOLUTION_CHAR[name] for name in names)
+
+
+def decode_word(chars):
+    """str word of the rewriting -> tuple of generator names."""
+    return tuple(RESOLUTION_NAME[c] for c in chars)

@@ -1,9 +1,12 @@
-"""Exact linear algebra and the rewriting layer against the Fraction code.
+"""Exact linear algebra and the rewriting layer against the replaced code.
 
 The integer Gauss-Jordan behind linear_solve and matrix_rank, and the
 int-coefficient normal forms behind resolution_check, replaced versions
-that did all their arithmetic in Fraction.  Those versions are kept
-here as oracles.  The seeded sweep covers empty matrices, zero and
+that did all their arithmetic in Fraction.  Those versions are kept here
+as oracles.  The normal forms then moved from tuples of generator names
+to str words with one character per generator; the tuple version, with
+its Python lead scan, is a second oracle, compared through the explicit
+name <-> character table in helpers.  The seeded sweep covers empty matrices, zero and
 dependent rows, inconsistent right-hand sides and fractions with large
 denominators; the hypothesis property runs derandomized, so every run
 sees the same examples.
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from goldman_forge.magnus import _normal_form, _rewrite_rule
 from goldman_forge.tensoralg import as_coeff, linear_solve, matrix_rank
 
@@ -108,6 +112,34 @@ def old_normal_form(word, lead, replacement, memo):
             return out
     out = {word: Fraction(1)}
     memo[word] = out
+    return out
+
+
+def old_find_lead(word, lead, start):
+    first, second = lead
+    for p in range(start, len(word) - 1):
+        if word[p] == first and word[p + 1] == second:
+            return p
+    return -1
+
+
+def old_tuple_normal_form(word, lead, replacement):
+    out = {}
+    work = [(word, 1, 0)]
+    while work:
+        word, coeff, start = work.pop()
+        p = old_find_lead(word, lead, start)
+        if p < 0:
+            c = out.get(word, 0) + coeff
+            if c:
+                out[word] = c
+            else:
+                del out[word]
+            continue
+        prefix, suffix = word[:p], word[p + 2:]
+        start = max(p - 1, 0)
+        for mid, c in replacement.items():
+            work.append((prefix + mid + suffix, coeff * c, start))
     return out
 
 
@@ -204,17 +236,25 @@ def _normal_form_cases(genus, letters, lead, max_len):
 
 
 def test_normal_forms_match_fraction_code():
+    encode = helpers.encode_word
     for genus, max_len in ((1, 6), (2, 6), (3, 5)):
         letters = [name for i in range(1, genus + 1)
                    for name in ("a%d" % i, "b%d" % i)]
-        lead, replacement = _rewrite_rule(genus)
+        chars, lead, replacement = _rewrite_rule(genus)
         old_lead, old_replacement = old_rewrite_rule(genus)
-        assert lead == old_lead and replacement == old_replacement
+        int_replacement = {w: int(c) for w, c in old_replacement.items()}
+        assert chars == encode(letters)
+        assert lead == encode(old_lead)
+        assert replacement == {encode(w): c
+                               for w, c in int_replacement.items()}
         old_memo = {}
-        for word in _normal_form_cases(genus, letters, lead, max_len):
-            got = _normal_form(word, lead, replacement)
-            assert got == old_normal_form(word, old_lead, old_replacement,
-                                          old_memo)
+        for word in _normal_form_cases(genus, letters, old_lead, max_len):
+            got = _normal_form(encode(word), lead, replacement)
+            named = {helpers.decode_word(w): c for w, c in got.items()}
+            assert named == old_normal_form(word, old_lead, old_replacement,
+                                            old_memo)
+            assert named == old_tuple_normal_form(word, old_lead,
+                                                  int_replacement)
             assert all(type(c) is int for c in got.values())
 
 

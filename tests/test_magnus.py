@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from goldman_forge import magnus
 from goldman_forge.magnus import (
     _bracket_preimage,
     _extract_conjugator,
     _graded_identity,
+    _right_normed_bracket_words,
     _substitution_of,
     CyclicSeries,
     MagnusExpansion,
@@ -270,6 +272,27 @@ class TestDynkin:
         with pytest.raises(ValueError, match="length >= 2"):
             dynkin_leading_split(r)
 
+    def test_split_matches_the_replaced_code(self, monkeypatch):
+        # the defects solve_symplectic splits on the surfaces (1,1), (2,1)
+        # and (1,2), each also scaled and perturbed by a seeded primitive
+        defects = []
+
+        def record(r):
+            defects.append(r)
+            return dynkin_leading_split(r)
+
+        monkeypatch.setattr(magnus, "dynkin_leading_split", record)
+        for genus, boundary, trunc in ((1, 1, 6), (2, 1, 5), (1, 2, 5)):
+            magnus.solve_symplectic(genus, boundary - 1, trunc)
+        monkeypatch.undo()
+        assert len({r.sig for r in defects}) == 3
+        rng = random.Random(8080)
+        for r in defects:
+            noise = helpers.random_primitive(rng, r.sig, r.trunc)
+            noise = noise.homogeneous_component(r.valuation())
+            for s in (r, r.scaled(helpers.random_coeff(rng)), r + noise):
+                assert dynkin_leading_split(s) == old_dynkin_leading_split(s)
+
 
 class TestSymplecticSolve:
     def test_default_is_symplectic_only_to_degree_two(self):
@@ -313,6 +336,19 @@ class TestSymplecticSolve:
 
 
 # -- the replaced solvers, kept as oracles ---------------------------------
+
+def old_dynkin_leading_split(series):
+    """The split that bracketed out every tail afresh, one Fraction a term."""
+    sig, trunc = series.sig, series.trunc
+    parts = {}
+    for word, coeff in series.items():
+        head, tail = word[0], word[1:]
+        bucket = parts.setdefault(head, {})
+        for w, c in _right_normed_bracket_words(tail).items():
+            bucket[w] = bucket.get(w, 0) + Fraction(coeff * c, len(word))
+    return {letter: TensorSeries.from_terms(sig, trunc, bucket.items())
+            for letter, bucket in parts.items()}
+
 
 def old_solve_symplectic(genus, punctures, trunc):
     """The solver that rebuilt every log through build() at each degree."""
@@ -756,19 +792,23 @@ class TestResolution:
     def test_normal_words_are_lazy_and_lexicographic(self):
         # the generator must list exactly the words avoiding the leading
         # factor, in the order of a filtered itertools.product
+        # (over the generator names, through the table in helpers)
         from goldman_forge.magnus import _normal_words, _rewrite_rule
-        for genus in (1, 2):
+        for genus in (1, 2, 3):
             letters = [name for i in range(1, genus + 1)
                        for name in ("a%d" % i, "b%d" % i)]
-            lead, _ = _rewrite_rule(genus)
+            lead = ("b%d" % genus, "a%d" % genus)
+            chars, char_lead, _ = _rewrite_rule(genus)
+            assert chars == helpers.encode_word(letters)
+            assert char_lead == helpers.encode_word(lead)
             for length in range(5):
-                words = _normal_words(letters, lead, length)
+                words = _normal_words(chars, char_lead, length)
                 assert iter(words) is words
                 expected = [w for w in itertools.product(letters,
                                                          repeat=length)
                             if all(w[p:p + 2] != lead
                                    for p in range(length - 1))]
-                assert list(words) == expected
+                assert [helpers.decode_word(w) for w in words] == expected
 
 
 class TestBchRightSide:

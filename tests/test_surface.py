@@ -97,6 +97,10 @@ class TestCyclicNormalForm:
         w = W("a1' b1 a1 b1 b1'")
         assert cyclic_normal_form(w.letters) == cyclic_normal_form(w)
 
+    def test_unknown_letter_kind_is_a_value_error(self):
+        with pytest.raises(ValueError, match="want kind a, b, c or t"):
+            cyclic_normal_form((("a1", 1), ("q1", 1)))
+
 
 class TestLoopClass:
     def test_rejects_words_not_in_normal_form(self):
@@ -106,6 +110,10 @@ class TestLoopClass:
                         (("a1", 2),)):
             with pytest.raises(ValueError):
                 LoopClass(letters)
+
+    def test_unknown_letter_kind_is_a_value_error(self):
+        with pytest.raises(ValueError, match="want kind a, b, c or t"):
+            LoopClass((("q1", 1),))
 
     def test_accepts_normal_forms(self):
         assert LoopClass(()).is_trivial()
