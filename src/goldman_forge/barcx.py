@@ -15,6 +15,7 @@ volumes, so every identity tested downstream holds in exact rational
 arithmetic.
 """
 
+import functools
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -239,14 +240,7 @@ def shuffle_product(e1, e2):
     return out
 
 
-_THETA_CACHE = {}
-
-
-def _expansion(spec, trunc):
-    key = (spec, trunc)
-    if key not in _THETA_CACHE:
-        _THETA_CACHE[key] = default_expansion(spec, trunc)
-    return _THETA_CACHE[key]
+_expansion = functools.lru_cache(maxsize=64)(default_expansion)
 
 
 def _word_weight(word, sig):

@@ -34,7 +34,6 @@ from .magnus import (
     solve_symplectic,
 )
 from .surface import (
-    ParseError,
     Path,
     SurfaceSpec,
     cyclic_normal_form,
@@ -53,14 +52,24 @@ class UsageError(Exception):
     """Bad invocation or unparseable input; exits with code 2."""
 
 
-def _word(text):
+def _usage(call, *args):
+    """call(*args), with a ValueError turned into a usage error."""
     try:
-        return parse_word(text)
-    except ParseError as err:
+        return call(*args)
+    except ValueError as err:
         raise UsageError(str(err)) from None
 
 
-def _path(token):
+def _word(text, spec=None):
+    """A parsed word; with spec, its letters must be spec's generators."""
+    word = _usage(parse_word, text)
+    if spec is not None:
+        _usage(spec.validate_word, word)
+    return word
+
+
+def _path(token, spec=None):
+    """A parsed path; with spec, also its tags and letters must be spec's."""
     parts = token.split(":", 2)
     if len(parts) != 3:
         raise UsageError("path %r is not of the form from:to:word" % token)
@@ -69,14 +78,14 @@ def _path(token):
     except ValueError:
         raise UsageError("path %r needs integer endpoint tags" % token) \
             from None
-    return Path(from_tag, to_tag, _word(parts[2]))
+    if spec is not None and not {from_tag, to_tag} <= set(spec.tags):
+        raise UsageError("path %r has a tag outside the boundary tags "
+                         "0..%d" % (token, spec.boundary - 1))
+    return Path(from_tag, to_tag, _word(parts[2], spec))
 
 
 def _surface(args):
-    try:
-        return SurfaceSpec(args.g, args.b)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    return _usage(SurfaceSpec, args.g, args.b)
 
 
 def _trunc(args):
@@ -158,10 +167,7 @@ def cmd_kk(args):
     loop = cyclic_normal_form(_word(args.loop))
     u = LoopSum(spec, [(loop, 1)])
     gamma = _path(args.path)
-    try:
-        out = kk_action(u, PathSum.of(spec, gamma))
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    out = _usage(kk_action, u, PathSum.of(spec, gamma))
     payload = {
         "command": "kk",
         "surface": [spec.genus, spec.boundary],
@@ -179,12 +185,9 @@ def cmd_kk(args):
 
 def cmd_bipair(args):
     spec = _surface(args)
-    g1 = PathSum.of(spec, _path(args.paths[0]))
-    g2 = PathSum.of(spec, _path(args.paths[1]))
-    try:
-        out = bi_pairing(g1, g2)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    g1 = PathSum.of(spec, _path(args.paths[0], spec))
+    g2 = PathSum.of(spec, _path(args.paths[1], spec))
+    out = _usage(bi_pairing, g1, g2)
     payload = {
         "command": "bipair",
         "surface": [spec.genus, spec.boundary],
@@ -231,10 +234,7 @@ def _symplectic_expansion(args):
     if args.b < 1:
         raise UsageError("the surface needs at least one boundary circle")
     trunc = _trunc(args)
-    try:
-        return solve_symplectic(args.g, args.b - 1, trunc)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    return _usage(solve_symplectic, args.g, args.b - 1, trunc)
 
 
 def cmd_solve_expansion(args):
@@ -270,11 +270,8 @@ def cmd_kvi_check(args):
 def cmd_bar_pair(args):
     spec = _surface(args)
     model = open_model(spec)
-    try:
-        element = parse_bar(args.bar, model)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
-    value = chen_pairing(element, _word(args.word))
+    element = _usage(parse_bar, args.bar, model)
+    value = chen_pairing(element, _word(args.word, spec))
     payload = {
         "command": "bar-pair",
         "surface": [spec.genus, spec.boundary],

@@ -25,6 +25,7 @@ from .tensoralg import (
     lie_bracket,
     log,
     matrix_rank,
+    right_normed_words,
 )
 
 __all__ = [
@@ -96,6 +97,11 @@ class MagnusExpansion:
         for base, e in word.letters:
             result = result * self.image(base, e)
         return result
+
+    def truncated(self, trunc):
+        """The expansion with its logs truncated at trunc <= self.trunc."""
+        return MagnusExpansion(self.spec, trunc, {
+            base: s.truncated(trunc) for base, s in self.logs.items()})
 
     def with_logs(self, new_logs):
         merged = dict(self.logs)
@@ -300,28 +306,6 @@ def ad_exp(h, target):
     return exp(h) * target * exp(-h)
 
 
-def _right_normed_bracket_words(word):
-    """Right-normed bracketing of a nonempty word, as a word->coeff dict."""
-    if not word:
-        raise ValueError("a right-normed bracket needs a nonempty word")
-    if len(word) == 1:
-        return {word: 1}
-    inner = _right_normed_bracket_words(word[1:])
-    head = word[:1]
-    out = {}
-    for w, c in inner.items():
-        left = head + w
-        out[left] = out.get(left, 0) + c
-        right = w + head
-        out[right] = out.get(right, 0) - c
-    return out
-
-
-def right_normed_bracket(sig, trunc, word):
-    return TensorSeries.from_terms(sig, trunc,
-                                   _right_normed_bracket_words(tuple(word)).items())
-
-
 def dynkin_leading_split(series):
     """Write a primitive series R as sum over letters of [letter, T].
 
@@ -329,26 +313,24 @@ def dynkin_leading_split(series):
     R = (1/l) sum_w c_w [w_1,[w_2,[...]]]; grouping by the leading
     letter gives the tails.  The 1/l factor is per word length, which
     need not match the weighted degree when weight-2 letters appear.
-    Each distinct tail is bracketed once; terms sum as ints over
-    lcm(denominators) * lcm(lengths).  Only valid on primitive input (the
-    caller asserts primitivity); a word shorter than two letters, the
-    empty word included, has no split and is a ValueError.
+    One right_normed_words memo per call; ints summed over lcm(denoms) *
+    lcm(lengths).  Only valid on primitive input (the caller asserts
+    primitivity); a word shorter than two letters, the empty word
+    included, has no split and is a ValueError.
     """
     terms = list(series.items())
     den = lcm(*(coeff.denominator for _, coeff in terms))
     scale = lcm(*(len(word) for word, _ in terms))
-    expanded, parts = {}, {}
+    memo, parts = {}, {}
     for word, coeff in terms:
         if len(word) < 2:
             raise ValueError("the Dynkin split needs words of length >= 2, "
                              "got %r" % (word,))
         head, tail = word[0], word[1:]
-        if tail not in expanded:
-            expanded[tail] = _right_normed_bracket_words(tail)
         num = (coeff.numerator * (den // coeff.denominator)
                * (scale // len(word)))
         bucket = parts.setdefault(head, {})
-        for w, c in expanded[tail].items():
+        for w, c in right_normed_words(tail, memo).items():
             bucket[w] = bucket.get(w, 0) + num * c
     unit = Fraction(1, den * scale)
     return {letter: TensorSeries.from_terms(series.sig, series.trunc,
@@ -365,10 +347,12 @@ def solve_symplectic(genus, punctures, trunc):
       a_j log += T_{y_j},   b_j log -= T_{x_j},
     and the z_k images are conjugated by exp(H_k) with H_k += T_{z_k}.
     A degree-d step changes log theta(gamma_0) first in degree d, by
-    -R_d, so afterwards every defect of degree <= d vanishes.  One
-    expansion is advanced from the default one with with_logs, which
-    rebuilds only the logs a split touches.  Every step re-verifies the
-    vanishing; a surviving defect is a fatal internal error.
+    -R_d, so afterwards every defect of degree <= d vanishes.  Step d
+    reads R_d off theta.truncated(d) and lifts it back with from_terms,
+    exactly: truncation is a ring map that commutes with exp and log.
+    with_logs rebuilds only the logs a split touches.  Each step checks
+    the lower degrees and the end the full defect; a surviving defect is
+    a fatal internal error.
     """
     if genus < 0 or punctures < 0 or (genus == 0 and punctures == 0):
         raise ValueError("need genus >= 1 or punctures >= 1")
@@ -380,7 +364,8 @@ def solve_symplectic(genus, punctures, trunc):
     conjugator = {k: TensorSeries.zero(sig, trunc)
                   for k in range(1, punctures + 1)}
     for d in range(3, trunc + 1):
-        defect = log(theta.expand_word(gamma0)) - target
+        defect = (log(theta.truncated(d).expand_word(gamma0))
+                  - target.truncated(d))
         low = defect.valuation()
         if low is not None and low < d:
             raise AssertionError("solver invariant broken: degree-%d defect "
@@ -391,7 +376,8 @@ def solve_symplectic(genus, punctures, trunc):
         if not is_primitive(r):
             raise AssertionError("defect at degree %d is not primitive; "
                                  "expansion images lost group-likeness" % d)
-        split = dynkin_leading_split(r)
+        split = dynkin_leading_split(
+            TensorSeries.from_terms(sig, trunc, r.items()))
         updates = {}
         for j in range(1, genus + 1):
             t_y = split.get("y%d" % j)

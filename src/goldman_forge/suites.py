@@ -48,7 +48,6 @@ from .magnus import (
     is_symplectic,
     kvi_check,
     resolution_check,
-    right_normed_bracket,
     solve_symplectic,
 )
 from .surface import (
@@ -58,7 +57,7 @@ from .surface import (
     boundary_word,
     cyclic_normal_form,
 )
-from .tensoralg import derivation_exp, log, matrix_rank
+from .tensoralg import derivation_exp, log, matrix_rank, right_normed_bracket
 
 DEFAULT_SEED = 7
 

@@ -23,8 +23,8 @@ homogeneous_component, Derivation.apply, AlgebraMap.apply) accumulate
 ints into degree buckets over one denominator and finish through
 TensorSeries._settled, the one place that drops zero numerators and
 empty buckets and divides out the gcd; negation copies buckets
-directly.  coproduct sums numerators per split and builds the only
-TensorSquare the primitive and group-like predicates read.
+directly.  is_primitive runs the Dynkin test on int numerators, and
+no predicate reads coproduct, which sums numerators per split.
 Denominators: * multiplies them, + and from_terms take their lcm, the
 two maps bring their images to one lcm.  Outside this module nothing
 reads _buckets or _den or calls the bucket constructor
@@ -45,6 +45,8 @@ __all__ = [
     "log",
     "bch",
     "lie_bracket",
+    "right_normed_words",
+    "right_normed_bracket",
     "coproduct",
     "is_primitive",
     "is_group_like",
@@ -558,13 +560,54 @@ def coproduct(s):
     return TensorSquare(s.sig, s.trunc)._with_terms(terms)
 
 
+def right_normed_words(word, memo=None):
+    """[w1,[w2,[...,wn]]] of a nonempty word as a word -> nonzero int
+    dict; memo, scoped to one caller's computation, keeps every suffix's."""
+    memo = {} if memo is None else memo
+    found = memo.get(word)
+    if found is None:
+        if len(word) < 2:
+            if not word:
+                raise ValueError("a right-normed bracket needs a nonempty word")
+            found = {word: 1}
+        else:
+            head, found = word[:1], {}
+            for w, c in right_normed_words(word[1:], memo).items():
+                found[head + w] = found.get(head + w, 0) + c
+                found[w + head] = found.get(w + head, 0) - c
+            found = {w: c for w, c in found.items() if c}
+        memo[word] = found
+    return found
+
+
+def right_normed_bracket(sig, trunc, word):
+    return TensorSeries.from_terms(sig, trunc,
+                                   right_normed_words(tuple(word)).items())
+
+
 def is_primitive(s):
-    """Delta(s) == s (x) 1 + 1 (x) s, i.e. constant term 0 and no split
-    of coproduct(s) with both halves nonempty: for a word w != () the
-    keys (w, ()) and ((), w) are s (x) 1 and 1 (x) s, and ((), ())
-    occurs once in Delta(s) but twice on the right."""
-    return not s.constant_term() and all(
-        not left or not right for left, right in coproduct(s).terms)
+    """Delta(s) == s (x) 1 + 1 (x) s, by Dynkin-Specht-Wever (Reutenauer,
+    Free Lie Algebras, 1993, Thm 1.4): s is primitive (Lie) iff its
+    constant term is 0 and D(s_n) == n s_n on each word-length component
+    s_n, D the right-normed bracketing.  n is the word length, not the
+    weighted degree (z weighs 2).  D permutes letters, so each degree
+    bucket is checked alone, lowest first, on int numerators with one
+    tail memo per call."""
+    if s.constant_term():
+        return False
+    memo = {}
+    for d in sorted(s._buckets):
+        diff = {}
+        for word, num in s._buckets[d].items():
+            if len(word) > 1:   # D(w) == w on a letter
+                diff[word] = diff.get(word, 0) - len(word) * num
+                head = word[:1]
+                for w, c in right_normed_words(word[1:], memo).items():
+                    diff[head + w] = diff.get(head + w, 0) + num * c
+                    diff[w + head] = diff.get(w + head, 0) - num * c
+        if any(diff.values()):
+            return False
+    return True
 
 
 def is_group_like(s):

@@ -239,6 +239,22 @@ def test_verify_rejects_truncation_below_one(suite, trunc, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bar-pair", "--g", "1", "--b", "1", "[xi1]", "c1"],
+    ["bar-pair", "--g", "1", "--b", "2", "[xi1]", "a2 c1"],
+    ["bipair", "--g", "0", "--b", "4", "0:2:a1", "1:3:c1"],
+    ["bipair", "--g", "0", "--b", "4", "0:2:c1", "1:9:c1"],
+    ["bipair", "--g", "0", "--b", "4", "0:-1:c1", "1:3:c1"],
+    ["bipair", "--g", "1", "--b", "1", "0:0:a1", "0:1:b1"],
+])
+def test_letters_and_tags_outside_the_surface(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 class TestParser:
     def test_built_once_per_process(self):
         assert cli.build_parser() is cli.build_parser()

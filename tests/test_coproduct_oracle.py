@@ -1,18 +1,22 @@
 """Differential tests of the coproduct and the primitive/group-like tests.
 
-The oracle below is the code the engine used before both predicates
-were read off one coproduct: a coproduct that adds every split of every
-word through TensorSquare.add_term, TensorSquare.pair for a tensor b,
-and the two predicates as differences of tensor squares,
+is_primitive is the Dynkin-Specht-Wever test (constant term 0 and
+D(s_n) == n s_n on every word-length component) and is_group_like is
+"constant term 1 and log primitive"; neither reads the coproduct.  The
+oracle below decides both from the coproduct, as the engine once did:
+a coproduct that adds every split of every word through
+TensorSquare.add_term, TensorSquare.pair for a tensor b, and the two
+predicates as differences of tensor squares,
 
     primitive:   Delta(s) - s (x) 1 - 1 (x) s == 0,
     group-like:  constant term 1 and Delta(s) - s (x) s == 0.
 
-The engine is compared with it on 5,000 seeded cases over five
-signatures and truncations 1-6: Lie brackets with z letters, their
-exponentials and products of those, the same series plus a non-Lie
-word or a constant term 0, 1 or 2, and the zero series, with
-coefficients whose denominators exceed 10**9.
+The engine's coproduct and predicates are compared with it on 5,000
+seeded cases over five signatures and truncations 1-6: Lie brackets
+with z letters, their exponentials and products of those, the same
+series plus a non-Lie word or a constant term 0, 1 or 2, and the zero
+series, with coefficients whose denominators exceed 10**9.  Both
+outcomes of both predicates occur.
 """
 
 import random

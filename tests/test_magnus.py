@@ -12,7 +12,6 @@ from goldman_forge.magnus import (
     _bracket_preimage,
     _extract_conjugator,
     _graded_identity,
-    _right_normed_bracket_words,
     _substitution_of,
     CyclicSeries,
     MagnusExpansion,
@@ -31,7 +30,6 @@ from goldman_forge.magnus import (
     necklace_project,
     omega,
     resolution_check,
-    right_normed_bracket,
     solve_symplectic,
     tensor_letter,
     weight_split,
@@ -55,6 +53,8 @@ from goldman_forge.tensoralg import (
     lie_bracket,
     linear_solve,
     log,
+    right_normed_bracket,
+    right_normed_words,
 )
 
 
@@ -111,6 +111,20 @@ class TestExpansion:
         theta = default_expansion(spec, 3)
         assert theta.expand_word(FreeWord(())) == \
             TensorSeries.unit(theta.sig, 3)
+
+    def test_truncated_expansion_is_the_truncated_expansion(self):
+        # truncation is a ring map commuting with exp: a word expands in
+        # theta.truncated(d) to its expansion in theta cut at d
+        theta = solve_symplectic(1, 1, 6)
+        rng = random.Random(11)
+        words = [helpers.random_surface_word(rng, theta.spec, 5)
+                 for _ in range(6)]
+        for d in range(1, 7):
+            low = theta.truncated(d)
+            assert low.trunc == d
+            for w in words:
+                assert low.expand_word(w) == \
+                    theta.expand_word(w).truncated(d)
 
     def test_log_images_mismatched_truncation_rejected(self):
         spec = SurfaceSpec(1, 1)
@@ -262,6 +276,18 @@ class TestDynkin:
                     total = total + lie_bracket(gen, tail)
                 assert total == r
 
+    def test_right_normed_words_match_the_replaced_code(self):
+        # every word of length 1-6 over a three-letter alphabet with
+        # repeats, through one shared memo and through fresh ones
+        memo = {}
+        for n in range(1, 7):
+            for word in itertools.product(("x1", "y1", "z1"), repeat=n):
+                old = {w: c for w, c in
+                       old_right_normed_bracket_words(word).items() if c}
+                assert right_normed_words(word, memo) == old
+                assert right_normed_words(word) == old
+        assert right_normed_words(("x1", "x1")) == {}
+
     def test_empty_word_is_a_value_error(self):
         with pytest.raises(ValueError, match="nonempty word"):
             right_normed_bracket(GenSignature(1, 1), 3, ())
@@ -337,6 +363,20 @@ class TestSymplecticSolve:
 
 # -- the replaced solvers, kept as oracles ---------------------------------
 
+def old_right_normed_bracket_words(word):
+    """The recursive right-normed bracketing, without a memo, that kept
+    zero coefficients."""
+    if len(word) == 1:
+        return {word: 1}
+    inner = old_right_normed_bracket_words(word[1:])
+    head = word[:1]
+    out = {}
+    for w, c in inner.items():
+        out[head + w] = out.get(head + w, 0) + c
+        out[w + head] = out.get(w + head, 0) - c
+    return out
+
+
 def old_dynkin_leading_split(series):
     """The split that bracketed out every tail afresh, one Fraction a term."""
     sig, trunc = series.sig, series.trunc
@@ -344,7 +384,7 @@ def old_dynkin_leading_split(series):
     for word, coeff in series.items():
         head, tail = word[0], word[1:]
         bucket = parts.setdefault(head, {})
-        for w, c in _right_normed_bracket_words(tail).items():
+        for w, c in old_right_normed_bracket_words(tail).items():
             bucket[w] = bucket.get(w, 0) + Fraction(coeff * c, len(word))
     return {letter: TensorSeries.from_terms(sig, trunc, bucket.items())
             for letter, bucket in parts.items()}

@@ -224,6 +224,19 @@ class TestCoproduct:
         assert not is_primitive(S(SIG10, 3, (("x1", "x1"), 1)))
         assert not is_primitive(TensorSeries.unit(SIG10, 3))
 
+    def test_dynkin_exact_cases(self):
+        # z1 and [x1, y1] share weighted degree 2 but not word length
+        x, y, z = (gen(SIG11, 4, name) for name in ("x1", "y1", "z1"))
+        xy = lie_bracket(x, y)
+        assert is_primitive(xy) and is_primitive(lie_bracket(x, z))
+        assert is_primitive(z + xy)
+        assert not is_primitive(z + x * y)
+        # x1 x1 brackets to 0, so D(s) has none of its words
+        assert not is_primitive(xy + x * x)
+        assert is_primitive(TensorSeries.zero(SIG11, 4))
+        for constant, primitive in ((0, True), (1, False), (2, False)):
+            assert is_primitive(z + xy + constant) is primitive
+
     def test_group_like(self):
         x = gen(SIG11, 4, "x1")
         z = gen(SIG11, 4, "z1")
