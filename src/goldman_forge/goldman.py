@@ -7,12 +7,13 @@ from endpoint alternation around the disk, and each crossing contributes
 one surgered term with an orientation sign.  Everything downstream
 (Goldman bracket, loop action on paths, the two-path pairing, induced
 derivations, Dehn-twist certificates) is a bilinear wrapper over that
-one enumeration, ``_surgeries``; each sums the integer crossing signs
-per output term and pair of terms before it scales by coefficients.
+one enumeration, ``_surgeries``; each sums the crossing signs times int
+coefficient numerators per output term, over one denominator per call.
 """
 
 from fractions import Fraction
-from math import comb
+from functools import partial
+from math import comb, lcm
 
 from .magnus import (
     CyclicSeries,
@@ -29,6 +30,7 @@ from .surface import (
     letter_key,
     render_word,
     ribbon_structure,
+    splice_normal_form,
 )
 from .tensoralg import Derivation, TensorSeries, TermSum, log
 
@@ -284,28 +286,32 @@ def _draw(ribbon, items, convention):
     return chords
 
 
-def _cross_sign(u, v):
-    """+1/-1 when the chords cross (ccw frame rule), 0 otherwise."""
-    a, b = u.in_key, u.out_key
-    vin, vout = v.in_key, v.out_key
-    if a < b:
-        return (a < vin < b) - (a < vout < b)
-    return (b < vout < a) - (b < vin < a)
-
-
 def _check_convention(convention):
     if convention not in CONVENTIONS:
         raise ValueError("unknown perturbation convention %r" % (convention,))
 
 
 def _crossings(ribbon, left, right, convention):
-    """(sign, left passage, right passage) at every crossing of two items."""
+    """(sign, left passage, right passage) at every crossing of two items.
+
+    Sign rule, with disk positions increasing counterclockwise: a right
+    chord crosses the left chord from a to b when exactly one of its
+    ends lies on the open counterclockwise arc from a to b, with sign +1
+    when that end is where the right chord enters and -1 otherwise."""
     left_chords, right_chords = _draw(ribbon, (left, right), convention)
+    ends = [(pv.in_key, pv.out_key, pv) for pv in right_chords]
     for pu in left_chords:
-        for pv in right_chords:
-            sign = _cross_sign(pu, pv)
-            if sign:
-                yield sign, pu, pv
+        a, b = pu.in_key, pu.out_key
+        if a < b:
+            for vin, vout, pv in ends:
+                sign = (a < vin < b) - (a < vout < b)
+                if sign:
+                    yield sign, pu, pv
+        else:
+            for vin, vout, pv in ends:
+                sign = (b < vout < a) - (b < vin < a)
+                if sign:
+                    yield sign, pu, pv
 
 
 # -- the surgeries -------------------------------------------------------
@@ -314,41 +320,60 @@ def _surgeries(u, v, convention):
     """Every pair of terms of two sums on one surface, with its crossings.
 
     Checks the surfaces and the convention now, so that a zero sum
-    raises too, and builds the ribbon once.  The returned iterator
-    yields one record per pair of terms,
-    (coeff_a * coeff_b, a, b, [(sign, split_a, split_b), ...]).
+    raises too, and builds the ribbon once.  Returns (den, records):
+    den is the lcm of u's coefficient denominators times the lcm of
+    v's, and records yields one record per pair of terms,
+    (n, a, b, crossings), where n is the int with
+    coeff_a * coeff_b == n / den and crossings iterates the
+    (sign, passage of a, passage of b) of ``_crossings``.
     """
     _check_convention(convention)
     if u.spec != v.spec:
         raise ValueError("operands live on different surfaces")
     ribbon = ribbon_structure(u.spec)
-    return ((coeff_a * coeff_b, a, b,
-             [(sign, pa.split, pb.split)
-              for sign, pa, pb in _crossings(ribbon, a, b, convention)])
-            for a, coeff_a in u.terms.items()
-            for b, coeff_b in v.terms.items())
+    den_u, num_u = _over_lcm(u)
+    den_v, num_v = _over_lcm(v)
+    records = ((na * nb, a, b, _crossings(ribbon, a, b, convention))
+               for a, na in num_u for b, nb in num_v)
+    return den_u * den_v, records
 
 
-def _tally(out, records, splice):
-    """Sum the integer signs of each record's crossings per output term
-    splice(a, b, split_a, split_b), then add each nonzero count times
-    the record's coefficient to out, once per term."""
-    for coeff, a, b, crossings in records:
-        counts = {}
-        for sign, i, j in crossings:
-            key = splice(a, b, i, j)
-            counts[key] = counts.get(key, 0) + sign
-        for key, n in counts.items():
-            if n:
-                out.add_term(key, coeff * n)
+def _over_lcm(s):
+    """(L, [(term, n), ...]): L the lcm of the coefficient denominators
+    of the sum s, and n = coeff * L an int for each term."""
+    den = lcm(*(c.denominator for c in s.terms.values()))
+    return den, [(key, c.numerator * (den // c.denominator))
+                 for key, c in s.terms.items()]
+
+
+def _tally(out, surgeries, splice):
+    """Add to out the surgered terms of (den, records) from _surgeries.
+
+    splice(a, b) is called once per pair of terms and returns the map
+    (split of a, split of b) -> output term, so per-pair data such as
+    letter keys is computed once, not at each crossing.  One int dict
+    sums sign * n per output term over every pair; each nonzero total
+    becomes one Fraction(total, den), and a term whose total cancels
+    to 0 is never stored."""
+    den, records = surgeries
+    totals = {}
+    for n, a, b, crossings in records:
+        term = splice(a, b)
+        for sign, pa, pb in crossings:
+            key = term(pa.split, pb.split)
+            totals[key] = totals.get(key, 0) + sign * n
+    for key, total in totals.items():
+        if total:
+            out.add_term(key, Fraction(total, den))
     return out
 
 
 def goldman_bracket(u, v, convention="default"):
     """Bilinear loop bracket: signed resmoothings at each crossing."""
-    def splice(a, b, i, j):
-        wa, wb = a.word, b.word
-        return cyclic_normal_form(wa[i:] + wa[:i] + wb[j:] + wb[:j])
+    def splice(a, b):
+        la, lb = a.word, b.word
+        return partial(splice_normal_form, la, list(map(letter_key, la)),
+                       lb, list(map(letter_key, lb)))
     out = LoopSum(u.spec, twist=u.twist + v.twist + 1)
     return _tally(out, _surgeries(u, v, convention), splice)
 
@@ -356,29 +381,30 @@ def goldman_bracket(u, v, convention="default"):
 def kk_action(u, gamma, convention="default"):
     """Loop sum acting on a path sum: insert the rebased loop at each
     crossing between the loop and the path."""
-    def insert(a, path, i, k):
+    def splice(a, path):
         w, wa = path.word.letters, a.word
-        return Path(gamma.from_tag, gamma.to_tag,
-                    FreeWord(w[:k] + wa[i:] + wa[:i] + w[k:]))
+        return lambda i, k: Path(gamma.from_tag, gamma.to_tag,
+                                 FreeWord(w[:k] + wa[i:] + wa[:i] + w[k:]))
     out = PathSum(gamma.spec, gamma.from_tag, gamma.to_tag,
                   twist=u.twist + gamma.twist + 1)
-    return _tally(out, _surgeries(u, gamma, convention), insert)
+    return _tally(out, _surgeries(u, gamma, convention), splice)
 
 
 def bi_pairing(gamma1, gamma2, convention="default"):
     """Signed exchange pairing of two path sums with disjoint endpoints."""
-    records = _surgeries(gamma1, gamma2, convention)
+    surgeries = _surgeries(gamma1, gamma2, convention)
     tags1 = {gamma1.from_tag, gamma1.to_tag}
     tags2 = {gamma2.from_tag, gamma2.to_tag}
     if tags1 & tags2:
         raise ValueError("path endpoint tags must be disjoint, got %s and %s"
                          % (sorted(tags1), sorted(tags2)))
-    def exchange(p1, p2, k1, k2):
+    def splice(p1, p2):
         w1, w2 = p1.word.letters, p2.word.letters
-        return (Path(p1.from_tag, p2.to_tag, FreeWord(w1[:k1] + w2[k2:])),
-                Path(p2.from_tag, p1.to_tag, FreeWord(w2[:k2] + w1[k1:])))
+        return lambda k1, k2: (
+            Path(p1.from_tag, p2.to_tag, FreeWord(w1[:k1] + w2[k2:])),
+            Path(p2.from_tag, p1.to_tag, FreeWord(w2[:k2] + w1[k1:])))
     out = PathPairSum(gamma1.spec, twist=gamma1.twist + gamma2.twist + 1)
-    return _tally(out, records, exchange)
+    return _tally(out, surgeries, splice)
 
 
 def crossing_trace(spec, left, right, convention="default"):

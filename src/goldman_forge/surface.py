@@ -23,6 +23,7 @@ __all__ = [
     "RibbonStructure",
     "ParseError",
     "cyclic_normal_form",
+    "splice_normal_form",
     "least_rotation",
     "boundary_word",
     "ribbon_structure",
@@ -107,7 +108,8 @@ _LETTER_ORDER = {"a": 0, "b": 1, "c": 2, "t": 3}
 @functools.lru_cache(maxsize=1024)
 def letter_key(letter):
     """Fixed total order on letters, as one int (indices below 2**39): kind
-    a < b < c < t, then index as an int (a2 < a10), then plain < inverse."""
+    a < b < c < t, then index as an int (a2 < a10), then plain < inverse,
+    so the key of a letter's inverse is its key ^ 1."""
     base, e = letter
     if base[:1] not in _LETTER_ORDER:
         raise ValueError("bad letter %r; want kind a, b, c or t" % (base,))
@@ -124,11 +126,20 @@ def _reduce_letters(letters):
     return tuple(stack)
 
 
+def _trusted_word(letters):
+    """A FreeWord on letters that already came from a FreeWord: no check."""
+    word = object.__new__(FreeWord)
+    word.letters = letters
+    return word
+
+
 class FreeWord:
     """Word in the free group; kept as a tuple of (base, exp) letters.
 
     Construction does not reduce; call reduce() for the normal form.
     The * operator is group multiplication (concatenate and reduce).
+    The constructor checks each letter; reduce, inverse, * and ** build
+    their results from checked letters without checking them again.
     """
 
     __slots__ = ("letters",)
@@ -144,21 +155,22 @@ class FreeWord:
     def reduce(self):
         """Free reduction: cancel adjacent inverse pairs until none remain."""
         reduced = _reduce_letters(self.letters)
-        return self if reduced == self.letters else FreeWord(reduced)
+        return self if reduced == self.letters else _trusted_word(reduced)
 
     def is_reduced(self):
         return _reduce_letters(self.letters) == self.letters
 
     def inverse(self):
-        return FreeWord(tuple((base, -e) for base, e in reversed(self.letters)))
+        return _trusted_word(tuple((base, -e)
+                                   for base, e in reversed(self.letters)))
 
     def __mul__(self, other):
-        return FreeWord(self.letters + other.letters).reduce()
+        return _trusted_word(_reduce_letters(self.letters + other.letters))
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        return FreeWord(self.letters * n)
+        return _trusted_word(self.letters * n)
 
     def __len__(self):
         return len(self.letters)
@@ -236,19 +248,57 @@ def least_rotation(seq):
     return start
 
 
+def _canonical_class(letters, keys):
+    """The class of a freely reduced word, given with its letter keys:
+    strip matching ends (key k ^ 1 is the inverse of the letter keyed k),
+    then rotate to the least rotation under letter_key.  Both normal
+    forms end here, so this is the one place that fixes the rotation."""
+    p, q = 0, len(keys) - 1
+    while p < q and keys[p] == keys[q] ^ 1:
+        p, q = p + 1, q - 1
+    if p:
+        letters, keys = letters[p:q + 1], keys[p:q + 1]
+    start = least_rotation(keys)
+    cls = object.__new__(LoopClass)
+    cls.word = letters[start:] + letters[:start]
+    return cls
+
+
 def cyclic_normal_form(word):
     """Cyclic reduction plus the least rotation under letter_key; conjugation
     invariant.  word is any sequence of letters (a FreeWord or a tuple) and
     is trusted: letters are checked where they enter (FreeWord, parse_word)."""
     letters = _reduce_letters(word)
-    i, j = 0, len(letters) - 1
-    while i < j and letters[i] == (letters[j][0], -letters[j][1]):
-        i, j = i + 1, j - 1
-    letters = letters[i:j + 1]
-    start = least_rotation(list(map(letter_key, letters)))
-    cls = object.__new__(LoopClass)
-    cls.word = letters[start:] + letters[:start]
-    return cls
+    return _canonical_class(letters, list(map(letter_key, letters)))
+
+
+def splice_normal_form(la, ka, lb, kb, i, j):
+    """cyclic_normal_form(la[i:] + la[:i] + lb[j:] + lb[:j]), cancelling
+    only at the two junctions.
+
+    la and lb are the words of two LoopClass values, ka and kb lists of
+    their letter keys (lists: tuples of keys would crowd the interpreter's
+    tuple free lists and raise peak memory).  A canonical word is
+    cyclically reduced, so each of its rotations is freely reduced and
+    cyclically reduced.  The concatenation x y of two such rotations can
+    therefore cancel only where x ends and y begins, and, cyclically,
+    where y ends and x begins.  Cancelling at the first junction,
+    possibly through the whole of x or y, leaves a freely reduced word;
+    stripping its matching ends then cancels at the second junction, and
+    past it into what is left of the other rotation.  That is the cyclic
+    reduction, so the strip-and-rotate tail shared with
+    cyclic_normal_form gives the same class.
+    """
+    m = len(ka)
+    keys = ka[i:] + ka[:i] + kb[j:] + kb[:j]
+    letters = la[i:] + la[:i] + lb[j:] + lb[:j]
+    t, most = 0, min(m, len(kb))
+    while t < most and keys[m - 1 - t] == keys[m + t] ^ 1:
+        t += 1
+    if t:
+        keys = keys[:m - t] + keys[m + t:]
+        letters = letters[:m - t] + letters[m + t:]
+    return _canonical_class(letters, keys)
 
 
 class Path:

@@ -67,6 +67,9 @@ class TestReduce:
         assert w * w.inverse() == FreeWord()
         assert (w ** 2) == FreeWord(w.letters * 2)
         assert (w ** -1) == w.inverse()
+        # the trusted operations build no word the constructor would refuse
+        with pytest.raises(ValueError, match="bad letter"):
+            FreeWord([("a1", 2)])
 
 
 class TestCyclicNormalForm:

@@ -1,9 +1,9 @@
 """Surgery layer: per-pair integer crossing counts against per-crossing code.
 
-The bracket, the loop action and the two-path pairing sum the integer
-signs of each pair of terms per output term and scale by the pair's
-coefficient once.  The code they replaced added one Fraction term per
-crossing, with a tuple letter order and a FreeWord-validated cyclic
+The bracket, the loop action and the two-path pairing sum, per output
+term and over every pair of terms, the crossing signs times int
+coefficient numerators, and divide by one denominator per call.  The
+code they replaced added one Fraction term per crossing, with a tuple letter order and a FreeWord-validated cyclic
 normal form; it is kept here as the oracle, built from ``_crossings``
 and an uncached ``ribbon_structure`` directly.
 """
@@ -31,6 +31,7 @@ from goldman_forge.surface import (
     _reduce_letters,
     least_rotation,
     letter_key,
+    parse_word,
     ribbon_structure,
 )
 
@@ -170,6 +171,22 @@ def assert_same(new, old, case):
     assert new.twist == old.twist, case
 
 
+# a fixed bracket on (1,1) whose two pairs of terms, (|a1 a1|, |b1|) and
+# (|a1 b1 a1 b1'|, |b1|), put opposite amounts on |a1 a1 b1|; the other
+# classes survive.  (surface, u terms, v terms, cancelled class)
+FIXED_CASES = (
+    (SurfaceSpec(1, 1),
+     (("a1 a1", Fraction(1, 2)), ("a1 b1 a1 b1'", Fraction(-1))),
+     (("b1", Fraction(2, 3)),),
+     "a1 a1 b1"),
+)
+
+
+def fixed_loop_sum(spec, terms):
+    return LoopSum(spec, [(old_cyclic_normal_form(parse_word(text)), coeff)
+                          for text, coeff in terms])
+
+
 # -- the sweep --------------------------------------------------------------
 
 def test_surgeries_match_per_crossing_code():
@@ -237,6 +254,20 @@ def test_surgeries_match_per_crossing_code():
         shapes["fraction"] += any(c.denominator > 1 for c in terms)
         shapes["reversed"] += convention == "reversed"
     assert min(shapes.values()) >= 20, shapes
+    for spec, u_terms, v_terms, text in FIXED_CASES:
+        u, v = fixed_loop_sum(spec, u_terms), fixed_loop_sum(spec, v_terms)
+        cancelled = old_cyclic_normal_form(parse_word(text))
+        for convention in CONVENTIONS:
+            new = goldman_bracket(u, v, convention)
+            assert_same(new, old_goldman_bracket(u, v, convention),
+                        (spec, convention, u, v))
+            # absent, not kept with coefficient 0, though every pair of
+            # terms alone produces it
+            assert cancelled not in new.terms and not new.is_zero()
+            for a, coeff in u.terms.items():
+                alone = goldman_bracket(LoopSum(spec, [(a, coeff)]), v,
+                                        convention)
+                assert alone.terms[cancelled], (a, convention)
 
 
 # -- the letter order --------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Word layer: least rotation, cyclic normal form and necklace rotation.
+"""Word layer: least rotation, cyclic normal form, splices and necklaces.
 
 The differential sweeps compare the O(n) canonical rotation with the
-O(n^2) min-over-rotations code it replaced, kept here as oracles.  The
+O(n^2) min-over-rotations code it replaced, kept here as oracles, and
+the junction-only splice canonical form with the cyclic normal form of
+the spliced letters.  The
 hypothesis properties run derandomized, so every run sees the same
 examples.
 """
@@ -11,6 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import random_surface_word
 
 from goldman_forge.goldman import (
     LoopSum,
@@ -28,6 +31,7 @@ from goldman_forge.surface import (
     cyclic_normal_form,
     least_rotation,
     letter_key,
+    splice_normal_form,
 )
 
 SWEEP_SEED = 20240
@@ -151,6 +155,78 @@ class TestDifferential:
         assert cyclic_normal_form(FreeWord()).word == ()
         assert NecklaceWord(()).word == ()
         assert NecklaceWord(("y1", "x1") * 3).word == ("x1", "y1") * 3
+
+
+# -- the splice canonical form -----------------------------------------------
+
+SPLICE_SEED = 1515
+SPLICE_SURFACES = (SurfaceSpec(1, 1), SurfaceSpec(2, 1), SurfaceSpec(1, 2),
+                   SurfaceSpec(11, 1))
+
+
+def _junction(x, y):
+    """How many letters cancel where x ends and y begins."""
+    t = 0
+    while t < min(len(x), len(y)) and x[-1 - t] == (y[t][0], -y[t][1]):
+        t += 1
+    return t
+
+
+def splice_pairs(rng, spec, count):
+    """Seeded pairs of canonical words: unrelated; b beginning with the
+    inverse of a stretch of a rotation of a, or of all of it; b the
+    inverse class of a."""
+    def canonical(letters):
+        return cyclic_normal_form(letters).word
+
+    def word(max_len):
+        return random_surface_word(rng, spec, max_len).letters
+
+    pairs = []
+    while len(pairs) < count:
+        a = canonical(word(6))
+        if not a:
+            continue
+        k, shape = rng.randrange(len(a)), rng.randrange(4)
+        rotation = a[k:] + a[:k]
+        if shape == 0:
+            b = canonical(word(6))
+        elif shape == 1:
+            stretch = rotation[:rng.randint(1, len(a))]
+            b = canonical(tuple(_inverse(stretch)) + word(4))
+        elif shape == 2:
+            b = canonical(tuple(_inverse(rotation)) + word(3))
+        else:
+            b = canonical(_inverse(a))
+        if b:
+            pairs.append((a, b))
+    return pairs
+
+
+class TestSplice:
+    def test_splice_matches_cyclic_normal_form(self):
+        rng = random.Random(SPLICE_SEED)
+        shapes = {"none": 0, "first": 0, "second": 0, "both": 0, "long": 0,
+                  "whole": 0, "trivial": 0}
+        for spec in SPLICE_SURFACES:
+            for a, b in splice_pairs(rng, spec, 60):
+                ka, kb = list(map(letter_key, a)), list(map(letter_key, b))
+                for i in range(len(a)):
+                    for j in range(len(b)):
+                        x, y = a[i:] + a[:i], b[j:] + b[:j]
+                        got = splice_normal_form(a, ka, b, kb, i, j)
+                        assert got == cyclic_normal_form(x + y), (x, y)
+                        assert got.word == old_cyclic_normal_form(
+                            FreeWord(x + y)), (x, y)
+                        first, second = _junction(x, y), _junction(y, x)
+                        shapes["none"] += not first and not second
+                        shapes["first"] += first and not second
+                        shapes["second"] += second and not first
+                        shapes["both"] += first and second
+                        shapes["long"] += first >= 2
+                        shapes["whole"] += first == min(len(x), len(y))
+                        shapes["trivial"] += not got.word
+        assert min(shapes.values()) >= 20, shapes
 
 
 # -- hypothesis properties ------------------------------------------------
