@@ -13,15 +13,9 @@ coefficient numerators per output term, over one denominator per call.
 
 from fractions import Fraction
 from functools import partial
-from math import comb, lcm
+from math import comb
 
-from .magnus import (
-    CyclicSeries,
-    NecklaceWord,
-    default_expansion,
-    necklace_project,
-    tensor_letter,
-)
+from .magnus import default_expansion, necklace_project, tensor_letter
 from .surface import (
     FreeWord,
     LoopClass,
@@ -32,7 +26,7 @@ from .surface import (
     ribbon_structure,
     splice_normal_form,
 )
-from .tensoralg import Derivation, TensorSeries, TermSum, log
+from .tensoralg import Derivation, TensorSeries, TermSum
 
 __all__ = [
     "LoopSum",
@@ -44,7 +38,6 @@ __all__ = [
     "bi_pairing",
     "kk_derivation",
     "adams",
-    "log_class",
     "expand_loop_sum",
     "expand_path_sum",
     "dehn_twist",
@@ -76,9 +69,6 @@ class LoopSum(TermSum):
 
     def _sort_key(self, loop_class):
         return _word_key_letters(loop_class.word)
-
-    def augmentation(self):
-        return sum(self.terms.values(), Fraction(0))
 
     def reduced(self):
         """Subtract the augmentation multiple of the trivial class."""
@@ -127,9 +117,6 @@ class PathSum(TermSum):
 
     def _sort_key(self, path):
         return _word_key_letters(path.word.letters)
-
-    def augmentation(self):
-        return sum(self.terms.values(), Fraction(0))
 
     def reduced(self):
         """Subtract the augmentation multiple of the bare connecting path."""
@@ -331,19 +318,11 @@ def _surgeries(u, v, convention):
     if u.spec != v.spec:
         raise ValueError("operands live on different surfaces")
     ribbon = ribbon_structure(u.spec)
-    den_u, num_u = _over_lcm(u)
-    den_v, num_v = _over_lcm(v)
+    den_u, num_u = u.numerators()
+    den_v, num_v = v.numerators()
     records = ((na * nb, a, b, _crossings(ribbon, a, b, convention))
                for a, na in num_u for b, nb in num_v)
     return den_u * den_v, records
-
-
-def _over_lcm(s):
-    """(L, [(term, n), ...]): L the lcm of the coefficient denominators
-    of the sum s, and n = coeff * L an int for each term."""
-    den = lcm(*(c.denominator for c in s.terms.values()))
-    return den, [(key, c.numerator * (den // c.denominator))
-                 for key, c in s.terms.items()]
 
 
 def _tally(out, surgeries, splice):
@@ -432,28 +411,26 @@ def adams(n, u):
 
 
 def expand_loop_sum(u, theta):
-    """Necklace expansion of a loop sum (twist carried over)."""
-    out = CyclicSeries(theta.sig, theta.trunc, twist=u.twist)
-    for cls, coeff in u.terms.items():
-        series = theta.expand_word(cls.free_word())
-        for word, c in series.items():
-            out.add_term(NecklaceWord(word), coeff * c)
-    return out
+    """Necklace expansion of a loop sum (twist carried over).
+
+    The trace projection is linear, so projecting the one combination
+    sum_c coeff_c theta(c) of the expanded class words is exact: it
+    equals the sum of the projected expansions, and each distinct word
+    is rotated once however many classes produce it.
+    """
+    return necklace_project(TensorSeries.combination(
+        theta.sig, theta.trunc,
+        ((coeff, theta.expand_word(cls.free_word()))
+         for cls, coeff in u.terms.items())), twist=u.twist)
 
 
 def expand_path_sum(gamma, theta):
-    """Tensor-series expansion of a path sum through the fixed rails."""
-    total = TensorSeries.zero(theta.sig, theta.trunc)
-    for path, coeff in gamma.terms.items():
-        total = total + theta.expand_word(path.word).scaled(coeff)
-    return total
-
-
-def log_class(spec, loop_class, trunc):
-    """Necklace logarithm of a class through the default expansion."""
-    theta = default_expansion(spec, trunc)
-    value = theta.expand_word(loop_class.free_word())
-    return necklace_project(log(value))
+    """Tensor-series expansion of a path sum through the fixed rails,
+    as one combination."""
+    return TensorSeries.combination(
+        theta.sig, theta.trunc,
+        ((coeff, theta.expand_word(path.word))
+         for path, coeff in gamma.terms.items()))
 
 
 # -- induced derivations -------------------------------------------------
@@ -462,22 +439,19 @@ def _transport_log(s, t):
     """D(log s) given D(s) = t, for group-like s.
 
     Expand log s = sum (-1)^(k+1) (s-1)^k / k and apply the product rule
-    termwise; exact at the truncation because every factor here only
-    raises degree.
+    termwise, as one combination; exact at the truncation because every
+    factor here only raises degree.
     """
-    sig, trunc = s.sig, s.trunc
-    one = TensorSeries.unit(sig, trunc)
+    one = TensorSeries.unit(s.sig, s.trunc)
     sm1 = s - one
     powers = [one]
     while not powers[-1].is_zero():
         powers.append(powers[-1] * sm1)
     right = [t * p for p in powers]
-    total = TensorSeries.zero(sig, trunc)
-    for k in range(1, len(powers)):
-        coeff = Fraction((-1) ** (k + 1), k)
-        for i in range(k):
-            total = total + (powers[i] * right[k - 1 - i]).scaled(coeff)
-    return total
+    return TensorSeries.combination(
+        s.sig, s.trunc,
+        ((Fraction((-1) ** (k + 1), k), powers[i] * right[k - 1 - i])
+         for k in range(1, len(powers)) for i in range(k)))
 
 
 def kk_derivation(u, trunc):

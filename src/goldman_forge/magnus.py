@@ -10,6 +10,7 @@ All arithmetic is exact.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import factorial, lcm
 
 from .surface import SurfaceSpec, boundary_word, least_rotation
@@ -40,7 +41,6 @@ __all__ = [
     "omega",
     "bch_right_side",
     "solve_symplectic",
-    "compose_automorphism",
     "is_symplectic",
     "invert_expansion",
     "kvi_check",
@@ -216,12 +216,21 @@ class CyclicSeries(TermSum):
         }
 
 
-def necklace_project(series):
-    """Trace projection: identify words up to cyclic rotation."""
-    out = CyclicSeries(series.sig, series.trunc)
-    for word, coeff in series.items():
-        out.add_term(NecklaceWord(word), coeff)
+def _tallied(sig, trunc, twist, den, totals):
+    """CyclicSeries of in-truncation int totals over den per necklace."""
+    out = CyclicSeries(sig, trunc, twist=twist)
+    out.terms = {n: Fraction(c, den) for n, c in totals.items() if c}
     return out
+
+
+def necklace_project(series, twist=0):
+    """Trace projection: int numerators summed per cyclic rotation class."""
+    den, numerators = series.numerators()
+    totals = {}
+    for word, c in numerators:
+        key = NecklaceWord(word)
+        totals[key] = totals.get(key, 0) + c
+    return _tallied(series.sig, series.trunc, twist, den, totals)
 
 
 def expand_class(loop_class, theta):
@@ -229,40 +238,45 @@ def expand_class(loop_class, theta):
     return necklace_project(theta.expand_word(loop_class.free_word()))
 
 
-_PAIRING_SIGN = {("x", "y"): 1, ("y", "x"): -1}
-
-
-def _letter_pairing(p, q):
-    # symplectic dual pairs x_i/y_i; z letters are boundary classes, pair 0
-    if p[1:] != q[1:]:
-        return 0
-    return _PAIRING_SIGN.get((p[0], q[0]), 0)
+def _by_weight(s):
+    """(den, {weight: [(word, n), ...]}): the int view of a CyclicSeries."""
+    den, numerators = s.numerators()
+    buckets = {}
+    for necklace, n in numerators:
+        word = necklace.word
+        buckets.setdefault(s.sig.degree(word), []).append((word, n))
+    return den, buckets
 
 
 def gr_necklace_bracket(u, v):
     """Lowest-weight contraction bracket on necklace words.
 
     For necklaces p, q: sum over letter positions i, j of
-    <p_i, q_j> times the necklace obtained by cutting both necklaces
-    open at the paired letters, dropping them, and concatenating.
+    <p_i, q_j> (+-1 on dual x_j, y_j; z letters pair 0) times the
+    necklace obtained by cutting both necklaces open at the paired
+    letters, dropping them, and concatenating.  That weighs
+    w(p) + w(q) - 2, so weight buckets past the truncation are skipped;
+    cp * cq * sign is summed as ints over the inputs' denominators.
     """
     if u.sig != v.sig or u.trunc != v.trunc:
         raise ValueError("cyclic series mismatch")
-    out = CyclicSeries(u.sig, u.trunc, twist=u.twist + v.twist + 1)
-    for np, cp in u.terms.items():
-        p = np.word
-        for nq, cq in v.terms.items():
-            q = nq.word
-            for i in range(len(p)):
-                if p[i][0] == "z":
-                    continue
-                for j in range(len(q)):
-                    sign = _letter_pairing(p[i], q[j])
-                    if sign == 0:
-                        continue
-                    spliced = p[i + 1:] + p[:i] + q[j + 1:] + q[:j]
-                    out.add_term(NecklaceWord(spliced), cp * cq * sign)
-    return out
+    pairing = {}
+    for j in range(1, u.sig.genus + 1):
+        x, y = "x%d" % j, "y%d" % j
+        pairing[x, y], pairing[y, x] = 1, -1
+    (den_u, by_u), (den_v, by_v) = _by_weight(u), _by_weight(v)
+    totals = {}
+    for wp, wq in product(by_u, by_v):
+        if wp + wq - 2 > u.trunc:
+            continue
+        for (p, cp), (q, cq) in product(by_u[wp], by_v[wq]):
+            for i, j in product(range(len(p)), range(len(q))):
+                sign = pairing.get((p[i], q[j]))
+                if sign:
+                    key = NecklaceWord(p[i + 1:] + p[:i] + q[j + 1:] + q[:j])
+                    totals[key] = totals.get(key, 0) + sign * cp * cq
+    return _tallied(u.sig, u.trunc, u.twist + v.twist + 1, den_u * den_v,
+                    totals)
 
 
 def transported_bracket(u, v, theta):
@@ -274,14 +288,10 @@ def transported_bracket(u, v, theta):
 
 def omega(sig, trunc):
     """The symplectic element sum [x_j, y_j] + sum z_k."""
-    total = TensorSeries.zero(sig, trunc)
+    terms = [(("z%d" % k,), 1) for k in range(1, sig.punctures + 1)]
     for j in range(1, sig.genus + 1):
-        x = TensorSeries.generator(sig, trunc, "x%d" % j)
-        y = TensorSeries.generator(sig, trunc, "y%d" % j)
-        total = total + lie_bracket(x, y)
-    for k in range(1, sig.punctures + 1):
-        total = total + TensorSeries.generator(sig, trunc, "z%d" % k)
-    return total
+        terms += [(("x%d" % j, "y%d" % j), 1), (("y%d" % j, "x%d" % j), -1)]
+    return TensorSeries.from_terms(sig, trunc, terms)
 
 
 def bch_right_side(sig, trunc):
@@ -318,19 +328,16 @@ def dynkin_leading_split(series):
     primitivity); a word shorter than two letters, the empty word
     included, has no split and is a ValueError.
     """
-    terms = list(series.items())
-    den = lcm(*(coeff.denominator for _, coeff in terms))
+    den, terms = series.numerators()
     scale = lcm(*(len(word) for word, _ in terms))
     memo, parts = {}, {}
-    for word, coeff in terms:
+    for word, n in terms:
         if len(word) < 2:
             raise ValueError("the Dynkin split needs words of length >= 2, "
                              "got %r" % (word,))
-        head, tail = word[0], word[1:]
-        num = (coeff.numerator * (den // coeff.denominator)
-               * (scale // len(word)))
-        bucket = parts.setdefault(head, {})
-        for w, c in right_normed_words(tail, memo).items():
+        num = n * (scale // len(word))
+        bucket = parts.setdefault(word[0], {})
+        for w, c in right_normed_words(word[1:], memo).items():
             bucket[w] = bucket.get(w, 0) + num * c
     unit = Fraction(1, den * scale)
     return {letter: TensorSeries.from_terms(series.sig, series.trunc,
@@ -401,22 +408,6 @@ def solve_symplectic(genus, punctures, trunc):
     return theta
 
 
-def compose_automorphism(auto, theta):
-    """New expansion auto after theta; auto must preserve primitives.
-
-    Composing with an algebra automorphism that fixes the symplectic
-    element and is the identity on the graded quotient moves one
-    symplectic expansion to another: the solution set is a torsor.
-    """
-    logs = {}
-    for base in theta.spec.generators():
-        image = auto.apply(theta.log_image(base))
-        if not is_primitive(image):
-            raise ValueError("automorphism does not preserve primitives")
-        logs[base] = image
-    return MagnusExpansion(theta.spec, theta.trunc, logs)
-
-
 def is_symplectic(theta):
     """Exact check: boundary image, group-likeness, graded identity."""
     gamma0 = boundary_word(theta.spec)
@@ -452,7 +443,8 @@ def invert_expansion(theta):
     inverse is the Neumann series Phi(g) = sum_k (id - Psi)^k (g): since
     gr(Psi) = id, Psi(w) - w has weighted degree > deg w on every word
     w, so id - Psi raises the valuation, (id - Psi)^k (g) vanishes at
-    the truncation for k >= trunc, and the sum over k <= trunc is exact.
+    the truncation for k >= trunc, and the sum up to the first zero
+    term, one combination per generator, is exact.
     Every term goes through the one substitution Psi, whose prefix memo
     is shared by all generators.  Both composites are verified on every
     generator before returning.  For a symplectic theta this is the
@@ -463,14 +455,15 @@ def invert_expansion(theta):
     psi = _substitution_of(theta)
     if not all(_graded_identity(psi.image(name), name) for name in sig.gens):
         raise ValueError("expansion is not graded-identity; cannot invert")
-    images = {}
-    for name in sig.gens:
-        total = term = TensorSeries.generator(sig, trunc, name)
-        for _ in range(trunc):
+
+    def neumann(term):
+        while not term.is_zero():       # (id - Psi)^k (g) == 0 for k >= N
+            yield 1, term
             term = term - psi.apply(term)
-            total = total + term
-        images[name] = total
-    phi = AlgebraMap(sig, trunc, images)
+    phi = AlgebraMap(sig, trunc, {
+        name: TensorSeries.combination(
+            sig, trunc, neumann(TensorSeries.generator(sig, trunc, name)))
+        for name in sig.gens})
     for name in sig.gens:
         gen = TensorSeries.generator(sig, trunc, name)
         if phi.apply(psi.image(name)) != gen or psi.apply(phi.image(name)) != gen:

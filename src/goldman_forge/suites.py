@@ -11,6 +11,7 @@ import inspect
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 from .barcx import (
     BarElement,
@@ -693,15 +694,22 @@ def bipair(trunc=5, count=60, seed=DEFAULT_SEED):
 
     def pair_valuation(pairs):
         # weight of the expanded output in the untruncated tensor square;
-        # the terms are summed first, so cross-term cancellation counts
+        # the terms are summed first, so cross-term cancellation counts:
+        # int numerators over the lcm of the pairs' denominators
+        _, terms = pairs.numerators()
         expanded, total = {}, {}
-        for (p1, p2), coeff in pairs.terms.items():
+        for (p1, p2), _ in terms:
             for word in (p1.word, p2.word):
                 if word not in expanded:
-                    expanded[word] = list(theta.expand_word(word).items())
-            for w1, c1 in expanded[p1.word]:
-                for w2, c2 in expanded[p2.word]:
-                    total[w1, w2] = total.get((w1, w2), 0) + coeff * c1 * c2
+                    expanded[word] = theta.expand_word(word).numerators()
+        den = lcm(*(expanded[p1.word][0] * expanded[p2.word][0]
+                    for (p1, p2), _ in terms))
+        for (p1, p2), n in terms:
+            (d1, e1), (d2, e2) = expanded[p1.word], expanded[p2.word]
+            k = n * (den // (d1 * d2))
+            for w1, n1 in e1:
+                for w2, n2 in e2:
+                    total[w1, w2] = total.get((w1, w2), 0) + k * n1 * n2
         degree = theta.sig.degree
         return min((degree(w1) + degree(w2) for (w1, w2), c in total.items()
                     if c), default=float("inf"))

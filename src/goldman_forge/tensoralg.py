@@ -18,21 +18,24 @@ and at most the truncation, the truncation is at least 1, no numerator
 is zero and no bucket empty, _den > 0, and gcd(_den, all numerators)
 is 1 (so the zero series has _den 1).  The form is unique, so == is a
 plain comparison.  from_terms checks each input word; the kernels that
-sum or rescale terms (from_terms, +, *, scaled, truncated,
-homogeneous_component, Derivation.apply, AlgebraMap.apply) accumulate
-ints into degree buckets over one denominator and finish through
-TensorSeries._settled, the one place that drops zero numerators and
-empty buckets and divides out the gcd; negation copies buckets
-directly.  is_primitive runs the Dynkin test on int numerators, and
-no predicate reads coproduct, which sums numerators per split.
-Denominators: * multiplies them, + and from_terms take their lcm, the
-two maps bring their images to one lcm.  Outside this module nothing
-reads _buckets or _den or calls the bucket constructor
-(tests/test_hygiene.py).
+sum or rescale terms (from_terms, combination, *, truncated,
+homogeneous_component, Derivation.apply) accumulate ints into degree
+buckets over one denominator and finish through TensorSeries._settled,
+the one place that drops zero numerators and empty buckets and divides
+out the gcd; negation copies buckets.  combination sums coeff * series
+over a stream of parts over the lcm of their denominators (a part's is
+its series' times its coefficient's); +, -, scaled, AlgebraMap.apply,
+exp, log and derivation_exp are combinations, and exp weights the
+unscaled s^k by 1/k!.  is_primitive runs the Dynkin test on int
+numerators; no predicate reads coproduct.  Denominators: * multiplies
+them, combination and from_terms take their lcm.  numerators() is the
+int view of a series, TermSum.numerators() that of a Fraction sum.
+Outside this module nothing reads _buckets or _den or calls the bucket
+constructor (tests/test_hygiene.py).
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 __all__ = [
     "GenSignature",
@@ -43,7 +46,6 @@ __all__ = [
     "AlgebraMap",
     "exp",
     "log",
-    "bch",
     "lie_bracket",
     "right_normed_words",
     "right_normed_bracket",
@@ -112,6 +114,15 @@ class TermSum:
 
     def is_zero(self):
         return not self.terms
+
+    def augmentation(self):
+        return sum(self.terms.values(), Fraction(0))
+
+    def numerators(self):
+        """(L, [(key, coeff * L), ...]), L the lcm of the denominators."""
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        return den, [(key, c.numerator * (den // c.denominator))
+                     for key, c in self.terms.items()]
 
     def copy(self):
         return self._with_terms(dict(self.terms))
@@ -200,10 +211,10 @@ class GenSignature:
         return "GenSignature(genus=%d, punctures=%d)" % (self.genus, self.punctures)
 
 
-def _check_compat(a, b):
-    if a.sig != b.sig or a.trunc != b.trunc:
+def _check_compat(sig, trunc, s):
+    if s.trunc != trunc or (s.sig is not sig and s.sig != sig):
         raise ValueError("signature/truncation mismatch: %r/%d vs %r/%d"
-                         % (a.sig, a.trunc, b.sig, b.trunc))
+                         % (sig, trunc, s.sig, s.trunc))
 
 
 class TensorSeries:
@@ -263,6 +274,41 @@ class TensorSeries:
             old = bucket.get(word)
             bucket[word] = num if old is None else old + num
         return cls._settled(sig, trunc, buckets, den)
+
+    @classmethod
+    def combination(cls, sig, trunc, parts):
+        """sum coeff * series over (coeff, series) parts at (sig, trunc),
+        coeff an int or Fraction, read once so a generator streams them:
+        ints summed in one dict over the lcm of the parts' denominators
+        so far, settled once."""
+        if trunc < 1:
+            raise ValueError("truncation must be >= 1")
+        den, out = 1, {}
+        for coeff, s in parts:
+            _check_compat(sig, trunc, s)
+            if coeff.__class__ is int:
+                p, part = coeff, s._den
+            else:
+                coeff = as_coeff(coeff)
+                p, part = coeff.numerator, s._den * coeff.denominator
+            if not p:
+                continue
+            if den % part:
+                grow = lcm(den, part) // den
+                for bucket in out.values():
+                    for w in bucket:
+                        bucket[w] *= grow
+                den *= grow
+            k = p * (den // part)
+            for d, bucket in s._buckets.items():
+                tgt = out.get(d)
+                if tgt is None:
+                    out[d] = ({w: k * c for w, c in bucket.items()} if k != 1
+                              else dict(bucket))
+                else:
+                    for w, c in bucket.items():
+                        tgt[w] = tgt.get(w, 0) + k * c
+        return cls._settled(sig, trunc, out, den)
 
     @classmethod
     def _settled(cls, sig, trunc, buckets, den):
@@ -327,6 +373,11 @@ class TensorSeries:
             for word in sorted(bucket, key=lambda w: tuple(pos[l] for l in w)):
                 yield word, Fraction(bucket[word], den)
 
+    def numerators(self):
+        """(den, [(word, n), ...]): the int view, coefficient n / den."""
+        return self._den, [(w, n) for bucket in self._buckets.values()
+                           for w, n in bucket.items()]
+
     def term_count(self):
         return sum(len(b) for b in self._buckets.values())
 
@@ -345,19 +396,8 @@ class TensorSeries:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = TensorSeries.from_terms(self.sig, self.trunc, [((), other)])
-        _check_compat(self, other)
-        den = lcm(self._den, other._den)
-        mine_scale, other_scale = den // self._den, den // other._den
-        buckets = {d: {w: c * mine_scale for w, c in b.items()}
-                   if mine_scale != 1 else dict(b)
-                   for d, b in self._buckets.items()}
-        for d, bucket in other._buckets.items():
-            mine = buckets.setdefault(d, {})
-            for word, coeff in bucket.items():
-                coeff *= other_scale
-                old = mine.get(word)
-                mine[word] = coeff if old is None else old + coeff
-        return TensorSeries._settled(self.sig, self.trunc, buckets, den)
+        return TensorSeries.combination(self.sig, self.trunc,
+                                        ((1, self), (1, other)))
 
     __radd__ = __add__
 
@@ -366,23 +406,21 @@ class TensorSeries:
         return TensorSeries(self.sig, self.trunc, buckets, self._den)
 
     def __sub__(self, other):
-        return self + (-other)
+        if isinstance(other, (int, Fraction)):
+            return self + (-other)
+        return TensorSeries.combination(self.sig, self.trunc,
+                                        ((1, self), (-1, other)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def scaled(self, scalar):
-        scalar = as_coeff(scalar)
-        p = scalar.numerator
-        buckets = {d: {w: c * p for w, c in b.items()}
-                   for d, b in self._buckets.items()}
-        return TensorSeries._settled(self.sig, self.trunc, buckets,
-                                     self._den * scalar.denominator)
+        return TensorSeries.combination(self.sig, self.trunc, ((scalar, self),))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
-        _check_compat(self, other)
+        _check_compat(self.sig, self.trunc, other)
         trunc = self.trunc
         out = {}
         for d1, b1 in self._buckets.items():
@@ -452,50 +490,43 @@ class TensorSeries:
         return cls.from_terms(sig, data["truncation"], terms)
 
 
-def _exp_sum(first, step):
-    """sum_k step^k(first) / k!, stopped at the first zero term; a sum
-    still running after (N+2)^2 terms, N the truncation, is a domain
-    error (step is not locally nilpotent) instead of a hang."""
+def _power_sum(first, step, weight):
+    """sum_k weight(k) step^k(first) as one combination of the unscaled
+    step^k(first), stopped at the first zero term; a sum still running
+    after (N+2)^2 terms, N the truncation, is a domain error (step is
+    not locally nilpotent) instead of a hang."""
     cap = (first.trunc + 2) * (first.trunc + 2)
-    total = term = first
-    k = 1
-    while True:
-        term = step(term).scaled(Fraction(1, k))
-        if term.is_zero():
-            return total
-        if k > cap:
-            raise ValueError("exponential did not terminate; the step is "
-                             "not locally nilpotent")
-        total = total + term
-        k += 1
+
+    def parts():
+        term, k = first, 0
+        while not term.is_zero():
+            if k > cap:
+                raise ValueError("exponential did not terminate; the step "
+                                 "is not locally nilpotent")
+            yield weight(k), term
+            term, k = step(term), k + 1
+    return TensorSeries.combination(first.sig, first.trunc, parts())
+
+
+def _inverse_factorial(k):
+    return Fraction(1, factorial(k))
 
 
 def exp(s):
-    """Truncated exponential; needs vanishing constant term."""
+    """Truncated exponential, sum_k s^k / k!; needs vanishing constant term."""
     if s.constant_term() != 0:
         raise ValueError("exp needs a series with zero constant term")
-    return _exp_sum(TensorSeries.unit(s.sig, s.trunc), lambda t: t * s)
+    return _power_sum(TensorSeries.unit(s.sig, s.trunc), lambda t: t * s,
+                      _inverse_factorial)
 
 
 def log(s):
-    """Truncated logarithm; needs constant term 1."""
+    """Truncated logarithm, sum_k (-1)^(k+1) (s-1)^k / k for k >= 1;
+    needs constant term 1."""
     if s.constant_term() != 1:
         raise ValueError("log needs a series with constant term 1")
     u = s - 1
-    result = TensorSeries.zero(s.sig, s.trunc)
-    power = TensorSeries.unit(s.sig, s.trunc)
-    for k in range(1, s.trunc + 1):
-        power = power * u
-        if power.is_zero():
-            break
-        result = result + power.scaled(Fraction((-1) ** (k + 1), k))
-    return result
-
-
-def bch(u, v):
-    """log(exp(u) exp(v)) at the shared truncation; exp and the product
-    reject a constant term and a signature/truncation mismatch."""
-    return log(exp(u) * exp(v))
+    return _power_sum(u, lambda t: t * u, lambda k: Fraction((-1) ** k, k + 1))
 
 
 def lie_bracket(u, v):
@@ -638,7 +669,7 @@ class Derivation:
         self.images = {}
         for name, image in images.items():
             sig.weight(name)
-            _check_compat(self, image)
+            _check_compat(self.sig, self.trunc, image)
             if not image.is_zero():
                 self.images[name] = image
 
@@ -650,7 +681,7 @@ class Derivation:
 
     def apply(self, s):
         """Leibniz extension: d(w) = sum_i w[:i] d(w_i) w[i+1:]."""
-        _check_compat(self, s)
+        _check_compat(self.sig, self.trunc, s)
         sig = self.sig
         trunc = self.trunc
         images = self.images
@@ -680,7 +711,7 @@ class Derivation:
     __call__ = apply
 
     def __add__(self, other):
-        _check_compat(self, other)
+        _check_compat(self.sig, self.trunc, other)
         images = dict(self.images)
         for name, img in other.images.items():
             images[name] = images[name] + img if name in images else img
@@ -707,7 +738,7 @@ class AlgebraMap:
         self.images = {}
         for name, image in images.items():
             sig.weight(name)
-            _check_compat(self, image)
+            _check_compat(self.sig, self.trunc, image)
             self.images[name] = image
         self._memo = {(): TensorSeries.unit(sig, trunc)}
 
@@ -733,25 +764,19 @@ class AlgebraMap:
         return product
 
     def apply(self, s):
-        _check_compat(self, s)
-        pairs = [(coeff, self._word_image(word))
-                 for words in s._buckets.values() for word, coeff in words.items()]
-        den = lcm(*{img._den for _, img in pairs})
-        out = {}
-        for coeff, img in pairs:
-            k = coeff * (den // img._den)
-            for d, bucket in img._buckets.items():
-                tgt = out.setdefault(d, {})
-                for w, c in bucket.items():
-                    old = tgt.get(w)
-                    tgt[w] = k * c if old is None else old + k * c
-        return TensorSeries._settled(self.sig, self.trunc, out, s._den * den)
+        """The word images combined by s's int numerators, over s's den."""
+        _check_compat(self.sig, self.trunc, s)
+        out = TensorSeries.combination(self.sig, self.trunc, (
+            (c, self._word_image(word))
+            for words in s._buckets.values() for word, c in words.items()))
+        return TensorSeries._settled(self.sig, self.trunc, out._buckets,
+                                     out._den * s._den)
 
     __call__ = apply
 
     def compose(self, other):
         """self after other."""
-        _check_compat(self, other)
+        _check_compat(self.sig, self.trunc, other)
         images = {name: self.apply(other.image(name)) for name in self.sig.gens}
         return AlgebraMap(self.sig, self.trunc, images)
 
@@ -766,8 +791,8 @@ def derivation_exp(d):
     the shared exponential loop turns a non-terminating exponential into
     a domain error instead of a hang.
     """
-    images = {name: _exp_sum(TensorSeries.generator(d.sig, d.trunc, name),
-                             d.apply)
+    images = {name: _power_sum(TensorSeries.generator(d.sig, d.trunc, name),
+                               d.apply, _inverse_factorial)
               for name in d.sig.gens}
     return AlgebraMap(d.sig, d.trunc, images)
 

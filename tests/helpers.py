@@ -6,8 +6,19 @@ every test passes its own seed.
 
 from fractions import Fraction
 
+from goldman_forge.magnus import (
+    MagnusExpansion,
+    default_expansion,
+    necklace_project,
+)
 from goldman_forge.surface import FreeWord
-from goldman_forge.tensoralg import TensorSeries, lie_bracket
+from goldman_forge.tensoralg import (
+    TensorSeries,
+    exp,
+    is_primitive,
+    lie_bracket,
+    log,
+)
 
 
 def random_surface_word(rng, spec, max_len):
@@ -47,6 +58,35 @@ def random_series(rng, sig, trunc, nterms=6, max_len=4, with_constant=True):
             continue
         terms.append((word, random_coeff(rng)))
     return TensorSeries.from_terms(sig, trunc, terms)
+
+
+def bch(u, v):
+    """log(exp(u) exp(v)) at the shared truncation; exp and the product
+    reject a constant term and a signature/truncation mismatch."""
+    return log(exp(u) * exp(v))
+
+
+def log_class(spec, loop_class, trunc):
+    """Necklace logarithm of a class through the default expansion."""
+    theta = default_expansion(spec, trunc)
+    value = theta.expand_word(loop_class.free_word())
+    return necklace_project(log(value))
+
+
+def compose_automorphism(auto, theta):
+    """New expansion auto after theta; auto must preserve primitives.
+
+    Composing with an algebra automorphism that fixes the symplectic
+    element and is the identity on the graded quotient moves one
+    symplectic expansion to another: the solution set is a torsor.
+    """
+    logs = {}
+    for base in theta.spec.generators():
+        image = auto.apply(theta.log_image(base))
+        if not is_primitive(image):
+            raise ValueError("automorphism does not preserve primitives")
+        logs[base] = image
+    return MagnusExpansion(theta.spec, theta.trunc, logs)
 
 
 def random_primitive(rng, sig, trunc, nterms=3, max_depth=3):

@@ -24,7 +24,6 @@ from goldman_forge.goldman import (
     goldman_bracket,
     kk_action,
     kk_derivation,
-    log_class,
     twist_curve_names,
     twist_derivation,
 )
@@ -43,6 +42,7 @@ from goldman_forge.surface import (
     parse_word,
 )
 from goldman_forge.tensoralg import derivation_exp, log
+from helpers import log_class
 
 TORUS = SurfaceSpec(1, 1)
 

@@ -23,7 +23,6 @@ from goldman_forge.magnus import (
     dynkin_leading_split,
     expand_class,
     gr_necklace_bracket,
-    compose_automorphism,
     invert_expansion,
     is_symplectic,
     kvi_check,
@@ -56,6 +55,7 @@ from goldman_forge.tensoralg import (
     right_normed_bracket,
     right_normed_words,
 )
+from helpers import compose_automorphism
 
 
 def series(sig, trunc, *terms):

@@ -3,8 +3,9 @@
 The oracle below is the Fraction-coefficient series the engine used
 before it stored int numerators over one common denominator: the same
 degree buckets and kernels, with a Fraction per word.  Every kernel of
-the engine's series is compared with it on seeded inputs over five
-signatures and truncations 1-6, 360 cases per kernel (5,040 in all):
+the engine's series, the summing kernel TensorSeries.combination
+among them, is compared with it on seeded inputs over five
+signatures and truncations 1-6, 360 cases per kernel (5,400 in all):
 values, the Fraction type of every accessor, the serialized JSON
 string, and the storage invariant (nonzero int numerators, a positive
 denominator coprime to them, and denominator 1 for the zero series).
@@ -17,6 +18,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from goldman_forge.tensoralg import (
@@ -24,12 +26,11 @@ from goldman_forge.tensoralg import (
     Derivation,
     GenSignature,
     TensorSeries,
-    bch,
     derivation_exp,
     exp,
     log,
 )
-from helpers import random_word
+from helpers import bch, random_word
 
 SIGNATURES = ((1, 0), (1, 1), (2, 0), (2, 1), (1, 2))
 CASES_PER_KERNEL = 360
@@ -396,6 +397,35 @@ def _kernel_sub(rng, sig, trunc):
     assert_same(-a, -oa)
 
 
+def _kernel_combination(rng, sig, trunc):
+    """No parts, coefficient 0, parts that cancel in part or in full,
+    and huge denominators, streamed through a generator."""
+    mode = rng.randrange(4)
+    parts = []
+    for _ in range(0 if mode == 0 else rng.randint(1, 5)):
+        new, old = _pair(rng, sig, trunc)
+        c = 0 if rng.random() < 0.15 else _scalar(rng, new)
+        parts.append((c, new, old))
+    if mode >= 2 and parts:
+        # a rescaled copy of a part whose coefficient cancels it, or of
+        # every part (mode 3: the whole sum is zero)
+        for c, new, old in (parts[:] if mode == 3 else parts[:1]):
+            k = _coeff(rng, rng.choice(("small", "huge")))
+            copy = [(w, coeff * k) for w, coeff in old.items()]
+            parts.append((-Fraction(c) / k,
+                          TensorSeries.from_terms(sig, trunc, copy),
+                          OracleSeries.from_terms(sig, trunc, copy)))
+        rng.shuffle(parts)
+    expect = OracleSeries(sig, trunc, {})
+    for c, _, old in parts:
+        expect = expect + old.scaled(c)
+    got = TensorSeries.combination(sig, trunc,
+                                   ((c, new) for c, new, _ in parts))
+    assert_same(got, expect)
+    if mode == 3:
+        assert got.is_zero()
+
+
 def _kernel_mul(rng, sig, trunc):
     a, oa = _pair(rng, sig, trunc)
     b, ob = _pair(rng, sig, trunc)
@@ -470,6 +500,7 @@ KERNELS = {
     "from_terms": _kernel_from_terms,
     "add": _kernel_add,
     "sub": _kernel_sub,
+    "combination": _kernel_combination,
     "mul": _kernel_mul,
     "scaled": _kernel_scaled,
     "truncated": _kernel_truncated,
@@ -507,6 +538,34 @@ def test_add_matches_oracle():
 
 def test_sub_matches_oracle():
     _sweep("sub")
+
+
+def test_combination_matches_oracle():
+    _sweep("combination")
+
+
+def test_combination_edge_cases():
+    sig = GenSignature(1, 1)
+    x = TensorSeries.generator(sig, 3, "x1")
+    for parts in ([], [(0, x)], [(2, x), (Fraction(-4, 2), x)]):
+        zero = TensorSeries.combination(sig, 3, parts)
+        assert zero.is_zero() and zero._den == 1
+        assert zero == TensorSeries.zero(sig, 3)
+    with pytest.raises(ValueError, match="mismatch"):
+        TensorSeries.combination(sig, 2, [(1, x)])
+    with pytest.raises(ValueError, match="mismatch"):
+        TensorSeries.combination(GenSignature(1, 0), 3, [(1, x)])
+    with pytest.raises(ValueError, match="truncation"):
+        TensorSeries.combination(sig, 0, [])
+    with pytest.raises(TypeError):
+        TensorSeries.combination(sig, 3, [(0.5, x)])
+    # the lcm of the parts' denominators, reduced once at the end
+    half = x.scaled(Fraction(1, 2))
+    got = TensorSeries.combination(
+        sig, 3, iter([(Fraction(1, 3), half), (Fraction(1, 3), half),
+                      (Fraction(2, 3), x)]))
+    assert got == x
+    assert got._den == 1 and got._buckets == {1: {("x1",): 1}}
 
 
 def test_mul_matches_oracle():

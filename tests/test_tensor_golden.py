@@ -26,13 +26,12 @@ from goldman_forge.tensoralg import (
     Derivation,
     GenSignature,
     TensorSeries,
-    bch,
     derivation_exp,
     exp,
     lie_bracket,
     log,
 )
-from helpers import random_primitive, random_series
+from helpers import bch, random_primitive, random_series
 
 SIGNATURES = ((1, 0), (1, 1), (2, 0), (2, 1))
 TRUNC = 5

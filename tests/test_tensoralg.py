@@ -9,7 +9,6 @@ from goldman_forge.tensoralg import (
     GenSignature,
     TensorSeries,
     TensorSquare,
-    bch,
     coproduct,
     derivation_exp,
     exp,
@@ -20,7 +19,7 @@ from goldman_forge.tensoralg import (
     log,
     matrix_rank,
 )
-from helpers import random_primitive, random_series
+from helpers import bch, random_primitive, random_series
 
 F = Fraction
 SIG11 = GenSignature(1, 1)   # x1, y1, z1
