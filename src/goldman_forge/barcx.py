@@ -7,8 +7,10 @@ differential, so the bar differential reduces to the wedge-merge terms;
 the end terms of the general formula die under the augmentation because
 bar letters live in positive degree.
 
-"Integration" of a bar word against a loop or path means coefficient
-extraction through the exponential expansion of the word. The moving
+"Integration" of a bar word against a loop or path is Chen's iterated
+integral: the coefficient of the generator monomial in the default
+expansion of the word, which Chen's product formula reads off the
+letters by one integer recurrence (`chen_pairing`). The moving
 basepoint evaluations (`eval_hat_cs`, `eval_hat_kk`) integrate the
 partial-edge transport exactly: each edge contributes ordered-simplex
 volumes, so every identity tested downstream holds in exact rational
@@ -18,15 +20,16 @@ arithmetic.
 import functools
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
-from .magnus import default_expansion, tensor_letter
+from .magnus import tensor_letter
 from .surface import FreeWord, LoopClass, SurfaceSpec
-from .tensoralg import GenSignature, TermSum
+from .tensoralg import TermSum
 
 _LETTER_PREFIX = {"xi": "x", "eta": "y", "zeta": "z"}
 
 
+@functools.lru_cache(maxsize=None)
 def _tensor_name(letter):
     """Map a degree-1 model letter to its expansion generator."""
     for prefix, gen in _LETTER_PREFIX.items():
@@ -240,45 +243,66 @@ def shuffle_product(e1, e2):
     return out
 
 
-_expansion = functools.lru_cache(maxsize=64)(default_expansion)
-
-
-def _word_weight(word, sig):
-    return sum(sig.weight(_tensor_name(letter)) for letter in word)
-
-
-def _as_word(gamma):
-    if isinstance(gamma, LoopClass):
-        return FreeWord(gamma.word)
-    if isinstance(gamma, FreeWord):
-        return gamma
-    raise TypeError(f"cannot pair against {type(gamma).__name__}")
-
-
-def _open_setup(e):
-    model = e.model
+def _open_letters(model, gamma):
+    """gamma's letters as (generator, sign), checked against the surface."""
     if model.surface is None:
         raise ValueError("pairing needs the open-surface model")
-    spec = model.surface
-    sig = GenSignature(spec.genus, spec.punctures)
-    needed = max((_word_weight(w, sig) for w in e.terms), default=0)
-    return _expansion(spec, max(needed, 1))
+    if isinstance(gamma, LoopClass):
+        gamma = gamma.free_word()
+    elif not isinstance(gamma, FreeWord):
+        raise TypeError(f"cannot pair against {type(gamma).__name__}")
+    model.surface.validate_word(gamma)
+    return [(tensor_letter(base), e) for base, e in gamma.letters]
+
+
+def _chen_row(letters, mono, start):
+    """S[c] = c! times the coefficient of mono[start:start + c] in the
+    default expansion of `letters`, for every c (see chen_pairing).
+
+    A letter (g, eps) adds S[c] eps^k C(c+k, k) to S[c+k] while the
+    monomial runs on g from c to c+k; c runs downward, so the update is
+    in place.
+    """
+    tail = mono[start:]
+    n = len(tail)
+    row = [1] + [0] * n
+    for gen, eps in letters:
+        for c in range(n - 1, -1, -1):
+            step, k = row[c], c
+            while step and k < n and tail[k] == gen:
+                k += 1
+                step = step * eps * k // (k - c)
+                row[k] += step
+    return row
+
+
+def _run(mono, gen):
+    """Length of the run of gen that opens mono."""
+    return next((i for i, g in enumerate(mono) if g != gen), len(mono))
 
 
 def chen_pairing(e, gamma):
     """Pair a bar combination against a loop or path word.
 
-    The value of [w_1|...|w_r] is the coefficient of the corresponding
-    generator monomial in the expansion of the word; linear in e and
-    multiplicative under the shuffle product.
+    The value of [w_1|...|w_r] is the coefficient of its generator
+    monomial in the default expansion of the word, the product of the
+    exp(eps g) over its letters g^eps. By Chen's product formula that is
+    a sum over the cuts of the monomial into runs, one per letter in
+    order, where a run of k copies of the letter's own generator weighs
+    eps^k/k! and any other run 0. Times c!, each cut of a length-c
+    monomial weighs a signed multinomial, so `_chen_row` runs on ints
+    and the sum over e divides once. Linear in e and multiplicative
+    under the shuffle product.
     """
-    theta = _open_setup(e)
-    series = theta.expand_word(_as_word(gamma))
-    total = Fraction(0)
-    for word, coeff in e.terms.items():
-        mono = tuple(_tensor_name(letter) for letter in word)
-        total += coeff * series.coefficient(mono)
-    return total
+    letters = _open_letters(e.model, gamma)
+    den, nums = e.numerators()
+    top = factorial(max(map(len, e.terms), default=0))
+    total = 0
+    for word, n in nums:
+        mono = tuple(map(_tensor_name, word))
+        total += (n * _chen_row(letters, mono, 0)[-1]
+                  * (top // factorial(len(mono))))
+    return Fraction(total, den * top)
 
 
 class ClassFunction:
@@ -322,39 +346,35 @@ def eval_hat_cs(e, w, gamma):
     At a point of the p-th edge the rebased loop transports as
     exp((1-s)v) (rest of the word) exp(sv); pairing the bar word against
     that product and integrating s over [0,1] turns each split into an
-    ordered-simplex volume 1/(partial+1)!. Must agree with the dual_cs
-    evaluation, and the tests hold it to that exactly.
+    ordered-simplex volume 1/(partial+1)!. Against the c!-scaled middle
+    coefficient S of `_chen_row` (c + partial + 1 = r + 1) a split is
+    S C(r+1, c) / (r+1)!, so the sum runs on ints. Must agree with the
+    dual_cs evaluation, and the tests hold it to that exactly.
     """
     model = e.model
     if model.degree(w) != 1:
         raise ValueError(f"integrand letter {w!r} must have degree 1")
-    theta = _open_setup(e)
-    gamma = _as_word(gamma)
-    letters = gamma.letters
+    letters = _open_letters(model, gamma)
     w_gen = _tensor_name(w)
-    total = Fraction(0)
-    for p, (base, eps) in enumerate(letters):
-        if tensor_letter(base) != w_gen:
-            continue
-        rest = theta.expand_word(FreeWord(letters[p + 1:] + letters[:p]))
-        for word, coeff in e.terms.items():
-            mono = tuple(_tensor_name(letter) for letter in word)
-            r = len(mono)
-            pmax = 0
-            while pmax < r and mono[pmax] == w_gen:
-                pmax += 1
-            smin = r
-            while smin > 0 and mono[smin - 1] == w_gen:
-                smin -= 1
+    den, nums = e.numerators()
+    top = factorial(max(map(len, e.terms), default=0) + 1)
+    total = 0
+    for word, n in nums:
+        mono = tuple(map(_tensor_name, word))
+        r = len(mono)
+        pmax, smin = _run(mono, w_gen), r - _run(mono[::-1], w_gen)
+        acc = 0
+        for p, (gen, eps) in enumerate(letters):
+            if gen != w_gen:
+                continue
+            rest = letters[p + 1:] + letters[:p]
             for j in range(pmax + 1):
+                row = _chen_row(rest, mono, j)
                 for k in range(max(j, smin), r + 1):
-                    mid = rest.coefficient(mono[j:k])
-                    if not mid:
-                        continue
-                    partial = j + (r - k)
-                    total += (coeff * eps * (eps ** partial) * mid
-                              * Fraction(1, factorial(partial + 1)))
-    return total
+                    acc += (eps ** (j + r - k + 1) * row[k - j]
+                            * comb(r + 1, k - j))
+        total += n * acc * (top // factorial(r + 1))
+    return Fraction(total, den * top)
 
 
 def dual_kk(end0, end1, middle, model=None):
@@ -394,40 +414,31 @@ def eval_hat_kk(middle, gamma, model):
 
     The left factor pairs with the path so far, the right factor with the
     path still to come; partial letters on the crossing edge integrate to
-    the same ordered-simplex volumes as in eval_hat_cs. Agrees with the
-    chen_pairing of the concatenated word.
+    the same ordered-simplex volumes as in eval_hat_cs, here multinomials
+    over (r+1)! against the c!-scaled rows of `_chen_row`. Agrees with
+    the chen_pairing of the concatenated word.
     """
     left, w, right = middle
     if model.degree(w) != 1:
         raise ValueError(f"integrand letter {w!r} must have degree 1")
-    probe = BarElement.word(model, tuple(left) + tuple(right))
-    theta = _open_setup(probe)
-    gamma = _as_word(gamma)
-    letters = gamma.letters
+    for letter in (*left, *right):
+        model.degree(letter)
+    letters = _open_letters(model, gamma)
     w_gen = _tensor_name(w)
-    mono_left = tuple(_tensor_name(letter) for letter in left)
-    mono_right = tuple(_tensor_name(letter) for letter in right)
+    mono_left = tuple(map(_tensor_name, left))
+    mono_right = tuple(map(_tensor_name, right))
     j, r = len(mono_left), len(mono_left) + len(mono_right)
-    imin = j
-    while imin > 0 and mono_left[imin - 1] == w_gen:
-        imin -= 1
-    kmax = j
-    while kmax < r and mono_right[kmax - j] == w_gen:
-        kmax += 1
-    total = Fraction(0)
-    for p, (base, eps) in enumerate(letters):
-        if tensor_letter(base) != w_gen:
+    imin = j - _run(mono_left[::-1], w_gen)
+    kmax = j + _run(mono_right, w_gen)
+    total = 0
+    for p, (gen, eps) in enumerate(letters):
+        if gen != w_gen:
             continue
-        pre = theta.expand_word(FreeWord(letters[:p]))
-        suf = theta.expand_word(FreeWord(letters[p + 1:]))
+        pre = _chen_row(letters[:p], mono_left, 0)
+        sufs = [(k, _chen_row(letters[p + 1:], mono_right, k - j)[-1])
+                for k in range(j, kmax + 1)]
         for i in range(imin, j + 1):
-            c_pre = pre.coefficient(mono_left[:i])
-            if not c_pre:
-                continue
-            for k in range(j, kmax + 1):
-                c_suf = suf.coefficient(mono_right[k - j:])
-                if not c_suf:
-                    continue
-                total += (eps * (eps ** (k - i)) * c_pre * c_suf
-                          * Fraction(1, factorial(k - i + 1)))
-    return total
+            for k, suf in sufs:
+                total += (eps ** (k - i + 1) * pre[i] * suf
+                          * comb(r + 1, i) * comb(r + 1 - i, k - i + 1))
+    return Fraction(total, factorial(r + 1))

@@ -4,9 +4,8 @@ A Magnus expansion sends each surface generator to a group-like series;
 its necklace shadow identifies conjugacy classes with cyclic words.  On
 top of those two constructions this module carries the graded necklace
 bracket, the symplectic-expansion solver, the induced tangential
-automorphism and its certificate checks, Adams-scaling checks, the
-weight splitting, and the quadratic-algebra resolution certificate.
-All arithmetic is exact.
+automorphism and its certificate checks, Adams-scaling checks, and the
+quadratic-algebra resolution certificate.  All arithmetic is exact.
 """
 
 from fractions import Fraction
@@ -45,7 +44,6 @@ __all__ = [
     "invert_expansion",
     "kvi_check",
     "adams_series_check",
-    "weight_split",
     "resolution_check",
 ]
 
@@ -586,15 +584,6 @@ def adams_series_check(n, p, k):
         if lhs != rhs:
             return False
     return True
-
-
-def weight_split(series):
-    """Weighted-degree decomposition; reassembly is the identity."""
-    if series.is_zero():
-        return {}
-    parts = {d: series.homogeneous_component(d)
-             for d in range(series.valuation(), series.max_degree() + 1)}
-    return {d: part for d, part in parts.items() if not part.is_zero()}
 
 
 # -- quadratic surface algebra resolution -------------------------------

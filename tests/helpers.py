@@ -89,6 +89,15 @@ def compose_automorphism(auto, theta):
     return MagnusExpansion(theta.spec, theta.trunc, logs)
 
 
+def weight_split(series):
+    """Weighted-degree decomposition; reassembly is the identity."""
+    if series.is_zero():
+        return {}
+    parts = {d: series.homogeneous_component(d)
+             for d in range(series.valuation(), series.max_degree() + 1)}
+    return {d: part for d, part in parts.items() if not part.is_zero()}
+
+
 def random_primitive(rng, sig, trunc, nterms=3, max_depth=3):
     """Random Q-combination of left-normed brackets of generators."""
     total = TensorSeries.zero(sig, trunc)

@@ -373,3 +373,50 @@ class TestEvalHatKk:
             rhs = chen_pairing(BarElement.word(om, left + (w,) + right),
                                gamma)
             assert lhs == rhs, (left, w, right, gamma)
+
+
+class TestLettersOffTheSurface:
+    """A loop or path letter outside the model's surface is a one-line
+    ValueError naming it, never a KeyError and never a silent 0."""
+
+    CASES = [
+        ("chen", TORUS, "a2", "a2"),
+        ("chen", TORUS, "a1 c1", "c1"),
+        ("chen", SurfaceSpec(1, 2), "c1 c2'", "c2"),
+        ("cs", TORUS, "a2", "a2"),
+        ("cs", TORUS, "a1 b1 a1 b3'", "b3"),
+        ("cs", SurfaceSpec(0, 3), "c1 c3", "c3"),
+        ("kk", TORUS, "a2", "a2"),
+        ("kk", TORUS, "a1 c1", "c1"),
+        ("kk", SurfaceSpec(2, 1), "a1 b2 a3", "a3"),
+    ]
+
+    @staticmethod
+    def _call(kind, spec, gamma):
+        om = open_model(spec)
+        first = om.letters[0]
+        if kind == "chen":
+            return chen_pairing(BarElement.word(om, (first,)), gamma)
+        if kind == "cs":
+            return eval_hat_cs(BarElement.word(om, ()), first, gamma)
+        return eval_hat_kk(((), first, ()), gamma, om)
+
+    @pytest.mark.parametrize("kind,spec,text,bad", CASES)
+    def test_named_value_error(self, kind, spec, text, bad):
+        for gamma in (parse_word(text), cyclic_normal_form(parse_word(text))):
+            with pytest.raises(ValueError) as info:
+                self._call(kind, spec, gamma)
+            message = str(info.value)
+            assert bad in message.split() and "\n" not in message
+
+    @pytest.mark.parametrize("kind", ["chen", "cs", "kk"])
+    def test_surface_letters_still_pair(self, kind):
+        spec = SurfaceSpec(1, 2)
+        assert self._call(kind, spec, parse_word("a1 c1 b1'")) == 1
+        assert self._call(kind, spec, parse_word("b1 c1")) == 0
+
+    def test_bar_letters_still_checked_against_the_model(self):
+        with pytest.raises(ValueError):
+            eval_hat_kk((("xi2",), "xi1", ()), parse_word("a1"), OM)
+        with pytest.raises(ValueError):
+            eval_hat_kk(((), "xi1", ("zeta1",)), parse_word("a1"), OM)

@@ -48,6 +48,10 @@ GOLDEN = [
      "c003f66219922026b8936d19ccfaf6544c9c390cda04ebb2e0a0fb0ce18d9277"),
     (["verify", "kvi", "--N", "4"], 0,
      "2f24eb8ea5a7d90358a5d61e400482726365c96daee8096b5050940bae922f72"),
+    (["verify", "bar", "--seed", "7"], 0,
+     "bc9c09e705d8954b6104cc8f722a40889d96a4ab00fc4f1ba830b51bcdfb7277"),
+    (["bar-pair", "--g", "1", "--b", "2", "[xi1|xi1|zeta1]", "a1 a1 c1 b1'"],
+     0, "2021ad89ce8b86217c3d2006c42490a967890743334db28f2ba62eb9f21783eb"),
 ]
 
 

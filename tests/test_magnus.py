@@ -31,7 +31,6 @@ from goldman_forge.magnus import (
     resolution_check,
     solve_symplectic,
     tensor_letter,
-    weight_split,
 )
 from goldman_forge.surface import (
     FreeWord,
@@ -784,7 +783,7 @@ class TestWeightSplit:
         rng = random.Random(5)
         for _ in range(6):
             s = helpers.random_series(rng, sig, 5)
-            parts = weight_split(s)
+            parts = helpers.weight_split(s)
             total = TensorSeries.zero(sig, 5)
             for d, part in parts.items():
                 assert part.homogeneous_component(d) == part
