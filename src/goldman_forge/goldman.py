@@ -438,20 +438,17 @@ def expand_path_sum(gamma, theta):
 def _transport_log(s, t):
     """D(log s) given D(s) = t, for group-like s.
 
-    Expand log s = sum (-1)^(k+1) (s-1)^k / k and apply the product rule
-    termwise, as one combination; exact at the truncation because every
-    factor here only raises degree.
+    log s = sum (-1)^(k+1) u^k / k with u = s - 1, and D(u) = t, so the
+    product rule gives D(u^k) = D(u^(k-1)) u + u^(k-1) t: two running
+    sequences, summed as one combination until both vanish; exact at
+    the truncation because every factor here only raises degree.
     """
-    one = TensorSeries.unit(s.sig, s.trunc)
-    sm1 = s - one
-    powers = [one]
-    while not powers[-1].is_zero():
-        powers.append(powers[-1] * sm1)
-    right = [t * p for p in powers]
-    return TensorSeries.combination(
-        s.sig, s.trunc,
-        ((Fraction((-1) ** (k + 1), k), powers[i] * right[k - 1 - i])
-         for k in range(1, len(powers)) for i in range(k)))
+    u = s - 1
+    power, moved, k, parts = u, t, 1, []
+    while not (power.is_zero() and moved.is_zero()):
+        parts.append((Fraction((-1) ** (k + 1), k), moved))
+        power, moved, k = power * u, moved * u + power * t, k + 1
+    return TensorSeries.combination(s.sig, s.trunc, parts)
 
 
 def kk_derivation(u, trunc):

@@ -9,8 +9,9 @@ quadratic-algebra resolution certificate.  All arithmetic is exact.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from math import factorial, lcm
+from operator import itemgetter
 
 from .surface import SurfaceSpec, boundary_word, least_rotation
 from .tensoralg import (
@@ -20,11 +21,13 @@ from .tensoralg import (
     TermSum,
     as_coeff,
     exp,
+    exp_sum,
     is_group_like,
     is_primitive,
     lie_bracket,
     log,
     matrix_rank,
+    powers,
     right_normed_words,
 )
 
@@ -60,11 +63,12 @@ class MagnusExpansion:
     """Generator-to-group-like assignment, stored through primitive logs.
 
     Keeping log images primitive makes every image group-like by
-    construction and gives inverse images for free (exp of the negated
-    log).  The default expansion has log images x_j, y_j, z_k.
+    construction.  The first image of a base computes the power list
+    [1, L, L^2, ...] of its log L; every image exp(mL), inverse included,
+    is one combination over it.  The default logs are x_j, y_j, z_k.
     """
 
-    __slots__ = ("spec", "sig", "trunc", "logs", "_images")
+    __slots__ = ("spec", "sig", "trunc", "logs", "_powers", "_images")
 
     def __init__(self, spec, trunc, logs):
         self.spec = spec
@@ -77,6 +81,7 @@ class MagnusExpansion:
                 raise ValueError("log image for %s has wrong signature or "
                                  "truncation" % base)
             self.logs[base] = series
+        self._powers = {}
         self._images = {}
 
     def log_image(self, base):
@@ -86,14 +91,25 @@ class MagnusExpansion:
         key = (base, exponent)
         found = self._images.get(key)
         if found is None:
-            found = exp(self.logs[base].scaled(exponent))
-            self._images[key] = found
+            listed = self._powers.get(base)
+            if listed is None:
+                listed = self._powers[base] = powers(self.logs[base])
+            found = self._images[key] = exp_sum(listed, exponent)
         return found
 
     def expand_word(self, word):
-        result = TensorSeries.unit(self.sig, self.trunc)
-        for base, e in word.letters:
-            result = result * self.image(base, e)
+        """theta(word): one product per maximal run of a base, by the image
+        of the run's exponent sum (none for a sum of 0, so a a' gives 1).
+        Exact: theta is a homomorphism, exp(pL) exp(qL) = exp((p+q)L), and
+        truncation is a ring map, so truncated products are exact."""
+        result = None
+        for base, run in groupby(word.letters, itemgetter(0)):
+            m = sum(e for _, e in run)
+            if m:
+                image = self.image(base, m)
+                result = image if result is None else result * image
+        if result is None:
+            return TensorSeries.unit(self.sig, self.trunc)
         return result
 
     def truncated(self, trunc):
@@ -140,7 +156,7 @@ class NecklaceWord:
         return isinstance(other, NecklaceWord) and self.word == other.word
 
     def __hash__(self):
-        return hash(("necklace", self.word))
+        return hash(self.word)
 
     def __len__(self):
         return len(self.word)
@@ -306,12 +322,13 @@ def bch_right_side(sig, trunc):
 def ad_exp(h, target):
     """e^{ad_h}(target) = target + [h,target] + [h,[h,target]]/2 + ...
 
-    Computed as exp(h) target exp(-h), which needs h without constant
-    term.  The identity holds in the completed algebra, and truncation
-    at N is a ring map onto its quotient by the ideal of weighted degree
-    > N, so the truncated product is exactly the truncated series.
+    Computed as exp(h) target exp(-h) off one power list of h, which
+    needs h without constant term.  The identity holds in the completed
+    algebra, and truncation at N is a ring map onto its quotient by the
+    ideal of weighted degree > N, so the truncated product is exact.
     """
-    return exp(h) * target * exp(-h)
+    listed = powers(h)
+    return exp_sum(listed) * target * exp_sum(listed, -1)
 
 
 def dynkin_leading_split(series):

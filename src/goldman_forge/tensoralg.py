@@ -25,8 +25,9 @@ the one place that drops zero numerators and empty buckets and divides
 out the gcd; negation copies buckets.  combination sums coeff * series
 over a stream of parts over the lcm of their denominators (a part's is
 its series' times its coefficient's); +, -, scaled, AlgebraMap.apply,
-exp, log and derivation_exp are combinations, and exp weights the
-unscaled s^k by 1/k!.  is_primitive runs the Dynkin test on int
+exp, log and derivation_exp are combinations of iterates; exp_sum, the
+one k!-weighted sum, reads exp(m*s) for every m off one power list
+powers(s) = [1, s, s^2, ...].  is_primitive runs the Dynkin test on int
 numerators; no predicate reads coproduct.  Denominators: * multiplies
 them, combination and from_terms take their lcm.  numerators() is the
 int view of a series, TermSum.numerators() that of a Fraction sum.
@@ -44,6 +45,8 @@ __all__ = [
     "TermSum",
     "Derivation",
     "AlgebraMap",
+    "powers",
+    "exp_sum",
     "exp",
     "log",
     "lie_bracket",
@@ -490,34 +493,39 @@ class TensorSeries:
         return cls.from_terms(sig, data["truncation"], terms)
 
 
-def _power_sum(first, step, weight):
-    """sum_k weight(k) step^k(first) as one combination of the unscaled
-    step^k(first), stopped at the first zero term; a sum still running
-    after (N+2)^2 terms, N the truncation, is a domain error (step is
-    not locally nilpotent) instead of a hang."""
+def _iterates(first, step):
+    """[first, step(first), step^2(first), ...] through the first zero
+    term; a term past (N+2)^2, N the truncation, still nonzero is a
+    domain error (step is not locally nilpotent) instead of a hang."""
     cap = (first.trunc + 2) * (first.trunc + 2)
-
-    def parts():
-        term, k = first, 0
-        while not term.is_zero():
-            if k > cap:
-                raise ValueError("exponential did not terminate; the step "
-                                 "is not locally nilpotent")
-            yield weight(k), term
-            term, k = step(term), k + 1
-    return TensorSeries.combination(first.sig, first.trunc, parts())
+    out = [first]
+    while not out[-1].is_zero():
+        if len(out) > cap + 1:
+            raise ValueError("exponential did not terminate; the step "
+                             "is not locally nilpotent")
+        out.append(step(out[-1]))
+    return out
 
 
-def _inverse_factorial(k):
-    return Fraction(1, factorial(k))
+def powers(s):
+    """[1, s, s^2, ...] through the first zero power, the list every
+    exponential of s is read off; needs vanishing constant term."""
+    if s.constant_term() != 0:
+        raise ValueError("exp needs a series with zero constant term")
+    return _iterates(TensorSeries.unit(s.sig, s.trunc), lambda t: t * s)
+
+
+def exp_sum(terms, scale=1):
+    """sum_k scale^k / k! terms[k] as one combination: exp(scale * s) on
+    powers(s), whose products every scale shares."""
+    return TensorSeries.combination(
+        terms[0].sig, terms[0].trunc,
+        ((Fraction(scale ** k, factorial(k)), t) for k, t in enumerate(terms)))
 
 
 def exp(s):
     """Truncated exponential, sum_k s^k / k!; needs vanishing constant term."""
-    if s.constant_term() != 0:
-        raise ValueError("exp needs a series with zero constant term")
-    return _power_sum(TensorSeries.unit(s.sig, s.trunc), lambda t: t * s,
-                      _inverse_factorial)
+    return exp_sum(powers(s))
 
 
 def log(s):
@@ -525,8 +533,9 @@ def log(s):
     needs constant term 1."""
     if s.constant_term() != 1:
         raise ValueError("log needs a series with constant term 1")
-    u = s - 1
-    return _power_sum(u, lambda t: t * u, lambda k: Fraction((-1) ** k, k + 1))
+    return TensorSeries.combination(
+        s.sig, s.trunc, ((Fraction((-1) ** (k + 1), k), t)
+                         for k, t in enumerate(powers(s - 1)) if k))
 
 
 def lie_bracket(u, v):
@@ -791,9 +800,9 @@ def derivation_exp(d):
     the shared exponential loop turns a non-terminating exponential into
     a domain error instead of a hang.
     """
-    images = {name: _power_sum(TensorSeries.generator(d.sig, d.trunc, name),
-                               d.apply, _inverse_factorial)
-              for name in d.sig.gens}
+    images = {name: exp_sum(_iterates(
+        TensorSeries.generator(d.sig, d.trunc, name), d.apply))
+        for name in d.sig.gens}
     return AlgebraMap(d.sig, d.trunc, images)
 
 
