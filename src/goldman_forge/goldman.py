@@ -13,7 +13,7 @@ coefficient numerators per output term, over one denominator per call.
 
 from fractions import Fraction
 from functools import partial
-from math import comb
+from math import comb, factorial
 
 from .magnus import default_expansion, necklace_project, tensor_letter
 from .surface import (
@@ -26,7 +26,7 @@ from .surface import (
     ribbon_structure,
     splice_normal_form,
 )
-from .tensoralg import Derivation, TensorSeries, TermSum
+from .tensoralg import Derivation, TensorSeries, TermSum, lie_bracket
 
 __all__ = [
     "LoopSum",
@@ -435,20 +435,19 @@ def expand_path_sum(gamma, theta):
 
 # -- induced derivations -------------------------------------------------
 
-def _transport_log(s, t):
-    """D(log s) given D(s) = t, for group-like s.
-
-    log s = sum (-1)^(k+1) u^k / k with u = s - 1, and D(u) = t, so the
-    product rule gives D(u^k) = D(u^(k-1)) u + u^(k-1) t: two running
-    sequences, summed as one combination until both vanish; exact at
-    the truncation because every factor here only raises degree.
-    """
-    u = s - 1
-    power, moved, k, parts = u, t, 1, []
-    while not (power.is_zero() and moved.is_zero()):
-        parts.append((Fraction((-1) ** (k + 1), k), moved))
-        power, moved, k = power * u, moved * u + power * t, k + 1
-    return TensorSeries.combination(s.sig, s.trunc, parts)
+def _dexp_inverse(x, y):
+    """D(x) from y = e^(-x) D(e^x), as sum_n a_n ad_x^n (y): a_n = B_n^+ / n!
+    (1, 1/2, 1/12, 0, ...) inverts (1 - e^(-z))/z = sum_k (-z)^k/(k+1)!
+    term by term.  x has no constant term, so the brackets run out."""
+    coeffs, parts, term = [], [], y
+    while not term.is_zero():
+        n = len(coeffs)
+        coeffs.append(int(n == 0) - sum(
+            Fraction((-1) ** k, factorial(k + 1)) * coeffs[n - k]
+            for k in range(1, n + 1)))
+        parts.append((coeffs[n], term))
+        term = lie_bracket(x, term)
+    return TensorSeries.combination(y.sig, y.trunc, parts)
 
 
 def kk_derivation(u, trunc):
@@ -456,20 +455,24 @@ def kk_derivation(u, trunc):
 
     Generator images are chosen so that on group-likes the derivation
     reproduces the expanded action: D(theta(g)) = theta(kk_action(u, g))
-    for every surface generator g based at boundary tag 0.
-    Images may carry constant terms, so the derivation can lower degree;
-    see the Derivation notes on what the truncated product rule then
-    guarantees.
+    for every surface generator g based at boundary tag 0.  With
+    x = log theta(g), y = e^(-x) D(e^x) is one combination of theta(g^-1 p)
+    over the paths p of kk_action(u, g); D(x) is the Bernoulli series of
+    ad_x on y, exactly: dexp_X(Y) = e^X ((1 - e^(-ad X))/ad X)(Y) for all Y
+    in the completed algebra, ad_x raises weighted degree (so terms past
+    n = trunc vanish even when y has a constant term, which makes D lower
+    degree: see the Derivation notes), and truncation is a ring map.
     """
     spec = u.spec
     theta = default_expansion(spec, trunc)
     images = {}
     for base in spec.generators():
-        gen_path = PathSum.of(spec, Path(0, 0, FreeWord(((base, 1),))))
-        acted = kk_action(u, gen_path)
-        t_series = expand_path_sum(acted, theta)
-        images[tensor_letter(base)] = _transport_log(theta.image(base),
-                                                     t_series)
+        gen = FreeWord(((base, 1),))
+        acted = kk_action(u, PathSum.of(spec, Path(0, 0, gen)))
+        y = TensorSeries.combination(theta.sig, trunc, (
+            (coeff, theta.expand_word(gen.inverse() * path.word))
+            for path, coeff in acted.terms.items()))
+        images[tensor_letter(base)] = _dexp_inverse(theta.log_image(base), y)
     return Derivation(theta.sig, trunc, images)
 
 

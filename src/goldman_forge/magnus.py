@@ -9,6 +9,7 @@ quadratic-algebra resolution certificate.  All arithmetic is exact.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby, product
 from math import factorial, lcm
 from operator import itemgetter
@@ -134,7 +135,11 @@ class MagnusExpansion:
         return "MagnusExpansion(%r, N=%d)" % (self.spec, self.trunc)
 
 
+@lru_cache(maxsize=64)
 def default_expansion(spec, trunc):
+    """Logs x_j, y_j, z_k; one shared object per (spec, trunc).  Nothing
+    mutates an expansion: its power lists and images fill lazily and never
+    change once filled; truncated and with_logs build new ones."""
     sig = GenSignature(spec.genus, spec.punctures)
     logs = {base: TensorSeries.generator(sig, trunc, tensor_letter(base))
             for base in spec.generators()}
@@ -577,27 +582,29 @@ def adams_series_check(n, p, k):
     For primitive p, |exp p| decomposes as sum |p^k|/k!; the n-th power
     map replaces p by np and must scale the k-th piece by n^k.  Checks
     the decomposition identity always, and for homogeneous p also the
-    weight-component ratio.
+    weight-component ratio.  The pieces |p^m| come off one power list and
+    are summed as int numerators in one tally.
     """
     if not is_primitive(p):
         raise ValueError("adams_series_check needs a primitive series")
     sig, trunc = p.sig, p.trunc
     scaled = necklace_project(exp(p.scaled(n)))
-    total = CyclicSeries(sig, trunc)
-    power = TensorSeries.unit(sig, trunc)
-    m = 0
-    while not power.is_zero():
-        total = total + necklace_project(power).scaled(
-            Fraction(n ** m, factorial(m)))
-        m += 1
-        power = power * p
-    if total != scaled:
+    listed = powers(p)
+    pieces = [necklace_project(t).numerators() for t in listed]
+    den = lcm(*(factorial(m) * d for m, (d, _) in enumerate(pieces)))
+    totals = {}
+    for m, (d, numerators) in enumerate(pieces):
+        scale = n ** m * den // (factorial(m) * d)
+        for necklace, c in numerators:
+            totals[necklace] = totals.get(necklace, 0) + scale * c
+    if _tallied(sig, trunc, 0, den, totals) != scaled:
         return False
     low = p.valuation()
     if low is not None and p.homogeneous_component(low) == p:
         # homogeneous case: the k-th piece sits at weight k*low
         lhs = scaled.homogeneous_component(k * low)
-        rhs = necklace_project(exp(p)).homogeneous_component(k * low).scaled(n ** k)
+        rhs = necklace_project(exp_sum(listed)).homogeneous_component(
+            k * low).scaled(n ** k)
         if lhs != rhs:
             return False
     return True

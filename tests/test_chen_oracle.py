@@ -12,7 +12,6 @@ two or more monomial letters, against multi-term bar elements of 0-4
 letters (boundary letters included) with Fraction coefficients.
 """
 
-import functools
 import random
 from fractions import Fraction
 from math import factorial
@@ -44,9 +43,6 @@ def _tensor_name(letter):
     raise ValueError(f"letter {letter!r} does not pair with a generator")
 
 
-_expansion = functools.lru_cache(maxsize=64)(default_expansion)
-
-
 def _word_weight(word, sig):
     return sum(sig.weight(_tensor_name(letter)) for letter in word)
 
@@ -66,7 +62,7 @@ def _open_setup(e):
     spec = model.surface
     sig = GenSignature(spec.genus, spec.punctures)
     needed = max((_word_weight(w, sig) for w in e.terms), default=0)
-    return _expansion(spec, max(needed, 1))
+    return default_expansion(spec, max(needed, 1))
 
 
 def old_chen_pairing(e, gamma):

@@ -1,10 +1,13 @@
 """Differential tests of the series sums built on TensorSeries.combination.
 
 exp, log, the derivation transport, the path and loop expansions, the
-necklace projection, the Neumann inversion and the graded necklace
-bracket each used to sum term by term: a full + (or a Fraction per
-word) and a settled series per step.  Each now sums int numerators once
-(one combination, or one int tally per necklace).  The replaced loops
+necklace projection, the Neumann inversion, the graded necklace bracket
+and the Adams decomposition each used to sum term by term: a full + (or
+a Fraction per word) and a settled series per step.  Each now sums int
+numerators once (one combination, or one int tally per necklace).  The
+derivation transport is now the Bernoulli series of ad_x on
+e^(-x) D(e^x) in place of the product rule on the powers of s - 1, and
+kk_derivation reads e^(-x) D(e^x) off the words g^-1 p.  The replaced loops
 are kept below, verbatim but for their names, as ``old_*`` oracles, and
 every new sum is compared with its oracle on seeded inputs: values,
 twists, the serialized JSON and, for the necklace sums, that every
@@ -16,13 +19,15 @@ above 10**9.
 import json
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from goldman_forge import goldman
 from goldman_forge.goldman import (
     LoopSum,
     PathSum,
-    _transport_log,
+    _dexp_inverse,
     expand_loop_sum,
     expand_path_sum,
     kk_action,
@@ -35,6 +40,7 @@ from goldman_forge.magnus import (
     NecklaceWord,
     _graded_identity,
     _substitution_of,
+    adams_series_check,
     default_expansion,
     gr_necklace_bracket,
     invert_expansion,
@@ -53,8 +59,10 @@ from goldman_forge.tensoralg import (
     Derivation,
     GenSignature,
     TensorSeries,
+    TermSum,
     derivation_exp,
     exp,
+    is_primitive,
     log,
 )
 from helpers import random_primitive, random_surface_word, random_word
@@ -62,6 +70,8 @@ from helpers import random_primitive, random_surface_word, random_word
 SIGNATURES = ((1, 0), (1, 1), (2, 0), (2, 1), (1, 2))
 # (genus, boundary) of the surface-level sweeps
 SURFACES = ((1, 1), (2, 1), (1, 2))
+# (genus, boundary) of the derivation sweeps
+KK_SURFACES = SURFACES + ((0, 3), (1, 3))
 
 
 # -- the replaced loops ------------------------------------------------------
@@ -193,6 +203,31 @@ def old_gr_necklace_bracket(u, v):
     return out
 
 
+def old_adams_series_check(n, p, k):
+    if not is_primitive(p):
+        raise ValueError("adams_series_check needs a primitive series")
+    sig, trunc = p.sig, p.trunc
+    scaled = necklace_project(exp(p.scaled(n)))
+    total = CyclicSeries(sig, trunc)
+    power = TensorSeries.unit(sig, trunc)
+    m = 0
+    while not power.is_zero():
+        total = total + necklace_project(power).scaled(
+            Fraction(n ** m, factorial(m)))
+        m += 1
+        power = power * p
+    if total != scaled:
+        return False
+    low = p.valuation()
+    if low is not None and p.homogeneous_component(low) == p:
+        # homogeneous case: the k-th piece sits at weight k*low
+        lhs = scaled.homogeneous_component(k * low)
+        rhs = necklace_project(exp(p)).homogeneous_component(k * low).scaled(n ** k)
+        if lhs != rhs:
+            return False
+    return True
+
+
 # -- seeded inputs and comparisons -------------------------------------------
 
 def _coeff(rng):
@@ -317,37 +352,82 @@ def test_a_step_that_is_not_locally_nilpotent_raises():
 # -- goldman -----------------------------------------------------------------
 
 def test_transport_log_matches_the_replaced_loop():
+    # D(log s) for s = exp(X) and D(s) = t is the Bernoulli series of
+    # ad_X on y = exp(-X) t, for any t: generator images and their
+    # inverses, and group-likes with a full primitive log
     rng = random.Random("sum-oracle-transport")
-    for genus, boundary in SURFACES:
+    for genus, boundary in KK_SURFACES:
         spec = SurfaceSpec(genus, boundary)
         for trunc in range(1, 6):
             theta = default_expansion(spec, trunc)
             for base in spec.generators():
-                s = theta.image(base, rng.choice((1, -1)))
+                e = rng.choice((1, -1))
+                x = theta.log_image(base).scaled(e)
+                s = theta.image(base, e)
                 t = _series(rng, theta.sig, trunc)
-                assert_same_series(_transport_log(s, t),
+                assert_same_series(_dexp_inverse(x, exp(-x) * t),
                                    old_transport_log(s, t))
-            # a group-like with a full log, not a generator image
-            s = exp(random_primitive(rng, theta.sig, trunc))
-            t = _series(rng, theta.sig, trunc)
-            assert_same_series(_transport_log(s, t), old_transport_log(s, t))
+            x = random_primitive(rng, theta.sig, trunc)
+            s, t = exp(x), _series(rng, theta.sig, trunc)
+            assert_same_series(_dexp_inverse(x, exp(-x) * t),
+                               old_transport_log(s, t))
+
+
+def old_kk_derivation(u, trunc):
+    theta = default_expansion(u.spec, trunc)
+    images = {}
+    for base in u.spec.generators():
+        gen = PathSum.of(u.spec, Path(0, 0, FreeWord(((base, 1),))))
+        images[tensor_letter(base)] = old_transport_log(
+            theta.image(base),
+            old_expand_path_sum(kk_action(u, gen), theta))
+    return images
+
+
+def _assert_kk_derivation(d, u, trunc):
+    """Compare every generator image; return (nonzero, with constant)."""
+    nonzero = constant = 0
+    for name, want in old_kk_derivation(u, trunc).items():
+        assert_same_series(d.image(name), want)
+        nonzero += not want.is_zero()
+        constant += want.constant_term() != 0
+    return nonzero, constant
 
 
 def test_kk_derivation_matches_the_replaced_sums():
     rng = random.Random("sum-oracle-kk")
+    derivations = nonzero = constant = 0
+    for genus, boundary in KK_SURFACES:
+        spec = SurfaceSpec(genus, boundary)
+        for trunc in range(1, 6 if genus == 2 else 7):
+            for _ in range(8):
+                u = _loop_sum(rng, spec, 3)
+                counts = _assert_kk_derivation(kk_derivation(u, trunc), u,
+                                               trunc)
+                derivations += 1
+                nonzero += counts[0]
+                constant += counts[1]
+    assert derivations == 232 and nonzero >= 200 and constant >= 100
+
+
+def test_kk_derivation_of_every_twist_lift(monkeypatch):
+    # twist_derivation pushes its class-level lift through kk_derivation;
+    # the lift is caught on its way in and checked against the old sums
+    lifts = []
+    def caught(u, trunc):
+        lifts.append((u, trunc))
+        return kk_derivation(u, trunc)
+    monkeypatch.setattr(goldman, "kk_derivation", caught)
+    nonzero = 0
     for genus, boundary in SURFACES:
         spec = SurfaceSpec(genus, boundary)
-        trunc = 4 if genus == 1 else 3
-        theta = default_expansion(spec, trunc)
-        for _ in range(3):
-            u = _loop_sum(rng, spec, 3)
-            d = kk_derivation(u, trunc)
-            for base in spec.generators():
-                gen = PathSum.of(spec, Path(0, 0, FreeWord(((base, 1),))))
-                want = old_transport_log(
-                    theta.image(base),
-                    old_expand_path_sum(kk_action(u, gen), theta))
-                assert_same_series(d.image(tensor_letter(base)), want)
+        for curve in twist_curve_names(spec):
+            for trunc in range(1, 6 if genus == 2 else 7):
+                d = twist_derivation(spec, curve, trunc)
+                u, caught_trunc = lifts.pop()
+                assert caught_trunc == trunc
+                nonzero += _assert_kk_derivation(d, u, trunc)[0]
+    assert nonzero >= 30 and not lifts
 
 
 def test_expand_path_sum_matches_the_replaced_loop():
@@ -466,3 +546,29 @@ def test_gr_necklace_bracket_matches_the_replaced_loop(genus, boundary):
             skipped += any(a + b - 2 > trunc for a in weights
                            for b in weights_v)
     assert nonzero >= 10 and skipped >= 5
+
+
+def test_adams_series_check_matches_the_replaced_loop(monkeypatch):
+    # the check holds for every primitive, so its sums are compared too:
+    # each CyclicSeries comparison either side makes is recorded
+    compared = []
+    def recording(self, other):
+        compared.append((self, other))
+        return TermSum.__eq__(self, other)
+    monkeypatch.setattr(CyclicSeries, "__eq__", recording)
+    rng = random.Random("sum-oracle-adams")
+    homogeneous = 0
+    for sig, trunc in _cases():
+        p = random_primitive(rng, sig, trunc, nterms=rng.choice((1, 1, 3)))
+        n, k = rng.choice((0, 1, 2, 3, -1)), rng.randint(0, 4)
+        want = old_adams_series_check(n, p, k)
+        old_compared = list(compared)
+        del compared[:]
+        assert adams_series_check(n, p, k) is want is True
+        assert len(compared) == len(old_compared)
+        for new_pair, old_pair in zip(compared, old_compared):
+            assert_same_necklaces(new_pair[0], old_pair[0])
+            assert_same_necklaces(new_pair[1], old_pair[1])
+        homogeneous += len(compared) == 2
+        del compared[:]
+    assert homogeneous >= 10
