@@ -82,17 +82,6 @@ class DgaModel:
     def __repr__(self):
         return f"DgaModel({self.name}, {len(self.degrees)} letters)"
 
-    def to_json(self):
-        return {
-            "name": self.name,
-            "letters": [{"name": letter, "degree": deg}
-                        for letter, deg in self.degrees.items()],
-            "differential": [],
-            "products": [{"left": a, "right": b,
-                          "result": {c: str(v) for c, v in vals.items()}}
-                         for (a, b), vals in sorted(self.products.items())],
-        }
-
 
 def open_model(spec):
     """Degree-1 letters of a surface with boundary; all wedges vanish."""
@@ -169,11 +158,6 @@ class BarElement(TermSum):
 
     def __repr__(self):
         return f"<BarElement {self.render()}>"
-
-    def to_json(self):
-        return {"model": self.model.name,
-                "terms": [{"word": list(word), "coeff": str(coeff)}
-                          for word, coeff in self.sorted_terms()]}
 
 
 def _check_model(a, b):
@@ -305,30 +289,12 @@ def chen_pairing(e, gamma):
     return Fraction(total, den * top)
 
 
-class ClassFunction:
-    """Loop functional given by pairing against a fixed bar combination.
-
-    Values depend only on the conjugacy class of the argument; the tests
-    verify this rather than assuming it.
-    """
-
-    def __init__(self, element):
-        self.element = element
-
-    def evaluate(self, loop):
-        return chen_pairing(self.element, loop)
-
-    __call__ = evaluate
-
-    def __repr__(self):
-        return f"<ClassFunction {self.element.render()}>"
-
-
 def dual_cs(e, w):
     """Cyclic insertion of a degree-1 letter into a bar combination.
 
     Every rotation of the combined word appears once, which is what makes
-    the evaluation a class function.
+    its chen_pairing a class function of the loop; the tests verify this
+    rather than assuming it.
     """
     model = e.model
     if model.degree(w) != 1:
@@ -337,7 +303,7 @@ def dual_cs(e, w):
     for word, coeff in e.terms.items():
         for j in range(len(word) + 1):
             out.add_term(word[j:] + (w,) + word[:j], coeff)
-    return ClassFunction(out)
+    return out
 
 
 def eval_hat_cs(e, w, gamma):
@@ -349,7 +315,7 @@ def eval_hat_cs(e, w, gamma):
     ordered-simplex volume 1/(partial+1)!. Against the c!-scaled middle
     coefficient S of `_chen_row` (c + partial + 1 = r + 1) a split is
     S C(r+1, c) / (r+1)!, so the sum runs on ints. Must agree with the
-    dual_cs evaluation, and the tests hold it to that exactly.
+    chen_pairing of dual_cs(e, w), and the tests hold it to that exactly.
     """
     model = e.model
     if model.degree(w) != 1:

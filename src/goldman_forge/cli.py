@@ -127,6 +127,15 @@ def _sum_lines(label, js):
             "twist: %d" % js["twist"]]
 
 
+def _trace(args, payload, lines, spec, left, right):
+    """Under --trace, add the crossing records of left and right."""
+    if args.trace:
+        records = crossing_trace(spec, left, right)
+        payload["trace"] = records
+        lines.extend("crossing %d: sign %+d" % (i, r["sign"])
+                     for i, r in enumerate(records))
+
+
 def cmd_bracket(args):
     spec = _surface(args)
     left = cyclic_normal_form(_word(args.words[0]))
@@ -153,11 +162,7 @@ def cmd_bracket(args):
     lines = _sum_lines("bracket", payload["bracket"])
     lines.append("valuations: left %s, right %s, bracket %s"
                  % (vals["left"], vals["right"], vals["bracket"]))
-    if args.trace:
-        records = crossing_trace(spec, left, right)
-        payload["trace"] = records
-        lines.extend("crossing %d: sign %+d" % (i, r["sign"])
-                     for i, r in enumerate(records))
+    _trace(args, payload, lines, spec, left, right)
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -174,11 +179,7 @@ def cmd_kk(args):
         "action": out.to_json(),
     }
     lines = _sum_lines("action", payload["action"])
-    if args.trace:
-        records = crossing_trace(spec, loop, gamma)
-        payload["trace"] = records
-        lines.extend("crossing %d: sign %+d" % (i, r["sign"])
-                     for i, r in enumerate(records))
+    _trace(args, payload, lines, spec, loop, gamma)
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -285,9 +286,7 @@ def cmd_bar_pair(args):
 
 def cmd_resolution(args):
     try:
-        report = resolution_check(args.g, args.max_n)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+        report = _usage(resolution_check, args.g, args.max_n)
     except AssertionError as err:
         # a certificate failed: that is a checked property, not usage
         report = {"genus": args.g, "max_n": args.max_n, "passed": False,

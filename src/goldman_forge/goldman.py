@@ -118,12 +118,6 @@ class PathSum(TermSum):
     def _sort_key(self, path):
         return _word_key_letters(path.word.letters)
 
-    def reduced(self):
-        """Subtract the augmentation multiple of the bare connecting path."""
-        out = self.copy()
-        out.add_term(Path(self.from_tag, self.to_tag), -self.augmentation())
-        return out
-
     def to_json(self):
         return {
             "surface": {"genus": self.spec.genus, "boundary": self.spec.boundary},

@@ -199,9 +199,6 @@ class CyclicSeries(TermSum):
     def _sort_key(self, necklace):
         return self.sig.sort_key(necklace.word)
 
-    def coefficient(self, word):
-        return self.terms.get(NecklaceWord(word), Fraction(0))
-
     def valuation(self):
         if not self.terms:
             return None
@@ -211,12 +208,6 @@ class CyclicSeries(TermSum):
         degree = self.sig.degree
         return self._with_terms({n: c for n, c in self.terms.items()
                                  if degree(n.word) == d})
-
-    def reduced(self):
-        """Drop the empty-necklace (constant) term."""
-        out = self.copy()
-        out.terms.pop(NecklaceWord(()), None)
-        return out
 
     def __repr__(self):
         parts = ["%s |%s|" % (c, " ".join(n.word) or "1")

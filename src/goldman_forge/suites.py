@@ -527,8 +527,9 @@ def bar(conj_count=200, eval_count=100, square_len=4, seed=DEFAULT_SEED):
         w = rng.choice(letters)
         gamma = _random_word(rng, spec, 4, min_len=0)
         g = _random_word(rng, spec, 3, min_len=0)
-        fn = dual_cs(e, w)
-        if fn.evaluate(gamma) != fn.evaluate(g * gamma * g.inverse()):
+        inserted = dual_cs(e, w)
+        if (chen_pairing(inserted, gamma)
+                != chen_pairing(inserted, g * gamma * g.inverse())):
             conjugation_failures.append("class function moves under "
                                         "conjugation: %r, %s, %r, %r"
                                         % (e, w, gamma, g))
@@ -538,7 +539,7 @@ def bar(conj_count=200, eval_count=100, square_len=4, seed=DEFAULT_SEED):
         e = random_bar(3)
         w = rng.choice(letters)
         gamma = _random_word(rng, spec, 5, min_len=0)
-        if eval_hat_cs(e, w, gamma) != dual_cs(e, w).evaluate(gamma):
+        if eval_hat_cs(e, w, gamma) != chen_pairing(dual_cs(e, w), gamma):
             hat_cs_failures.append("direct evaluation disagrees: %r, %s, %r"
                                    % (e, w, gamma))
 

@@ -40,6 +40,10 @@ class ParseError(ValueError):
         self.position = position
 
 
+# a generator name: kind, then an index in ASCII digits with no leading 0
+_GENERATOR = re.compile(r"([abc])([1-9][0-9]*)")
+
+
 class SurfaceSpec:
     """Genus and boundary count, with one basepoint tag per boundary.
 
@@ -74,15 +78,12 @@ class SurfaceSpec:
         return tuple(names)
 
     def has_generator(self, base):
-        kind, index = base[0], base[1:]
-        if not index.isdigit():
+        """Whether base is one of generators(), spelled canonically."""
+        m = _GENERATOR.fullmatch(base)
+        if not m:
             return False
-        i = int(index)
-        if kind in ("a", "b"):
-            return 1 <= i <= self.genus
-        if kind == "c":
-            return 1 <= i <= self.punctures
-        return False
+        kind, index = m.groups()
+        return int(index) <= (self.punctures if kind == "c" else self.genus)
 
     def validate_word(self, word):
         for base, _ in word.letters:
@@ -157,9 +158,6 @@ class FreeWord:
         reduced = _reduce_letters(self.letters)
         return self if reduced == self.letters else _trusted_word(reduced)
 
-    def is_reduced(self):
-        return _reduce_letters(self.letters) == self.letters
-
     def inverse(self):
         return _trusted_word(tuple((base, -e)
                                    for base, e in reversed(self.letters)))
@@ -209,9 +207,6 @@ class LoopClass:
         if cyclic_normal_form(letters).word != letters:
             raise ValueError("not a cyclic normal form: %r" % (letters,))
         self.word = letters
-
-    def is_trivial(self):
-        return not self.word
 
     def free_word(self):
         return FreeWord(self.word)
@@ -325,9 +320,6 @@ class Path:
                              "starts at %s" % (self.to_tag, other.from_tag))
         return Path(self.from_tag, other.to_tag, self.word * other.word)
 
-    def inverse(self):
-        return Path(self.to_tag, self.from_tag, self.word.inverse())
-
     def __eq__(self, other):
         return (isinstance(other, Path)
                 and self.from_tag == other.from_tag
@@ -382,40 +374,6 @@ class RibbonStructure:
     def tail(self, tag):
         return _tail(tag)
 
-    def real_darts_ccw(self):
-        return tuple(d for d in self.order if d[1] != 0)
-
-    def faces(self):
-        """Face words of the thickened graph, one per boundary.
-
-        Recomputed from the vertex order (the constructor's input is not
-        echoed back): the face permutation sends a dart d to the
-        counterclockwise predecessor of its reversal, and a face's word
-        is the letter sequence of its dart cycle.  Deterministic: each
-        cycle starts at its least dart, faces sorted by starting dart.
-        """
-        real = self.real_darts_ccw()
-        position = {d: i for i, d in enumerate(real)}
-        m = len(real)
-        phi = {}
-        for d in real:
-            r = position[dart_rev(d)]
-            phi[d] = real[(r - 1) % m]  # sigma^{-1} after reversal
-        seen = set()
-        cycles = []
-        for start in sorted(real, key=letter_key):
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            d = phi[start]
-            while d != start:
-                cycle.append(d)
-                seen.add(d)
-                d = phi[d]
-            cycles.append(tuple(cycle))
-        return [FreeWord(cycle) for cycle in cycles]
-
     def __repr__(self):
         return "RibbonStructure(%r, %d darts)" % (self.spec, len(self.order))
 
@@ -459,7 +417,7 @@ def ribbon_structure(spec):
     return RibbonStructure(spec, order)
 
 
-_TOKEN = re.compile(r"^([abc])([1-9][0-9]*)(')?$")
+_TOKEN = re.compile(_GENERATOR.pattern + "(')?")
 
 
 def parse_word(text):
@@ -468,21 +426,16 @@ def parse_word(text):
     The empty string and the token "1" both denote the identity word.
     Raises ParseError with the character position of the bad token.
     """
-    if isinstance(text, (list, tuple)):
-        tokens = [(t, None) for t in text]
-    else:
-        tokens = []
-        for match in re.finditer(r"\S+", text):
-            tokens.append((match.group(), match.start()))
+    tokens = [(match.group(), match.start())
+              for match in re.finditer(r"\S+", text)]
     letters = []
     for token, pos in tokens:
         if token == "1" and len(tokens) == 1:
             return FreeWord()
-        m = _TOKEN.match(token)
+        m = _TOKEN.fullmatch(token)
         if not m:
-            raise ParseError("bad token %r%s; want e.g. a1 or a1'"
-                             % (token, "" if pos is None else " at position %d" % pos),
-                             position=pos)
+            raise ParseError("bad token %r at position %d; want e.g. a1 or "
+                             "a1'" % (token, pos), position=pos)
         kind, index, prime = m.groups()
         letters.append((kind + index, -1 if prime else 1))
     return FreeWord(letters)

@@ -351,11 +351,6 @@ class TensorSeries:
             return None
         return min(self._buckets)
 
-    def max_degree(self):
-        if not self._buckets:
-            return None
-        return max(self._buckets)
-
     def homogeneous_component(self, d):
         bucket = self._buckets.get(d, {})
         return TensorSeries._settled(self.sig, self.trunc, {d: bucket}, self._den)
@@ -719,17 +714,6 @@ class Derivation:
 
     __call__ = apply
 
-    def __add__(self, other):
-        _check_compat(self.sig, self.trunc, other)
-        images = dict(self.images)
-        for name, img in other.images.items():
-            images[name] = images[name] + img if name in images else img
-        return Derivation(self.sig, self.trunc, images)
-
-    def scaled(self, scalar):
-        return Derivation(self.sig, self.trunc,
-                          {name: img.scaled(scalar) for name, img in self.images.items()})
-
 
 class AlgebraMap:
     """Algebra endomorphism given by generator images (substitution).
@@ -782,12 +766,6 @@ class AlgebraMap:
                                      out._den * s._den)
 
     __call__ = apply
-
-    def compose(self, other):
-        """self after other."""
-        _check_compat(self.sig, self.trunc, other)
-        images = {name: self.apply(other.image(name)) for name in self.sig.gens}
-        return AlgebraMap(self.sig, self.trunc, images)
 
 
 def derivation_exp(d):

@@ -11,8 +11,9 @@ from goldman_forge.magnus import (
     default_expansion,
     necklace_project,
 )
-from goldman_forge.surface import FreeWord
+from goldman_forge.surface import FreeWord, dart_rev, letter_key
 from goldman_forge.tensoralg import (
+    AlgebraMap,
     TensorSeries,
     exp,
     is_primitive,
@@ -91,11 +92,47 @@ def compose_automorphism(auto, theta):
 
 def weight_split(series):
     """Weighted-degree decomposition; reassembly is the identity."""
-    if series.is_zero():
-        return {}
-    parts = {d: series.homogeneous_component(d)
-             for d in range(series.valuation(), series.max_degree() + 1)}
-    return {d: part for d, part in parts.items() if not part.is_zero()}
+    degrees = {series.sig.degree(word) for word, _ in series.items()}
+    return {d: series.homogeneous_component(d) for d in sorted(degrees)}
+
+
+def compose(phi, psi):
+    """The algebra map phi after psi, on their shared signature."""
+    return AlgebraMap(phi.sig, phi.trunc,
+                      {name: phi.apply(psi.image(name)) for name in phi.sig.gens})
+
+
+def real_darts_ccw(ribbon):
+    """The ribbon's vertex order without the basepoint tails."""
+    return tuple(d for d in ribbon.order if d[1] != 0)
+
+
+def faces(ribbon):
+    """Face words of the thickened graph, one per boundary.
+
+    Recomputed from the vertex order (the constructor's input is not
+    echoed back): the face permutation sends a dart d to the
+    counterclockwise predecessor of its reversal, and a face's word is
+    the letter sequence of its dart cycle.  Deterministic: each cycle
+    starts at its least dart, faces sorted by starting dart.
+    """
+    real = real_darts_ccw(ribbon)
+    position = {d: i for i, d in enumerate(real)}
+    phi = {d: real[position[dart_rev(d)] - 1] for d in real}
+    seen = set()
+    cycles = []
+    for start in sorted(real, key=letter_key):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        d = phi[start]
+        while d != start:
+            cycle.append(d)
+            seen.add(d)
+            d = phi[d]
+        cycles.append(tuple(cycle))
+    return [FreeWord(cycle) for cycle in cycles]
 
 
 def random_primitive(rng, sig, trunc, nterms=3, max_depth=3):

@@ -531,8 +531,8 @@ class TestFiltrationShift:
         rng = random.Random(45)
         for _ in range(6):
             u = LoopSum.of(TORUS, random_word(rng, TORUS, 4)).reduced()
-            g = PathSum.of(TORUS,
-                           Path(0, 0, random_word(rng, TORUS, 4))).reduced()
+            g = (PathSum.of(TORUS, Path(0, 0, random_word(rng, TORUS, 4)))
+                 - PathSum.of(TORUS, Path(0, 0)))
             du = expand_loop_sum(u, theta).valuation()
             dg = expand_path_sum(g, theta).valuation()
             if du is None or dg is None:

@@ -160,12 +160,6 @@ class TestNecklace:
         with pytest.raises(ValueError):
             u + v
 
-    def test_reduced_drops_constant(self):
-        sig = GenSignature(1, 0)
-        u = CyclicSeries(sig, 3, {(): Fraction(2), ("x1",): Fraction(1)})
-        assert u.reduced() == CyclicSeries(sig, 3, {("x1",): Fraction(1)})
-        assert u.reduced().valuation() == 1
-
     def test_expand_class_conjugation_invariant(self):
         spec = SurfaceSpec(1, 1)
         theta = default_expansion(spec, 5)
@@ -187,8 +181,7 @@ class TestGradedBracket:
         u = self.make(sig, 4, ["x1"])
         v = self.make(sig, 4, ["y1"])
         out = gr_necklace_bracket(u, v)
-        assert out.coefficient(()) == 1
-        assert len(out.terms) == 1
+        assert out.terms == {NecklaceWord(()): 1}
         assert out.twist == 1
 
     def test_boundary_letter_is_central(self):

@@ -30,7 +30,7 @@ from goldman_forge.tensoralg import (
     exp,
     log,
 )
-from helpers import bch, random_word
+from helpers import bch, compose, random_word
 
 SIGNATURES = ((1, 0), (1, 1), (2, 0), (2, 1), (1, 2))
 CASES_PER_KERNEL = 360
@@ -485,7 +485,7 @@ def _kernel_algebra_map(rng, sig, trunc):
 def _kernel_compose(rng, sig, trunc):
     phi, ophi = _images(rng, sig, trunc, raising=False)
     psi, opsi = _images(rng, sig, trunc, raising=False)
-    assert_same_map(AlgebraMap(sig, trunc, phi).compose(AlgebraMap(sig, trunc, psi)),
+    assert_same_map(compose(AlgebraMap(sig, trunc, phi), AlgebraMap(sig, trunc, psi)),
                     OracleAlgebraMap(sig, trunc, ophi).compose(
                         OracleAlgebraMap(sig, trunc, opsi)))
 

@@ -31,7 +31,7 @@ from goldman_forge.tensoralg import (
     lie_bracket,
     log,
 )
-from helpers import bch, random_primitive, random_series
+from helpers import bch, compose, random_primitive, random_series
 
 SIGNATURES = ((1, 0), (1, 1), (2, 0), (2, 1))
 TRUNC = 5
@@ -64,9 +64,10 @@ def _signature_values(genus, punctures, rng):
         for name in sig.gens})
     # degree-preserving but nilpotent: x1 -> y1 -> 0
     nilpotent = Derivation(sig, TRUNC, {"x1": gen["y1"]})
+    both = Derivation(sig, TRUNC, {
+        name: raising.image(name) + nilpotent.image(name) for name in sig.gens})
     values += [raising.apply(a), raising.apply(exp(v)), nilpotent.apply(a),
-               (raising + nilpotent).apply(b),
-               raising.scaled(-2).apply(u)]
+               both.apply(b), raising.apply(u).scaled(-2)]
 
     phi = AlgebraMap(sig, TRUNC, {
         name: gen[name] + random_series(rng, sig, TRUNC, nterms=3,
@@ -75,8 +76,8 @@ def _signature_values(genus, punctures, rng):
     psi = AlgebraMap(sig, TRUNC, {name: exp(v) * gen[name] * exp(v.scaled(-1))
                                   for name in sig.gens})
     values += [phi.apply(a), phi.apply(b), psi.apply(a), psi.apply(u)]
-    maps = [phi.compose(psi), psi.compose(phi), derivation_exp(raising),
-            derivation_exp(nilpotent), derivation_exp(raising + nilpotent)]
+    maps = [compose(phi, psi), compose(psi, phi), derivation_exp(raising),
+            derivation_exp(nilpotent), derivation_exp(both)]
 
     for target in (gen["x1"], a, u):
         values.append(ad_exp(v, target))

