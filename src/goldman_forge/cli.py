@@ -1,14 +1,17 @@
 """Command-line interface: compute, expand, and verify.
 
 Words are whitespace-separated tokens like "a1 b1'"; paths are
-"from:to:word" with the tag numbers of their endpoints.  Every command
-prints text by default and a stable JSON document under --json;
+"from:to:word" with the tag numbers of their endpoints.  Each command
+takes only the options it reads.  It prints text by default and a
+stable JSON document under --json (kvi-check always prints JSON);
 identical inputs and seeds print byte-identical JSON.  Exit codes:
-0 success, 1 a checked property failed, 2 usage or parse errors.
+0 success, 1 a checked property failed, 2 usage or parse errors, each
+reported on one stderr line.
 """
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 
@@ -96,9 +99,13 @@ def _trunc(args):
     return args.N
 
 
-def _emit(args, payload, lines):
+def _emit(args, payload, lines, spec=None):
+    """Print lines, or under --json the payload in its envelope: the
+    command, the schema marker and, given spec, the surface."""
     if args.json:
-        payload["schema"] = SCHEMA
+        payload.update(command=args.command, schema=SCHEMA)
+        if spec is not None:
+            payload["surface"] = [spec.genus, spec.boundary]
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for line in lines:
@@ -152,8 +159,6 @@ def cmd_bracket(args):
         "bracket": expansion.valuation(),
     }
     payload = {
-        "command": "bracket",
-        "surface": [spec.genus, spec.boundary],
         "truncation": trunc,
         "bracket": bracket.to_json(),
         "expansion": expansion.to_json(),
@@ -163,7 +168,7 @@ def cmd_bracket(args):
     lines.append("valuations: left %s, right %s, bracket %s"
                  % (vals["left"], vals["right"], vals["bracket"]))
     _trace(args, payload, lines, spec, left, right)
-    _emit(args, payload, lines)
+    _emit(args, payload, lines, spec)
     return EXIT_OK
 
 
@@ -173,14 +178,10 @@ def cmd_kk(args):
     u = LoopSum(spec, [(loop, 1)])
     gamma = _path(args.path)
     out = _usage(kk_action, u, PathSum.of(spec, gamma))
-    payload = {
-        "command": "kk",
-        "surface": [spec.genus, spec.boundary],
-        "action": out.to_json(),
-    }
+    payload = {"action": out.to_json()}
     lines = _sum_lines("action", payload["action"])
     _trace(args, payload, lines, spec, loop, gamma)
-    _emit(args, payload, lines)
+    _emit(args, payload, lines, spec)
     return EXIT_OK
 
 
@@ -188,30 +189,19 @@ def cmd_bipair(args):
     spec = _surface(args)
     g1 = PathSum.of(spec, _path(args.paths[0], spec))
     g2 = PathSum.of(spec, _path(args.paths[1], spec))
-    out = _usage(bi_pairing, g1, g2)
-    payload = {
-        "command": "bipair",
-        "surface": [spec.genus, spec.boundary],
-        "pairing": out.to_json(),
-    }
-    _emit(args, payload, _sum_lines("pairing", payload["pairing"]))
+    pairing = _usage(bi_pairing, g1, g2).to_json()
+    _emit(args, {"pairing": pairing}, _sum_lines("pairing", pairing), spec)
     return EXIT_OK
 
 
 def cmd_expand(args):
     spec = _surface(args)
     trunc = _trunc(args)
-    theta = default_expansion(spec, trunc)
-    series = theta.expand_word(_word(args.word))
-    payload = {
-        "command": "expand",
-        "surface": [spec.genus, spec.boundary],
-        "truncation": trunc,
-        "series": series.to_json(),
-    }
+    series = default_expansion(spec, trunc).expand_word(_word(args.word))
     lines = ["%s: %s" % (" ".join(word) or "1", coeff)
              for word, coeff in series.terms()]
-    _emit(args, payload, lines or ["0"])
+    _emit(args, {"truncation": trunc, "series": series.to_json()},
+          lines or ["0"], spec)
     return EXIT_OK
 
 
@@ -219,52 +209,38 @@ def cmd_adams(args):
     spec = _surface(args)
     if args.n < 0:
         raise UsageError("the power-map exponent must be nonnegative")
-    out = adams(args.n, LoopSum.of(spec, _word(args.word)))
-    payload = {
-        "command": "adams",
-        "surface": [spec.genus, spec.boundary],
-        "n": args.n,
-        "image": out.to_json(),
-    }
-    _emit(args, payload, _sum_lines("image", payload["image"]))
+    image = adams(args.n, LoopSum.of(spec, _word(args.word))).to_json()
+    _emit(args, {"n": args.n, "image": image}, _sum_lines("image", image),
+          spec)
     return EXIT_OK
 
 
-def _symplectic_expansion(args):
-    """The solved symplectic expansion of --g/--b at the truncation."""
-    if args.b < 1:
-        raise UsageError("the surface needs at least one boundary circle")
-    trunc = _trunc(args)
-    return _usage(solve_symplectic, args.g, args.b - 1, trunc)
+def _symplectic_expansion(args, spec):
+    """The solved symplectic expansion of spec at the truncation."""
+    return _usage(solve_symplectic, spec.genus, spec.boundary - 1,
+                  _trunc(args))
 
 
 def cmd_solve_expansion(args):
-    theta = _symplectic_expansion(args)
+    spec = _surface(args)
+    theta = _symplectic_expansion(args, spec)
     symplectic = is_symplectic(theta)
     payload = {
-        "command": "solve-expansion",
-        "surface": [args.g, args.b],
         "truncation": theta.trunc,
         "symplectic": bool(symplectic),
         "expansion": theta.to_json(),
     }
     lines = ["symplectic expansion to degree %d: %s"
              % (theta.trunc, "verified" if symplectic else "NOT symplectic")]
-    _emit(args, payload, lines)
+    _emit(args, payload, lines, spec)
     return EXIT_OK if symplectic else EXIT_FAILED
 
 
 def cmd_kvi_check(args):
-    cert = kvi_check(invert_expansion(_symplectic_expansion(args)))
-    payload = {
-        "command": "kvi-check",
-        "surface": [args.g, args.b],
-        "certificate": cert,
-    }
-    # the certificate is the deliverable, so this command always
-    # prints the JSON document
-    payload["schema"] = SCHEMA
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    spec = _surface(args)
+    cert = kvi_check(invert_expansion(_symplectic_expansion(args, spec)))
+    # --json is always set here: the certificate is the deliverable
+    _emit(args, {"certificate": cert}, [], spec)
     return EXIT_OK if cert["passed"] else EXIT_FAILED
 
 
@@ -272,15 +248,9 @@ def cmd_bar_pair(args):
     spec = _surface(args)
     model = open_model(spec)
     element = _usage(parse_bar, args.bar, model)
-    value = chen_pairing(element, _word(args.word, spec))
-    payload = {
-        "command": "bar-pair",
-        "surface": [spec.genus, spec.boundary],
-        "bar": args.bar,
-        "word": args.word,
-        "value": str(value),
-    }
-    _emit(args, payload, ["%s" % value])
+    value = str(chen_pairing(element, _word(args.word, spec)))
+    _emit(args, {"bar": args.bar, "word": args.word, "value": value},
+          [value], spec)
     return EXIT_OK
 
 
@@ -291,10 +261,8 @@ def cmd_resolution(args):
         # a certificate failed: that is a checked property, not usage
         report = {"genus": args.g, "max_n": args.max_n, "passed": False,
                   "failures": [str(err)]}
-        _emit(args, {"command": "resolution", "report": report},
-              ["FAILED: %s" % err])
+        _emit(args, {"report": report}, ["FAILED: %s" % err])
         return EXIT_FAILED
-    payload = {"command": "resolution", "report": report}
     lines = ["degree dims: %s" % report["dims"]]
     for row in report["rows"]:
         lines.append("n=%d dims=%s composite=%s injective=%s surjective=%s "
@@ -304,18 +272,18 @@ def cmd_resolution(args):
                                    "checked" if row["rank_cross_checked"]
                                    else "counted"))
     lines.append("passed" if report["passed"] else "FAILED")
-    _emit(args, payload, lines)
+    _emit(args, {"report": report}, lines)
     return EXIT_OK if report["passed"] else EXIT_FAILED
 
 
 def cmd_twist_check(args):
     try:
-        g, b = (int(part) for part in args.surface.split(","))
-        spec = SurfaceSpec(g, b)
-        curves = twist_curve_names(spec)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
-    if not curves:
+        g, b = map(int, args.surface.split(","))
+    except ValueError:
+        raise UsageError("--surface %r is not of the form G,B"
+                         % args.surface) from None
+    spec = _usage(SurfaceSpec, g, b)
+    if not twist_curve_names(spec):
         raise UsageError("no tabulated twist curves for surface %s"
                          % args.surface)
     trunc = _trunc(args)
@@ -324,26 +292,24 @@ def cmd_twist_check(args):
             for curve, name, image, match
             in suites.twist_formula_rows(spec, trunc)]
     ok = all(r["matches"] for r in rows)
-    payload = {
-        "command": "twist-check",
-        "surface": [spec.genus, spec.boundary],
-        "truncation": trunc,
-        "rows": rows,
-        "passed": bool(ok),
-    }
+    payload = {"truncation": trunc, "rows": rows, "passed": bool(ok)}
     lines = ["%s(%s) = %s: %s" % (r["curve"], r["generator"], r["image"],
                                   "ok" if r["matches"] else "MISMATCH")
              for r in rows]
     lines.append("passed" if ok else "FAILED")
-    _emit(args, payload, lines)
+    _emit(args, payload, lines, spec)
     return EXIT_OK if ok else EXIT_FAILED
 
 
 def cmd_verify(args):
-    trunc = None if args.N is None else _trunc(args)
-    report = suites.run_suite(args.suite, genus=args.g, boundary=args.b,
-                              trunc=trunc, seed=args.seed)
-    payload = {"command": "verify", "report": report}
+    options = {"genus": args.g, "boundary": args.b, "seed": args.seed,
+               "trunc": None if args.N is None else _trunc(args)}
+    accepted = inspect.signature(suites.SUITES[args.suite]).parameters
+    for name, flag in (("genus", "--g"), ("boundary", "--b"),
+                       ("trunc", "--N"), ("seed", "--seed")):
+        if options[name] is not None and name not in accepted:
+            raise UsageError("the %s suite takes no %s" % (args.suite, flag))
+    report = suites.run_suite(args.suite, **options)
     lines = []
     for check in report["checks"]:
         if check["passed"]:
@@ -354,93 +320,99 @@ def cmd_verify(args):
                                                  check["cases"]))
             lines.extend("     %s" % f for f in check["failures"])
     lines.append("pass" if report["passed"] else "fail")
-    _emit(args, payload, lines)
+    _emit(args, {"report": report}, lines)
     return EXIT_OK if report["passed"] else EXIT_FAILED
+
+
+# the options several commands share; each command names those it reads
+_SHARED_OPTIONS = {
+    "g": dict(type=int, default=1, help="genus (default 1)"),
+    "b": dict(type=int, default=1, help="boundary circles (default 1)"),
+    "N": dict(type=int, default=None,
+              help="truncation degree (default 4; suites pick their own)"),
+    "seed": dict(type=int, default=None,
+                 help="seed for randomized sweeps (default %d)"
+                 % suites.DEFAULT_SEED),
+    "json": dict(action="store_true", help="print a stable JSON document"),
+    "trace": dict(action="store_true", help="include per-crossing records"),
+}
 
 
 @functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            # a bad command line is a usage error, which main prints as
+            # one line where argparse would print its usage block
+            raise UsageError(message)
+
+    parser = Parser(
         prog="goldman-forge",
         description="Exact loop-surgery computations on bordered surfaces.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--g", type=int, default=1,
-                        help="genus (default 1)")
-    common.add_argument("--b", type=int, default=1,
-                        help="boundary circles (default 1)")
-    common.add_argument("--N", type=int, default=None,
-                        help="truncation degree (default 4; suites pick their own)")
-    common.add_argument("--seed", type=int, default=suites.DEFAULT_SEED,
-                        help="seed for randomized sweeps")
-    common.add_argument("--json", action="store_true",
-                        help="print a stable JSON document")
-    common.add_argument("--trace", action="store_true",
-                        help="include per-crossing records where supported")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bracket", parents=[common],
-                       help="bracket of two loop words")
-    p.add_argument("words", nargs=2, metavar="WORD")
-    p.set_defaults(handler=cmd_bracket)
+    def command(name, handler, summary, shared):
+        p = sub.add_parser(name, help=summary)
+        for option in shared.split():
+            p.add_argument("--" + option, **_SHARED_OPTIONS[option])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("kk", parents=[common],
-                       help="loop acting on a boundary-to-boundary path")
+    p = command("bracket", cmd_bracket, "bracket of two loop words",
+                "g b N json trace")
+    p.add_argument("words", nargs=2, metavar="WORD")
+
+    p = command("kk", cmd_kk, "loop acting on a boundary-to-boundary path",
+                "g b json trace")
     p.add_argument("loop", metavar="WORD")
     p.add_argument("path", metavar="FROM:TO:WORD")
-    p.set_defaults(handler=cmd_kk)
 
-    p = sub.add_parser("bipair", parents=[common],
-                       help="pairing of two endpoint-disjoint paths")
+    p = command("bipair", cmd_bipair,
+                "pairing of two endpoint-disjoint paths", "g b json")
     p.add_argument("paths", nargs=2, metavar="FROM:TO:WORD")
-    p.set_defaults(handler=cmd_bipair)
 
-    p = sub.add_parser("expand", parents=[common],
-                       help="tensor-series expansion of a word")
+    p = command("expand", cmd_expand, "tensor-series expansion of a word",
+                "g b N json")
     p.add_argument("word", metavar="WORD")
-    p.set_defaults(handler=cmd_expand)
 
-    p = sub.add_parser("adams", parents=[common],
-                       help="power map applied to a loop class")
+    p = command("adams", cmd_adams, "power map applied to a loop class",
+                "g b json")
     p.add_argument("--n", type=int, required=True, help="exponent")
     p.add_argument("word", metavar="WORD")
-    p.set_defaults(handler=cmd_adams)
 
-    p = sub.add_parser("solve-expansion", parents=[common],
-                       help="solve for a symplectic expansion")
-    p.set_defaults(handler=cmd_solve_expansion)
+    command("solve-expansion", cmd_solve_expansion,
+            "solve for a symplectic expansion", "g b N json")
 
-    p = sub.add_parser("kvi-check", parents=[common],
-                       help="tangential automorphism certificate")
-    p.set_defaults(handler=cmd_kvi_check)
+    p = command("kvi-check", cmd_kvi_check,
+                "tangential automorphism certificate (always JSON)",
+                "g b N json")
+    p.set_defaults(json=True)
 
-    p = sub.add_parser("bar-pair", parents=[common],
-                       help="pair a bar word like [xi1|eta1] with a loop")
+    p = command("bar-pair", cmd_bar_pair,
+                "pair a bar word like [xi1|eta1] with a loop", "g b json")
     p.add_argument("bar", metavar="BAR")
     p.add_argument("word", metavar="WORD")
-    p.set_defaults(handler=cmd_bar_pair)
 
-    p = sub.add_parser("resolution", parents=[common],
-                       help="surface-algebra resolution certificate")
+    p = command("resolution", cmd_resolution,
+                "surface-algebra resolution certificate", "g json")
     p.add_argument("--max-n", type=int, default=6, dest="max_n")
-    p.set_defaults(handler=cmd_resolution)
 
-    p = sub.add_parser("twist-check", parents=[common],
-                       help="twist logarithm formula on all generators")
+    p = command("twist-check", cmd_twist_check,
+                "twist logarithm formula on all generators", "N json")
     p.add_argument("--surface", default="1,1", metavar="G,B")
-    p.set_defaults(handler=cmd_twist_check)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run a named property suite")
+    p = command("verify", cmd_verify, "run a named property suite",
+                "g b N seed json")
     p.add_argument("suite", choices=sorted(suites.SUITES))
-    p.set_defaults(handler=cmd_verify)
+    # unset, each option leaves the suite its own default
+    p.set_defaults(g=None, b=None)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except UsageError as err:
         print("error: %s" % err, file=sys.stderr)

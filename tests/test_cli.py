@@ -5,8 +5,12 @@ output must be byte-stable for fixed inputs and seed, and every JSON
 document carries the schema marker.
 """
 
+import argparse
 import hashlib
+import inspect
 import json
+import os
+import shlex
 import subprocess
 import sys
 
@@ -215,8 +219,9 @@ class TestVerify:
             assert "inf" not in out
 
     def test_unknown_suite_exits_2(self, capsys):
-        code, _, _ = run_cli(["verify", "nonsense"], capsys)
+        code, _, err = run_cli(["verify", "nonsense"], capsys)
         assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_json_report(self, capsys):
         argv = ["verify", "twist", "--json", "--N", "3"]
@@ -267,6 +272,117 @@ class TestParser:
         # the golden digest of bracket --g 1 --b 1 a1 b1 --json
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "33a638630dd8bfab490db02db6ccc16308b5997a67cea12a3e4b00a395af6c6d")
+
+
+# the shared options each command reads, and positionals that parse
+COMMANDS = {
+    "bracket": ("g b N json trace", ["a1", "b1"]),
+    "kk": ("g b json trace", ["a1", "0:0:b1"]),
+    "bipair": ("g b json", ["0:2:1", "1:3:1"]),
+    "expand": ("g b N json", ["a1"]),
+    "adams": ("g b json", ["--n", "2", "a1"]),
+    "solve-expansion": ("g b N json", []),
+    "kvi-check": ("g b N json", []),
+    "bar-pair": ("g b json", ["[xi1]", "a1"]),
+    "resolution": ("g json", []),
+    "twist-check": ("N json", []),
+    "verify": ("g b N seed json", ["jacobi"]),
+}
+SHARED = {"g": (["--g", "2"], 2), "b": (["--b", "2"], 2),
+          "N": (["--N", "3"], 3), "seed": (["--seed", "5"], 5),
+          "json": (["--json"], True), "trace": (["--trace"], True)}
+READ = [(command, option) for command, (read, _) in COMMANDS.items()
+        for option in read.split()]
+UNREAD = [(command, option) for command, (read, _) in COMMANDS.items()
+          for option in SHARED if option not in read.split()]
+
+
+class TestOptions:
+    def test_each_command_takes_only_the_options_it_reads(self):
+        sub = next(action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        assert set(sub.choices) == set(COMMANDS)
+        own = {"adams": {"n"}, "resolution": {"max_n"},
+               "twist-check": {"surface"}}
+        for name, parser in sub.choices.items():
+            settable = {action.dest for action in parser._actions
+                        if action.option_strings and action.dest != "help"}
+            assert settable == (set(COMMANDS[name][0].split())
+                                | own.get(name, set())), name
+
+    @pytest.mark.parametrize("command,option", READ)
+    def test_each_command_accepts_the_options_it_reads(self, command,
+                                                       option):
+        flag, value = SHARED[option]
+        args = cli.build_parser().parse_args(
+            [command] + flag + COMMANDS[command][1])
+        assert getattr(args, option) == value
+
+    @pytest.mark.parametrize("command,option", UNREAD)
+    def test_an_option_the_command_ignores_is_rejected(self, command,
+                                                       option, capsys):
+        flag, _ = SHARED[option]
+        code, out, err = run_cli([command] + COMMANDS[command][1] + flag,
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,says", [
+    (["adams", "a1"], "--n"),
+    (["bracket", "--N", "x", "a1", "b1"], "--N"),
+    (["no-such-command"], "no-such-command"),
+    ([], "command"),
+    (["twist-check", "--surface", "1"], "--surface"),
+    (["twist-check", "--surface", "1,x"], "--surface"),
+    (["twist-check", "--surface", "1,1,1"], "--surface"),
+])
+def test_usage_errors_are_one_line(argv, says, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and says in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["adams", "--help"]])
+def test_help_exits_0(argv, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.startswith("usage: goldman-forge")
+
+
+VERIFY_OPTIONS = {"--g": "genus", "--b": "boundary", "--N": "trunc",
+                  "--seed": "seed"}
+
+
+@pytest.mark.parametrize("suite,flag", [
+    (suite, flag) for suite, fn in sorted(suites.SUITES.items())
+    for flag, param in VERIFY_OPTIONS.items()
+    if param not in inspect.signature(fn).parameters])
+def test_verify_rejects_an_option_the_suite_takes_not(suite, flag, capsys):
+    code, out, err = run_cli(["verify", suite, flag, "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the %s suite takes no %s\n" % (suite, flag)
+
+
+def readme_examples():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "README.md")
+    with open(path) as fh:
+        section = fh.read().split("## Command line", 1)[1]
+    return [shlex.split(line)[1:] for line in section.splitlines()
+            if line.startswith("goldman-forge ")]
+
+
+def test_every_readme_example_parses():
+    examples = readme_examples()
+    assert len(examples) >= len(COMMANDS)
+    for argv in examples:
+        assert cli.build_parser().parse_args(argv).command == argv[0]
 
 
 def test_console_entry_point():
