@@ -139,9 +139,6 @@ class BarElement(TermSum):
     def _sort_key(self, word):
         return self.model.sort_key(word)
 
-    def augmentation(self):
-        return self.terms.get((), Fraction(0))
-
     def render(self):
         if not self.terms:
             return "0"
@@ -158,11 +155,6 @@ class BarElement(TermSum):
 
     def __repr__(self):
         return f"<BarElement {self.render()}>"
-
-
-def _check_model(a, b):
-    if a != b:
-        raise ValueError("bar elements live over different models")
 
 
 def parse_bar(text, model):
@@ -202,7 +194,8 @@ def bar_differential(e):
 
 def shuffle_product(e1, e2):
     """Signed shuffle; Koszul signs ride on the shifted degrees."""
-    _check_model(e1.model, e2.model)
+    if e1.model != e2.model:
+        raise ValueError("bar elements live over different models")
     model = e1.model
     out = BarElement(model)
     for w1, c1 in e1.terms.items():
@@ -341,38 +334,6 @@ def eval_hat_cs(e, w, gamma):
                             * comb(r + 1, k - j))
         total += n * acc * (top // factorial(r + 1))
     return Fraction(total, den * top)
-
-
-def dual_kk(end0, end1, middle, model=None):
-    """Assemble the relative insertion formula with its end corrections.
-
-    `middle` is a triple (left letters, letter, right letters); the ends
-    are pairs of bar elements whose contribution is weighted by the
-    augmentation of the outer factor, the second with a minus sign. Pass
-    None for an absent end.
-    """
-    left, w, right = middle
-    if model is None:
-        for end in (end0, end1):
-            if end is not None:
-                model = end[0].model
-                break
-    if model is None:
-        raise ValueError("model needed when both ends are absent")
-    if model.degree(w) != 1:
-        raise ValueError(f"inserted letter {w!r} must have degree 1")
-    out = BarElement.word(model, tuple(left) + (w,) + tuple(right))
-    if end0 is not None:
-        i0, j0 = end0
-        _check_model(i0.model, model)
-        _check_model(j0.model, model)
-        out = out + j0.scaled(i0.augmentation())
-    if end1 is not None:
-        i1, j1 = end1
-        _check_model(i1.model, model)
-        _check_model(j1.model, model)
-        out = out - i1.scaled(j1.augmentation())
-    return out
 
 
 def eval_hat_kk(middle, gamma, model):

@@ -346,6 +346,17 @@ def build_parser():
             # one line where argparse would print its usage block
             raise UsageError(message)
 
+        def parse_args(self, args=None, namespace=None):
+            # an unknown option takes the next token as its value, so a
+            # real positional is left over too: name only the options
+            # (no positional of this CLI starts with a dash)
+            args, extras = self.parse_known_args(args, namespace)
+            if extras:
+                options = [t for t in extras if t.startswith("-")]
+                self.error("unrecognized arguments: %s"
+                           % " ".join(options or extras))
+            return args
+
     parser = Parser(
         prog="goldman-forge",
         description="Exact loop-surgery computations on bordered surfaces.")

@@ -63,12 +63,16 @@ class LoopSum(TermSum):
         super().__init__(terms)
 
     @classmethod
-    def of(cls, spec, word, coeff=1, twist=0):
+    def of(cls, spec, word, coeff=1):
         """Single class from a FreeWord (normalized here)."""
-        return cls(spec, [(cyclic_normal_form(word), coeff)], twist)
+        return cls(spec, [(cyclic_normal_form(word), coeff)])
 
     def _sort_key(self, loop_class):
         return _word_key_letters(loop_class.word)
+
+    def augmentation(self):
+        """The sum of the coefficients, the augmentation of Q[pi]."""
+        return sum(self.terms.values(), Fraction(0))
 
     def reduced(self):
         """Subtract the augmentation multiple of the trivial class."""
@@ -105,8 +109,8 @@ class PathSum(TermSum):
         super().__init__(terms)
 
     @classmethod
-    def of(cls, spec, path, coeff=1, twist=0):
-        return cls(spec, path.from_tag, path.to_tag, [(path, coeff)], twist)
+    def of(cls, spec, path, coeff=1):
+        return cls(spec, path.from_tag, path.to_tag, [(path, coeff)])
 
     def add_term(self, path, coeff):
         if path.from_tag != self.from_tag or path.to_tag != self.to_tag:
@@ -267,11 +271,6 @@ def _draw(ribbon, items, convention):
     return chords
 
 
-def _check_convention(convention):
-    if convention not in CONVENTIONS:
-        raise ValueError("unknown perturbation convention %r" % (convention,))
-
-
 def _crossings(ribbon, left, right, convention):
     """(sign, left passage, right passage) at every crossing of two items.
 
@@ -308,7 +307,8 @@ def _surgeries(u, v, convention):
     coeff_a * coeff_b == n / den and crossings iterates the
     (sign, passage of a, passage of b) of ``_crossings``.
     """
-    _check_convention(convention)
+    if convention not in CONVENTIONS:
+        raise ValueError("unknown perturbation convention %r" % (convention,))
     if u.spec != v.spec:
         raise ValueError("operands live on different surfaces")
     ribbon = ribbon_structure(u.spec)
@@ -319,15 +319,16 @@ def _surgeries(u, v, convention):
     return den_u * den_v, records
 
 
-def _tally(out, surgeries, splice):
-    """Add to out the surgered terms of (den, records) from _surgeries.
+def _tally(like, surgeries, splice):
+    """The surgered terms of (den, records) from _surgeries, as a sum of
+    the empty sum like's fields.
 
     splice(a, b) is called once per pair of terms and returns the map
     (split of a, split of b) -> output term, so per-pair data such as
     letter keys is computed once, not at each crossing.  One int dict
-    sums sign * n per output term over every pair; each nonzero total
-    becomes one Fraction(total, den), and a term whose total cancels
-    to 0 is never stored."""
+    sums sign * n per output term over every pair; with_totals keeps
+    the nonzero totals over den, unchecked: the terms carry the
+    operands' own endpoint tags."""
     den, records = surgeries
     totals = {}
     for n, a, b, crossings in records:
@@ -335,10 +336,7 @@ def _tally(out, surgeries, splice):
         for sign, pa, pb in crossings:
             key = term(pa.split, pb.split)
             totals[key] = totals.get(key, 0) + sign * n
-    for key, total in totals.items():
-        if total:
-            out.add_term(key, Fraction(total, den))
-    return out
+    return like.with_totals(den, totals)
 
 
 def goldman_bracket(u, v, convention="default"):
@@ -380,16 +378,15 @@ def bi_pairing(gamma1, gamma2, convention="default"):
     return _tally(out, surgeries, splice)
 
 
-def crossing_trace(spec, left, right, convention="default"):
-    """Debug view: every crossing with its sign and both passages.
+def crossing_trace(spec, left, right):
+    """Debug view: every default-convention crossing, sign and passages.
 
     left and right are LoopClass or Path values; the trace lists the
     raw crossings before any normalization collapses terms.
     """
-    _check_convention(convention)
     return [{"sign": sign, "left": pu.to_json(), "right": pv.to_json()}
             for sign, pu, pv in _crossings(ribbon_structure(spec), left, right,
-                                           convention)]
+                                           "default")]
 
 
 # -- classes, powers, logarithms ----------------------------------------

@@ -163,9 +163,6 @@ class NecklaceWord:
     def __hash__(self):
         return hash(self.word)
 
-    def __len__(self):
-        return len(self.word)
-
     def __repr__(self):
         return "NecklaceWord(%s)" % (" ".join(self.word) or "1")
 
@@ -226,13 +223,6 @@ class CyclicSeries(TermSum):
         }
 
 
-def _tallied(sig, trunc, twist, den, totals):
-    """CyclicSeries of in-truncation int totals over den per necklace."""
-    out = CyclicSeries(sig, trunc, twist=twist)
-    out.terms = {n: Fraction(c, den) for n, c in totals.items() if c}
-    return out
-
-
 def necklace_project(series, twist=0):
     """Trace projection: int numerators summed per cyclic rotation class."""
     den, numerators = series.numerators()
@@ -240,7 +230,8 @@ def necklace_project(series, twist=0):
     for word, c in numerators:
         key = NecklaceWord(word)
         totals[key] = totals.get(key, 0) + c
-    return _tallied(series.sig, series.trunc, twist, den, totals)
+    return CyclicSeries(series.sig, series.trunc,
+                        twist=twist).with_totals(den, totals)
 
 
 def expand_class(loop_class, theta):
@@ -285,8 +276,8 @@ def gr_necklace_bracket(u, v):
                 if sign:
                     key = NecklaceWord(p[i + 1:] + p[:i] + q[j + 1:] + q[:j])
                     totals[key] = totals.get(key, 0) + sign * cp * cq
-    return _tallied(u.sig, u.trunc, u.twist + v.twist + 1, den_u * den_v,
-                    totals)
+    return CyclicSeries(u.sig, u.trunc, twist=u.twist + v.twist + 1
+                        ).with_totals(den_u * den_v, totals)
 
 
 def transported_bracket(u, v, theta):
@@ -588,7 +579,7 @@ def adams_series_check(n, p, k):
         scale = n ** m * den // (factorial(m) * d)
         for necklace, c in numerators:
             totals[necklace] = totals.get(necklace, 0) + scale * c
-    if _tallied(sig, trunc, 0, den, totals) != scaled:
+    if CyclicSeries(sig, trunc).with_totals(den, totals) != scaled:
         return False
     low = p.valuation()
     if low is not None and p.homogeneous_component(low) == p:

@@ -19,7 +19,6 @@ from .barcx import (
     chen_pairing,
     closed_model,
     dual_cs,
-    dual_kk,
     eval_hat_cs,
     eval_hat_kk,
     open_model,
@@ -550,8 +549,8 @@ def bar(conj_count=200, eval_count=100, square_len=4, seed=DEFAULT_SEED):
         w = rng.choice(letters)
         gamma = _random_word(rng, spec, 5, min_len=0)
         lhs = eval_hat_kk((left, w, right), gamma, om)
-        if lhs != chen_pairing(dual_kk(None, None, (left, w, right),
-                                       model=om), gamma):
+        if lhs != chen_pairing(BarElement.word(om, left + (w,) + right),
+                               gamma):
             hat_kk_failures.append("middle insertion disagrees: %r, %s, "
                                    "%r, %r" % (left, w, right, gamma))
 

@@ -139,7 +139,7 @@ class FreeWord:
 
     Construction does not reduce; call reduce() for the normal form.
     The * operator is group multiplication (concatenate and reduce).
-    The constructor checks each letter; reduce, inverse, * and ** build
+    The constructor checks each letter; reduce, inverse and * build
     their results from checked letters without checking them again.
     """
 
@@ -165,19 +165,8 @@ class FreeWord:
     def __mul__(self, other):
         return _trusted_word(_reduce_letters(self.letters + other.letters))
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return _trusted_word(self.letters * n)
-
-    def __len__(self):
-        return len(self.letters)
-
     def __iter__(self):
         return iter(self.letters)
-
-    def __getitem__(self, i):
-        return self.letters[i]
 
     def __eq__(self, other):
         return isinstance(other, FreeWord) and self.letters == other.letters
@@ -187,9 +176,6 @@ class FreeWord:
 
     def __repr__(self):
         return "FreeWord(%s)" % (render_word(self) or "1")
-
-    def __str__(self):
-        return render_word(self)
 
 
 class LoopClass:
@@ -210,9 +196,6 @@ class LoopClass:
 
     def free_word(self):
         return FreeWord(self.word)
-
-    def __len__(self):
-        return len(self.word)
 
     def __eq__(self, other):
         return isinstance(other, LoopClass) and self.word == other.word

@@ -22,15 +22,16 @@ sum or rescale terms (from_terms, combination, *, truncated,
 homogeneous_component, Derivation.apply) accumulate ints into degree
 buckets over one denominator and finish through TensorSeries._settled,
 the one place that drops zero numerators and empty buckets and divides
-out the gcd; negation copies buckets.  combination sums coeff * series
-over a stream of parts over the lcm of their denominators (a part's is
-its series' times its coefficient's); +, -, scaled, AlgebraMap.apply,
-exp, log and derivation_exp are combinations of iterates; exp_sum, the
-one k!-weighted sum, reads exp(m*s) for every m off one power list
-powers(s) = [1, s, s^2, ...].  is_primitive runs the Dynkin test on int
-numerators; no predicate reads coproduct.  Denominators: * multiplies
-them, combination and from_terms take their lcm.  numerators() is the
-int view of a series, TermSum.numerators() that of a Fraction sum.
+out the gcd.  combination sums coeff * series over a stream of parts
+over the lcm of their denominators (a part's is its series' times its
+coefficient's); + and - (a series, int or Fraction on the right),
+scaled, AlgebraMap.apply, exp, log and derivation_exp are combinations
+of iterates; exp_sum, the one k!-weighted sum, reads exp(m*s) for every
+m off one power list powers(s) = [1, s, s^2, ...].  is_primitive runs
+the Dynkin test on int numerators; no predicate reads coproduct.
+Denominators: * multiplies them, combination and from_terms take their
+lcm.  numerators() is the int view of a series, TermSum.numerators()
+that of a Fraction sum.
 Outside this module nothing reads _buckets or _den or calls the bucket
 constructor (tests/test_hygiene.py).
 """
@@ -78,7 +79,8 @@ class TermSum:
     added (surface, twist, truncation, ...), gives _sort_key for the
     serialized term order, and overrides add_term when incoming keys
     need a check or a rewrite.  Sums built from admitted terms (copy,
-    scaled, +, -) take them over without checking them again.
+    scaled, +, -, with_totals) take them over without checking them
+    again.
     """
 
     __slots__ = ("terms",)
@@ -112,14 +114,16 @@ class TermSum:
         out.terms = terms
         return out
 
+    def with_totals(self, den, totals):
+        """Same fields; n / den per key with nonzero int total n, unchecked."""
+        return self._with_terms({key: Fraction(n, den)
+                                 for key, n in totals.items() if n})
+
     def _fields(self):
         return [getattr(self, name) for name in self._FIELDS]
 
     def is_zero(self):
         return not self.terms
-
-    def augmentation(self):
-        return sum(self.terms.values(), Fraction(0))
 
     def numerators(self):
         """(L, [(key, coeff * L), ...]), L the lcm of the denominators."""
@@ -397,27 +401,16 @@ class TensorSeries:
         return TensorSeries.combination(self.sig, self.trunc,
                                         ((1, self), (1, other)))
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        buckets = {d: {w: -c for w, c in b.items()} for d, b in self._buckets.items()}
-        return TensorSeries(self.sig, self.trunc, buckets, self._den)
-
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             return self + (-other)
         return TensorSeries.combination(self.sig, self.trunc,
                                         ((1, self), (-1, other)))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def scaled(self, scalar):
         return TensorSeries.combination(self.sig, self.trunc, ((scalar, self),))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
         _check_compat(self.sig, self.trunc, other)
         trunc = self.trunc
         out = {}
@@ -434,11 +427,6 @@ class TensorSeries:
                         tgt[w] = c1 * c2 if old is None else old + c1 * c2
         return TensorSeries._settled(self.sig, self.trunc, out,
                                      self._den * other._den)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, TensorSeries):
@@ -548,10 +536,10 @@ class TensorSquare(TermSum):
 
     _FIELDS = ("sig", "trunc")
 
-    def __init__(self, sig, trunc, terms=None):
+    def __init__(self, sig, trunc):
         self.sig = sig
         self.trunc = trunc
-        super().__init__(terms)
+        super().__init__()
 
     def add_term(self, pair, coeff):
         """Add coeff * (left, right); pairs past the truncation are dropped."""
@@ -591,8 +579,7 @@ def coproduct(s):
                           + [(left, right + (a,)) for left, right in splits])
             for split in splits:
                 sums[split] = sums.get(split, 0) + num
-    terms = {k: Fraction(n, s._den) for k, n in sums.items() if n}
-    return TensorSquare(s.sig, s.trunc)._with_terms(terms)
+    return TensorSquare(s.sig, s.trunc).with_totals(s._den, sums)
 
 
 def right_normed_words(word, memo=None):

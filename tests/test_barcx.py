@@ -18,7 +18,6 @@ from goldman_forge.barcx import (
     chen_pairing,
     closed_model,
     dual_cs,
-    dual_kk,
     eval_hat_cs,
     eval_hat_kk,
     open_model,
@@ -309,35 +308,6 @@ class TestEvalHatCs:
             gamma = random_free(rng, spec, 5)
             assert (eval_hat_cs(e, w, gamma)
                     == chen_pairing(dual_cs(e, w), gamma)), (e, w, gamma)
-
-
-class TestDualKk:
-    def test_middle_only(self):
-        out = dual_kk(None, None, ((), "xi1", ()), model=OM)
-        assert out == BarElement.word(OM, ("xi1",))
-
-    def test_insertion_order(self):
-        out = dual_kk(None, None, (("xi1",), "eta1", ("zeta1",)),
-                      model=open_model(SurfaceSpec(1, 2)))
-        assert list(out.terms) == [("xi1", "eta1", "zeta1")]
-
-    def test_augmentation_kills_long_ends(self):
-        I0 = parse_bar("[xi1]", OM)
-        J0 = parse_bar("[eta1]", OM)
-        out = dual_kk((I0, J0), None, ((), "xi1", ()))
-        assert out == BarElement.word(OM, ("xi1",))
-
-    def test_end_signs(self):
-        scalar2 = parse_bar("[]", OM).scaled(2)
-        J0 = parse_bar("[eta1]", OM)
-        plus = dual_kk((scalar2, J0), None, ((), "xi1", ()))
-        assert plus == BarElement(OM, [(("xi1",), 1), (("eta1",), 2)])
-        minus = dual_kk(None, (J0, scalar2), ((), "xi1", ()))
-        assert minus == BarElement(OM, [(("xi1",), 1), (("eta1",), -2)])
-
-    def test_model_required_when_bare(self):
-        with pytest.raises(ValueError):
-            dual_kk(None, None, ((), "xi1", ()))
 
 
 class TestEvalHatKk:

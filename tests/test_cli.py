@@ -347,6 +347,20 @@ def test_usage_errors_are_one_line(argv, says, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv,named", [
+    # the unknown option takes the next token as its value, so argparse
+    # would also name the real positional it pushed out
+    (["adams", "--n", "2", "--N", "5", "a1"], "--N"),
+    (["kk", "--N", "3", "a1", "0:0:b1"], "--N"),
+    (["bracket", "a1", "b1", "c1"], "c1"),
+])
+def test_unrecognized_arguments_name_the_options(argv, named, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: unrecognized arguments: %s\n" % named
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["adams", "--help"]])
 def test_help_exits_0(argv, capsys):
     code, out, _ = run_cli(argv, capsys)

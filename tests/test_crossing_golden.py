@@ -4,7 +4,9 @@ A seeded sweep of brackets, loop actions and path pairings on seven
 surfaces, under both perturbation conventions, with one- and two-term
 operands, trivial classes and identity paths.  One sha256 covers the
 JSON of every surgery output and the crossing_trace records of every
-pair of terms in both operand orders, so any change to a chord, a
+pair of terms in both operand orders (crossing_trace draws under the
+default convention only; the reversed records are read off the
+crossing enumeration it wraps), so any change to a chord, a
 crossing sign, a split or a term order shows up as a digest mismatch.
 A deliberate change to the crossing layer's output must update the
 digest in the same commit.
@@ -18,12 +20,18 @@ from goldman_forge.goldman import (
     CONVENTIONS,
     LoopSum,
     PathSum,
+    _crossings,
     bi_pairing,
     crossing_trace,
     goldman_bracket,
     kk_action,
 )
-from goldman_forge.surface import Path, SurfaceSpec, cyclic_normal_form
+from goldman_forge.surface import (
+    Path,
+    SurfaceSpec,
+    cyclic_normal_form,
+    ribbon_structure,
+)
 
 from helpers import random_surface_word
 
@@ -49,11 +57,19 @@ def _path_sum(rng, spec, tags):
     return out
 
 
+def _trace(spec, left, right, convention):
+    if convention == "default":
+        return crossing_trace(spec, left, right)
+    return [{"sign": sign, "left": pu.to_json(), "right": pv.to_json()}
+            for sign, pu, pv in _crossings(ribbon_structure(spec), left,
+                                           right, convention)]
+
+
 def _traces(spec, left, right, convention):
     for a in left.terms:
         for b in right.terms:
-            yield crossing_trace(spec, a, b, convention)
-            yield crossing_trace(spec, b, a, convention)
+            yield _trace(spec, a, b, convention)
+            yield _trace(spec, b, a, convention)
 
 
 def crossing_records(cases=CASES, seed=2024):

@@ -47,8 +47,9 @@ from helpers import log_class
 TORUS = SurfaceSpec(1, 1)
 
 
-def loop(spec, text, coeff=1):
-    return LoopSum.of(spec, parse_word(text), coeff)
+def loop(spec, text, coeff=1, twist=0):
+    return LoopSum(spec, [(cyclic_normal_form(parse_word(text)), coeff)],
+                   twist)
 
 
 def based(spec, text, tag=0):
@@ -69,8 +70,8 @@ class TestSumTypes:
         assert u.terms == {}
 
     def test_twist_mismatch_rejected(self):
-        u = LoopSum.of(TORUS, parse_word("a1"), twist=0)
-        v = LoopSum.of(TORUS, parse_word("a1"), twist=1)
+        u = loop(TORUS, "a1", twist=0)
+        v = loop(TORUS, "a1", twist=1)
         with pytest.raises(ValueError):
             u + v
 
@@ -115,11 +116,11 @@ class TestSumTypes:
 class TestBracketAnchors:
     def test_dual_generators(self):
         out = goldman_bracket(loop(TORUS, "a1"), loop(TORUS, "b1"))
-        assert out == LoopSum.of(TORUS, parse_word("a1 b1"), 1, twist=1)
+        assert out == loop(TORUS, "a1 b1", 1, twist=1)
 
     def test_inverse_flips_sign(self):
         out = goldman_bracket(loop(TORUS, "a1"), loop(TORUS, "b1'"))
-        assert out == LoopSum.of(TORUS, parse_word("a1 b1'"), -1, twist=1)
+        assert out == loop(TORUS, "a1 b1'", -1, twist=1)
 
     def test_self_bracket_vanishes(self):
         assert goldman_bracket(loop(TORUS, "a1"), loop(TORUS, "a1")).is_zero()
@@ -131,8 +132,8 @@ class TestBracketAnchors:
         assert goldman_bracket(one, loop(TORUS, "b1")).is_zero()
 
     def test_twist_bookkeeping(self):
-        u = LoopSum.of(TORUS, parse_word("a1"), twist=2)
-        v = LoopSum.of(TORUS, parse_word("b1"), twist=5)
+        u = loop(TORUS, "a1", twist=2)
+        v = loop(TORUS, "b1", twist=5)
         assert goldman_bracket(u, v).twist == 8
 
 

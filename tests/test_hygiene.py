@@ -18,11 +18,17 @@
     shares its references with every function and method of that name,
     so a ``to_json`` or ``scaled`` used on one class passes on all.
     Dunders and classes are exempt.
-(e) Every defaulted parameter of a module-level package function is
-    passed, by position or by keyword, at some call site in the
-    package, the tests or the bench harness.  A function that escapes
-    as a value (a table entry such as ``suites.SUITES``, an argument)
-    is exempt, since its callers cannot be seen.
+(e) Every defaulted parameter of a package function, or of a method of
+    a package class, is passed, by position or by keyword, at some call
+    site in the package or in the bench harness; as for (d), tests do
+    not count.  A method binds its first parameter; ``__init__`` counts
+    the calls of its class, ``cls(...)`` in the class's body included.
+    The rule is name-based like (d): a method shares its call sites
+    with every function and method of its name.  A function, method or
+    class that escapes as a value (a table entry such as
+    ``suites.SUITES``, an argument, ``__call__ = apply``) is exempt,
+    since its callers cannot be seen; reading an attribute off a name
+    (``LoopSum.of``) is not an escape.
 """
 
 import ast
@@ -145,31 +151,52 @@ def referenced_names(tree):
 
 
 def defaulted_parameters(tree):
-    """(function, parameter, position) for every defaulted parameter of
-    a module-level function; position is None for keyword-only ones."""
+    """(called name, parameter, position) for every defaulted parameter
+    of a module-level function or of a method of a module-level class;
+    the called name of an __init__ is its class's, a method's positions
+    skip its bound first parameter, and position is None for
+    keyword-only parameters."""
     found = []
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            args = node.args
-            positional = args.posonlyargs + args.args
-            first = len(positional) - len(args.defaults)
-            found += [(node.name, arg.arg, i)
-                      for i, arg in enumerate(positional) if i >= first]
-            found += [(node.name, arg.arg, None)
-                      for arg, default in zip(args.kwonlyargs, args.kw_defaults)
-                      if default is not None]
+            found += _defaults(node.name, node, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = node.name if item.name == "__init__" else item.name
+                    found += _defaults(name, item, 1)
     return found
+
+
+def _defaults(name, node, bound):
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(name, arg.arg, i - bound)
+             for i, arg in enumerate(positional) if i >= first]
+            + [(name, arg.arg, None)
+               for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+               if default is not None])
 
 
 def calls_and_escapes(tree):
     """Calls by function name, each as (positional count, keywords) with
     None for an unpacked *args or **kwargs, and the names used as
-    values anywhere but in a call's function position."""
+    values anywhere but in a call's function position or as the object
+    of an attribute.  A call of cls inside a class counts as a call of
+    that class."""
+    classes = {id(call.func): node.name for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)
+               for call in ast.walk(node) if isinstance(call, ast.Call)
+               and isinstance(call.func, ast.Name) and call.func.id == "cls"}
     calls, called, escaped = {}, set(), set()
     for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            called.add(id(node.value))
         if isinstance(node, ast.Call):
             func = node.func
-            name = (func.id if isinstance(func, ast.Name)
+            name = (classes.get(id(func), func.id)
+                    if isinstance(func, ast.Name)
                     else func.attr if isinstance(func, ast.Attribute)
                     else None)
             called.add(id(func))
@@ -202,15 +229,21 @@ def unpassed_defaults(tree, calls, escaped):
                         for site in calls.get(name, ()))]
 
 
-@functools.lru_cache(maxsize=None)
-def _calls_and_escapes_everywhere():
+def merged_calls_and_escapes(trees):
+    """calls_and_escapes of several trees, merged."""
     calls, escaped = {}, set()
-    for path in SOURCES + _sources(PERFBENCH):
-        path_calls, path_escaped = calls_and_escapes(_tree(path))
+    for tree in trees:
+        path_calls, path_escaped = calls_and_escapes(tree)
         for name, sites in path_calls.items():
             calls.setdefault(name, []).extend(sites)
         escaped |= path_escaped
     return calls, escaped
+
+
+@functools.lru_cache(maxsize=None)
+def _package_and_bench_calls():
+    return merged_calls_and_escapes(
+        _tree(path) for path in _sources(PACKAGE) + _sources(PERFBENCH))
 
 
 @functools.lru_cache(maxsize=None)
@@ -250,7 +283,7 @@ def test_exported_functions_have_outside_callers(path):
 
 @pytest.mark.parametrize("path", _sources(PACKAGE), ids=os.path.basename)
 def test_defaulted_parameters_are_passed(path):
-    calls, escaped = _calls_and_escapes_everywhere()
+    calls, escaped = _package_and_bench_calls()
     assert unpassed_defaults(_tree(path), calls, escaped) == []
 
 
@@ -277,3 +310,15 @@ def test_the_checks_catch_what_they_look_for():
                      "def h(k=0): pass\nf(1, 2)\nf(0, d=4)\nH = [h]\n")
     assert unpassed_defaults(tree, *calls_and_escapes(tree)) == [("f", "c"),
                                                                  ("g", "e")]
+    # methods: a bound first parameter, __init__ reached through its
+    # class and through cls(...), and a default only a test passes
+    package = ast.parse(
+        "class C:\n    def __init__(self, a, b=0): pass\n"
+        "    def m(self, x, y=1): pass\n"
+        "    @classmethod\n    def of(cls, k=2): return cls(k, b=k)\n"
+        "    def n(self, z=3): pass\nC.of(1).m(2)\nc = C(0)\nc.n(4)\n")
+    test = ast.parse("C(1).m(2, y=3)\n")
+    assert unpassed_defaults(package, *merged_calls_and_escapes(
+        [package])) == [("m", "y")]
+    assert unpassed_defaults(package, *merged_calls_and_escapes(
+        [package, test])) == []

@@ -299,7 +299,7 @@ def _opposite(rng, sig, trunc, new, old):
     """Something that cancels part or all of (new, old) when added."""
     mode = rng.randrange(3)
     if mode == 0:
-        return -new, -old
+        return new.scaled(-1), -old
     if mode == 1:
         terms = [(w, -c) for w, c in old.items() if rng.random() < 0.5]
         terms += _terms(rng, sig, trunc, nterms=2)
@@ -381,7 +381,8 @@ def _kernel_add(rng, sig, trunc):
     if rng.random() < 0.2:
         c = _coeff(rng, rng.choice(("small", "integral", "huge")))
         assert_same(a + c, oa + c)
-        assert_same(c + a, oa + c)
+        assert_same(TensorSeries.from_terms(sig, trunc, [((), c)]) + a,
+                    oa + c)
         return
     b, ob = _opposite(rng, sig, trunc, a, oa)
     assert_same(a + b, oa + ob)
@@ -394,7 +395,7 @@ def _kernel_sub(rng, sig, trunc):
         return
     b, ob = _pair(rng, sig, trunc)
     assert_same(a - b, oa - ob)
-    assert_same(-a, -oa)
+    assert_same(a.scaled(-1), -oa)
 
 
 def _kernel_combination(rng, sig, trunc):
@@ -436,8 +437,9 @@ def _kernel_scaled(rng, sig, trunc):
     a, oa = _pair(rng, sig, trunc)
     s = _scalar(rng, a)
     assert_same(a.scaled(s), oa.scaled(s))
-    assert_same(a * s, oa.scaled(s))
-    assert_same(s * a, oa.scaled(s))
+    constant = TensorSeries.from_terms(sig, trunc, [((), s)])
+    assert_same(a * constant, oa.scaled(s))
+    assert_same(constant * a, oa.scaled(s))
 
 
 def _kernel_truncated(rng, sig, trunc):

