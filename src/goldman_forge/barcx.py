@@ -126,8 +126,8 @@ class BarElement(TermSum):
         super().__init__(terms)
 
     @classmethod
-    def word(cls, model, letters, coeff=1):
-        return cls(model, [(tuple(letters), coeff)])
+    def word(cls, model, letters):
+        return cls(model, [(tuple(letters), 1)])
 
     def add_term(self, word, coeff):
         """Add coeff * word; every letter must belong to the model."""

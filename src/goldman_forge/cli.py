@@ -288,7 +288,7 @@ def cmd_twist_check(args):
                          % args.surface)
     trunc = _trunc(args)
     rows = [{"curve": curve, "generator": name,
-             "image": render_word(image) or "1", "matches": match}
+             "image": render_word(image), "matches": match}
             for curve, name, image, match
             in suites.twist_formula_rows(spec, trunc)]
     ok = all(r["matches"] for r in rows)

@@ -25,6 +25,7 @@ from .surface import (
     render_word,
     ribbon_structure,
     splice_normal_form,
+    tail_dart,
 )
 from .tensoralg import Derivation, TensorSeries, TermSum, lie_bracket
 
@@ -128,12 +129,12 @@ class PathSum(TermSum):
             "from": self.from_tag,
             "to": self.to_tag,
             "twist": self.twist,
-            "terms": [{"word": render_word(p.word) or "1", "coeff": str(c)}
+            "terms": [{"word": render_word(p.word), "coeff": str(c)}
                       for p, c in self.sorted_terms()],
         }
 
     def __repr__(self):
-        body = " + ".join("%s (%s)" % (c, render_word(p.word) or "1")
+        body = " + ".join("%s (%s)" % (c, render_word(p.word))
                           for p, c in self.sorted_terms()[:6]) or "0"
         return "<PathSum %s->%s tw=%d: %s>" % (self.from_tag, self.to_tag,
                                                self.twist, body)
@@ -146,10 +147,10 @@ class PathPairSum(TermSum):
 
     _FIELDS = ("spec", "twist")
 
-    def __init__(self, spec, terms=None, twist=0):
+    def __init__(self, spec, twist=0):
         self.spec = spec
         self.twist = twist
-        super().__init__(terms)
+        super().__init__()
 
     def _sort_key(self, pair):
         return (_word_key_letters(pair[0].word.letters),
@@ -161,17 +162,16 @@ class PathPairSum(TermSum):
             "twist": self.twist,
             "terms": [{
                 "left": {"from": l.from_tag, "to": l.to_tag,
-                         "word": render_word(l.word) or "1"},
+                         "word": render_word(l.word)},
                 "right": {"from": r.from_tag, "to": r.to_tag,
-                          "word": render_word(r.word) or "1"},
+                          "word": render_word(r.word)},
                 "coeff": str(c),
             } for (l, r), c in self.sorted_terms()],
         }
 
     def __repr__(self):
         body = " + ".join(
-            "%s (%s)x(%s)" % (c, render_word(l.word) or "1",
-                              render_word(r.word) or "1")
+            "%s (%s)x(%s)" % (c, render_word(l.word), render_word(r.word))
             for (l, r), c in self.sorted_terms()[:4]) or "0"
         return "<PathPairSum tw=%d: %s>" % (self.twist, body)
 
@@ -210,7 +210,7 @@ def _dart_name(dart):
     return base + ("+" if e > 0 else "-")
 
 
-def _stops(ribbon, item):
+def _stops(item):
     """(dart, position) stops of a LoopClass or Path, in traversal order.
 
     A loop stops at each letter; a path also starts and ends at the tails
@@ -220,14 +220,15 @@ def _stops(ribbon, item):
         return [(letter, i) for i, letter in enumerate(item.word)]
     if isinstance(item, Path):
         letters = item.word.letters
-        return ([(ribbon.tail(item.from_tag), -1)]
+        return ([(tail_dart(item.from_tag), -1)]
                 + [(letter, k) for k, letter in enumerate(letters)]
-                + [(ribbon.tail(item.to_tag), len(letters))])
+                + [(tail_dart(item.to_tag), len(letters))])
     raise TypeError("surgery operands must be LoopClass or Path values")
 
 
-def _draw(ribbon, items, convention):
-    """One chord list per operand, under one perturbation rule.
+def _draw(slot, items, convention):
+    """One chord list per operand, under one perturbation rule; slot is
+    the dart-position map of ribbon_structure.
 
     Strands through one edge or tail are ranked by (operand tag, stop
     position); the rank is the offset from the edge's left side seen
@@ -237,7 +238,7 @@ def _draw(ribbon, items, convention):
     runs from its stop j to its stop j+1 (cyclically for a loop) and
     splits the word at the position of that second stop.
     """
-    stops = [_stops(ribbon, item) for item in items]
+    stops = [_stops(item) for item in items]
     visits = {}
     for tag, item_stops in enumerate(stops):
         for (base, _e), pos in item_stops:
@@ -248,7 +249,6 @@ def _draw(ribbon, items, convention):
         last = len(strands) - 1
         for r, (tag, pos) in enumerate(strands):
             offset[(base, tag, pos)] = (r, last - r)
-    slot = ribbon.slot
 
     def end(dart, tag, pos):
         sub = offset[(dart[0], tag, pos)][dart[1] < 0]
@@ -271,14 +271,14 @@ def _draw(ribbon, items, convention):
     return chords
 
 
-def _crossings(ribbon, left, right, convention):
+def _crossings(slot, left, right, convention):
     """(sign, left passage, right passage) at every crossing of two items.
 
     Sign rule, with disk positions increasing counterclockwise: a right
     chord crosses the left chord from a to b when exactly one of its
     ends lies on the open counterclockwise arc from a to b, with sign +1
     when that end is where the right chord enters and -1 otherwise."""
-    left_chords, right_chords = _draw(ribbon, (left, right), convention)
+    left_chords, right_chords = _draw(slot, (left, right), convention)
     ends = [(pv.in_key, pv.out_key, pv) for pv in right_chords]
     for pu in left_chords:
         a, b = pu.in_key, pu.out_key
@@ -300,7 +300,7 @@ def _surgeries(u, v, convention):
     """Every pair of terms of two sums on one surface, with its crossings.
 
     Checks the surfaces and the convention now, so that a zero sum
-    raises too, and builds the ribbon once.  Returns (den, records):
+    raises too, and looks up the dart map once.  Returns (den, records):
     den is the lcm of u's coefficient denominators times the lcm of
     v's, and records yields one record per pair of terms,
     (n, a, b, crossings), where n is the int with
@@ -311,10 +311,10 @@ def _surgeries(u, v, convention):
         raise ValueError("unknown perturbation convention %r" % (convention,))
     if u.spec != v.spec:
         raise ValueError("operands live on different surfaces")
-    ribbon = ribbon_structure(u.spec)
+    slot = ribbon_structure(u.spec)
     den_u, num_u = u.numerators()
     den_v, num_v = v.numerators()
-    records = ((na * nb, a, b, _crossings(ribbon, a, b, convention))
+    records = ((na * nb, a, b, _crossings(slot, a, b, convention))
                for a, na in num_u for b, nb in num_v)
     return den_u * den_v, records
 
@@ -463,7 +463,7 @@ def kk_derivation(u, trunc):
         y = TensorSeries.combination(theta.sig, trunc, (
             (coeff, theta.expand_word(gen.inverse() * path.word))
             for path, coeff in acted.terms.items()))
-        images[tensor_letter(base)] = _dexp_inverse(theta.log_image(base), y)
+        images[tensor_letter(base)] = _dexp_inverse(theta.logs[base], y)
     return Derivation(theta.sig, trunc, images)
 
 

@@ -85,9 +85,6 @@ class MagnusExpansion:
         self._powers = {}
         self._images = {}
 
-    def log_image(self, base):
-        return self.logs[base]
-
     def image(self, base, exponent=1):
         key = (base, exponent)
         found = self._images.get(key)
@@ -239,16 +236,6 @@ def expand_class(loop_class, theta):
     return necklace_project(theta.expand_word(loop_class.free_word()))
 
 
-def _by_weight(s):
-    """(den, {weight: [(word, n), ...]}): the int view of a CyclicSeries."""
-    den, numerators = s.numerators()
-    buckets = {}
-    for necklace, n in numerators:
-        word = necklace.word
-        buckets.setdefault(s.sig.degree(word), []).append((word, n))
-    return den, buckets
-
-
 def gr_necklace_bracket(u, v):
     """Lowest-weight contraction bracket on necklace words.
 
@@ -256,7 +243,7 @@ def gr_necklace_bracket(u, v):
     <p_i, q_j> (+-1 on dual x_j, y_j; z letters pair 0) times the
     necklace obtained by cutting both necklaces open at the paired
     letters, dropping them, and concatenating.  That weighs
-    w(p) + w(q) - 2, so weight buckets past the truncation are skipped;
+    w(p) + w(q) - 2, so pairs that weigh past the truncation are skipped;
     cp * cq * sign is summed as ints over the inputs' denominators.
     """
     if u.sig != v.sig or u.trunc != v.trunc:
@@ -265,12 +252,17 @@ def gr_necklace_bracket(u, v):
     for j in range(1, u.sig.genus + 1):
         x, y = "x%d" % j, "y%d" % j
         pairing[x, y], pairing[y, x] = 1, -1
-    (den_u, by_u), (den_v, by_v) = _by_weight(u), _by_weight(v)
+    degree = u.sig.degree
+    den_u, num_u = u.numerators()
+    den_v, num_v = v.numerators()
+    by_v = [(q.word, cq, degree(q.word)) for q, cq in num_v]
     totals = {}
-    for wp, wq in product(by_u, by_v):
-        if wp + wq - 2 > u.trunc:
-            continue
-        for (p, cp), (q, cq) in product(by_u[wp], by_v[wq]):
+    for necklace, cp in num_u:
+        p = necklace.word
+        room = u.trunc + 2 - degree(p)
+        for q, cq, wq in by_v:
+            if wq > room:
+                continue
             for i, j in product(range(len(p)), range(len(q))):
                 sign = pairing.get((p[i], q[j]))
                 if sign:
@@ -391,10 +383,10 @@ def solve_symplectic(genus, punctures, trunc):
         for j in range(1, genus + 1):
             t_y = split.get("y%d" % j)
             if t_y is not None:
-                updates["a%d" % j] = theta.log_image("a%d" % j) + t_y
+                updates["a%d" % j] = theta.logs["a%d" % j] + t_y
             t_x = split.get("x%d" % j)
             if t_x is not None:
-                updates["b%d" % j] = theta.log_image("b%d" % j) - t_x
+                updates["b%d" % j] = theta.logs["b%d" % j] - t_x
         for k in range(1, punctures + 1):
             t_z = split.get("z%d" % k)
             if t_z is not None:
@@ -415,8 +407,8 @@ def is_symplectic(theta):
     gamma0 = boundary_word(theta.spec)
     if log(theta.expand_word(gamma0)) != omega(theta.sig, theta.trunc):
         return False
-    return all(is_primitive(theta.log_image(base))
-               and _graded_identity(theta.log_image(base), tensor_letter(base))
+    return all(is_primitive(theta.logs[base])
+               and _graded_identity(theta.logs[base], tensor_letter(base))
                for base in theta.spec.generators())
 
 
@@ -433,7 +425,7 @@ def _graded_identity(image, name):
 
 def _substitution_of(theta):
     """The algebra substitution x_j -> log theta(a_j) etc."""
-    images = {tensor_letter(base): theta.log_image(base)
+    images = {tensor_letter(base): theta.logs[base]
               for base in theta.spec.generators()}
     return AlgebraMap(theta.sig, theta.trunc, images)
 

@@ -79,9 +79,8 @@ def _check(name, cases, failures):
 
 
 def _report(suite, checks, **params):
-    out = {"suite": suite, "params": params, "checks": checks,
-           "passed": all(c["passed"] for c in checks)}
-    return out
+    return {"suite": suite, "params": params, "checks": checks,
+            "passed": all(c["passed"] for c in checks)}
 
 
 # -- seeded element builders ---------------------------------------------
@@ -126,8 +125,9 @@ def _operand_valuation(series):
 
 # -- suites ----------------------------------------------------------------
 
-def jacobi(genus=1, boundary=1, count=200, max_len=8, seed=DEFAULT_SEED):
+def jacobi(genus=1, boundary=1, seed=DEFAULT_SEED):
     """Lie axioms of the bracket: antisymmetry and the Jacobi identity."""
+    count, max_len = 200, 8
     spec = SurfaceSpec(genus, boundary)
     rng = random.Random(seed)
     triples = [tuple(_random_loop(rng, spec, max_len) for _ in range(3))
@@ -154,9 +154,9 @@ def jacobi(genus=1, boundary=1, count=200, max_len=8, seed=DEFAULT_SEED):
                    max_len=max_len, seed=seed)
 
 
-def perturbation(genus=1, boundary=1, count=200, max_len=6,
-                 seed=DEFAULT_SEED):
+def perturbation(genus=1, boundary=1, seed=DEFAULT_SEED):
     """Strand-ordering independence of every crossing-based operation."""
+    count, max_len = 200, 6
     spec = SurfaceSpec(genus, boundary)
     rng = random.Random(seed)
     cases = []
@@ -188,9 +188,9 @@ def perturbation(genus=1, boundary=1, count=200, max_len=6,
                    count=count, max_len=max_len, seed=seed)
 
 
-def gr_bracket(genus=1, boundary=1, trunc=6, count=200, pairs=100,
-               seed=DEFAULT_SEED):
+def gr_bracket(genus=1, boundary=1, trunc=6, seed=DEFAULT_SEED):
     """Filtration shift of bracket and action; graded-bracket agreement."""
+    count, pairs = 200, 100
     spec = SurfaceSpec(genus, boundary)
     theta = default_expansion(spec, trunc)
     rng = random.Random(seed)
@@ -229,10 +229,14 @@ def gr_bracket(genus=1, boundary=1, trunc=6, count=200, pairs=100,
                 u, g, out, vu, vg)
 
     # graded agreement: the lowest-weight slice of the transported
-    # bracket is the necklace bracket of the lowest-weight slices
-    agreements = []
+    # bracket is the necklace bracket of the lowest-weight slices; the
+    # draws are capped, since on some surfaces no pair is admissible
+    # (genus 0 at truncation 1: every expansion vanishes)
+    checked = 0
     failures = []
-    while len(agreements) < pairs:
+    for _ in range(10 * pairs):
+        if checked == pairs:
+            break
         u = _random_loop_sum(rng, spec, 4)
         v = _random_loop_sum(rng, spec, 4)
         cu = expand_loop_sum(u.reduced(), theta)
@@ -240,26 +244,29 @@ def gr_bracket(genus=1, boundary=1, trunc=6, count=200, pairs=100,
         m, n = cu.valuation(), cv.valuation()
         if m is None or n is None or m + n - 2 > trunc:
             continue
-        agreements.append(None)
+        checked += 1
         lhs = expand_loop_sum(goldman_bracket(u, v),
                               theta).homogeneous_component(m + n - 2)
         rhs = gr_necklace_bracket(cu.homogeneous_component(m),
                                   cv.homogeneous_component(n))
         if lhs.terms != rhs.terms:
             failures.append("graded bracket disagrees: %r, %r" % (u, v))
+    if checked < pairs:
+        failures.insert(0, "only %d of %d admissible pairs in %d draws"
+                        % (checked, pairs, 10 * pairs))
 
     checks = [
         _check("bracket_shift", count, _run_cases(bracket_shift,
                                                   bracket_cases)),
         _check("action_shift", count, _run_cases(action_shift,
                                                  action_cases)),
-        _check("graded_agreement", pairs, failures),
+        _check("graded_agreement", checked, failures),
     ]
     return _report("gr-bracket", checks, surface=[genus, boundary],
                    trunc=trunc, count=count, pairs=pairs, seed=seed)
 
 
-def leibniz(genus=1, boundary=1, trunc=5, count=60, seed=DEFAULT_SEED):
+def leibniz(genus=1, boundary=1, trunc=5, seed=DEFAULT_SEED):
     """Derivation structure of the loop action.
 
     Word-level Leibniz rule, the Lie-action identity on expansions, the
@@ -267,6 +274,7 @@ def leibniz(genus=1, boundary=1, trunc=5, count=60, seed=DEFAULT_SEED):
     kernel, and the kernel-rank sampling that pins the kernel of the
     derivation map itself to the span of the unit.
     """
+    count = 60
     spec = SurfaceSpec(genus, boundary)
     rng = random.Random(seed)
 
@@ -293,7 +301,7 @@ def leibniz(genus=1, boundary=1, trunc=5, count=60, seed=DEFAULT_SEED):
 
     # the derivation drops degree, and the commutator drops it twice,
     # so build two orders high and compare below the starved slots
-    lie_count = max(10, count // 3)
+    lie_count = count // 3
     theta_hi = default_expansion(spec, trunc + 2)
     lie_cases = [(_random_loop(rng, spec, 3), _random_loop(rng, spec, 3))
                  for _ in range(lie_count)]
@@ -325,7 +333,7 @@ def leibniz(genus=1, boundary=1, trunc=5, count=60, seed=DEFAULT_SEED):
 
     log_target = bch_right_side(theta_hi.sig, trunc + 1)
     log_cases = [_random_loop_sum(rng, spec, 4)
-                 for _ in range(max(10, count // 3))]
+                 for _ in range(count // 3)]
 
     def log_case(u):
         d = kk_derivation(u, trunc + 1)
@@ -390,8 +398,9 @@ def _kernel_rank_sample(max_len, trunc):
     return len(classes), matrix_rank(rows)
 
 
-def adams(trunc=8, count=60, seed=DEFAULT_SEED):
+def adams(trunc=8, seed=DEFAULT_SEED):
     """Power-map laws: composition, filtration, and graded scaling."""
+    count = 60
     spec = SurfaceSpec(1, 1)
     theta = default_expansion(spec, trunc)
     rng = random.Random(seed)
@@ -475,8 +484,9 @@ def adams(trunc=8, count=60, seed=DEFAULT_SEED):
     return _report("adams", checks, trunc=trunc, count=count, seed=seed)
 
 
-def bar(conj_count=200, eval_count=100, square_len=4, seed=DEFAULT_SEED):
+def bar(seed=DEFAULT_SEED):
     """Bar-complex laws: differential, shuffle, pairings, dual formulas."""
+    conj_count, eval_count, square_len = 200, 100, 4
     spec = SurfaceSpec(1, 2)
     om = open_model(spec)
     letters = list(om.letters)
@@ -640,8 +650,9 @@ def twist(trunc=5):
     return _report("twist", checks, trunc=trunc)
 
 
-def resolution(n_max=6):
+def resolution():
     """Exactness certificates for the surface-algebra resolution."""
+    n_max = 6
     checks = []
     for genus in (1, 2, 3):
         try:
@@ -658,8 +669,9 @@ def resolution(n_max=6):
     return _report("resolution", checks, n_max=n_max)
 
 
-def bipair(trunc=5, count=60, seed=DEFAULT_SEED):
+def bipair(trunc=5, seed=DEFAULT_SEED):
     """Bi-pairing laws: bilinearity, degree shift, crossing geometry."""
+    count = 60
     four = SurfaceSpec(0, 4)
     spec = SurfaceSpec(1, 3)
     theta = default_expansion(spec, trunc)

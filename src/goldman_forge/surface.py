@@ -20,24 +20,15 @@ __all__ = [
     "FreeWord",
     "LoopClass",
     "Path",
-    "RibbonStructure",
-    "ParseError",
     "cyclic_normal_form",
     "splice_normal_form",
     "least_rotation",
     "boundary_word",
     "ribbon_structure",
+    "tail_dart",
     "parse_word",
     "render_word",
 ]
-
-
-class ParseError(ValueError):
-    """Malformed word input; carries the offending position."""
-
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
 
 
 # a generator name: kind, then an index in ASCII digits with no leading 0
@@ -175,7 +166,7 @@ class FreeWord:
         return hash(self.letters)
 
     def __repr__(self):
-        return "FreeWord(%s)" % (render_word(self) or "1")
+        return "FreeWord(%s)" % render_word(self)
 
 
 class LoopClass:
@@ -204,10 +195,10 @@ class LoopClass:
         return hash(self.word)
 
     def __repr__(self):
-        return "LoopClass(%s)" % (render_word(FreeWord(self.word)) or "1")
+        return "LoopClass(%s)" % render_word(FreeWord(self.word))
 
     def __str__(self):
-        return render_word(FreeWord(self.word)) or "1"
+        return render_word(FreeWord(self.word))
 
 
 def least_rotation(seq):
@@ -314,7 +305,7 @@ class Path:
 
     def __repr__(self):
         return "Path(%s -> %s: %s)" % (self.from_tag, self.to_tag,
-                                       render_word(self.word) or "1")
+                                       render_word(self.word))
 
 
 def boundary_word(spec):
@@ -333,38 +324,21 @@ def dart_rev(dart):
     return (base, -e)
 
 
-def _tail(tag):
+def tail_dart(tag):
+    """The tail dart marking the basepoint of boundary tag."""
     return ("t%d" % tag, 0)
-
-
-class RibbonStructure:
-    """One-vertex ribbon graph plus basepoint tails.
-
-    order is the counterclockwise cyclic sequence of half-edge darts at
-    the vertex.  Real darts are (base, +1/-1): the +1 dart is where the
-    edge leaves the vertex when the generator is traversed positively,
-    the -1 dart where it returns.  Tails ("t<k>", 0) are dangling marks
-    for the basepoints and never take part in face traversal.
-    """
-
-    __slots__ = ("spec", "order", "slot")
-
-    def __init__(self, spec, order):
-        self.spec = spec
-        self.order = tuple(order)
-        self.slot = {dart: i for i, dart in enumerate(self.order)}
-
-    def tail(self, tag):
-        return _tail(tag)
-
-    def __repr__(self):
-        return "RibbonStructure(%r, %d darts)" % (self.spec, len(self.order))
 
 
 @functools.lru_cache(maxsize=64)
 def ribbon_structure(spec):
-    """The canonical ribbon graph for a surface spec.
+    """The canonical ribbon graph for a surface spec, as the map from
+    each dart to its position in the counterclockwise order at the one
+    vertex; sorted(slot, key=slot.get) is that order.
 
+    Real darts are (base, +1/-1): the +1 dart is where the edge leaves
+    the vertex when the generator is traversed positively, the -1 dart
+    where it returns.  Tails tail_dart(k) = ("t<k>", 0) are dangling
+    marks for the basepoints and never take part in face traversal.
     Faces are prescribed: face 0 spells the surface relation word as its
     dart cycle and face k is the monogon reading c_k inverse; the vertex
     order is derived from them.  The derived order must be a single
@@ -390,14 +364,14 @@ def ribbon_structure(spec):
     if len(walk) != len(darts):
         raise ValueError("derived vertex order is not a single cycle for %r"
                          % (spec,))
-    insert_after = {start: [_tail(0)]}
+    insert_after = {start: [tail_dart(0)]}
     for k in range(1, spec.punctures + 1):
-        insert_after.setdefault(("c%d" % k, -1), []).append(_tail(k))
+        insert_after.setdefault(("c%d" % k, -1), []).append(tail_dart(k))
     order = []
     for d in walk:
         order.append(d)
         order.extend(insert_after.get(d, ()))
-    return RibbonStructure(spec, order)
+    return {dart: i for i, dart in enumerate(order)}
 
 
 _TOKEN = re.compile(_GENERATOR.pattern + "(')?")
@@ -407,7 +381,7 @@ def parse_word(text):
     """Parse whitespace-separated tokens like "a1 b1 a1' b1'".
 
     The empty string and the token "1" both denote the identity word.
-    Raises ParseError with the character position of the bad token.
+    Raises ValueError naming the character position of the bad token.
     """
     tokens = [(match.group(), match.start())
               for match in re.finditer(r"\S+", text)]
@@ -417,12 +391,15 @@ def parse_word(text):
             return FreeWord()
         m = _TOKEN.fullmatch(token)
         if not m:
-            raise ParseError("bad token %r at position %d; want e.g. a1 or "
-                             "a1'" % (token, pos), position=pos)
+            raise ValueError("bad token %r at position %d; want e.g. a1 or "
+                             "a1'" % (token, pos))
         kind, index, prime = m.groups()
         letters.append((kind + index, -1 if prime else 1))
     return FreeWord(letters)
 
 
 def render_word(word):
-    return " ".join(base + ("" if e > 0 else "'") for base, e in word.letters)
+    """The token spelling of word, read back by parse_word; the identity
+    is "1"."""
+    return " ".join(base + ("" if e > 0 else "'")
+                    for base, e in word.letters) or "1"

@@ -435,12 +435,10 @@ class TensorSeries:
                 and self._den == other._den and self._buckets == other._buckets)
 
     def __repr__(self):
-        return "<TensorSeries %s N=%d: %s>" % (self.sig, self.trunc, self.pretty(6))
-
-    def pretty(self, max_terms=None):
+        """The first six terms, then "..." if there are more."""
         parts = []
         for word, coeff in self.terms():
-            if max_terms is not None and len(parts) >= max_terms:
+            if len(parts) == 6:
                 parts.append("...")
                 break
             name = " ".join(word) if word else "1"
@@ -452,12 +450,10 @@ class TensorSeries:
                 parts.append("%s %s" % (coeff, name))
             else:
                 parts.append(str(coeff))
-        if not parts:
-            return "0"
-        text = parts[0]
+        text = parts[0] if parts else "0"
         for p in parts[1:]:
             text += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-        return text
+        return "<TensorSeries %s N=%d: %s>" % (self.sig, self.trunc, text)
 
     # -- serialization ---------------------------------------------------
 

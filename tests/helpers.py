@@ -83,7 +83,7 @@ def compose_automorphism(auto, theta):
     """
     logs = {}
     for base in theta.spec.generators():
-        image = auto.apply(theta.log_image(base))
+        image = auto.apply(theta.logs[base])
         if not is_primitive(image):
             raise ValueError("automorphism does not preserve primitives")
         logs[base] = image
@@ -102,21 +102,22 @@ def compose(phi, psi):
                       {name: phi.apply(psi.image(name)) for name in phi.sig.gens})
 
 
-def real_darts_ccw(ribbon):
-    """The ribbon's vertex order without the basepoint tails."""
-    return tuple(d for d in ribbon.order if d[1] != 0)
+def real_darts_ccw(slot):
+    """The vertex order of a ribbon's dart-position map, without the
+    basepoint tails."""
+    return tuple(d for d in sorted(slot, key=slot.get) if d[1] != 0)
 
 
-def faces(ribbon):
+def faces(slot):
     """Face words of the thickened graph, one per boundary.
 
-    Recomputed from the vertex order (the constructor's input is not
-    echoed back): the face permutation sends a dart d to the
+    Recomputed from the vertex order (the prescribed faces are not
+    returned): the face permutation sends a dart d to the
     counterclockwise predecessor of its reversal, and a face's word is
     the letter sequence of its dart cycle.  Deterministic: each cycle
     starts at its least dart, faces sorted by starting dart.
     """
-    real = real_darts_ccw(ribbon)
+    real = real_darts_ccw(slot)
     position = {d: i for i, d in enumerate(real)}
     phi = {d: real[position[dart_rev(d)] - 1] for d in real}
     seen = set()

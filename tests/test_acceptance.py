@@ -34,7 +34,7 @@ DIGESTS = {
 
 def _gr_report():
     if "gr" not in _reports:
-        _reports["gr"] = suites.gr_bracket(trunc=6, count=200, pairs=100)
+        _reports["gr"] = suites.gr_bracket(trunc=6)
     return _reports["gr"]
 
 
@@ -57,8 +57,7 @@ def test_criterion_01_lie_axioms():
     budgets = []
     for g, b in SURFACES:
         start = time.monotonic()
-        reports.append(suites.jacobi(genus=g, boundary=b, count=200,
-                                     max_len=8))
+        reports.append(suites.jacobi(genus=g, boundary=b))
         budgets.append(time.monotonic() - start)
     passed = all(report["passed"] for report in reports)
     in_budget = all(t < 180.0 for t in budgets)
@@ -69,7 +68,7 @@ def test_criterion_01_lie_axioms():
 
 
 def test_criterion_02_perturbation_independence():
-    reports = [suites.perturbation(genus=g, boundary=b, count=200)
+    reports = [suites.perturbation(genus=g, boundary=b)
                for g, b in SURFACES]
     passed = all(report["passed"] for report in reports)
     _line(2, "strand perturbation independence", passed)
@@ -137,7 +136,7 @@ def test_criterion_08_power_maps():
 
 
 def test_criterion_09_bar_construction():
-    report = suites.bar(conj_count=200, eval_count=100, square_len=4)
+    report = suites.bar()
     _line(9, "bar construction identities", report["passed"])
     assert report["passed"], report
     assert _digest(report) == DIGESTS[9]
@@ -145,7 +144,7 @@ def test_criterion_09_bar_construction():
 
 def test_criterion_10_resolution_exactness():
     start = time.monotonic()
-    report = suites.resolution(n_max=6)
+    report = suites.resolution()
     elapsed = time.monotonic() - start
     passed = report["passed"] and elapsed < 60.0
     _line(10, "resolution exactness", passed)

@@ -107,15 +107,15 @@ class TestDifferential:
 
     def test_merge_anchor(self):
         assert bar_differential(parse_bar("[xi1|eta1]", CM)) == \
-            BarElement.word(CM, ("omega",), -1)
+            BarElement.word(CM, ("omega",)).scaled(-1)
         assert bar_differential(parse_bar("[eta1|xi1]", CM)) == \
-            BarElement.word(CM, ("omega",), 1)
+            BarElement.word(CM, ("omega",))
 
     def test_non_dual_pairs_give_zero(self):
         cm = closed_model(2)
         assert bar_differential(parse_bar("[xi1|eta2]", cm)).is_zero()
         assert bar_differential(parse_bar("[xi2|eta2]", cm)) == \
-            BarElement.word(cm, ("omega",), -1)
+            BarElement.word(cm, ("omega",)).scaled(-1)
 
     def test_squares_to_zero_exhaustively(self):
         letters = ["xi1", "eta1", "omega"]

@@ -186,7 +186,7 @@ def test_expand_word_and_images_match_the_replaced_code():
 def test_a_log_with_a_constant_term_has_no_image():
     spec = SurfaceSpec(1, 1)
     theta = default_expansion(spec, 3)
-    shifted = theta.with_logs({"a1": theta.log_image("a1") + 1})
+    shifted = theta.with_logs({"a1": theta.logs["a1"] + 1})
     with pytest.raises(ValueError, match="zero constant term"):
         shifted.image("a1", -1)
     with pytest.raises(ValueError, match="zero constant term"):

@@ -29,6 +29,12 @@
     ``suites.SUITES``, an argument, ``__call__ = apply``) is exempt,
     since its callers cannot be seen; reading an attribute off a name
     (``LoopSum.of``) is not an escape.
+(f) Every attribute a package class stores on ``self`` is read in the
+    package or in the bench harness outside dunder methods, so a field
+    that only ``__repr__`` or ``__eq__`` shows is caught.  The rule is
+    name-based like (d): a read of that attribute name on any object
+    counts, and so does a name listed in a class's ``_FIELDS``, which
+    ``TermSum`` reads through ``getattr``.
 """
 
 import ast
@@ -240,6 +246,36 @@ def merged_calls_and_escapes(trees):
     return calls, escaped
 
 
+def stored_attributes(tree):
+    """(class, attribute) for each attribute a module-level class
+    stores on self in one of its methods."""
+    return sorted({(node.name, sub.attr)
+                   for node in tree.body if isinstance(node, ast.ClassDef)
+                   for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute)
+                   and isinstance(sub.ctx, ast.Store)
+                   and isinstance(sub.value, ast.Name)
+                   and sub.value.id == "self"})
+
+
+def attribute_reads(tree):
+    """Attribute names loaded outside dunder methods, and the names
+    listed in any _FIELDS assignment."""
+    hidden = {id(sub) for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              and node.name.startswith("__") and node.name.endswith("__")
+              for sub in ast.walk(node)}
+    names = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load) and id(node) not in hidden}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "_FIELDS"
+                        for t in node.targets)):
+            names.update(elt.value for elt in node.value.elts)
+    return names
+
+
 @functools.lru_cache(maxsize=None)
 def _package_and_bench_calls():
     return merged_calls_and_escapes(
@@ -249,6 +285,12 @@ def _package_and_bench_calls():
 @functools.lru_cache(maxsize=None)
 def _references(path):
     return referenced_names(_tree(path))
+
+
+@functools.lru_cache(maxsize=None)
+def _package_and_bench_reads():
+    return set().union(*(attribute_reads(_tree(path))
+                         for path in _sources(PACKAGE) + _sources(PERFBENCH)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -287,6 +329,13 @@ def test_defaulted_parameters_are_passed(path):
     assert unpassed_defaults(_tree(path), calls, escaped) == []
 
 
+@pytest.mark.parametrize("path", _sources(PACKAGE), ids=os.path.basename)
+def test_stored_attributes_are_read(path):
+    reads = _package_and_bench_reads()
+    assert [(cls, attr) for cls, attr in stored_attributes(_tree(path))
+            if attr not in reads] == []
+
+
 def test_the_checks_catch_what_they_look_for():
     tree = ast.parse("import os\nfrom .a import _b, c\n__all__ = ['c']\n")
     assert unused_imports(tree) == [(1, "os"), (2, "_b")]
@@ -322,3 +371,17 @@ def test_the_checks_catch_what_they_look_for():
         [package])) == [("m", "y")]
     assert unpassed_defaults(package, *merged_calls_and_escapes(
         [package, test])) == []
+    # a field only a dunder reads, a field read by name elsewhere, one
+    # listed in _FIELDS, and one updated in place
+    tree = ast.parse(
+        "class C:\n    _FIELDS = ('f',)\n"
+        "    def __init__(self, a):\n"
+        "        self.a, self.b = a, 0\n        self.f = self.c = a\n"
+        "        self.d = {}\n"
+        "    def __repr__(self): return repr(self.a)\n"
+        "    def put(self, k): self.d[k] = 1\n"
+        "def g(x): return x.b\n")
+    assert stored_attributes(tree) == [("C", "a"), ("C", "b"), ("C", "c"),
+                                       ("C", "d"), ("C", "f")]
+    assert {"b", "d", "f"} <= attribute_reads(tree)
+    assert not {"a", "c"} & attribute_reads(tree)

@@ -21,7 +21,7 @@ DIGEST = "0da1b2fc0d87500296d3e67021f5a068921e24cfdf4185e6fcd2a309dfc0697d"
 
 def resolution_reports():
     reports = [resolution_check(genus, n_max) for genus, n_max in CASES]
-    reports.append(resolution(n_max=6))
+    reports.append(resolution())
     return reports
 
 

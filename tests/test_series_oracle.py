@@ -623,10 +623,10 @@ def test_accessors_return_fractions_on_integral_and_zero_series():
     zero = s - s
     assert zero.is_zero() and zero._den == 1
     assert type(zero.constant_term()) is Fraction
-    assert zero.pretty() == "0"
+    assert repr(zero) == "<TensorSeries %s N=3: 0>" % (sig,)
     halves = TensorSeries.from_terms(sig, 3, [(("x1",), Fraction(1, 2)),
                                               (("y1",), Fraction(-3, 2))])
-    assert halves.pretty() == "1/2 x1 - 3/2 y1"
+    assert repr(halves) == "<TensorSeries %s N=3: 1/2 x1 - 3/2 y1>" % (sig,)
 
 
 # -- == agrees with the oracle's == -------------------------------------------

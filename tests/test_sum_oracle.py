@@ -362,7 +362,7 @@ def test_transport_log_matches_the_replaced_loop():
             theta = default_expansion(spec, trunc)
             for base in spec.generators():
                 e = rng.choice((1, -1))
-                x = theta.log_image(base).scaled(e)
+                x = theta.logs[base].scaled(e)
                 s = theta.image(base, e)
                 t = _series(rng, theta.sig, trunc)
                 y = exp(x.scaled(-1)) * t
@@ -505,7 +505,7 @@ def test_invert_expansion_matches_the_replaced_loop():
     for genus, boundary in SURFACES + ((0, 3),):
         for trunc in range(1, 6 if genus < 2 else 5):
             solved = solve_symplectic(genus, boundary - 1, trunc)
-            drift = {base: solved.log_image(base)
+            drift = {base: solved.logs[base]
                      + _raised(rng, solved.sig, trunc, tensor_letter(base))
                      for base in solved.spec.generators()
                      if rng.random() < 0.6}

@@ -5,7 +5,6 @@ import pytest
 from goldman_forge.surface import (
     FreeWord,
     LoopClass,
-    ParseError,
     Path,
     SurfaceSpec,
     boundary_word,
@@ -13,6 +12,7 @@ from goldman_forge.surface import (
     parse_word,
     render_word,
     ribbon_structure,
+    tail_dart,
 )
 from helpers import faces, real_darts_ccw
 
@@ -161,8 +161,8 @@ class TestRibbonStructure:
 
     @pytest.mark.parametrize("gb", sorted(EXPECTED))
     def test_vertex_order_oracle(self, gb):
-        r = ribbon_structure(SurfaceSpec(*gb))
-        assert list(r.order) == self.EXPECTED[gb]
+        slot = ribbon_structure(SurfaceSpec(*gb))
+        assert sorted(slot, key=slot.get) == self.EXPECTED[gb]
 
     def test_face_words_one_holed_torus(self):
         r = ribbon_structure(SurfaceSpec(1, 1))
@@ -204,11 +204,11 @@ class TestRibbonStructure:
         assert faces(ribbon_structure.__wrapped__(spec)) == faces(ribbon)
 
     def test_tail_slots(self):
-        r = ribbon_structure(SurfaceSpec(1, 2))
-        assert r.slot[r.tail(0)] == 1
-        assert r.slot[r.tail(1)] == 3
-        assert real_darts_ccw(r) == (("a1", 1), ("c1", -1), ("c1", 1),
-                                     ("b1", 1), ("a1", -1), ("b1", -1))
+        slot = ribbon_structure(SurfaceSpec(1, 2))
+        assert slot[tail_dart(0)] == 1
+        assert slot[tail_dart(1)] == 3
+        assert real_darts_ccw(slot) == (("a1", 1), ("c1", -1), ("c1", 1),
+                                        ("b1", 1), ("a1", -1), ("b1", -1))
 
 
 class TestPath:
@@ -232,18 +232,17 @@ class TestPath:
 
 class TestParsing:
     def test_round_trip(self):
-        for text in ["a1 b1 a1' b1'", "c2 c1'", "a10 b3'", ""]:
+        for text in ["a1 b1 a1' b1'", "c2 c1'", "a10 b3'", "1"]:
             assert render_word(parse_word(text)) == text
 
     def test_identity_token(self):
         assert parse_word("1") == FreeWord()
 
     def test_bad_token_position(self):
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ValueError, match="at position 3;"):
             parse_word("a1 q7")
-        assert err.value.position == 3
 
     def test_bad_tokens(self):
         for text in ["a0", "d1", "a1''", "a-1", "a1 'b1"]:
-            with pytest.raises(ParseError):
+            with pytest.raises(ValueError):
                 parse_word(text)

@@ -70,11 +70,11 @@ def old_surgeries(u, v, convention):
         raise ValueError("unknown perturbation convention %r" % (convention,))
     if u.spec != v.spec:
         raise ValueError("operands live on different surfaces")
-    ribbon = ribbon_structure.__wrapped__(u.spec)
+    slot = ribbon_structure.__wrapped__(u.spec)
     return ((coeff_a * coeff_b * sign, a, b, pa.split, pb.split)
             for a, coeff_a in u.terms.items()
             for b, coeff_b in v.terms.items()
-            for sign, pa, pb in _crossings(ribbon, a, b, convention))
+            for sign, pa, pb in _crossings(slot, a, b, convention))
 
 
 def old_goldman_bracket(u, v, convention="default"):
@@ -109,11 +109,11 @@ def old_bi_pairing(gamma1, gamma2, convention="default"):
 def splice_counts(u, v, convention):
     """Per pair of terms, the crossings and the signed count of each
     spliced class, by the per-crossing code."""
-    ribbon = ribbon_structure.__wrapped__(u.spec)
+    slot = ribbon_structure.__wrapped__(u.spec)
     for a in u.terms:
         for b in v.terms:
             counts, crossings = {}, 0
-            for sign, pa, pb in _crossings(ribbon, a, b, convention):
+            for sign, pa, pb in _crossings(slot, a, b, convention):
                 i, j = pa.split, pb.split
                 cls = old_cyclic_normal_form(
                     a.word[i:] + a.word[:i] + b.word[j:] + b.word[:j])
