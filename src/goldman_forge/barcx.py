@@ -139,22 +139,11 @@ class BarElement(TermSum):
     def _sort_key(self, word):
         return self.model.sort_key(word)
 
-    def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for word, coeff in self.sorted_terms():
-            body = "[" + "|".join(word) + "]"
-            if coeff == 1:
-                parts.append(body)
-            elif coeff == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coeff} {body}")
-        return " + ".join(parts).replace("+ -", "- ")
-
     def __repr__(self):
-        return f"<BarElement {self.render()}>"
+        signs = {1: "", -1: "-"}            # other coefficients are spelled
+        body = " + ".join(signs.get(c, f"{c} ") + "[" + "|".join(word) + "]"
+                          for word, c in self.sorted_terms())
+        return f"<BarElement {body.replace('+ -', '- ') or '0'}>"
 
 
 def parse_bar(text, model):

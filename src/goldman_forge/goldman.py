@@ -4,11 +4,13 @@ Free homotopy classes and boundary-to-boundary paths are drawn as taut
 chord families inside the single vertex disk; parallel strands through
 an edge are separated by a deterministic rule, crossings are read off
 from endpoint alternation around the disk, and each crossing contributes
-one surgered term with an orientation sign.  Everything downstream
-(Goldman bracket, loop action on paths, the two-path pairing, induced
+one surgered term with an orientation sign.  A chord is a tuple of two
+int end keys and a split (see _draw).  Everything downstream (Goldman
+bracket, loop action on paths, the two-path pairing, induced
 derivations, Dehn-twist certificates) is a bilinear wrapper over that
 one enumeration, ``_surgeries``; each sums the crossing signs times int
-coefficient numerators per output term, over one denominator per call.
+coefficient numerators per output word, over one denominator per call,
+and builds each output term once.
 """
 
 from fractions import Fraction
@@ -22,6 +24,7 @@ from .surface import (
     Path,
     cyclic_normal_form,
     letter_key,
+    reduced_product,
     render_word,
     ribbon_structure,
     splice_normal_form,
@@ -33,7 +36,6 @@ __all__ = [
     "LoopSum",
     "PathSum",
     "PathPairSum",
-    "Passage",
     "goldman_bracket",
     "kk_action",
     "bi_pairing",
@@ -182,114 +184,88 @@ def _word_key_letters(letters):
 
 # -- the chord drawing ---------------------------------------------------
 
-class Passage:
-    """One traversal of the vertex disk by a drawn curve."""
-
-    __slots__ = ("owner", "split", "in_dart", "in_sub", "in_key",
-                 "out_dart", "out_sub", "out_key")
-
-    def __init__(self, owner, split, in_end, out_end):
-        self.owner = owner          # (operand tag, chord index)
-        self.split = split          # surgery datum: rotation or cut index
-        # each end is (dart, offset within the dart, position around the disk)
-        self.in_dart, self.in_sub, self.in_key = in_end
-        self.out_dart, self.out_sub, self.out_key = out_end
-
-    def to_json(self):
-        return {
-            "owner": list(self.owner),
-            "in": [_dart_name(self.in_dart), self.in_sub],
-            "out": [_dart_name(self.out_dart), self.out_sub],
-        }
-
-
 def _dart_name(dart):
     base, e = dart
-    if base[0] == "t":
-        return base
-    return base + ("+" if e > 0 else "-")
+    return base if base[0] == "t" else base + ("+" if e > 0 else "-")
 
 
 def _stops(item):
-    """(dart, position) stops of a LoopClass or Path, in traversal order.
-
-    A loop stops at each letter; a path also starts and ends at the tails
-    of its two tags, at positions -1 and len(word).
-    """
+    """The darts a LoopClass or Path stops at, in traversal order: a
+    loop's letters, a path's letters between the tails of its two tags."""
     if isinstance(item, LoopClass):
-        return [(letter, i) for i, letter in enumerate(item.word)]
+        return list(item.word)
     if isinstance(item, Path):
-        letters = item.word.letters
-        return ([(tail_dart(item.from_tag), -1)]
-                + [(letter, k) for k, letter in enumerate(letters)]
-                + [(tail_dart(item.to_tag), len(letters))])
+        return ([tail_dart(item.from_tag)] + list(item.word.letters)
+                + [tail_dart(item.to_tag)])
     raise TypeError("surgery operands must be LoopClass or Path values")
 
 
 def _draw(slot, items, convention):
-    """One chord list per operand, under one perturbation rule; slot is
-    the dart-position map of ribbon_structure.
+    """(width, one chord list per operand), under one perturbation rule;
+    slot is the dart-position map of ribbon_structure.
 
     Strands through one edge or tail are ranked by (operand tag, stop
     position); the rank is the offset from the edge's left side seen
     from the positive dart, so the offset reverses at the negative dart.
     The "reversed" convention ranks in the opposite order; outputs of
-    the surgeries must not depend on the choice.  Chord j of an operand
-    runs from its stop j to its stop j+1 (cyclically for a loop) and
-    splits the word at the position of that second stop.
+    the surgeries must not depend on the choice.  The end at a dart
+    with an offset has the int key slot[dart] * width + offset; width,
+    the number of stops, exceeds every offset, so keys order the ends
+    as the pairs (slot[dart], offset) do.  Chord j of an operand is
+    (in key, out key, split): it runs from stop j, entering at the
+    reverse of that stop's dart, to stop j+1 (cyclically for a loop),
+    and splits the word at the position of that second stop.
     """
     stops = [_stops(item) for item in items]
-    visits = {}
-    for tag, item_stops in enumerate(stops):
-        for (base, _e), pos in item_stops:
-            visits.setdefault(base, []).append((tag, pos))
-    offset = {}
-    for base, strands in visits.items():
-        strands.sort(reverse=convention == "reversed")
-        last = len(strands) - 1
-        for r, (tag, pos) in enumerate(strands):
-            offset[(base, tag, pos)] = (r, last - r)
-
-    def end(dart, tag, pos):
-        sub = offset[(dart[0], tag, pos)][dart[1] < 0]
-        return dart, sub, (slot[dart], sub)
-
-    chords = []
-    for tag, (item, item_stops) in enumerate(zip(items, stops)):
+    darts = [dart for item_stops in stops for dart in item_stops]
+    width = len(darts)
+    strands = {}
+    for g, (base, _e) in enumerate(darts):
+        strands.setdefault(base, []).append(g)
+    ins, outs = [0] * width, [0] * width
+    for base, through in strands.items():
+        # g runs over the stops in (tag, position) order: ranked already
+        if convention == "reversed":
+            through.reverse()
+        last = len(through) - 1
+        for r, g in enumerate(through):
+            e = darts[g][1]
+            # a tail (e == 0) is its own reverse, at offset r both ways
+            outs[g] = slot[(base, e)] * width + (r if e >= 0 else last - r)
+            ins[g] = slot[(base, -e)] * width + (r if e <= 0 else last - r)
+    chords, end = [], 0
+    for item, item_stops in zip(items, stops):
+        start, end = end, end + len(item_stops)
+        starts, ends = ins[start:end], outs[start:end]
         if isinstance(item, LoopClass):
-            legs = zip(item_stops, item_stops[1:] + item_stops[:1])
+            legs = zip(starts, ends[1:] + ends[:1], [*range(1, len(ends)), 0])
         elif item.is_identity():
             legs = ()                   # identity path draws nothing
         else:
-            legs = zip(item_stops, item_stops[1:])
-        # a strand enters the disk at the reverse of the dart it left by
-        chords.append([
-            Passage((tag, j), out_pos,
-                    end((in_dart[0], -in_dart[1]), tag, in_pos),
-                    end(out_dart, tag, out_pos))
-            for j, ((in_dart, in_pos), (out_dart, out_pos)) in enumerate(legs)])
-    return chords
+            legs = zip(starts[:-1], ends[1:], range(len(ends) - 1))
+        chords.append(list(legs))
+    return width, chords
 
 
-def _crossings(slot, left, right, convention):
-    """(sign, left passage, right passage) at every crossing of two items.
+def _crossings(left_chords, right_chords):
+    """(sign, left chord, right chord) at every crossing of two chord
+    lists of one _draw.
 
     Sign rule, with disk positions increasing counterclockwise: a right
     chord crosses the left chord from a to b when exactly one of its
     ends lies on the open counterclockwise arc from a to b, with sign +1
-    when that end is where the right chord enters and -1 otherwise."""
-    left_chords, right_chords = _draw(slot, (left, right), convention)
-    ends = [(pv.in_key, pv.out_key, pv) for pv in right_chords]
+    when that end is where the right chord enters and -1 otherwise.
+    Crossings come in list order, left chord major."""
     for pu in left_chords:
-        a, b = pu.in_key, pu.out_key
+        a, b, _ = pu
         if a < b:
-            for vin, vout, pv in ends:
-                sign = (a < vin < b) - (a < vout < b)
+            for pv in right_chords:
+                sign = (a < pv[0] < b) - (a < pv[1] < b)
                 if sign:
                     yield sign, pu, pv
         else:
-            for vin, vout, pv in ends:
-                sign = (b < vout < a) - (b < vin < a)
+            for pv in right_chords:
+                sign = (b < pv[1] < a) - (b < pv[0] < a)
                 if sign:
                     yield sign, pu, pv
 
@@ -305,7 +281,7 @@ def _surgeries(u, v, convention):
     v's, and records yields one record per pair of terms,
     (n, a, b, crossings), where n is the int with
     coeff_a * coeff_b == n / den and crossings iterates the
-    (sign, passage of a, passage of b) of ``_crossings``.
+    (sign, chord of a, chord of b) of ``_crossings``.
     """
     if convention not in CONVENTIONS:
         raise ValueError("unknown perturbation convention %r" % (convention,))
@@ -314,29 +290,31 @@ def _surgeries(u, v, convention):
     slot = ribbon_structure(u.spec)
     den_u, num_u = u.numerators()
     den_v, num_v = v.numerators()
-    records = ((na * nb, a, b, _crossings(slot, a, b, convention))
+    records = ((na * nb, a, b,
+                _crossings(*_draw(slot, (a, b), convention)[1]))
                for a, na in num_u for b, nb in num_v)
     return den_u * den_v, records
 
 
-def _tally(like, surgeries, splice):
+def _tally(like, surgeries, splice, build):
     """The surgered terms of (den, records) from _surgeries, as a sum of
     the empty sum like's fields.
 
     splice(a, b) is called once per pair of terms and returns the map
-    (split of a, split of b) -> output term, so per-pair data such as
-    letter keys is computed once, not at each crossing.  One int dict
-    sums sign * n per output term over every pair; with_totals keeps
-    the nonzero totals over den, unchecked: the terms carry the
-    operands' own endpoint tags."""
+    (split of a, split of b) -> output word (a letter tuple, or a pair),
+    so per-pair data such as letter keys is computed once.  One int dict
+    sums sign * n per word over every pair; build makes the term of each
+    word with a nonzero total, and with_totals keeps the totals over
+    den, unchecked: the terms carry the operands' own endpoint tags."""
     den, records = surgeries
     totals = {}
     for n, a, b, crossings in records:
         term = splice(a, b)
-        for sign, pa, pb in crossings:
-            key = term(pa.split, pb.split)
+        for sign, (_, _, i), (_, _, j) in crossings:
+            key = term(i, j)
             totals[key] = totals.get(key, 0) + sign * n
-    return like.with_totals(den, totals)
+    return like.with_totals(den, ((build(key), total)
+                                  for key, total in totals.items() if total))
 
 
 def goldman_bracket(u, v, convention="default"):
@@ -346,19 +324,22 @@ def goldman_bracket(u, v, convention="default"):
         return partial(splice_normal_form, la, list(map(letter_key, la)),
                        lb, list(map(letter_key, lb)))
     out = LoopSum(u.spec, twist=u.twist + v.twist + 1)
-    return _tally(out, _surgeries(u, v, convention), splice)
+    return _tally(out, _surgeries(u, v, convention), splice, LoopClass.trusted)
 
 
 def kk_action(u, gamma, convention="default"):
     """Loop sum acting on a path sum: insert the rebased loop at each
     crossing between the loop and the path."""
     def splice(a, path):
-        w, wa = path.word.letters, a.word
-        return lambda i, k: Path(gamma.from_tag, gamma.to_tag,
-                                 FreeWord(w[:k] + wa[i:] + wa[:i] + w[k:]))
+        la, w = a.word, path.word.letters
+        ka, kw = list(map(letter_key, la)), list(map(letter_key, w))
+        return lambda i, k: reduced_product(*reduced_product(
+            w[:k], kw[:k], la[i:] + la[:i], ka[i:] + ka[:i]), w[k:], kw[k:])[0]
     out = PathSum(gamma.spec, gamma.from_tag, gamma.to_tag,
                   twist=u.twist + gamma.twist + 1)
-    return _tally(out, _surgeries(u, gamma, convention), splice)
+    return _tally(out, _surgeries(u, gamma, convention), splice,
+                  lambda w: Path(gamma.from_tag, gamma.to_tag,
+                                 FreeWord.trusted(w)))
 
 
 def bi_pairing(gamma1, gamma2, convention="default"):
@@ -371,22 +352,35 @@ def bi_pairing(gamma1, gamma2, convention="default"):
                          % (sorted(tags1), sorted(tags2)))
     def splice(p1, p2):
         w1, w2 = p1.word.letters, p2.word.letters
-        return lambda k1, k2: (
-            Path(p1.from_tag, p2.to_tag, FreeWord(w1[:k1] + w2[k2:])),
-            Path(p2.from_tag, p1.to_tag, FreeWord(w2[:k2] + w1[k1:])))
+        k1, k2 = list(map(letter_key, w1)), list(map(letter_key, w2))
+        return lambda c1, c2: (
+            reduced_product(w1[:c1], k1[:c1], w2[c2:], k2[c2:])[0],
+            reduced_product(w2[:c2], k2[:c2], w1[c1:], k1[c1:])[0])
     out = PathPairSum(gamma1.spec, twist=gamma1.twist + gamma2.twist + 1)
-    return _tally(out, surgeries, splice)
+    return _tally(out, surgeries, splice, lambda words: (
+        Path(gamma1.from_tag, gamma2.to_tag, FreeWord.trusted(words[0])),
+        Path(gamma2.from_tag, gamma1.to_tag, FreeWord.trusted(words[1]))))
 
 
 def crossing_trace(spec, left, right):
-    """Debug view: every default-convention crossing, sign and passages.
+    """Debug view: every default-convention crossing, sign and chords.
 
     left and right are LoopClass or Path values; the trace lists the
-    raw crossings before any normalization collapses terms.
+    raw crossings before any normalization collapses terms.  A chord
+    shows its owner (operand tag, chord index) and, at each end, the
+    dart and offset that divmod(key, width) gives back.
     """
-    return [{"sign": sign, "left": pu.to_json(), "right": pv.to_json()}
-            for sign, pu, pv in _crossings(ribbon_structure(spec), left, right,
-                                           "default")]
+    slot = ribbon_structure(spec)
+    darts = sorted(slot, key=slot.get)
+    width, chords = _draw(slot, (left, right), "default")
+
+    def passage(tag, chord):
+        (i, di), (o, do) = divmod(chord[0], width), divmod(chord[1], width)
+        return {"owner": [tag, chords[tag].index(chord)],
+                "in": [_dart_name(darts[i]), di],
+                "out": [_dart_name(darts[o]), do]}
+    return [{"sign": sign, "left": passage(0, pu), "right": passage(1, pv)}
+            for sign, pu, pv in _crossings(*chords)]
 
 
 # -- classes, powers, logarithms ----------------------------------------

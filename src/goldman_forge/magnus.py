@@ -228,7 +228,7 @@ def necklace_project(series, twist=0):
         key = NecklaceWord(word)
         totals[key] = totals.get(key, 0) + c
     return CyclicSeries(series.sig, series.trunc,
-                        twist=twist).with_totals(den, totals)
+                        twist=twist).with_totals(den, totals.items())
 
 
 def expand_class(loop_class, theta):
@@ -269,7 +269,7 @@ def gr_necklace_bracket(u, v):
                     key = NecklaceWord(p[i + 1:] + p[:i] + q[j + 1:] + q[:j])
                     totals[key] = totals.get(key, 0) + sign * cp * cq
     return CyclicSeries(u.sig, u.trunc, twist=u.twist + v.twist + 1
-                        ).with_totals(den_u * den_v, totals)
+                        ).with_totals(den_u * den_v, totals.items())
 
 
 def transported_bracket(u, v, theta):
@@ -571,7 +571,7 @@ def adams_series_check(n, p, k):
         scale = n ** m * den // (factorial(m) * d)
         for necklace, c in numerators:
             totals[necklace] = totals.get(necklace, 0) + scale * c
-    if CyclicSeries(sig, trunc).with_totals(den, totals) != scaled:
+    if CyclicSeries(sig, trunc).with_totals(den, totals.items()) != scaled:
         return False
     low = p.valuation()
     if low is not None and p.homogeneous_component(low) == p:

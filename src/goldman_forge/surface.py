@@ -22,6 +22,7 @@ __all__ = [
     "Path",
     "cyclic_normal_form",
     "splice_normal_form",
+    "reduced_product",
     "least_rotation",
     "boundary_word",
     "ribbon_structure",
@@ -118,20 +119,13 @@ def _reduce_letters(letters):
     return tuple(stack)
 
 
-def _trusted_word(letters):
-    """A FreeWord on letters that already came from a FreeWord: no check."""
-    word = object.__new__(FreeWord)
-    word.letters = letters
-    return word
-
-
 class FreeWord:
     """Word in the free group; kept as a tuple of (base, exp) letters.
 
     Construction does not reduce; call reduce() for the normal form.
     The * operator is group multiplication (concatenate and reduce).
-    The constructor checks each letter; reduce, inverse and * build
-    their results from checked letters without checking them again.
+    The constructor checks each letter; trusted does not, and reduce,
+    inverse and * build their results from checked letters with it.
     """
 
     __slots__ = ("letters",)
@@ -144,17 +138,24 @@ class FreeWord:
                 raise ValueError("bad letter %r; want (base, +1/-1)" % (letter,))
         self.letters = letters
 
+    @classmethod
+    def trusted(cls, letters):
+        """The word on checked letters (a tuple), not checked again."""
+        word = object.__new__(cls)
+        word.letters = letters
+        return word
+
     def reduce(self):
         """Free reduction: cancel adjacent inverse pairs until none remain."""
         reduced = _reduce_letters(self.letters)
-        return self if reduced == self.letters else _trusted_word(reduced)
+        return self if reduced == self.letters else FreeWord.trusted(reduced)
 
     def inverse(self):
-        return _trusted_word(tuple((base, -e)
-                                   for base, e in reversed(self.letters)))
+        return FreeWord.trusted(tuple((base, -e)
+                                      for base, e in reversed(self.letters)))
 
     def __mul__(self, other):
-        return _trusted_word(_reduce_letters(self.letters + other.letters))
+        return FreeWord.trusted(_reduce_letters(self.letters + other.letters))
 
     def __iter__(self):
         return iter(self.letters)
@@ -185,6 +186,13 @@ class LoopClass:
             raise ValueError("not a cyclic normal form: %r" % (letters,))
         self.word = letters
 
+    @classmethod
+    def trusted(cls, letters):
+        """The class whose canonical letter tuple is letters, unchecked."""
+        out = object.__new__(cls)
+        out.word = letters
+        return out
+
     def free_word(self):
         return FreeWord(self.word)
 
@@ -204,12 +212,14 @@ class LoopClass:
 def least_rotation(seq):
     """Start index of the least rotation of seq, in O(n): Duval's Lyndon
     factorisation of seq + seq (J.-P. Duval, J. Algorithms 4, 1983).
-    Among equal least rotations the smallest start index is returned."""
-    n, s = len(seq), list(seq) * 2
+    Among equal least rotations the smallest start index is returned.
+    seq + seq is built as a list: tuples of every length would crowd the
+    interpreter's tuple free lists and raise peak memory."""
+    n, s, end = len(seq), [*seq, *seq], 2 * len(seq)
     i = start = 0
     while i < n:
         start, j, k = i, i + 1, i
-        while j < 2 * n and s[k] <= s[j]:
+        while j < end and s[k] <= s[j]:
             k = i if s[k] < s[j] else k + 1
             j += 1
         while i <= k:
@@ -217,20 +227,18 @@ def least_rotation(seq):
     return start
 
 
-def _canonical_class(letters, keys):
-    """The class of a freely reduced word, given with its letter keys:
-    strip matching ends (key k ^ 1 is the inverse of the letter keyed k),
-    then rotate to the least rotation under letter_key.  Both normal
-    forms end here, so this is the one place that fixes the rotation."""
+def _canonical_word(letters, keys):
+    """The canonical letters of a freely reduced word's class, given its
+    letter keys: strip matching ends (key k ^ 1 is the inverse of the
+    letter keyed k), then rotate to the least rotation under letter_key.
+    Both normal forms end here, the one place that fixes the rotation."""
     p, q = 0, len(keys) - 1
     while p < q and keys[p] == keys[q] ^ 1:
         p, q = p + 1, q - 1
     if p:
         letters, keys = letters[p:q + 1], keys[p:q + 1]
     start = least_rotation(keys)
-    cls = object.__new__(LoopClass)
-    cls.word = letters[start:] + letters[:start]
-    return cls
+    return letters[start:] + letters[:start]
 
 
 def cyclic_normal_form(word):
@@ -238,12 +246,25 @@ def cyclic_normal_form(word):
     invariant.  word is any sequence of letters (a FreeWord or a tuple) and
     is trusted: letters are checked where they enter (FreeWord, parse_word)."""
     letters = _reduce_letters(word)
-    return _canonical_class(letters, list(map(letter_key, letters)))
+    return LoopClass.trusted(_canonical_word(letters,
+                                             list(map(letter_key, letters))))
+
+
+def reduced_product(lx, kx, ly, ky):
+    """(letters, keys) of the free reduction of x y, for freely reduced
+    letter tuples lx, ly with letter_key lists kx, ky: x and y can
+    cancel only where x ends and y begins, so only there is compared."""
+    t, m, most = 0, len(kx), min(len(kx), len(ky))
+    while t < most and kx[m - 1 - t] == ky[t] ^ 1:
+        t += 1
+    if not t:
+        return lx + ly, kx + ky
+    return lx[:m - t] + ly[t:], kx[:m - t] + ky[t:]
 
 
 def splice_normal_form(la, ka, lb, kb, i, j):
-    """cyclic_normal_form(la[i:] + la[:i] + lb[j:] + lb[:j]), cancelling
-    only at the two junctions.
+    """The canonical letter tuple of cyclic_normal_form(la[i:] + la[:i] +
+    lb[j:] + lb[:j]), cancelling only at the two junctions.
 
     la and lb are the words of two LoopClass values, ka and kb lists of
     their letter keys (lists: tuples of keys would crowd the interpreter's
@@ -256,18 +277,10 @@ def splice_normal_form(la, ka, lb, kb, i, j):
     stripping its matching ends then cancels at the second junction, and
     past it into what is left of the other rotation.  That is the cyclic
     reduction, so the strip-and-rotate tail shared with
-    cyclic_normal_form gives the same class.
+    cyclic_normal_form gives the same class, as a plain letter tuple.
     """
-    m = len(ka)
-    keys = ka[i:] + ka[:i] + kb[j:] + kb[:j]
-    letters = la[i:] + la[:i] + lb[j:] + lb[:j]
-    t, most = 0, min(m, len(kb))
-    while t < most and keys[m - 1 - t] == keys[m + t] ^ 1:
-        t += 1
-    if t:
-        keys = keys[:m - t] + keys[m + t:]
-        letters = letters[:m - t] + letters[m + t:]
-    return _canonical_class(letters, keys)
+    return _canonical_word(*reduced_product(la[i:] + la[:i], ka[i:] + ka[:i],
+                                            lb[j:] + lb[:j], kb[j:] + kb[:j]))
 
 
 class Path:

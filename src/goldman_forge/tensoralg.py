@@ -115,9 +115,10 @@ class TermSum:
         return out
 
     def with_totals(self, den, totals):
-        """Same fields; n / den per key with nonzero int total n, unchecked."""
+        """Same fields; n / den per key of the (key, int total n) pairs
+        totals with nonzero n, unchecked."""
         return self._with_terms({key: Fraction(n, den)
-                                 for key, n in totals.items() if n})
+                                 for key, n in totals if n})
 
     def _fields(self):
         return [getattr(self, name) for name in self._FIELDS]
@@ -575,7 +576,7 @@ def coproduct(s):
                           + [(left, right + (a,)) for left, right in splits])
             for split in splits:
                 sums[split] = sums.get(split, 0) + num
-    return TensorSquare(s.sig, s.trunc).with_totals(s._den, sums)
+    return TensorSquare(s.sig, s.trunc).with_totals(s._den, sums.items())
 
 
 def right_normed_words(word, memo=None):

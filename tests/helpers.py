@@ -6,12 +6,18 @@ every test passes its own seed.
 
 from fractions import Fraction
 
+from goldman_forge.goldman import _crossings, _draw
 from goldman_forge.magnus import (
     MagnusExpansion,
     default_expansion,
     necklace_project,
 )
-from goldman_forge.surface import FreeWord, dart_rev, letter_key
+from goldman_forge.surface import (
+    FreeWord,
+    dart_rev,
+    letter_key,
+    ribbon_structure,
+)
 from goldman_forge.tensoralg import (
     AlgebraMap,
     TensorSeries,
@@ -164,3 +170,22 @@ def encode_word(names):
 def decode_word(chars):
     """str word of the rewriting -> tuple of generator names."""
     return tuple(RESOLUTION_NAME[c] for c in chars)
+
+
+def trace_records(spec, left, right, convention):
+    """goldman.crossing_trace's records under either convention: the
+    trace draws under the default one only."""
+    slot = ribbon_structure(spec)
+    darts = sorted(slot, key=slot.get)
+    width, chords = _draw(slot, (left, right), convention)
+
+    def end(key):
+        at, offset = divmod(key, width)
+        name = darts[at][0] + {1: "+", -1: "-", 0: ""}[darts[at][1]]
+        return [name, offset]
+
+    def passage(tag, chord):
+        return {"owner": [tag, chords[tag].index(chord)],
+                "in": end(chord[0]), "out": end(chord[1])}
+    return [{"sign": sign, "left": passage(0, pu), "right": passage(1, pv)}
+            for sign, pu, pv in _crossings(*chords)]

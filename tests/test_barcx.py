@@ -78,7 +78,7 @@ class TestBarElement:
     def test_parse_and_render(self):
         e = parse_bar("[xi1|eta1]", OM)
         assert e.terms == {("xi1", "eta1"): 1}
-        assert e.render() == "[xi1|eta1]"
+        assert repr(e) == "<BarElement [xi1|eta1]>"
         assert parse_bar("[]", OM).terms == {(): 1}
         with pytest.raises(ValueError):
             parse_bar("xi1|eta1", OM)
@@ -97,7 +97,9 @@ class TestBarElement:
     def test_json_deterministic(self):
         e = parse_bar("[eta1]", OM) + parse_bar("[xi1]", OM)
         assert [w for w, _ in e.sorted_terms()] == [("xi1",), ("eta1",)]
-        assert e.render() == "[xi1] + [eta1]"
+        assert repr(e) == "<BarElement [xi1] + [eta1]>"
+        assert repr(e.scaled(-1)) == "<BarElement -[xi1] - [eta1]>"
+        assert repr(e.scaled(0)) == "<BarElement 0>"
 
 
 class TestDifferential:

@@ -4,8 +4,9 @@ The bracket, the loop action and the two-path pairing sum, per output
 term and over every pair of terms, the crossing signs times int
 coefficient numerators, and divide by one denominator per call.  The
 code they replaced added one Fraction term per crossing, with a tuple letter order and a FreeWord-validated cyclic
-normal form; it is kept here as the oracle, built from ``_crossings``
-and an uncached ``ribbon_structure`` directly.
+normal form; it is kept here as the oracle, built from the chords of
+``_draw``, the crossings of ``_crossings`` and an uncached
+``ribbon_structure`` directly.
 """
 
 import random
@@ -18,6 +19,7 @@ from goldman_forge.goldman import (
     PathPairSum,
     PathSum,
     _crossings,
+    _draw,
     bi_pairing,
     goldman_bracket,
     kk_action,
@@ -71,10 +73,11 @@ def old_surgeries(u, v, convention):
     if u.spec != v.spec:
         raise ValueError("operands live on different surfaces")
     slot = ribbon_structure.__wrapped__(u.spec)
-    return ((coeff_a * coeff_b * sign, a, b, pa.split, pb.split)
+    return ((coeff_a * coeff_b * sign, a, b, i, j)
             for a, coeff_a in u.terms.items()
             for b, coeff_b in v.terms.items()
-            for sign, pa, pb in _crossings(slot, a, b, convention))
+            for sign, (_, _, i), (_, _, j) in _crossings(
+                *_draw(slot, (a, b), convention)[1]))
 
 
 def old_goldman_bracket(u, v, convention="default"):
@@ -113,8 +116,8 @@ def splice_counts(u, v, convention):
     for a in u.terms:
         for b in v.terms:
             counts, crossings = {}, 0
-            for sign, pa, pb in _crossings(slot, a, b, convention):
-                i, j = pa.split, pb.split
+            chords = _draw(slot, (a, b), convention)[1]
+            for sign, (_, _, i), (_, _, j) in _crossings(*chords):
                 cls = old_cyclic_normal_form(
                     a.word[i:] + a.word[:i] + b.word[j:] + b.word[:j])
                 counts[cls] = counts.get(cls, 0) + sign

@@ -3,7 +3,8 @@
 The differential sweeps compare the O(n) canonical rotation with the
 O(n^2) min-over-rotations code it replaced, kept here as oracles, and
 the junction-only splice canonical form with the cyclic normal form of
-the spliced letters.  The
+the spliced letters, and the junction-only product of two reduced words
+with their free reduction.  The
 hypothesis properties run derandomized, so every run sees the same
 examples.
 """
@@ -31,6 +32,7 @@ from goldman_forge.surface import (
     cyclic_normal_form,
     least_rotation,
     letter_key,
+    reduced_product,
     splice_normal_form,
 )
 
@@ -215,8 +217,8 @@ class TestSplice:
                     for j in range(len(b)):
                         x, y = a[i:] + a[:i], b[j:] + b[:j]
                         got = splice_normal_form(a, ka, b, kb, i, j)
-                        assert got == cyclic_normal_form(x + y), (x, y)
-                        assert got.word == old_cyclic_normal_form(
+                        assert got == cyclic_normal_form(x + y).word, (x, y)
+                        assert got == old_cyclic_normal_form(
                             FreeWord(x + y)), (x, y)
                         first, second = _junction(x, y), _junction(y, x)
                         shapes["none"] += not first and not second
@@ -225,7 +227,37 @@ class TestSplice:
                         shapes["both"] += first and second
                         shapes["long"] += first >= 2
                         shapes["whole"] += first == min(len(x), len(y))
-                        shapes["trivial"] += not got.word
+                        shapes["trivial"] += not got
+        assert min(shapes.values()) >= 20, shapes
+
+    def test_reduced_product_matches_free_reduction(self):
+        """The junction-only product of the path splices against the
+        FreeWord product, which reduces the whole concatenation; the
+        pieces are cut from one word and its inverse, so cancelling
+        through the whole of x or y is common."""
+        rng = random.Random(SPLICE_SEED + 1)
+        shapes = {"none": 0, "some": 0, "whole x": 0, "whole y": 0,
+                  "empty": 0}
+        for spec in SPLICE_SURFACES:
+            for _ in range(600):
+                w = random_surface_word(rng, spec, 7).letters
+                x = w[:rng.randint(0, len(w))]
+                y = tuple(_inverse(w[rng.randint(0, len(w)):]))
+                y += random_surface_word(rng, spec, 3).letters
+                y = FreeWord(y).reduce().letters
+                if rng.random() < 0.5:
+                    x, y = y, x
+                kx, ky = list(map(letter_key, x)), list(map(letter_key, y))
+                got, keys = reduced_product(x, kx, y, ky)
+                want = (FreeWord(x) * FreeWord(y)).letters
+                assert got == want, (x, y)
+                assert keys == list(map(letter_key, want)), (x, y)
+                t = _junction(x, y)
+                shapes["none"] += not t
+                shapes["some"] += 0 < t < min(len(x), len(y))
+                shapes["whole x"] += 0 < t == len(x)
+                shapes["whole y"] += 0 < t == len(y)
+                shapes["empty"] += not got
         assert min(shapes.values()) >= 20, shapes
 
 
