@@ -63,15 +63,16 @@ def _usage(call, *args):
         raise UsageError(str(err)) from None
 
 
-def _word(text, spec):
-    """A parsed word whose letters are all generators of spec."""
+def _word(text, spec=None):
+    """A parsed word; with spec, its letters must be spec's generators."""
     word = _usage(parse_word, text)
-    _usage(spec.validate_word, word)
+    if spec is not None:
+        _usage(spec.validate_word, word)
     return word
 
 
-def _path(token, spec):
-    """A parsed path whose tags and letters are all spec's."""
+def _path(token, spec=None):
+    """A parsed path; with spec, also its tags and letters must be spec's."""
     parts = token.split(":", 2)
     if len(parts) != 3:
         raise UsageError("path %r is not of the form from:to:word" % token)
@@ -80,7 +81,7 @@ def _path(token, spec):
     except ValueError:
         raise UsageError("path %r needs integer endpoint tags" % token) \
             from None
-    if not {from_tag, to_tag} <= set(spec.tags):
+    if spec is not None and not {from_tag, to_tag} <= set(spec.tags):
         raise UsageError("path %r has a tag outside the boundary tags "
                          "0..%d" % (token, spec.boundary - 1))
     return Path(from_tag, to_tag, _word(parts[2], spec))
@@ -144,8 +145,8 @@ def _trace(args, payload, lines, spec, left, right):
 
 def cmd_bracket(args):
     spec = _surface(args)
-    left = cyclic_normal_form(_word(args.words[0], spec))
-    right = cyclic_normal_form(_word(args.words[1], spec))
+    left = cyclic_normal_form(_word(args.words[0]))
+    right = cyclic_normal_form(_word(args.words[1]))
     u = LoopSum(spec, [(left, 1)])
     v = LoopSum(spec, [(right, 1)])
     trunc = _trunc(args)
@@ -173,9 +174,9 @@ def cmd_bracket(args):
 
 def cmd_kk(args):
     spec = _surface(args)
-    loop = cyclic_normal_form(_word(args.loop, spec))
+    loop = cyclic_normal_form(_word(args.loop))
     u = LoopSum(spec, [(loop, 1)])
-    gamma = _path(args.path, spec)
+    gamma = _path(args.path)
     out = _usage(kk_action, u, PathSum.of(spec, gamma))
     payload = {"action": out.to_json()}
     lines = _sum_lines("action", payload["action"])
@@ -196,8 +197,7 @@ def cmd_bipair(args):
 def cmd_expand(args):
     spec = _surface(args)
     trunc = _trunc(args)
-    theta = default_expansion(spec, trunc)
-    series = theta.expand_word(_word(args.word, spec))
+    series = default_expansion(spec, trunc).expand_word(_word(args.word))
     lines = ["%s: %s" % (" ".join(word) or "1", coeff)
              for word, coeff in series.terms()]
     _emit(args, {"truncation": trunc, "series": series.to_json()},
@@ -209,7 +209,7 @@ def cmd_adams(args):
     spec = _surface(args)
     if args.n < 0:
         raise UsageError("the power-map exponent must be nonnegative")
-    image = adams(args.n, LoopSum.of(spec, _word(args.word, spec))).to_json()
+    image = adams(args.n, LoopSum.of(spec, _word(args.word))).to_json()
     _emit(args, {"n": args.n, "image": image}, _sum_lines("image", image),
           spec)
     return EXIT_OK
@@ -309,9 +309,6 @@ def cmd_verify(args):
                        ("trunc", "--N"), ("seed", "--seed")):
         if options[name] is not None and name not in accepted:
             raise UsageError("the %s suite takes no %s" % (args.suite, flag))
-    if "genus" in accepted:     # check the surface the suite will run on
-        _usage(SurfaceSpec, *(accepted[n].default if options[n] is None
-                              else options[n] for n in ("genus", "boundary")))
     report = suites.run_suite(args.suite, **options)
     lines = []
     for check in report["checks"]:

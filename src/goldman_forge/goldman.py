@@ -373,10 +373,11 @@ def crossing_trace(spec, left, right):
     slot = ribbon_structure(spec)
     darts = sorted(slot, key=slot.get)
     width, chords = _draw(slot, (left, right), "default")
+    index = [{chord: j for j, chord in enumerate(cs)} for cs in chords]
 
     def passage(tag, chord):
         (i, di), (o, do) = divmod(chord[0], width), divmod(chord[1], width)
-        return {"owner": [tag, chords[tag].index(chord)],
+        return {"owner": [tag, index[tag][chord]],
                 "in": [_dart_name(darts[i]), di],
                 "out": [_dart_name(darts[o]), do]}
     return [{"sign": sign, "left": passage(0, pu), "right": passage(1, pv)}

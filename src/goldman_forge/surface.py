@@ -212,14 +212,12 @@ class LoopClass:
 def least_rotation(seq):
     """Start index of the least rotation of seq, in O(n): Duval's Lyndon
     factorisation of seq + seq (J.-P. Duval, J. Algorithms 4, 1983).
-    Among equal least rotations the smallest start index is returned.
-    seq + seq is built as a list: tuples of every length would crowd the
-    interpreter's tuple free lists and raise peak memory."""
-    n, s, end = len(seq), [*seq, *seq], 2 * len(seq)
+    Among equal least rotations the smallest start index is returned."""
+    n, s = len(seq), list(seq) * 2
     i = start = 0
     while i < n:
         start, j, k = i, i + 1, i
-        while j < end and s[k] <= s[j]:
+        while j < 2 * n and s[k] <= s[j]:
             k = i if s[k] < s[j] else k + 1
             j += 1
         while i <= k:

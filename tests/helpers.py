@@ -6,7 +6,7 @@ every test passes its own seed.
 
 from fractions import Fraction
 
-from goldman_forge.goldman import _crossings, _draw
+from goldman_forge.goldman import _crossings, _dart_name, _draw
 from goldman_forge.magnus import (
     MagnusExpansion,
     default_expansion,
@@ -178,14 +178,14 @@ def trace_records(spec, left, right, convention):
     slot = ribbon_structure(spec)
     darts = sorted(slot, key=slot.get)
     width, chords = _draw(slot, (left, right), convention)
+    index = [{chord: j for j, chord in enumerate(cs)} for cs in chords]
 
     def end(key):
         at, offset = divmod(key, width)
-        name = darts[at][0] + {1: "+", -1: "-", 0: ""}[darts[at][1]]
-        return [name, offset]
+        return [_dart_name(darts[at]), offset]
 
     def passage(tag, chord):
-        return {"owner": [tag, chords[tag].index(chord)],
+        return {"owner": [tag, index[tag][chord]],
                 "in": end(chord[0]), "out": end(chord[1])}
     return [{"sign": sign, "left": passage(0, pu), "right": passage(1, pv)}
             for sign, pu, pv in _crossings(*chords)]

@@ -260,25 +260,6 @@ def test_letters_and_tags_outside_the_surface(argv, capsys):
     assert "Traceback" not in err
 
 
-# each was a traceback with exit 1, or a wrong answer with exit 0, before
-# every command checked its words, tags and surface against the surface
-@pytest.mark.parametrize("argv,names", [
-    (["verify", "jacobi", "--g", "0", "--b", "1"], "disk"),
-    (["verify", "gr-bracket", "--g", "0", "--b", "1"], "disk"),
-    (["bracket", "--g", "1", "--b", "1", "a2", "b1"], "a2"),
-    (["kk", "a1", "0:5:b1"], "0:5:b1"),
-    (["kk", "--g", "1", "--b", "1", "a1", "0:0:c1"], "c1"),
-    (["expand", "--g", "1", "--b", "1", "c1"], "c1"),
-    (["adams", "--n", "2", "a7"], "a7"),
-])
-def test_words_tags_and_surfaces_are_checked_first(argv, names, capsys):
-    code, out, err = run_cli(argv, capsys)
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1 and names in err
-    assert "Traceback" not in err
-
-
 class TestParser:
     def test_built_once_per_process(self):
         assert cli.build_parser() is cli.build_parser()
