@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, product
 from math import factorial, lcm
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 
 from .surface import SurfaceSpec, boundary_word, least_rotation
 from .tensoralg import (
@@ -636,12 +636,9 @@ def _normal_form(word, lead, replacement):
     return out
 
 
-def _normal_words(letters, lead, length):
-    """Words avoiding the factor lead, lazily and in lexicographic order."""
-    if length == 0:
-        yield ""
-        return
-    for w in _normal_words(letters, lead, length - 1):
+def _extend(words, letters, lead):
+    """Words avoiding lead, one letter longer, lazily and in lex order."""
+    for w in words:
         for letter in letters:
             if not (letter == lead[1] and w.endswith(lead[0])):
                 yield w + letter
@@ -650,15 +647,10 @@ def _normal_words(letters, lead, length):
 def _normal_counts(letters, lead, max_len):
     """dim of each graded piece by a last-letter transfer map."""
     dims = [1]
-    by_last = {}
-    for m in range(1, max_len + 1):
-        if not by_last:
-            by_last = {q: 1 for q in letters}
-        else:
-            total = sum(by_last.values())
-            blocked = by_last[lead[0]]
-            by_last = {q: total - (blocked if q == lead[1] else 0)
-                       for q in letters}
+    by_last = dict.fromkeys(letters, 0)  # the empty word ends in no letter
+    for _ in range(max_len):
+        by_last = {q: dims[-1] - (by_last[lead[0]] if q == lead[1] else 0)
+                   for q in letters}
         dims.append(sum(by_last.values()))
     return dims
 
@@ -675,19 +667,21 @@ def resolution_check(genus, n_max):
     A is the tensor algebra on a_1..a_g, b_1..b_g modulo the symplectic
     relator.  The relator's leading word rewrites confluently (the rule
     has no critical pairs), giving a normal basis: words avoiding the
-    factor b_g a_g.  Dimensions come from a last-letter transfer count
-    and must satisfy dim A_m = 2g dim A_{m-1} - dim A_{m-2}; the
-    enumerated bases are checked against the counts wherever they are
-    materialized.  The boundary maps are certified structurally: the
-    composite vanishes on every basis element, the second map is
-    injective because its b_1-insertion component permutes basis
-    monomials, the first is surjective because stripping a leading
-    letter keeps words normal (a factor of w[1:] is a factor of w).
-    The surjectivity sweep and the exact matrix-rank cross-checks rerun
-    those arguments explicitly on every degree small enough to afford
-    it; _SWEEP_LIMIT and _RANK_LIMIT set the cutoffs.  Words are str, one
-    character per generator (_rewrite_rule); the report holds only dims
-    and flags, so it does not depend on that encoding.
+    factor b_g a_g, listed degree by degree (_extend of the one below).
+    Dimensions come from a last-letter transfer count and must satisfy
+    dim A_m = 2g dim A_{m-1} - dim A_{m-2}; the enumerated bases are
+    checked against the counts wherever they are materialized.  The
+    boundary maps are certified structurally: the composite vanishes on
+    every basis element (only words holding the lead are rewritten; the
+    rest are normal), the second map is injective because its
+    b_1-insertion component permutes basis monomials, the first is
+    surjective because stripping a leading letter keeps words normal (a
+    factor of w[1:] is a factor of w).  The surjectivity sweep and the
+    exact matrix-rank cross-checks rerun those arguments explicitly on
+    every degree small enough to afford it; _SWEEP_LIMIT and _RANK_LIMIT
+    set the cutoffs.  Words are str, one character per generator
+    (_rewrite_rule); the report holds only dims and flags, so it does
+    not depend on that encoding.
     """
     if genus < 1:
         raise ValueError("resolution needs genus >= 1")
@@ -702,15 +696,15 @@ def resolution_check(genus, n_max):
     if genus == 1 and any(dims[m] != m + 1 for m in range(n_max + 3)):
         raise AssertionError("genus-1 dimensions are not n+1")
 
-    basis_cache = {}
+    basis_cache = [[""]]
 
     def basis(m):
-        if m not in basis_cache:
-            words = list(_normal_words(letters, lead, m))
-            if len(words) != dims[m]:
+        for k in range(len(basis_cache), m + 1):
+            words = list(_extend(basis_cache[-1], letters, lead))
+            if len(words) != dims[k]:
                 raise AssertionError("enumeration disagrees with the "
-                                     "transfer count at degree %d" % m)
-            basis_cache[m] = words
+                                     "transfer count at degree %d" % k)
+            basis_cache.append(words)
         return basis_cache[m]
 
     pair_letters = [letters[h:h + 2] for h in range(0, 2 * genus, 2)]
@@ -723,6 +717,9 @@ def resolution_check(genus, n_max):
             out = {}
             for a, b in pair_letters:
                 for word, sign in ((a + b + u, 1), (b + a + u, -1)):
+                    if lead not in word:
+                        out[word] = out.get(word, 0) + sign
+                        continue
                     for w, c in _normal_form(word, lead, replacement).items():
                         out[w] = out.get(w, 0) + sign * c
             if any(out.values()):
@@ -737,15 +734,15 @@ def resolution_check(genus, n_max):
                 injective_ok = False
                 break
             images.add(next(iter(image)))
-        if injective_ok and len(images) != dims[n]:
-            injective_ok = False
+        injective_ok = injective_ok and len(images) == dims[n]
         # surjectivity: strip the first letter of each target basis word
         surjective_swept = dims[n + 2] <= _SWEEP_LIMIT
         surjective_ok = True
         if surjective_swept:
-            words = (basis_cache.get(n + 2)
-                     or _normal_words(letters, lead, n + 2))
-            surjective_ok = all(w.find(lead, 1) < 0 for w in words)
+            words = (basis_cache[n + 2] if len(basis_cache) > n + 2
+                     else _extend(basis(n + 1), letters, lead))
+            surjective_ok = max(map(methodcaller("find", lead, 1), words),
+                                default=-1) < 0
         rank_identity = dims[n] + dims[n + 2] == 2 * genus * dims[n + 1]
 
         cross_checked = False

@@ -771,13 +771,16 @@ def derivation_exp(d):
 def _int_rows(rows, ncols):
     """Integer copies of rows, each scaled by the lcm of its denominators.
 
-    Entries must be ints or Fractions; an int has denominator 1, so one
-    lcm covers both and int entries are never converted.
+    Entries must be ints or Fractions (an int has denominator 1); a row
+    of type-int entries only is copied as it is, with no check or lcm.
     """
     out = []
     for row in rows:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
+        if set(map(type, row)) <= {int}:
+            out.append(list(row))
+            continue
         for x in row:
             if not isinstance(x, (int, Fraction)):
                 raise TypeError("coefficient must be an integer or "

@@ -387,6 +387,33 @@ class TestAdams:
         with pytest.raises(ValueError):
             adams(-1, loop(TORUS, "a1"))
 
+    def test_powers_match_recanonicalised_powers(self):
+        # adams takes cls.word * n as canonical (the n-th power of a least
+        # rotation is a least rotation); the replaced code ran
+        # cyclic_normal_form on every power
+        def old_adams(n, u):
+            out = LoopSum(u.spec, twist=u.twist)
+            for cls, coeff in u.terms.items():
+                out.add_term(cyclic_normal_form(cls.word * n), coeff)
+            return out
+
+        for spec in (TORUS, SurfaceSpec(2, 1), SurfaceSpec(1, 2),
+                     SurfaceSpec(0, 3), SurfaceSpec(2, 2)):
+            rng = random.Random(7 * spec.genus + spec.boundary)
+            for k in range(60):
+                words = [FreeWord([])] + [random_word(rng, spec, 6, 0)
+                                          for _ in range(k % 4)]
+                u = LoopSum(spec, [(cyclic_normal_form(w), c)
+                                   for c, w in enumerate(words, 1)],
+                            twist=k % 3)
+                for n in range(6):
+                    got, want = adams(n, u), old_adams(n, u)
+                    assert got == want and got.twist == want.twist
+                    assert [c.word for c in got.terms] == \
+                        [c.word for c in want.terms]
+                    assert all(cyclic_normal_form(c.word) == c
+                               for c in got.terms)
+
 
 class TestLogClass:
     def test_single_generator(self):

@@ -10,9 +10,16 @@ name <-> character table in helpers.  The seeded sweep covers empty matrices, ze
 dependent rows, inconsistent right-hand sides and fractions with large
 denominators; the hypothesis property runs derandomized, so every run
 sees the same examples.
+
+resolution_check later stopped rewriting words without the lead and
+built each basis from the one a degree below, and the row intake took
+rows of ints as they are; the versions before that (recursive word
+enumeration, every word rewritten, every entry checked and scaled) are
+kept here too, and the reports and integer rows must not change.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -21,8 +28,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from goldman_forge.magnus import _normal_form, _rewrite_rule
-from goldman_forge.tensoralg import as_coeff, linear_solve, matrix_rank
+from goldman_forge.magnus import (
+    _RANK_LIMIT,
+    _SWEEP_LIMIT,
+    _normal_counts,
+    _normal_form,
+    _rewrite_rule,
+    resolution_check,
+)
+from goldman_forge.tensoralg import (
+    _int_rows,
+    as_coeff,
+    linear_solve,
+    matrix_rank,
+)
 
 SWEEP_SEED = 60606
 SWEEP_SYSTEMS = 20_000
@@ -143,6 +162,146 @@ def old_tuple_normal_form(word, lead, replacement):
     return out
 
 
+def old_int_rows(rows, ncols):
+    out = []
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError("coefficient must be an integer or "
+                                "Fraction, got %r" % type(x).__name__)
+        scale = math.lcm(*[x.denominator for x in row])
+        out.append([x.numerator * (scale // x.denominator) for x in row])
+    return out
+
+
+def old_normal_words(letters, lead, length):
+    if length == 0:
+        yield ""
+        return
+    for w in old_normal_words(letters, lead, length - 1):
+        for letter in letters:
+            if not (letter == lead[1] and w.endswith(lead[0])):
+                yield w + letter
+
+
+def old_normal_counts(letters, lead, max_len):
+    dims = [1]
+    by_last = {}
+    for m in range(1, max_len + 1):
+        if not by_last:
+            by_last = {q: 1 for q in letters}
+        else:
+            total = sum(by_last.values())
+            blocked = by_last[lead[0]]
+            by_last = {q: total - (blocked if q == lead[1] else 0)
+                       for q in letters}
+        dims.append(sum(by_last.values()))
+    return dims
+
+
+def old_resolution_check(genus, n_max):
+    if genus < 1:
+        raise ValueError("resolution needs genus >= 1")
+    if n_max < 0:
+        raise ValueError("resolution needs max degree >= 0")
+    letters, lead, replacement = _rewrite_rule(genus)
+
+    dims = old_normal_counts(letters, lead, n_max + 2)
+    for m in range(2, n_max + 3):
+        if dims[m] != 2 * genus * dims[m - 1] - dims[m - 2]:
+            raise AssertionError("dimension recursion failed at degree %d" % m)
+    if genus == 1 and any(dims[m] != m + 1 for m in range(n_max + 3)):
+        raise AssertionError("genus-1 dimensions are not n+1")
+
+    basis_cache = {}
+
+    def basis(m):
+        if m not in basis_cache:
+            words = list(old_normal_words(letters, lead, m))
+            if len(words) != dims[m]:
+                raise AssertionError("enumeration disagrees with the "
+                                     "transfer count at degree %d" % m)
+            basis_cache[m] = words
+        return basis_cache[m]
+
+    pair_letters = [letters[h:h + 2] for h in range(0, 2 * genus, 2)]
+    rows = []
+    passed = True
+    for n in range(n_max + 1):
+        composite_ok = True
+        for u in basis(n):
+            out = {}
+            for a, b in pair_letters:
+                for word, sign in ((a + b + u, 1), (b + a + u, -1)):
+                    for w, c in _normal_form(word, lead, replacement).items():
+                        out[w] = out.get(w, 0) + sign * c
+            if any(out.values()):
+                composite_ok = False
+                break
+        images = set()
+        injective_ok = True
+        for u in basis(n):
+            image = _normal_form(letters[1] + u, lead, replacement)
+            if len(image) != 1 or next(iter(image.values())) != 1:
+                injective_ok = False
+                break
+            images.add(next(iter(image)))
+        if injective_ok and len(images) != dims[n]:
+            injective_ok = False
+        surjective_swept = dims[n + 2] <= _SWEEP_LIMIT
+        surjective_ok = True
+        if surjective_swept:
+            words = (basis_cache.get(n + 2)
+                     or old_normal_words(letters, lead, n + 2))
+            surjective_ok = all(w.find(lead, 1) < 0 for w in words)
+        rank_identity = dims[n] + dims[n + 2] == 2 * genus * dims[n + 1]
+
+        cross_checked = False
+        middle_dim = 2 * genus * dims[n + 1]
+        if middle_dim <= _RANK_LIMIT:
+            index_n1 = {w: i for i, w in enumerate(basis(n + 1))}
+            index_n2 = {w: i for i, w in enumerate(basis(n + 2))}
+            d2_cols = []
+            for u in basis(n):
+                column = [0] * middle_dim
+                for h, (a, b) in enumerate(pair_letters):
+                    for w, c in _normal_form(b + u, lead, replacement).items():
+                        column[2 * h * dims[n + 1] + index_n1[w]] += c
+                    for w, c in _normal_form(a + u, lead, replacement).items():
+                        column[(2 * h + 1) * dims[n + 1] + index_n1[w]] -= c
+                d2_cols.append(column)
+            d1_cols = []
+            for letter in letters:
+                for v in basis(n + 1):
+                    column = [0] * dims[n + 2]
+                    for w, c in _normal_form(letter + v, lead,
+                                              replacement).items():
+                        column[index_n2[w]] += c
+                    d1_cols.append(column)
+            rank_d2 = matrix_rank(d2_cols)
+            rank_d1 = matrix_rank(d1_cols)
+            if rank_d2 != dims[n] or rank_d1 != dims[n + 2]:
+                passed = False
+            cross_checked = True
+
+        ok = composite_ok and injective_ok and surjective_ok and rank_identity
+        passed = passed and ok
+        rows.append({
+            "n": n,
+            "dims": [dims[n], middle_dim, dims[n + 2]],
+            "composite_zero": composite_ok,
+            "injective": injective_ok,
+            "surjective": surjective_ok,
+            "surjective_swept": surjective_swept,
+            "rank_identity": rank_identity,
+            "rank_cross_checked": cross_checked,
+        })
+    return {"genus": genus, "max_n": n_max, "dims": dims[:n_max + 3],
+            "rows": rows, "passed": passed}
+
+
 # -- seeded differential sweep --------------------------------------------
 
 def _entry(rng, kind):
@@ -194,6 +353,7 @@ def test_sweep_matches_fraction_code():
             assert all(type(y) is Fraction for y in got)
         rank = matrix_rank(matrix)
         assert rank == old_matrix_rank(matrix), matrix
+        assert matrix == before
         seen["empty_rows"] += not matrix
         seen["empty_cols"] += bool(matrix) and n == 0
         seen["inconsistent"] += want is None
@@ -258,7 +418,79 @@ def test_normal_forms_match_fraction_code():
             assert all(type(c) is int for c in got.values())
 
 
+def test_resolution_reports_match_the_replaced_code():
+    cases = [(g, n) for g in (1, 2, 3) for n in range(6)]
+    cases += [(4, n) for n in range(4)]
+    for genus, n_max in cases:
+        assert resolution_check(genus, n_max) == \
+            old_resolution_check(genus, n_max), (genus, n_max)
+    for genus in range(1, 7):
+        letters, lead, _ = _rewrite_rule(genus)
+        for max_len in range(16):
+            assert _normal_counts(letters, lead, max_len) == \
+                old_normal_counts(letters, lead, max_len)
+
+
 # -- row intake -----------------------------------------------------------
+
+def _intake_row(rng, kind, ncols):
+    if kind == "bool":
+        return [rng.random() < 0.5 for _ in range(ncols)]
+    if kind == "int":
+        return [rng.randint(-10 ** 20, 10 ** 20) for _ in range(ncols)]
+    return [_entry(rng, rng.choice(("int", "small", "large")))
+            for _ in range(ncols)]
+
+
+def test_int_rows_match_the_replaced_code():
+    rng = random.Random(SWEEP_SEED)
+    seen = {"int": 0, "bool": 0, "mixed": 0}
+    for _ in range(600):
+        ncols = rng.randint(0, 6)
+        kinds = [rng.choice(tuple(seen)) for _ in range(rng.randint(0, 5))]
+        rows = [_intake_row(rng, kind, ncols) for kind in kinds]
+        rows = [tuple(row) if rng.random() < 0.2 else row for row in rows]
+        before = [list(row) for row in rows]
+        got = _int_rows(rows, ncols)
+        assert got == old_int_rows(rows, ncols), rows
+        assert all(type(x) is int for row in got for x in row)
+        assert [list(row) for row in rows] == before
+        # every row is a fresh list, so reducing it leaves the input alone
+        assert all(g is not r for g, r in zip(got, rows))
+        for kind in kinds:
+            seen[kind] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_matrix_rank_leaves_its_rows_unchanged():
+    rows = [[2, 4, 6], [1, 3, 5], [3, 7, 11]]
+    before = [list(row) for row in rows]
+    assert matrix_rank(rows) == 2
+    assert rows == before
+    mixed = [[Fraction(1, 2), 1], [True, 3]]
+    assert matrix_rank(mixed) == 2
+    assert mixed == [[Fraction(1, 2), 1], [True, 3]]
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/3"])
+def test_inexact_entries_keep_their_message(bad):
+    message = ("coefficient must be an integer or Fraction, got %r"
+               % type(bad).__name__)
+    for rows in ([[1, bad]], [[bad, Fraction(1, 2)]], [[1, 2], [bad, 3]]):
+        ncols = len(rows[0])
+        with pytest.raises(TypeError) as old:
+            old_int_rows(rows, ncols)
+        assert str(old.value) == message
+        for call in (lambda: _int_rows(rows, ncols),
+                     lambda: matrix_rank(rows),
+                     lambda: linear_solve(rows, [0] * len(rows))):
+            with pytest.raises(TypeError) as new:
+                call()
+            assert str(new.value) == message
+    with pytest.raises(TypeError) as new:
+        linear_solve([[1]], [bad])
+    assert str(new.value) == message
+
 
 def test_matrix_rank_rejects_inexact_entries():
     # in floats the two rows look independent; the exact rank is 1
@@ -279,6 +511,11 @@ def test_ragged_matrix_is_a_value_error():
         matrix_rank([[], [1]])
     with pytest.raises(ValueError, match="ragged matrix"):
         linear_solve([[1, 2], [3]], [1, 2])
+    # rows of ints only, which the intake copies without a check
+    with pytest.raises(ValueError, match="ragged matrix"):
+        matrix_rank([[1, 2], [3, 4, 5]])
+    with pytest.raises(ValueError, match="ragged matrix"):
+        _int_rows([[1, 2], [3]], 2)
 
 
 # -- hypothesis property --------------------------------------------------

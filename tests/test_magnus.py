@@ -822,10 +822,11 @@ class TestResolution:
             resolution_check(1, -1)
 
     def test_normal_words_are_lazy_and_lexicographic(self):
-        # the generator must list exactly the words avoiding the leading
-        # factor, in the order of a filtered itertools.product
+        # extending the words of one length level by level, starting from
+        # the empty word, must list exactly the words avoiding the
+        # leading factor, in the order of a filtered itertools.product
         # (over the generator names, through the table in helpers)
-        from goldman_forge.magnus import _normal_words, _rewrite_rule
+        from goldman_forge.magnus import _extend, _rewrite_rule
         for genus in (1, 2, 3):
             letters = [name for i in range(1, genus + 1)
                        for name in ("a%d" % i, "b%d" % i)]
@@ -833,9 +834,18 @@ class TestResolution:
             chars, char_lead, _ = _rewrite_rule(genus)
             assert chars == helpers.encode_word(letters)
             assert char_lead == helpers.encode_word(lead)
+            # lazy: an iterator, which reads its input only as it goes
+            endless = _extend(itertools.repeat(char_lead[0]), chars,
+                              char_lead)
+            assert iter(endless) is endless
+            assert len(list(itertools.islice(endless, 5 * len(chars)))) \
+                == 5 * len(chars)
+            words = [""]
             for length in range(5):
-                words = _normal_words(chars, char_lead, length)
-                assert iter(words) is words
+                if length:
+                    words = _extend(words, chars, char_lead)
+                    assert iter(words) is words
+                    words = list(words)
                 expected = [w for w in itertools.product(letters,
                                                          repeat=length)
                             if all(w[p:p + 2] != lead
