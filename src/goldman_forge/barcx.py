@@ -119,8 +119,6 @@ class BarElement(TermSum):
 
     __slots__ = ("model",)
 
-    _FIELDS = ("model",)
-
     def __init__(self, model, terms=None):
         self.model = model
         super().__init__(terms)

@@ -26,6 +26,7 @@ from .goldman import (
     expand_loop_sum,
     goldman_bracket,
     kk_action,
+    sum_text,
     twist_curve_names,
 )
 from .magnus import (
@@ -112,26 +113,11 @@ def _emit(args, payload, lines, spec=None):
             print(line)
 
 
-def _sum_lines(label, js):
-    """Human line for a serialized loop, path, or path-pair sum."""
-    terms = js["terms"]
-    if not terms:
+def _sum_lines(label, s):
+    """Human lines for a loop, path, or path-pair sum."""
+    if s.is_zero():
         return ["%s: 0" % label]
-    parts = []
-    for t in terms:
-        if "left" in t:
-            parts.append("%s (%d->%d: %s)x(%d->%d: %s)"
-                         % (t["coeff"],
-                            t["left"]["from"], t["left"]["to"],
-                            t["left"]["word"],
-                            t["right"]["from"], t["right"]["to"],
-                            t["right"]["word"]))
-        elif "from" in js:
-            parts.append("%s (%s)" % (t["coeff"], t["word"]))
-        else:
-            parts.append("%s |%s|" % (t["coeff"], t["word"]))
-    return ["%s: %s" % (label, " + ".join(parts)),
-            "twist: %d" % js["twist"]]
+    return ["%s: %s" % (label, sum_text(s)), "twist: %d" % s.twist]
 
 
 def _trace(args, payload, lines, spec, left, right):
@@ -164,7 +150,7 @@ def cmd_bracket(args):
         "expansion": expansion.to_json(),
         "filtration": vals,
     }
-    lines = _sum_lines("bracket", payload["bracket"])
+    lines = _sum_lines("bracket", bracket)
     lines.append("valuations: left %s, right %s, bracket %s"
                  % (vals["left"], vals["right"], vals["bracket"]))
     _trace(args, payload, lines, spec, left, right)
@@ -179,7 +165,7 @@ def cmd_kk(args):
     gamma = _path(args.path)
     out = _usage(kk_action, u, PathSum.of(spec, gamma))
     payload = {"action": out.to_json()}
-    lines = _sum_lines("action", payload["action"])
+    lines = _sum_lines("action", out)
     _trace(args, payload, lines, spec, loop, gamma)
     _emit(args, payload, lines, spec)
     return EXIT_OK
@@ -189,8 +175,9 @@ def cmd_bipair(args):
     spec = _surface(args)
     g1 = PathSum.of(spec, _path(args.paths[0], spec))
     g2 = PathSum.of(spec, _path(args.paths[1], spec))
-    pairing = _usage(bi_pairing, g1, g2).to_json()
-    _emit(args, {"pairing": pairing}, _sum_lines("pairing", pairing), spec)
+    pairing = _usage(bi_pairing, g1, g2)
+    _emit(args, {"pairing": pairing.to_json()},
+          _sum_lines("pairing", pairing), spec)
     return EXIT_OK
 
 
@@ -209,9 +196,9 @@ def cmd_adams(args):
     spec = _surface(args)
     if args.n < 0:
         raise UsageError("the power-map exponent must be nonnegative")
-    image = adams(args.n, LoopSum.of(spec, _word(args.word))).to_json()
-    _emit(args, {"n": args.n, "image": image}, _sum_lines("image", image),
-          spec)
+    image = adams(args.n, LoopSum.of(spec, _word(args.word)))
+    _emit(args, {"n": args.n, "image": image.to_json()},
+          _sum_lines("image", image), spec)
     return EXIT_OK
 
 

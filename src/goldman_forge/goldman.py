@@ -36,6 +36,7 @@ __all__ = [
     "LoopSum",
     "PathSum",
     "PathPairSum",
+    "sum_text",
     "goldman_bracket",
     "kk_action",
     "bi_pairing",
@@ -57,8 +58,6 @@ class LoopSum(TermSum):
     """Rational combination of free loop classes, with a twist counter."""
 
     __slots__ = ("spec", "twist")
-
-    _FIELDS = ("spec", "twist")
 
     def __init__(self, spec, terms=None, twist=0):
         self.spec = spec
@@ -91,18 +90,17 @@ class LoopSum(TermSum):
                       for cls, coeff in self.sorted_terms()],
         }
 
+    def _spell(self, loop_class):
+        return "|%s|" % (loop_class,)
+
     def __repr__(self):
-        body = " + ".join("%s |%s|" % (coeff, cls)
-                          for cls, coeff in self.sorted_terms()[:6]) or "0"
-        return "<LoopSum tw=%d: %s>" % (self.twist, body)
+        return "<LoopSum tw=%d: %s>" % (self.twist, sum_text(self, 6))
 
 
 class PathSum(TermSum):
     """Rational combination of paths sharing endpoint tags."""
 
     __slots__ = ("spec", "from_tag", "to_tag", "twist")
-
-    _FIELDS = ("spec", "from_tag", "to_tag", "twist")
 
     def __init__(self, spec, from_tag, to_tag, terms=None, twist=0):
         self.spec = spec
@@ -135,19 +133,18 @@ class PathSum(TermSum):
                       for p, c in self.sorted_terms()],
         }
 
+    def _spell(self, path):
+        return "(%s)" % render_word(path.word)
+
     def __repr__(self):
-        body = " + ".join("%s (%s)" % (c, render_word(p.word))
-                          for p, c in self.sorted_terms()[:6]) or "0"
         return "<PathSum %s->%s tw=%d: %s>" % (self.from_tag, self.to_tag,
-                                               self.twist, body)
+                                               self.twist, sum_text(self, 6))
 
 
 class PathPairSum(TermSum):
     """Rational combination of ordered path pairs (the two-path pairing)."""
 
     __slots__ = ("spec", "twist")
-
-    _FIELDS = ("spec", "twist")
 
     def __init__(self, spec, twist=0):
         self.spec = spec
@@ -171,11 +168,19 @@ class PathPairSum(TermSum):
             } for (l, r), c in self.sorted_terms()],
         }
 
+    def _spell(self, pair):
+        return "x".join("(%d->%d: %s)" % (p.from_tag, p.to_tag,
+                                          render_word(p.word)) for p in pair)
+
     def __repr__(self):
-        body = " + ".join(
-            "%s (%s)x(%s)" % (c, render_word(l.word), render_word(r.word))
-            for (l, r), c in self.sorted_terms()[:4]) or "0"
-        return "<PathPairSum tw=%d: %s>" % (self.twist, body)
+        return "<PathPairSum tw=%d: %s>" % (self.twist, sum_text(self, 4))
+
+
+def sum_text(s, limit=None):
+    """'coeff term + ...' over the first limit sorted terms of a loop,
+    path or path-pair sum, each term spelled by its class; "0" if none."""
+    return " + ".join("%s %s" % (c, s._spell(key))
+                      for key, c in s.sorted_terms()[:limit]) or "0"
 
 
 def _word_key_letters(letters):

@@ -173,8 +173,6 @@ class CyclicSeries(TermSum):
 
     __slots__ = ("sig", "trunc", "twist")
 
-    _FIELDS = ("sig", "trunc", "twist")
-
     def __init__(self, sig, trunc, terms=None, twist=0):
         self.sig = sig
         self.trunc = trunc

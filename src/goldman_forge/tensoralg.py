@@ -28,10 +28,11 @@ coefficient's); + and - (a series, int or Fraction on the right),
 scaled, AlgebraMap.apply, exp, log and derivation_exp are combinations
 of iterates; exp_sum, the one k!-weighted sum, reads exp(m*s) for every
 m off one power list powers(s) = [1, s, s^2, ...].  is_primitive runs
-the Dynkin test on int numerators; no predicate reads coproduct.
-Denominators: * multiplies them, combination and from_terms take their
-lcm.  numerators() is the int view of a series, TermSum.numerators()
-that of a Fraction sum.
+the Dynkin test on int numerators; no predicate reads coproduct, which
+returns a plain {(left, right): Fraction} dict.  Denominators: *
+multiplies them, combination and from_terms take their lcm.
+numerators() is the int view of a series, TermSum.numerators() that of
+a Fraction sum, whose subclasses share the fields in their __slots__.
 Outside this module nothing reads _buckets or _den or calls the bucket
 constructor (tests/test_hygiene.py).
 """
@@ -42,7 +43,6 @@ from math import factorial, gcd, lcm
 __all__ = [
     "GenSignature",
     "TensorSeries",
-    "TensorSquare",
     "TermSum",
     "Derivation",
     "AlgebraMap",
@@ -75,8 +75,8 @@ def as_coeff(value):
 class TermSum:
     """Sparse exact combination: terms[key] is a nonzero Fraction.
 
-    A subclass names in _FIELDS the data two sums must share to be
-    added (surface, twist, truncation, ...), gives _sort_key for the
+    A subclass's __slots__ are the data two sums must share to be
+    added (surface, twist, truncation, ...); it gives _sort_key for the
     serialized term order, and overrides add_term when incoming keys
     need a check or a rewrite.  Sums built from admitted terms (copy,
     scaled, +, -, with_totals) take them over without checking them
@@ -84,8 +84,6 @@ class TermSum:
     """
 
     __slots__ = ("terms",)
-
-    _FIELDS = ()
 
     def __init__(self, terms=None):
         self.terms = {}
@@ -109,7 +107,7 @@ class TermSum:
 
     def _with_terms(self, terms):
         out = object.__new__(self.__class__)
-        for name in self._FIELDS:
+        for name in self.__slots__:
             setattr(out, name, getattr(self, name))
         out.terms = terms
         return out
@@ -121,7 +119,7 @@ class TermSum:
                                  for key, n in totals if n})
 
     def _fields(self):
-        return [getattr(self, name) for name in self._FIELDS]
+        return [getattr(self, name) for name in self.__slots__]
 
     def is_zero(self):
         return not self.terms
@@ -147,7 +145,7 @@ class TermSum:
         if self._fields() != other._fields():
             raise ValueError("cannot add %s values with different %s"
                              % (self.__class__.__name__,
-                                "/".join(self._FIELDS)))
+                                "/".join(self.__slots__)))
         out = self.copy()
         for key, coeff in other.terms.items():
             TermSum.add_term(out, key, coeff)
@@ -522,49 +520,14 @@ def lie_bracket(u, v):
     return u * v - v * u
 
 
-class TensorSquare(TermSum):
-    """Sparse element of the doubled algebra, the value of coproduct.
-
-    Terms are (left word, right word) -> coefficient with total weighted
-    degree at most the truncation; * concatenates componentwise.
-    """
-
-    __slots__ = ("sig", "trunc")
-
-    _FIELDS = ("sig", "trunc")
-
-    def __init__(self, sig, trunc):
-        self.sig = sig
-        self.trunc = trunc
-        super().__init__()
-
-    def add_term(self, pair, coeff):
-        """Add coeff * (left, right); pairs past the truncation are dropped."""
-        left, right = tuple(pair[0]), tuple(pair[1])
-        if self.sig.degree(left) + self.sig.degree(right) <= self.trunc:
-            TermSum.add_term(self, (left, right), coeff)
-        else:
-            as_coeff(coeff)     # inexact input is an error even when dropped
-
-    def _sort_key(self, pair):
-        return self.sig.sort_key(pair[0]), self.sig.sort_key(pair[1])
-
-    def __mul__(self, other):
-        # componentwise concatenation; add_term applies the truncation
-        out = TensorSquare(self.sig, self.trunc)
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                out.add_term((l1 + l2, r1 + r2), c1 * c2)
-        return out
-
-
 def coproduct(s):
     """Deconcatenation-style coproduct with every generator primitive.
 
     On a word the coproduct distributes each letter to the left or the
     right factor, keeping relative order: Delta(w) = sum over subsets S
     of positions of w_S tensor w_{S complement}.  A split keeps its
-    word's degree, so none is dropped; int numerators are summed per
+    word's degree, so none is dropped.  Returns {(left, right):
+    Fraction} over the nonzero splits; int numerators are summed per
     split and only the nonzero sums become Fractions.
     """
     sums = {}
@@ -576,7 +539,7 @@ def coproduct(s):
                           + [(left, right + (a,)) for left, right in splits])
             for split in splits:
                 sums[split] = sums.get(split, 0) + num
-    return TensorSquare(s.sig, s.trunc).with_totals(s._den, sums.items())
+    return {split: Fraction(n, s._den) for split, n in sums.items() if n}
 
 
 def right_normed_words(word, memo=None):
@@ -772,19 +735,22 @@ def _int_rows(rows, ncols):
     """Integer copies of rows, each scaled by the lcm of its denominators.
 
     Entries must be ints or Fractions (an int has denominator 1); a row
-    of type-int entries only is copied as it is, with no check or lcm.
+    of type-int entries only is copied as it is, with no check or lcm,
+    and only a row with other entry types is checked entry by entry.
     """
     out = []
     for row in rows:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
-        if set(map(type, row)) <= {int}:
+        types = set(map(type, row))
+        if types <= {int}:
             out.append(list(row))
             continue
-        for x in row:
-            if not isinstance(x, (int, Fraction)):
-                raise TypeError("coefficient must be an integer or "
-                                "Fraction, got %r" % type(x).__name__)
+        if not types <= {int, bool, Fraction}:
+            for x in row:
+                if not isinstance(x, (int, Fraction)):
+                    raise TypeError("coefficient must be an integer or "
+                                    "Fraction, got %r" % type(x).__name__)
         scale = lcm(*[x.denominator for x in row])
         out.append([x.numerator * (scale // x.denominator) for x in row])
     return out

@@ -10,13 +10,31 @@ import hashlib
 import inspect
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from goldman_forge import cli, suites
+from goldman_forge.goldman import (
+    LoopSum,
+    PathPairSum,
+    PathSum,
+    bi_pairing,
+    goldman_bracket,
+    kk_action,
+)
+from goldman_forge.surface import (
+    FreeWord,
+    Path,
+    SurfaceSpec,
+    cyclic_normal_form,
+    render_word,
+)
+from helpers import random_surface_word
 
 
 def run_cli(argv, capsys):
@@ -406,3 +424,112 @@ def test_console_entry_point():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "1 |a1 b1|" in proc.stdout
+
+
+# -- sum lines: the sums spell their own terms ------------------------------
+
+def old_sum_lines(label, js):
+    """The replaced _sum_lines, which read a sum's kind off its JSON."""
+    terms = js["terms"]
+    if not terms:
+        return ["%s: 0" % label]
+    parts = []
+    for t in terms:
+        if "left" in t:
+            parts.append("%s (%d->%d: %s)x(%d->%d: %s)"
+                         % (t["coeff"],
+                            t["left"]["from"], t["left"]["to"],
+                            t["left"]["word"],
+                            t["right"]["from"], t["right"]["to"],
+                            t["right"]["word"]))
+        elif "from" in js:
+            parts.append("%s (%s)" % (t["coeff"], t["word"]))
+        else:
+            parts.append("%s |%s|" % (t["coeff"], t["word"]))
+    return ["%s: %s" % (label, " + ".join(parts)),
+            "twist: %d" % js["twist"]]
+
+
+def old_loop_repr(s):
+    body = " + ".join("%s |%s|" % (coeff, cls)
+                      for cls, coeff in s.sorted_terms()[:6]) or "0"
+    return "<LoopSum tw=%d: %s>" % (s.twist, body)
+
+
+def old_path_repr(s):
+    body = " + ".join("%s (%s)" % (c, render_word(p.word))
+                      for p, c in s.sorted_terms()[:6]) or "0"
+    return "<PathSum %s->%s tw=%d: %s>" % (s.from_tag, s.to_tag,
+                                           s.twist, body)
+
+
+SUM_SURFACES = (SurfaceSpec(1, 1), SurfaceSpec(1, 3), SurfaceSpec(0, 3),
+                SurfaceSpec(2, 2))
+
+
+def seeded_sums(rng):
+    """Loop, path and path-pair sums built term by term (up to eight
+    terms, none in about one draw of nine), plus the bracket, the loop
+    action and, with two or more boundary tags, the two-path pairing of
+    such operands."""
+    spec = rng.choice(SUM_SURFACES)
+    twist = rng.randrange(-1, 3)
+
+    def coeff():
+        return Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))
+
+    def path(a, b):
+        # the empty word half the time: an identity path when a == b
+        word = FreeWord() if rng.random() < 0.5 else \
+            random_surface_word(rng, spec, 4)
+        return Path(a, b, word)
+
+    a, b = rng.choice(spec.tags), rng.choice(spec.tags)
+    loops = LoopSum(spec, twist=twist)
+    paths = PathSum(spec, a, b, twist=twist)
+    pairs = PathPairSum(spec, twist=twist)
+    for _ in range(rng.randrange(9)):
+        loops.add_term(cyclic_normal_form(random_surface_word(rng, spec, 5)),
+                       coeff())
+        paths.add_term(path(a, b), coeff())
+        pairs.add_term((path(*rng.choices(spec.tags, k=2)),
+                        path(*rng.choices(spec.tags, k=2))), coeff())
+    loop = LoopSum.of(spec, random_surface_word(rng, spec, 4), coeff())
+    out = [loops, paths, pairs, goldman_bracket(loops, loop),
+           kk_action(loops, paths)]
+    if spec.boundary > 1:
+        s, t = rng.sample(spec.tags, 2)
+        out.append(bi_pairing(PathSum.of(spec, path(s, s), coeff()),
+                              PathSum.of(spec, path(t, t), coeff())))
+    return out
+
+
+def test_sum_lines_match_the_replaced_code():
+    seen = set()
+    for seed in range(150):
+        for s in seeded_sums(random.Random(seed)):
+            js = s.to_json()
+            assert cli._sum_lines("sum", s) == old_sum_lines("sum", js)
+            seen.add((type(s).__name__, s.is_zero()))
+            if any(c.denominator > 1 for c in s.terms.values()):
+                seen.add("fraction")
+            if isinstance(s, PathSum) and any(
+                    not p.word.letters and p.from_tag == p.to_tag
+                    for p in s.terms):
+                seen.add("identity path")
+    assert seen == {(kind, zero) for kind in ("LoopSum", "PathSum",
+                                              "PathPairSum")
+                    for zero in (False, True)} | {"fraction", "identity path"}
+
+
+def test_reprs_spell_terms_as_the_cli_does():
+    # LoopSum and PathSum reprs are unchanged; a PathPairSum repr now
+    # shows each path's endpoint tags, as the CLI lines always did
+    for seed in range(150):
+        loops, paths, pairs = seeded_sums(random.Random(seed))[:3]
+        assert repr(loops) == old_loop_repr(loops)
+        assert repr(paths) == old_path_repr(paths)
+        js = pairs.to_json()
+        line = old_sum_lines("x", dict(js, terms=js["terms"][:4]))[0]
+        assert repr(pairs) == "<PathPairSum tw=%d: %s>" % (pairs.twist,
+                                                           line[3:])

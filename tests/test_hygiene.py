@@ -33,8 +33,8 @@
     package or in the bench harness outside dunder methods, so a field
     that only ``__repr__`` or ``__eq__`` shows is caught.  The rule is
     name-based like (d): a read of that attribute name on any object
-    counts, and so does a name listed in a class's ``_FIELDS``, which
-    ``TermSum`` reads through ``getattr``.
+    counts.  A name read only through ``getattr``, as ``TermSum`` reads
+    the ``__slots__`` fields two sums share, does not.
 """
 
 import ast
@@ -259,21 +259,14 @@ def stored_attributes(tree):
 
 
 def attribute_reads(tree):
-    """Attribute names loaded outside dunder methods, and the names
-    listed in any _FIELDS assignment."""
+    """Attribute names loaded outside dunder methods."""
     hidden = {id(sub) for node in ast.walk(tree)
               if isinstance(node, ast.FunctionDef)
               and node.name.startswith("__") and node.name.endswith("__")
               for sub in ast.walk(node)}
-    names = {node.attr for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute)
-             and isinstance(node.ctx, ast.Load) and id(node) not in hidden}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "_FIELDS"
-                        for t in node.targets)):
-            names.update(elt.value for elt in node.value.elts)
-    return names
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and id(node) not in hidden}
 
 
 @functools.lru_cache(maxsize=None)
@@ -372,16 +365,18 @@ def test_the_checks_catch_what_they_look_for():
     assert unpassed_defaults(package, *merged_calls_and_escapes(
         [package, test])) == []
     # a field only a dunder reads, a field read by name elsewhere, one
-    # listed in _FIELDS, and one updated in place
+    # listed in __slots__ and read only through getattr, and one updated
+    # in place
     tree = ast.parse(
-        "class C:\n    _FIELDS = ('f',)\n"
+        "class C:\n    __slots__ = ('f',)\n"
         "    def __init__(self, a):\n"
         "        self.a, self.b = a, 0\n        self.f = self.c = a\n"
         "        self.d = {}\n"
         "    def __repr__(self): return repr(self.a)\n"
         "    def put(self, k): self.d[k] = 1\n"
+        "    def h(self): return [getattr(self, n) for n in self.__slots__]\n"
         "def g(x): return x.b\n")
     assert stored_attributes(tree) == [("C", "a"), ("C", "b"), ("C", "c"),
                                        ("C", "d"), ("C", "f")]
-    assert {"b", "d", "f"} <= attribute_reads(tree)
-    assert not {"a", "c"} & attribute_reads(tree)
+    assert {"b", "d"} <= attribute_reads(tree)
+    assert not {"a", "c", "f"} & attribute_reads(tree)

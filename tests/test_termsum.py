@@ -1,9 +1,12 @@
 """Contract of the shared sparse-combination base, on all six sum types.
 
 Every sum stores exact coefficients only (int or Fraction in, Fraction
-stored), adds only to a sum with the same compatibility data, and obeys
-the abelian-group laws on seeded inputs.  The per-type sections below
-only say how to build a seeded sum and which fields must agree.
+stored), adds only to a sum with the same compatibility data (the
+fields in its class's __slots__), and obeys the abelian-group laws on
+seeded inputs.  The per-type sections below only say how to build a
+seeded sum and which fields must agree.  Five types are the package's;
+TensorSquare is the coproduct oracle's own type, a subclass whose
+fields include a truncation.
 """
 
 import random
@@ -16,7 +19,8 @@ from goldman_forge.goldman import LoopSum, PathPairSum, PathSum
 from goldman_forge.magnus import CyclicSeries, NecklaceWord
 from goldman_forge.surface import FreeWord, Path, SurfaceSpec, \
     cyclic_normal_form
-from goldman_forge.tensoralg import GenSignature, TensorSquare, TermSum
+from goldman_forge.tensoralg import GenSignature, TermSum
+from test_coproduct_oracle import TensorSquare
 
 TORUS = SurfaceSpec(1, 1)
 THREE_HOLED = SurfaceSpec(1, 3)
