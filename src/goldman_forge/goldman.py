@@ -9,8 +9,8 @@ int end keys and a split (see _draw).  Everything downstream (Goldman
 bracket, loop action on paths, the two-path pairing, induced
 derivations, Dehn-twist certificates) is a bilinear wrapper over that
 one enumeration, ``_surgeries``; each sums the crossing signs times int
-coefficient numerators per output word, over one denominator per call,
-and builds each output term once.
+coefficient numerators per coded output word (surface.letter_code), over
+one denominator per call, and decodes and builds each output term once.
 """
 
 from fractions import Fraction
@@ -23,6 +23,7 @@ from .surface import (
     LoopClass,
     Path,
     cyclic_normal_form,
+    letter_code,
     letter_key,
     reduced_product,
     render_word,
@@ -305,46 +306,47 @@ def _tally(like, surgeries, splice, build):
     """The surgered terms of (den, records) from _surgeries, as a sum of
     the empty sum like's fields.
 
-    splice(a, b) is called once per pair of terms and returns the map
-    (split of a, split of b) -> output word (a letter tuple, or a pair),
-    so per-pair data such as letter keys is computed once.  One int dict
-    sums sign * n per word over every pair; build makes the term of each
-    word with a nonzero total, and with_totals keeps the totals over
-    den, unchecked: the terms carry the operands' own endpoint tags."""
+    splice(x, y) gets the words of a pair of terms coded by letter_code and
+    returns the map (split of a, split of b) -> coded output word or pair;
+    one int dict sums sign * n per output (bytes cache their hash).
+    build(letter, key), letter mapping codes to letters, decodes and makes
+    the term of each output with a nonzero total once; with_totals keeps
+    the totals over den, unchecked: terms carry the operands' own tags."""
+    letters, code, pack = letter_code(like.spec)
+    encode = code.__getitem__
     den, records = surgeries
     totals = {}
     for n, a, b, crossings in records:
-        term = splice(a, b)
+        term = splice(pack(map(encode, a.word)), pack(map(encode, b.word)))
         for sign, (_, _, i), (_, _, j) in crossings:
             key = term(i, j)
             totals[key] = totals.get(key, 0) + sign * n
-    return like.with_totals(den, ((build(key), total)
+    return like.with_totals(den, ((build(letters.__getitem__, key), total)
                                   for key, total in totals.items() if total))
 
 
 def goldman_bracket(u, v, convention="default"):
     """Bilinear loop bracket: signed resmoothings at each crossing."""
-    def splice(a, b):
-        la, lb = a.word, b.word
-        return partial(splice_normal_form, la, list(map(letter_key, la)),
-                       lb, list(map(letter_key, lb)))
     out = LoopSum(u.spec, twist=u.twist + v.twist + 1)
-    return _tally(out, _surgeries(u, v, convention), splice, LoopClass.trusted)
+    return _tally(out, _surgeries(u, v, convention),
+                  lambda x, y: partial(splice_normal_form, x + x, y + y),
+                  lambda letter, w: LoopClass.trusted(tuple(map(letter, w))))
 
 
 def kk_action(u, gamma, convention="default"):
     """Loop sum acting on a path sum: insert the rebased loop at each
     crossing between the loop and the path."""
-    def splice(a, path):
-        la, w = a.word, path.word.letters
-        ka, kw = list(map(letter_key, la)), list(map(letter_key, w))
-        return lambda i, k: reduced_product(*reduced_product(
-            w[:k], kw[:k], la[i:] + la[:i], ka[i:] + ka[:i]), w[k:], kw[k:])[0]
+    def splice(x, w):
+        m, x = len(x), x + x
+        return lambda i, k: reduced_product(
+            reduced_product(w[:k], x[i:i + m]), w[k:])
+
+    def build(letter, w):
+        return Path(gamma.from_tag, gamma.to_tag,
+                    FreeWord.trusted(tuple(map(letter, w))))
     out = PathSum(gamma.spec, gamma.from_tag, gamma.to_tag,
                   twist=u.twist + gamma.twist + 1)
-    return _tally(out, _surgeries(u, gamma, convention), splice,
-                  lambda w: Path(gamma.from_tag, gamma.to_tag,
-                                 FreeWord.trusted(w)))
+    return _tally(out, _surgeries(u, gamma, convention), splice, build)
 
 
 def bi_pairing(gamma1, gamma2, convention="default"):
@@ -355,16 +357,14 @@ def bi_pairing(gamma1, gamma2, convention="default"):
     if tags1 & tags2:
         raise ValueError("path endpoint tags must be disjoint, got %s and %s"
                          % (sorted(tags1), sorted(tags2)))
-    def splice(p1, p2):
-        w1, w2 = p1.word.letters, p2.word.letters
-        k1, k2 = list(map(letter_key, w1)), list(map(letter_key, w2))
-        return lambda c1, c2: (
-            reduced_product(w1[:c1], k1[:c1], w2[c2:], k2[c2:])[0],
-            reduced_product(w2[:c2], k2[:c2], w1[c1:], k1[c1:])[0])
+    def splice(w1, w2):
+        return lambda c1, c2: (reduced_product(w1[:c1], w2[c2:]),
+                               reduced_product(w2[:c2], w1[c1:]))
     out = PathPairSum(gamma1.spec, twist=gamma1.twist + gamma2.twist + 1)
-    return _tally(out, surgeries, splice, lambda words: (
-        Path(gamma1.from_tag, gamma2.to_tag, FreeWord.trusted(words[0])),
-        Path(gamma2.from_tag, gamma1.to_tag, FreeWord.trusted(words[1]))))
+    return _tally(out, surgeries, splice, lambda letter, words: tuple(
+        Path(s, t, FreeWord.trusted(tuple(map(letter, w))))
+        for s, t, w in ((gamma1.from_tag, gamma2.to_tag, words[0]),
+                        (gamma2.from_tag, gamma1.to_tag, words[1]))))
 
 
 def crossing_trace(spec, left, right):

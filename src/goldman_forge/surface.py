@@ -10,6 +10,10 @@ face realizes the tangential basepoint of that boundary component.
 Letters of free-group words are pairs (base, exp) with base a generator
 name such as "a1" and exp +1 or -1.  The token syntax is "a1" for the
 generator and "a1'" for its inverse, whitespace separated.
+
+The splices work on coded words: letter_code(spec) numbers the letters
+in letter_key order, code i ^ 1 being the inverse of code i, and packs
+a word one byte per letter up to 256 codes, as a tuple of ints past it.
 """
 
 import functools
@@ -24,6 +28,7 @@ __all__ = [
     "splice_normal_form",
     "reduced_product",
     "least_rotation",
+    "letter_code",
     "boundary_word",
     "ribbon_structure",
     "tail_dart",
@@ -210,33 +215,47 @@ class LoopClass:
 
 
 def least_rotation(seq):
-    """Start index of the least rotation of seq, in O(n): Duval's Lyndon
-    factorisation of seq + seq (J.-P. Duval, J. Algorithms 4, 1983).
-    Among equal least rotations the smallest start index is returned."""
-    n, s = len(seq), list(seq) * 2
-    i = start = 0
+    """Smallest start of a least rotation of seq (bytes, tuple or list).
+    Unless seq is constant, one starts only where a run of the least item
+    starts, cyclically (one step earlier is smaller); those are compared
+    as slices of seq + seq by a strict <, stopping at one equal to the best
+    (seq is periodic from there): O(n) steps, O(r n) C compares for r runs."""
+    n, double, low = len(seq), seq + seq, min(seq, default=None)
+    i, start, best = n and seq.index(low), 0, None
     while i < n:
-        start, j, k = i, i + 1, i
-        while j < 2 * n and s[k] <= s[j]:
-            k = i if s[k] < s[j] else k + 1
-            j += 1
-        while i <= k:
-            i += j - k
+        if seq[i - 1] != low:
+            rotation = double[i:i + n]
+            if best is None or rotation < best:
+                start, best = i, rotation
+            elif rotation == best:
+                break
+        i = double.index(low, i + 1)
     return start
 
 
-def _canonical_word(letters, keys):
-    """The canonical letters of a freely reduced word's class, given its
-    letter keys: strip matching ends (key k ^ 1 is the inverse of the
-    letter keyed k), then rotate to the least rotation under letter_key.
-    Both normal forms end here, the one place that fixes the rotation."""
-    p, q = 0, len(keys) - 1
-    while p < q and keys[p] == keys[q] ^ 1:
+@functools.lru_cache(maxsize=64)
+def letter_code(spec):
+    """(letters, code, pack): spec's letters sorted by letter_key, the map
+    from each to its index there (so i ^ 1 codes the inverse of the letter
+    coded i), and bytes, or tuple past 256 codes, to pack a coded word."""
+    letters = tuple(sorted(((base, e) for base in spec.generators()
+                            for e in (1, -1)), key=letter_key))
+    code = {letter: i for i, letter in enumerate(letters)}
+    return letters, code, bytes if len(letters) <= 256 else tuple
+
+
+def _canonical_word(word):
+    """The canonical rotation of a freely reduced word's class, on an int
+    sequence in which x ^ 1 is the inverse of x (letter keys or codes):
+    strip matching ends, then take the least rotation.  Both normal forms
+    end here, the one place that fixes the rotation."""
+    p, q = 0, len(word) - 1
+    while p < q and word[p] == word[q] ^ 1:
         p, q = p + 1, q - 1
     if p:
-        letters, keys = letters[p:q + 1], keys[p:q + 1]
-    start = least_rotation(keys)
-    return letters[start:] + letters[:start]
+        word = word[p:q + 1]
+    start = least_rotation(word)
+    return word[start:] + word[:start]
 
 
 def cyclic_normal_form(word):
@@ -244,41 +263,32 @@ def cyclic_normal_form(word):
     invariant.  word is any sequence of letters (a FreeWord or a tuple) and
     is trusted: letters are checked where they enter (FreeWord, parse_word)."""
     letters = _reduce_letters(word)
-    return LoopClass.trusted(_canonical_word(letters,
-                                             list(map(letter_key, letters))))
+    keys = tuple(map(letter_key, letters))
+    return LoopClass.trusted(tuple(map(dict(zip(keys, letters)).__getitem__,
+                                       _canonical_word(keys))))
 
 
-def reduced_product(lx, kx, ly, ky):
-    """(letters, keys) of the free reduction of x y, for freely reduced
-    letter tuples lx, ly with letter_key lists kx, ky: x and y can
-    cancel only where x ends and y begins, so only there is compared."""
-    t, m, most = 0, len(kx), min(len(kx), len(ky))
-    while t < most and kx[m - 1 - t] == ky[t] ^ 1:
+def reduced_product(x, y):
+    """The free reduction of x y, for freely reduced coded words x and y:
+    they cancel only where x ends and y begins, so only there is compared."""
+    t, m, n = 0, len(x), len(y)
+    while t < m and t < n and x[m - 1 - t] == y[t] ^ 1:
         t += 1
-    if not t:
-        return lx + ly, kx + ky
-    return lx[:m - t] + ly[t:], kx[:m - t] + ky[t:]
+    return x[:m - t] + y[t:] if t else x + y
 
 
-def splice_normal_form(la, ka, lb, kb, i, j):
-    """The canonical letter tuple of cyclic_normal_form(la[i:] + la[:i] +
-    lb[j:] + lb[:j]), cancelling only at the two junctions.
+def splice_normal_form(aa, bb, i, j):
+    """The canonical coded word of the class of a[i:] + a[:i] + b[j:] +
+    b[:j], for canonical coded words a and b passed doubled (aa = a + a,
+    bb = b + b), so that each rotation is one slice.
 
-    la and lb are the words of two LoopClass values, ka and kb lists of
-    their letter keys (lists: tuples of keys would crowd the interpreter's
-    tuple free lists and raise peak memory).  A canonical word is
-    cyclically reduced, so each of its rotations is freely reduced and
-    cyclically reduced.  The concatenation x y of two such rotations can
-    therefore cancel only where x ends and y begins, and, cyclically,
-    where y ends and x begins.  Cancelling at the first junction,
-    possibly through the whole of x or y, leaves a freely reduced word;
-    stripping its matching ends then cancels at the second junction, and
-    past it into what is left of the other rotation.  That is the cyclic
-    reduction, so the strip-and-rotate tail shared with
-    cyclic_normal_form gives the same class, as a plain letter tuple.
-    """
-    return _canonical_word(*reduced_product(la[i:] + la[:i], ka[i:] + ka[:i],
-                                            lb[j:] + lb[:j], kb[j:] + kb[:j]))
+    Rotations x, y of canonical words are freely and cyclically reduced,
+    so x y can cancel only at its two junctions: reduced_product cancels
+    at the first, possibly through all of x or y, and the tail shared
+    with cyclic_normal_form strips matching ends, cancelling at the
+    second, and takes the least rotation."""
+    return _canonical_word(reduced_product(aa[i:i + (len(aa) >> 1)],
+                                           bb[j:j + (len(bb) >> 1)]))
 
 
 class Path:

@@ -28,6 +28,32 @@ from goldman_forge.tensoralg import (
 )
 
 
+def duval_least_rotation(seq):
+    """Start index of the least rotation of seq, in O(n): Duval's Lyndon
+    factorisation of seq + seq (J.-P. Duval, J. Algorithms 4, 1983).
+    Among equal least rotations the smallest start index is returned.
+    The engine's least_rotation before slice comparisons, kept as the
+    oracle of every rotation check."""
+    n, s = len(seq), list(seq) * 2
+    i = start = 0
+    while i < n:
+        start, j, k = i, i + 1, i
+        while j < 2 * n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return start
+
+
+def assert_same(new, old, case):
+    """Two loop, path or path-pair sums agree term by term, in sorted
+    order and in twist."""
+    assert new.terms == old.terms, case
+    assert new.sorted_terms() == old.sorted_terms(), case
+    assert new.twist == old.twist, case
+
+
 def random_surface_word(rng, spec, max_len):
     """A random reduced word in the surface generators."""
     letters = []

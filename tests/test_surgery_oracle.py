@@ -6,13 +6,19 @@ coefficient numerators, and divide by one denominator per call.  The
 code they replaced added one Fraction term per crossing, with a tuple letter order and a FreeWord-validated cyclic
 normal form; it is kept here as the oracle, built from the chords of
 ``_draw``, the crossings of ``_crossings`` and an uncached
-``ribbon_structure`` directly.
+``ribbon_structure`` directly.  Its rotation is Duval's
+(helpers.duval_least_rotation), not the engine's, so the oracle does
+not check the engine's rotation against itself.
 """
 
 import random
 from fractions import Fraction
 
-from helpers import random_surface_word
+from helpers import (
+    assert_same,
+    duval_least_rotation,
+    random_surface_word,
+)
 
 from goldman_forge.goldman import (
     LoopSum,
@@ -30,7 +36,6 @@ from goldman_forge.surface import (
     Path,
     SurfaceSpec,
     _reduce_letters,
-    least_rotation,
     letter_key,
     parse_word,
     ribbon_structure,
@@ -61,7 +66,7 @@ def old_cyclic_normal_form(word):
     while i < j and letters[i] == (letters[j][0], -letters[j][1]):
         i, j = i + 1, j - 1
     letters = letters[i:j + 1]
-    start = least_rotation([old_letter_key(l) for l in letters])
+    start = duval_least_rotation([old_letter_key(l) for l in letters])
     cls = object.__new__(LoopClass)
     cls.word = letters[start:] + letters[:start]
     return cls
@@ -166,12 +171,6 @@ def disjoint_tags(rng, spec):
     left, right = tags[:split], tags[split:]
     return ((rng.choice(left), rng.choice(left)),
             (rng.choice(right), rng.choice(right)))
-
-
-def assert_same(new, old, case):
-    assert new.terms == old.terms, case
-    assert new.sorted_terms() == old.sorted_terms(), case
-    assert new.twist == old.twist, case
 
 
 # a fixed bracket on (1,1) whose two pairs of terms, (|a1 a1|, |b1|) and

@@ -1,24 +1,35 @@
 """Word layer: least rotation, cyclic normal form, splices and necklaces.
 
-The differential sweeps compare the O(n) canonical rotation with the
-O(n^2) min-over-rotations code it replaced, kept here as oracles, and
-the junction-only splice canonical form with the cyclic normal form of
-the spliced letters, and the junction-only product of two reduced words
-with their free reduction.  The
-hypothesis properties run derandomized, so every run sees the same
-examples.
+The differential sweeps compare the slice-comparison least rotation with
+Duval's algorithm, the canonical rotation with the O(n^2)
+min-over-rotations code it replaced, the coded splice canonical form with
+the cyclic normal form of the spliced letters and with the letters+keys
+splice it replaced, and the coded junction-only product of two reduced
+words with their free reduction.  The replaced code is kept here (and
+Duval's rotation in helpers) as oracles.  The hypothesis properties run
+derandomized, so every run sees the same examples.
 """
 
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import random_surface_word
+from helpers import (
+    assert_same,
+    duval_least_rotation,
+    random_surface_word,
+)
 
 from goldman_forge.goldman import (
+    CONVENTIONS,
     LoopSum,
+    PathPairSum,
     PathSum,
+    _surgeries,
     bi_pairing,
     goldman_bracket,
     kk_action,
@@ -26,11 +37,13 @@ from goldman_forge.goldman import (
 from goldman_forge.magnus import NecklaceWord
 from goldman_forge.surface import (
     FreeWord,
+    LoopClass,
     Path,
     SurfaceSpec,
     _reduce_letters,
     cyclic_normal_form,
     least_rotation,
+    letter_code,
     letter_key,
     reduced_product,
     splice_normal_form,
@@ -38,6 +51,7 @@ from goldman_forge.surface import (
 
 SWEEP_SEED = 20240
 SWEEP_WORDS = 20_000
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
 
 # -- the replaced code, kept as oracles -----------------------------------
@@ -52,6 +66,34 @@ def old_cyclic_normal_form(word):
         return ()
     rotations = [tuple(letters[i:] + letters[:i]) for i in range(len(letters))]
     return min(rotations, key=lambda rot: tuple(letter_key(l) for l in rot))
+
+
+def old_canonical_word(letters, keys):
+    p, q = 0, len(keys) - 1
+    while p < q and keys[p] == keys[q] ^ 1:
+        p, q = p + 1, q - 1
+    if p:
+        letters, keys = letters[p:q + 1], keys[p:q + 1]
+    start = duval_least_rotation(keys)
+    return letters[start:] + letters[:start]
+
+
+def old_reduced_product(lx, kx, ly, ky):
+    t, m, most = 0, len(kx), min(len(kx), len(ky))
+    while t < most and kx[m - 1 - t] == ky[t] ^ 1:
+        t += 1
+    if not t:
+        return lx + ly, kx + ky
+    return lx[:m - t] + ly[t:], kx[:m - t] + ky[t:]
+
+
+def old_splice_normal_form(la, ka, lb, kb, i, j):
+    return old_canonical_word(*old_reduced_product(
+        la[i:] + la[:i], ka[i:] + ka[:i], lb[j:] + lb[:j], kb[j:] + kb[:j]))
+
+
+def keys_of(letters):
+    return list(map(letter_key, letters))
 
 
 def old_necklace_rotation(word):
@@ -159,11 +201,97 @@ class TestDifferential:
         assert NecklaceWord(("y1", "x1") * 3).word == ("x1", "y1") * 3
 
 
+# -- the least rotation against Duval's ------------------------------------
+
+ROTATION_SEED = 4343
+
+
+def rotation_forms(seq):
+    """One int sequence as bytes, a tuple, a list, and a tuple of tensor
+    letters (string order: x10 < x2, so not the int order)."""
+    return (bytes(seq), tuple(seq), list(seq),
+            tuple(TENSOR_LETTERS[v] for v in seq))
+
+
+def rotation_cases():
+    """(shape, int sequence) pairs up to 2,000 items, the structured
+    shapes also rotated and with their alphabet permuted, so that the
+    least item moves."""
+    rng = random.Random(ROTATION_SEED)
+    cases = [("empty", [])]
+    cases += [("one", [v]) for v in (0, 1, 14)]
+    cases += [("constant", [v] * n) for v in (0, 7) for n in (2, 3, 11, 2000)]
+    for n in (*range(1, 25), 999, 1999):
+        cases.append(("a^n b", [0] * n + [1]))
+    for m in (*range(1, 25), 665):
+        cases.append(("(aab)^m aac", [0, 0, 1] * m + [0, 0, 2]))
+    for _ in range(80):
+        p = [rng.randrange(4) for _ in range(rng.randint(1, 8))]
+        cases.append(("power", p * rng.randint(2, 6)))
+    cases += [("power", [rng.randrange(3) for _ in range(20)] * 100),
+              ("power", [0, 1] * 1000)]
+    for _ in range(400):
+        alphabet = rng.randint(1, 6)
+        cases.append(("plain", [rng.randrange(alphabet)
+                                for _ in range(rng.randint(2, 40))]))
+    cases += [("plain", [rng.randrange(3) for _ in range(2000)])
+              for _ in range(3)]
+    out = []
+    for shape, seq in cases:
+        out.append((shape, seq))
+        if len(seq) > 1:
+            k = rng.randrange(len(seq))
+            image = rng.sample(range(6), 6)
+            out.append((shape, [image[v] if v < 6 else v
+                                for v in seq[k:] + seq[:k]]))
+    return out
+
+
+class TestLeastRotation:
+    def test_matches_duval(self):
+        cases = rotation_cases()
+        shapes = {}
+        moved = 0
+        for shape, seq in cases:
+            for form in rotation_forms(seq):
+                assert least_rotation(form) == duval_least_rotation(form), (
+                    shape, form)
+            shapes[shape] = shapes.get(shape, 0) + 1
+            moved += duval_least_rotation(seq) > 0
+        assert max(len(seq) for _, seq in cases) == 2000
+        assert len(shapes) == 7, shapes
+        assert moved >= 100, moved
+
+    def test_run_starts(self):
+        # the least rotation starts at 0 only because the last item is not
+        # the least; a later run of the least item starts at 2
+        assert least_rotation((0, 1, 0, 2)) == 0
+        assert least_rotation(b"\x00\x01\x00\x02") == 0
+        # a run that wraps round the end starts at the last index
+        assert least_rotation((0, 1, 2, 0)) == 3
+        # periodic words: the first of the equal least rotations
+        assert least_rotation((1, 0) * 3) == 1
+        assert least_rotation(b"ab" * 4) == 0
+        assert least_rotation(("x2", "x10") * 2) == 1
+
+    @PROPERTY
+    @given(st.lists(st.integers(0, 3), max_size=30), st.integers(1, 5),
+           st.integers(0, 500))
+    def test_property_matches_duval(self, base, k, shift):
+        seq = base * k
+        if seq:
+            shift %= len(seq)
+            seq = seq[shift:] + seq[:shift]
+        for form in rotation_forms(seq):
+            assert least_rotation(form) == duval_least_rotation(form), form
+
+
 # -- the splice canonical form -----------------------------------------------
 
 SPLICE_SEED = 1515
+# (64, 3) has 260 letters: its words are coded as tuples, not bytes
 SPLICE_SURFACES = (SurfaceSpec(1, 1), SurfaceSpec(2, 1), SurfaceSpec(1, 2),
-                   SurfaceSpec(11, 1))
+                   SurfaceSpec(11, 1), SurfaceSpec(64, 3))
 
 
 def _junction(x, y):
@@ -205,21 +333,34 @@ def splice_pairs(rng, spec, count):
     return pairs
 
 
+def coder(spec):
+    """(encode, decode) through letter_code(spec)."""
+    letters, code, pack = letter_code(spec)
+    return (lambda word: pack(code[letter] for letter in word),
+            lambda coded: tuple(letters[c] for c in coded))
+
+
 class TestSplice:
     def test_splice_matches_cyclic_normal_form(self):
         rng = random.Random(SPLICE_SEED)
         shapes = {"none": 0, "first": 0, "second": 0, "both": 0, "long": 0,
-                  "whole": 0, "trivial": 0}
+                  "whole": 0, "trivial": 0, "tuple": 0}
         for spec in SPLICE_SURFACES:
+            encode, decode = coder(spec)
             for a, b in splice_pairs(rng, spec, 60):
-                ka, kb = list(map(letter_key, a)), list(map(letter_key, b))
+                ka, kb = keys_of(a), keys_of(b)
+                ca, cb = encode(a), encode(b)
                 for i in range(len(a)):
                     for j in range(len(b)):
                         x, y = a[i:] + a[:i], b[j:] + b[:j]
-                        got = splice_normal_form(a, ka, b, kb, i, j)
+                        coded = splice_normal_form(ca + ca, cb + cb, i, j)
+                        assert type(coded) is type(ca), (x, y)
+                        got = decode(coded)
                         assert got == cyclic_normal_form(x + y).word, (x, y)
                         assert got == old_cyclic_normal_form(
                             FreeWord(x + y)), (x, y)
+                        assert got == old_splice_normal_form(
+                            a, ka, b, kb, i, j), (x, y)
                         first, second = _junction(x, y), _junction(y, x)
                         shapes["none"] += not first and not second
                         shapes["first"] += first and not second
@@ -228,6 +369,7 @@ class TestSplice:
                         shapes["long"] += first >= 2
                         shapes["whole"] += first == min(len(x), len(y))
                         shapes["trivial"] += not got
+                        shapes["tuple"] += isinstance(coded, tuple)
         assert min(shapes.values()) >= 20, shapes
 
     def test_reduced_product_matches_free_reduction(self):
@@ -237,8 +379,9 @@ class TestSplice:
         through the whole of x or y is common."""
         rng = random.Random(SPLICE_SEED + 1)
         shapes = {"none": 0, "some": 0, "whole x": 0, "whole y": 0,
-                  "empty": 0}
+                  "empty": 0, "tuple": 0}
         for spec in SPLICE_SURFACES:
+            encode, decode = coder(spec)
             for _ in range(600):
                 w = random_surface_word(rng, spec, 7).letters
                 x = w[:rng.randint(0, len(w))]
@@ -247,23 +390,163 @@ class TestSplice:
                 y = FreeWord(y).reduce().letters
                 if rng.random() < 0.5:
                     x, y = y, x
-                kx, ky = list(map(letter_key, x)), list(map(letter_key, y))
-                got, keys = reduced_product(x, kx, y, ky)
+                coded = reduced_product(encode(x), encode(y))
+                got = decode(coded)
                 want = (FreeWord(x) * FreeWord(y)).letters
                 assert got == want, (x, y)
-                assert keys == list(map(letter_key, want)), (x, y)
+                assert coded == encode(want), (x, y)
+                assert old_reduced_product(x, keys_of(x), y, keys_of(y)) == (
+                    want, keys_of(want)), (x, y)
                 t = _junction(x, y)
                 shapes["none"] += not t
                 shapes["some"] += 0 < t < min(len(x), len(y))
                 shapes["whole x"] += 0 < t == len(x)
                 shapes["whole y"] += 0 < t == len(y)
                 shapes["empty"] += not got
+                shapes["tuple"] += isinstance(coded, tuple)
+        assert min(shapes.values()) >= 20, shapes
+
+
+# -- the letter code ----------------------------------------------------------
+
+class TestLetterCode:
+    @pytest.mark.parametrize("genus,boundary,pack", [
+        (1, 1, bytes), (0, 3, bytes), (11, 1, bytes), (64, 1, bytes),
+        (64, 2, tuple), (64, 3, tuple)])
+    def test_code(self, genus, boundary, pack):
+        spec = SurfaceSpec(genus, boundary)
+        letters, code, got_pack = letter_code(spec)
+        assert got_pack is pack
+        assert len(letters) == 2 * len(spec.generators())
+        assert set(letters) == {(base, e) for base in spec.generators()
+                                for e in (1, -1)}
+        assert list(letters) == sorted(letters, key=letter_key)
+        for letter, i in code.items():
+            assert letters[i] == letter
+            assert letters[i ^ 1] == (letter[0], -letter[1])
+        assert letter_code(SurfaceSpec(genus, boundary)) is letter_code(spec)
+
+    def test_built_on_first_use(self):
+        """Importing the engine builds no code: set-up pays for none."""
+        probe = ("import goldman_forge, goldman_forge.cli, "
+                 "goldman_forge.suites\n"
+                 "from goldman_forge.surface import letter_code\n"
+                 "assert letter_code.cache_info().currsize == 0\n")
+        subprocess.run([sys.executable, "-c", probe], check=True)
+
+
+# -- surfaces past one byte: tuple-coded words --------------------------------
+
+WIDE = SurfaceSpec(64, 3)
+# codes: a1..a64 take 0..127, b1..b64 128..255, c1 and c2 256..259
+WIDE_BASES = ("a2", "a10", "a64", "b1", "b64", "c1", "c2")
+
+
+def oracle_bracket(u, v, convention):
+    """The bracket through the letters+keys splice it replaced."""
+    out = LoopSum(u.spec, twist=u.twist + v.twist + 1)
+    den, records = _surgeries(u, v, convention)
+    for n, a, b, crossings in records:
+        ka, kb = keys_of(a.word), keys_of(b.word)
+        for sign, (_, _, i), (_, _, j) in crossings:
+            out.add_term(LoopClass.trusted(old_splice_normal_form(
+                a.word, ka, b.word, kb, i, j)), Fraction(sign * n, den))
+    return out
+
+
+def oracle_kk_action(u, gamma, convention):
+    out = PathSum(gamma.spec, gamma.from_tag, gamma.to_tag,
+                  twist=u.twist + gamma.twist + 1)
+    den, records = _surgeries(u, gamma, convention)
+    for n, a, path, crossings in records:
+        la, w = a.word, path.word.letters
+        ka, kw = keys_of(la), keys_of(w)
+        for sign, (_, _, i), (_, _, k) in crossings:
+            word = old_reduced_product(*old_reduced_product(
+                w[:k], kw[:k], la[i:] + la[:i], ka[i:] + ka[:i]),
+                w[k:], kw[k:])[0]
+            out.add_term(Path(gamma.from_tag, gamma.to_tag,
+                              FreeWord.trusted(word)), Fraction(sign * n, den))
+    return out
+
+
+def oracle_bi_pairing(gamma1, gamma2, convention):
+    out = PathPairSum(gamma1.spec, twist=gamma1.twist + gamma2.twist + 1)
+    den, records = _surgeries(gamma1, gamma2, convention)
+    for n, p1, p2, crossings in records:
+        w1, w2 = p1.word.letters, p2.word.letters
+        k1, k2 = keys_of(w1), keys_of(w2)
+        for sign, (_, _, c1), (_, _, c2) in crossings:
+            first = old_reduced_product(w1[:c1], k1[:c1], w2[c2:], k2[c2:])[0]
+            second = old_reduced_product(w2[:c2], k2[:c2], w1[c1:], k1[c1:])[0]
+            out.add_term((Path(gamma1.from_tag, gamma2.to_tag,
+                               FreeWord.trusted(first)),
+                          Path(gamma2.from_tag, gamma1.to_tag,
+                               FreeWord.trusted(second))),
+                         Fraction(sign * n, den))
+    return out
+
+
+def wide_word(rng, max_len):
+    letters = [(rng.choice(WIDE_BASES), rng.choice((1, -1)))
+               for _ in range(rng.randint(1, max_len))]
+    return FreeWord(letters).reduce()
+
+
+def wide_loop_sum(rng):
+    out = LoopSum(WIDE)
+    for _ in range(rng.randint(1, 3)):
+        out.add_term(cyclic_normal_form(wide_word(rng, 6)),
+                     Fraction(rng.choice((1, -1, 2, -3)), rng.randint(1, 3)))
+    return out
+
+
+def wide_path_sum(rng, from_tag, to_tag):
+    out = PathSum(WIDE, from_tag, to_tag)
+    for _ in range(rng.randint(1, 3)):
+        out.add_term(Path(from_tag, to_tag, wide_word(rng, 6)),
+                     Fraction(rng.choice((1, -1, 2)), rng.randint(1, 2)))
+    return out
+
+
+def _high(letters):
+    """Whether a letter tuple holds a letter whose code passes 255."""
+    return any(base[0] == "c" for base, _ in letters)
+
+
+class TestWideSurface:
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_operations_match_oracle_splices(self, convention):
+        assert letter_code(WIDE)[2] is tuple
+        rng = random.Random(6403 + len(convention))
+        shapes = {"bracket": 0, "kk": 0, "bipair": 0, "high": 0}
+        for _ in range(60):
+            u, v = wide_loop_sum(rng), wide_loop_sum(rng)
+            new = goldman_bracket(u, v, convention)
+            assert_same(new, oracle_bracket(u, v, convention), (u, v))
+            shapes["bracket"] += not new.is_zero()
+            shapes["high"] += any(_high(c.word) for c in new.terms)
+
+            gamma = wide_path_sum(rng, rng.randrange(3), rng.randrange(3))
+            new = kk_action(u, gamma, convention)
+            assert_same(new, oracle_kk_action(u, gamma, convention),
+                        (u, gamma))
+            shapes["kk"] += not new.is_zero()
+            shapes["high"] += any(_high(p.word.letters) for p in new.terms)
+
+            g1 = wide_path_sum(rng, 0, rng.choice((0, 1)))
+            g2 = wide_path_sum(rng, 2, 2)
+            if rng.random() < 0.5:
+                g1, g2 = g2, g1
+            new = bi_pairing(g1, g2, convention)
+            assert_same(new, oracle_bi_pairing(g1, g2, convention), (g1, g2))
+            shapes["bipair"] += not new.is_zero()
+            shapes["high"] += any(_high(p.word.letters)
+                                  for pair in new.terms for p in pair)
         assert min(shapes.values()) >= 20, shapes
 
 
 # -- hypothesis properties ------------------------------------------------
-
-PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
 letters_st = st.tuples(st.sampled_from(BASES), st.sampled_from((1, -1)))
 words_st = st.lists(letters_st, max_size=14).map(FreeWord)
