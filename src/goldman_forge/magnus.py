@@ -8,6 +8,7 @@ automorphism and its certificate checks, Adams-scaling checks, and the
 quadratic-algebra resolution certificate.  All arithmetic is exact.
 """
 
+from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, product
@@ -112,13 +113,19 @@ class MagnusExpansion:
 
     def truncated(self, trunc):
         """The expansion with its logs truncated at trunc <= self.trunc."""
+        if trunc == self.trunc:
+            return self
         return MagnusExpansion(self.spec, trunc, {
             base: s.truncated(trunc) for base, s in self.logs.items()})
 
     def with_logs(self, new_logs):
-        merged = dict(self.logs)
-        merged.update(new_logs)
-        return MagnusExpansion(self.spec, self.trunc, merged)
+        """Other bases keep their logs, power lists and images as is."""
+        out = MagnusExpansion(self.spec, self.trunc, {**self.logs, **new_logs})
+        out._powers = {base: listed for base, listed in self._powers.items()
+                       if base not in new_logs}
+        out._images = {key: image for key, image in self._images.items()
+                       if key[0] not in new_logs}
+        return out
 
     def to_json(self):
         return {
@@ -136,7 +143,7 @@ class MagnusExpansion:
 def default_expansion(spec, trunc):
     """Logs x_j, y_j, z_k; one shared object per (spec, trunc).  Nothing
     mutates an expansion: its power lists and images fill lazily and never
-    change once filled; truncated and with_logs build new ones."""
+    change once filled, so truncated and with_logs may share them."""
     sig = GenSignature(spec.genus, spec.punctures)
     logs = {base: TensorSeries.generator(sig, trunc, tensor_letter(base))
             for base in spec.generators()}
@@ -296,15 +303,14 @@ def bch_right_side(sig, trunc):
     return log(theta.expand_word(boundary_word(spec)))
 
 
-def ad_exp(h, target):
+def ad_exp(listed, target):
     """e^{ad_h}(target) = target + [h,target] + [h,[h,target]]/2 + ...
 
-    Computed as exp(h) target exp(-h) off one power list of h, which
-    needs h without constant term.  The identity holds in the completed
+    Computed as exp(h) target exp(-h), both read off listed = powers(h),
+    so h has no constant term.  The identity holds in the completed
     algebra, and truncation at N is a ring map onto its quotient by the
     ideal of weighted degree > N, so the truncated product is exact.
     """
-    listed = powers(h)
     return exp_sum(listed) * target * exp_sum(listed, -1)
 
 
@@ -389,8 +395,8 @@ def solve_symplectic(genus, punctures, trunc):
             t_z = split.get("z%d" % k)
             if t_z is not None:
                 conjugator[k] = conjugator[k] + t_z
-                updates["c%d" % k] = ad_exp(
-                    conjugator[k], TensorSeries.generator(sig, trunc, "z%d" % k))
+                z = TensorSeries.generator(sig, trunc, "z%d" % k)
+                updates["c%d" % k] = ad_exp(powers(conjugator[k]), z)
         theta = theta.with_logs(updates)
 
     final_defect = log(theta.expand_word(gamma0)) - target
@@ -480,9 +486,10 @@ def _extract_conjugator(phi, k):
         return None
     h = TensorSeries.zero(sig, trunc)
     while True:
-        diff = target - ad_exp(h, z)
+        listed = powers(h)
+        diff = target - ad_exp(listed, z)
         if diff.is_zero():
-            return exp(h)
+            return exp_sum(listed)
         block = _bracket_preimage(diff.homogeneous_component(diff.valuation()),
                                   name)
         if block is None:
@@ -597,49 +604,51 @@ def _rewrite_rule(genus):
     return letters, letters[-1] + letters[-2], replacement
 
 
-def _normal_form(word, lead, replacement):
-    """Normal form of a str word as a word -> nonzero int coefficient dict.
+def _normal_form(terms, lead, replacement):
+    """Normal form of a combination, in place: terms maps str words of one
+    length to nonzero int coefficients and is returned rewritten.
 
-    A word without the factor lead is normal: the loop below would
-    return {word: 1} for it, so the first line returns that at once.
-    Otherwise one worklist of (word, coefficient, scan start): an item's
-    leftmost lead at p = word.find(lead, start) is replaced by each term
-    of the replacement, and the results are rescanned from p - 1, since
-    word[:p] has no lead and only the letter before the replacement can
-    start a new one.  Every replacement word is smaller than b_g a_g in
-    the length-lex order with b_g the largest letter, a well-order on
-    words of one length that is kept under concatenation, so the
-    worklist empties.  The rule has no critical pairs (b_g a_g does not
-    overlap itself), so the rewriting is confluent and the leftmost
-    strategy gives the one normal form.
+    The largest word holding lead, in str order, is replaced at its
+    leftmost lead by the terms of the replacement, which merge with the
+    words already there (a zero total drops its word).  Every replacement
+    word is smaller than b_g a_g, b_g being the largest letter, so each
+    rewrite gives words smaller than the one it removes: taking the
+    largest first, no word is rewritten twice, and the loop ends.  The
+    rule has no critical pairs (b_g a_g does not overlap itself), so the
+    rewriting is confluent and the normal form is the one every order of
+    rewriting reaches, for a combination as for a word (Bergman's
+    diamond lemma).
     """
-    if lead not in word:
-        return {word: 1}
-    out = {}
-    work = [(word, 1, 0)]
-    while work:
-        word, coeff, start = work.pop()
-        p = word.find(lead, start)
-        if p < 0:
-            c = out.get(word, 0) + coeff
-            if c:
-                out[word] = c
-            else:
-                del out[word]
+    pending = [word for word in terms if lead in word]
+    if not pending:
+        return terms
+    pending.sort()
+    while pending:
+        word = pending.pop()
+        coeff = terms.pop(word, 0)
+        if not coeff:  # cancelled, or already rewritten
             continue
+        p = word.find(lead)
         prefix, suffix = word[:p], word[p + 2:]
-        start = max(p - 1, 0)
         for mid, c in replacement.items():
-            work.append((prefix + mid + suffix, coeff * c, start))
-    return out
+            w = prefix + mid + suffix
+            old = terms.get(w)
+            if old is None:
+                terms[w] = coeff * c
+                if lead in w:
+                    insort(pending, w)
+            elif old + coeff * c:
+                terms[w] = old + coeff * c
+            else:
+                del terms[w]
+    return terms
 
 
 def _extend(words, letters, lead):
     """Words avoiding lead, one letter longer, lazily and in lex order."""
+    after_bg = letters.replace(lead[1], "")
     for w in words:
-        for letter in letters:
-            if not (letter == lead[1] and w.endswith(lead[0])):
-                yield w + letter
+        yield from map(w.__add__, after_bg if w.endswith(lead[0]) else letters)
 
 
 def _normal_counts(letters, lead, max_len):
@@ -670,16 +679,17 @@ def resolution_check(genus, n_max):
     dim A_m = 2g dim A_{m-1} - dim A_{m-2}; the enumerated bases are
     checked against the counts wherever they are materialized.  The
     boundary maps are certified structurally: the composite vanishes on
-    every basis element (only words holding the lead are rewritten; the
-    rest are normal), the second map is injective because its
-    b_1-insertion component permutes basis monomials, the first is
-    surjective because stripping a leading letter keeps words normal (a
-    factor of w[1:] is a factor of w).  The surjectivity sweep and the
-    exact matrix-rank cross-checks rerun those arguments explicitly on
-    every degree small enough to afford it; _SWEEP_LIMIT and _RANK_LIMIT
-    set the cutoffs.  Words are str, one character per generator
-    (_rewrite_rule); the report holds only dims and flags, so it does
-    not depend on that encoding.
+    every basis element u (R u = sum_i (a_i b_i - b_i a_i) u, the same
+    element of A, is one combination whose like words merge before any
+    rewrite, so rewriting b_g a_g u cancels the rest), the second map is
+    injective because its b_1-insertion component permutes basis
+    monomials, the first is surjective because stripping a leading
+    letter keeps words normal (a factor of w[1:] is a factor of w).  The
+    surjectivity sweep and the exact matrix-rank cross-checks rerun
+    those arguments explicitly on every degree small enough to afford
+    it; _SWEEP_LIMIT and _RANK_LIMIT set the cutoffs.  Words are str,
+    one character per generator (_rewrite_rule); the report holds only
+    dims and flags, so it does not depend on that encoding.
     """
     if genus < 1:
         raise ValueError("resolution needs genus >= 1")
@@ -705,34 +715,23 @@ def resolution_check(genus, n_max):
             basis_cache.append(words)
         return basis_cache[m]
 
-    pair_letters = [letters[h:h + 2] for h in range(0, 2 * genus, 2)]
+    relator = {**replacement, lead: -1}  # sum_i (a_i b_i - b_i a_i)
     rows = []
     passed = True
     for n in range(n_max + 1):
         # composite d1 o d2 = (multiply by the relator) = 0 in A
-        composite_ok = True
-        for u in basis(n):
-            out = {}
-            for a, b in pair_letters:
-                for word, sign in ((a + b + u, 1), (b + a + u, -1)):
-                    if lead not in word:
-                        out[word] = out.get(word, 0) + sign
-                        continue
-                    for w, c in _normal_form(word, lead, replacement).items():
-                        out[w] = out.get(w, 0) + sign * c
-            if any(out.values()):
-                composite_ok = False
-                break
-        # injectivity: u -> normal form of b_1 u, the a_1 tensor component
+        composite_ok = not any(
+            _normal_form({m + u: c for m, c in relator.items()}, lead,
+                         replacement) for u in basis(n))
+        # injectivity: u -> normal form of b_1 u, the a_1 tensor component;
+        # a break leaves fewer images than basis words
         images = set()
-        injective_ok = True
         for u in basis(n):
-            image = _normal_form(letters[1] + u, lead, replacement)
-            if len(image) != 1 or next(iter(image.values())) != 1:
-                injective_ok = False
+            image = _normal_form({letters[1] + u: 1}, lead, replacement)
+            if list(image.values()) != [1]:
                 break
-            images.add(next(iter(image)))
-        injective_ok = injective_ok and len(images) == dims[n]
+            images.update(image)
+        injective_ok = len(images) == dims[n]
         # surjectivity: strip the first letter of each target basis word
         surjective_swept = dims[n + 2] <= _SWEEP_LIMIT
         surjective_ok = True
@@ -751,20 +750,20 @@ def resolution_check(genus, n_max):
             d2_cols = []
             for u in basis(n):
                 column = [0] * middle_dim
-                for h, (a, b) in enumerate(pair_letters):
-                    for w, c in _normal_form(b + u, lead, replacement).items():
-                        column[2 * h * dims[n + 1] + index_n1[w]] += c
-                    for w, c in _normal_form(a + u, lead, replacement).items():
-                        column[(2 * h + 1) * dims[n + 1] + index_n1[w]] -= c
+                for j, letter in enumerate(letters):
+                    # b_i u in the a_i block, -a_i u in the b_i block
+                    start, sign = (j ^ 1) * dims[n + 1], (-1) ** (j + 1)
+                    for w, c in _normal_form({letter + u: 1}, lead,
+                                             replacement).items():
+                        column[start + index_n1[w]] += sign * c
                 d2_cols.append(column)
             d1_cols = []
-            for letter in letters:
-                for v in basis(n + 1):
-                    column = [0] * dims[n + 2]
-                    for w, c in _normal_form(letter + v, lead,
-                                              replacement).items():
-                        column[index_n2[w]] += c
-                    d1_cols.append(column)
+            for letter, v in product(letters, basis(n + 1)):
+                column = [0] * dims[n + 2]
+                for w, c in _normal_form({letter + v: 1}, lead,
+                                         replacement).items():
+                    column[index_n2[w]] += c
+                d1_cols.append(column)
             rank_d2 = matrix_rank(d2_cols)  # columns as rows: row rank = rank
             rank_d1 = matrix_rank(d1_cols)
             if rank_d2 != dims[n] or rank_d1 != dims[n + 2]:

@@ -114,9 +114,9 @@ class TermSum:
 
     def with_totals(self, den, totals):
         """Same fields; n / den per key of the (key, int total n) pairs
-        totals with nonzero n, unchecked."""
-        return self._with_terms({key: Fraction(n, den)
-                                 for key, n in totals if n})
+        totals with nonzero n, unchecked (den == 1 skips the gcd)."""
+        coeff = Fraction if den == 1 else lambda n: Fraction(n, den)
+        return self._with_terms({key: coeff(n) for key, n in totals if n})
 
     def _fields(self):
         return [getattr(self, name) for name in self.__slots__]

@@ -22,10 +22,15 @@ from math import factorial
 
 import pytest
 
+from goldman_forge import magnus
 from goldman_forge.magnus import (
+    MagnusExpansion,
     NecklaceWord,
+    _bracket_preimage,
     ad_exp,
     default_expansion,
+    invert_expansion,
+    kvi_check,
     solve_symplectic,
 )
 from goldman_forge.surface import FreeWord, SurfaceSpec
@@ -34,6 +39,7 @@ from goldman_forge.tensoralg import (
     TensorSeries,
     derivation_exp,
     lie_bracket,
+    powers,
 )
 from helpers import compose_automorphism, random_primitive, random_series
 
@@ -83,6 +89,36 @@ def old_expand_word(theta, word):
 
 def old_ad_exp(h, target):
     return old_exp(h) * target * old_exp(h.scaled(-1))
+
+
+def old_truncated(theta, trunc):
+    return MagnusExpansion(theta.spec, trunc, {
+        base: s.truncated(trunc) for base, s in theta.logs.items()})
+
+
+def old_with_logs(theta, new_logs):
+    merged = dict(theta.logs)
+    merged.update(new_logs)
+    return MagnusExpansion(theta.spec, theta.trunc, merged)
+
+
+def old_extract_conjugator(phi, k):
+    sig, trunc = phi.sig, phi.trunc
+    name = "z%d" % k
+    z = TensorSeries.generator(sig, trunc, name)
+    target = phi.image(name)
+    if target.homogeneous_component(2) != z:
+        return None
+    h = TensorSeries.zero(sig, trunc)
+    while True:
+        diff = target - old_ad_exp(h, z)
+        if diff.is_zero():
+            return old_exp(h)
+        block = _bracket_preimage(diff.homogeneous_component(diff.valuation()),
+                                  name)
+        if block is None:
+            return None
+        h = h + block
 
 
 # -- inputs ------------------------------------------------------------------
@@ -202,9 +238,72 @@ def test_ad_exp_matches_the_conjugation_by_the_replaced_exponential():
             for _ in range(4):
                 h = random_primitive(rng, sig, trunc)
                 target = random_series(rng, sig, trunc)
-                assert ad_exp(h, target) == old_ad_exp(h, target)
+                assert ad_exp(powers(h), target) == old_ad_exp(h, target)
             zero = TensorSeries.zero(sig, trunc)
-            assert ad_exp(zero, target) == target
+            assert ad_exp(powers(zero), target) == target
+
+
+# -- expansions that keep what they computed -----------------------------------
+
+def test_truncated_at_its_own_truncation_is_the_expansion():
+    for (genus, boundary), truncs in SURFACES.items():
+        for trunc in truncs:
+            for theta in _expansions(genus, boundary, trunc).values():
+                assert theta.truncated(trunc) is theta
+                for low in range(1, trunc):
+                    assert theta.truncated(low).logs == \
+                        old_truncated(theta, low).logs
+
+
+def test_with_logs_shares_the_images_of_untouched_bases():
+    rng = random.Random("expansion-oracle-logs")
+    for (genus, boundary), truncs in SURFACES.items():
+        spec = SurfaceSpec(genus, boundary)
+        for trunc in truncs:
+            theta = _expansions(genus, boundary, trunc)["symplectic"]
+            for base in spec.generators():
+                for m in (-2, -1, 1, 3):
+                    theta.image(base, m)
+            replaced = spec.generators()[0]
+            new = random_primitive(rng, theta.sig, trunc)
+            moved = theta.with_logs({replaced: new})
+            for base in spec.generators():
+                if base == replaced:
+                    assert moved.logs[base] is new
+                    assert moved.image(base, -1) == old_exp(new.scaled(-1))
+                    assert theta.image(base, -1) == old_image(theta, base, -1)
+                    continue
+                assert moved.logs[base] is theta.logs[base]
+                assert moved._powers[base] is theta._powers[base]
+                for m in (-2, -1, 1, 3):
+                    assert moved.image(base, m) is theta.image(base, m)
+            for word in _words(rng, spec, trunc):
+                assert moved.expand_word(word) == old_with_logs(
+                    theta, {replaced: new}).expand_word(word)
+    old_image.cache_clear()
+
+
+def _solve_and_certify():
+    """Logs of solve_symplectic and kvi_check reports, conjugators
+    included, on the kvi suite's surfaces and (1, 3), N <= 5."""
+    out = []
+    for genus, boundary in ((1, 1), (2, 1), (1, 2), (1, 3)):
+        for trunc in range(1, 6):
+            theta = solve_symplectic(genus, boundary - 1, trunc)
+            out.append((theta.logs, kvi_check(invert_expansion(theta))))
+    return out
+
+
+def test_solver_and_kvi_reports_match_the_replaced_methods(monkeypatch):
+    got = _solve_and_certify()
+    monkeypatch.setattr(MagnusExpansion, "truncated", old_truncated)
+    monkeypatch.setattr(MagnusExpansion, "with_logs", old_with_logs)
+    monkeypatch.setattr(magnus, "_extract_conjugator",
+                        old_extract_conjugator)
+    want = _solve_and_certify()
+    assert got == want
+    resolved = [z for _, report in got for z in report["zk_conjugators"]]
+    assert len(resolved) == 15 and all(z is not None for z in resolved)
 
 
 def test_necklace_word_hashes_its_word_and_never_equals_a_tuple():

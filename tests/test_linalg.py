@@ -16,6 +16,13 @@ built each basis from the one a degree below, and the row intake took
 rows of ints as they are; the versions before that (recursive word
 enumeration, every word rewritten, every entry checked and scaled) are
 kept here too, and the reports and integer rows must not change.
+
+_normal_form then moved from one word to a combination, rewriting the
+largest word that holds the lead after like words merge.  The str
+worklist it replaced, one word at a time, is kept as
+old_str_normal_form; old_resolution_check uses it, and every combination
+(relator multiples R u, random ones, ones built to vanish in A) must
+normalise to the sum of its words' old normal forms.
 """
 
 import itertools
@@ -162,6 +169,28 @@ def old_tuple_normal_form(word, lead, replacement):
     return out
 
 
+def old_str_normal_form(word, lead, replacement):
+    if lead not in word:
+        return {word: 1}
+    out = {}
+    work = [(word, 1, 0)]
+    while work:
+        word, coeff, start = work.pop()
+        p = word.find(lead, start)
+        if p < 0:
+            c = out.get(word, 0) + coeff
+            if c:
+                out[word] = c
+            else:
+                del out[word]
+            continue
+        prefix, suffix = word[:p], word[p + 2:]
+        start = max(p - 1, 0)
+        for mid, c in replacement.items():
+            work.append((prefix + mid + suffix, coeff * c, start))
+    return out
+
+
 def old_int_rows(rows, ncols):
     out = []
     for row in rows:
@@ -235,7 +264,8 @@ def old_resolution_check(genus, n_max):
             out = {}
             for a, b in pair_letters:
                 for word, sign in ((a + b + u, 1), (b + a + u, -1)):
-                    for w, c in _normal_form(word, lead, replacement).items():
+                    for w, c in old_str_normal_form(word, lead,
+                                                    replacement).items():
                         out[w] = out.get(w, 0) + sign * c
             if any(out.values()):
                 composite_ok = False
@@ -243,7 +273,7 @@ def old_resolution_check(genus, n_max):
         images = set()
         injective_ok = True
         for u in basis(n):
-            image = _normal_form(letters[1] + u, lead, replacement)
+            image = old_str_normal_form(letters[1] + u, lead, replacement)
             if len(image) != 1 or next(iter(image.values())) != 1:
                 injective_ok = False
                 break
@@ -267,17 +297,19 @@ def old_resolution_check(genus, n_max):
             for u in basis(n):
                 column = [0] * middle_dim
                 for h, (a, b) in enumerate(pair_letters):
-                    for w, c in _normal_form(b + u, lead, replacement).items():
+                    for w, c in old_str_normal_form(b + u, lead,
+                                                    replacement).items():
                         column[2 * h * dims[n + 1] + index_n1[w]] += c
-                    for w, c in _normal_form(a + u, lead, replacement).items():
+                    for w, c in old_str_normal_form(a + u, lead,
+                                                    replacement).items():
                         column[(2 * h + 1) * dims[n + 1] + index_n1[w]] -= c
                 d2_cols.append(column)
             d1_cols = []
             for letter in letters:
                 for v in basis(n + 1):
                     column = [0] * dims[n + 2]
-                    for w, c in _normal_form(letter + v, lead,
-                                              replacement).items():
+                    for w, c in old_str_normal_form(letter + v, lead,
+                                                      replacement).items():
                         column[index_n2[w]] += c
                     d1_cols.append(column)
             rank_d2 = matrix_rank(d2_cols)
@@ -409,7 +441,7 @@ def test_normal_forms_match_fraction_code():
                                for w, c in int_replacement.items()}
         old_memo = {}
         for word in _normal_form_cases(genus, letters, old_lead, max_len):
-            got = _normal_form(encode(word), lead, replacement)
+            got = _normal_form({encode(word): 1}, lead, replacement)
             named = {helpers.decode_word(w): c for w, c in got.items()}
             assert named == old_normal_form(word, old_lead, old_replacement,
                                             old_memo)
@@ -418,9 +450,167 @@ def test_normal_forms_match_fraction_code():
             assert all(type(c) is int for c in got.values())
 
 
+# -- normal forms of combinations -----------------------------------------
+
+COMBINATION_SEED = 29029
+
+
+def _relator(genus):
+    """R = sum_i (a_i b_i - b_i a_i) as (str word, sign) pairs."""
+    letters = _rewrite_rule(genus)[0]
+    pairs = [letters[h:h + 2] for h in range(0, 2 * genus, 2)]
+    return [(a + b, 1) for a, b in pairs] + [(b + a, -1) for a, b in pairs]
+
+
+def _add(terms, word, coeff):
+    c = terms.get(word, 0) + coeff
+    if c:
+        terms[word] = c
+    else:
+        terms.pop(word, None)
+
+
+def _random_word(rng, letters, length):
+    return "".join(rng.choice(letters) for _ in range(length))
+
+
+def _in_ideal(rng, genus, length, count):
+    """sum of c x R y over random x, y with |x| + |y| = length - 2: zero
+    in A, though its words only cancel after rewriting."""
+    letters = _rewrite_rule(genus)[0]
+    terms = {}
+    for _ in range(count):
+        cut = rng.randint(0, length - 2)
+        x = _random_word(rng, letters, cut)
+        y = _random_word(rng, letters, length - 2 - cut)
+        coeff = rng.choice((-2, -1, 1, 3))
+        for m, sign in _relator(genus):
+            _add(terms, x + m + y, coeff * sign)
+    return terms
+
+
+def _rewritten_elsewhere(rng, genus, length, count):
+    """sum of c (w - w'), w' being w rewritten once at a random lead, not
+    always the leftmost one: zero in A."""
+    letters, lead, replacement = _rewrite_rule(genus)
+    terms = {}
+    for _ in range(count):
+        cut = rng.randint(0, length - 2)
+        word = (_random_word(rng, letters, cut) + lead
+                + _random_word(rng, letters, length - 2 - cut))
+        p = rng.choice([i for i in range(length - 1)
+                        if word.startswith(lead, i)])
+        coeff = rng.choice((-1, 1, 2))
+        _add(terms, word, coeff)
+        for mid, c in replacement.items():
+            _add(terms, word[:p] + mid + word[p + 2:], -coeff * c)
+    return terms
+
+
+def _combination_cases():
+    """(genus, terms, zero in A): R u for every normal u of degree <= 4
+    and for random u, random combinations (words of genus 1-2 collide
+    often, so words cancel during rewriting and come back), sums of
+    x R y and of w - (w rewritten elsewhere), alone and added to a
+    random combination; genus 1-4, length <= 8."""
+    rng = random.Random(COMBINATION_SEED)
+    for genus in range(1, 5):
+        letters, lead, _ = _rewrite_rule(genus)
+        relator = _relator(genus)
+        for length in range(5):
+            for u in old_normal_words(letters, lead, length):
+                yield genus, {m + u: c for m, c in relator}, True
+        for _ in range(60):
+            u = _random_word(rng, letters, rng.randint(0, 6))
+            yield genus, {m + u: c for m, c in relator}, True
+        for _ in range(300 if genus < 3 else 100):
+            length = rng.randint(0, 8)
+            terms = {}
+            for _ in range(rng.randint(1, 12)):
+                _add(terms, _random_word(rng, letters, length),
+                     rng.choice((-3, -2, -1, 1, 1, 2, 3)))
+            yield genus, terms, False
+            if length >= 2:
+                zero = (_in_ideal if rng.random() < 0.5
+                        else _rewritten_elsewhere)(rng, genus, length,
+                                                   rng.randint(1, 6))
+                yield genus, zero, True
+                mixed = dict(terms)
+                for word, c in zero.items():
+                    _add(mixed, word, c)
+                yield genus, mixed, False
+
+
+def assert_combination_normal_form(genus, terms, zero=False):
+    """_normal_form(terms) is sum c (old normal form of w) over terms,
+    holds no lead and no zero coefficient, and is terms itself."""
+    _, lead, replacement = _rewrite_rule(genus)
+    want = {}
+    for word, c in terms.items():
+        for w, c2 in old_str_normal_form(word, lead, replacement).items():
+            _add(want, w, c * c2)
+    given = dict(terms)
+    got = _normal_form(given, lead, replacement)
+    assert got is given
+    assert got == want, (genus, terms)
+    assert not any(lead in w for w in got)
+    assert all(got.values())
+    assert all(type(c) is int for c in got.values())
+    if zero:
+        assert got == {}
+
+
+def test_combination_normal_forms_match_the_word_by_word_sum():
+    counts = {"zero": 0, "nonzero": 0, "rewrites": 0}
+    for genus, terms, zero in _combination_cases():
+        assert_combination_normal_form(genus, terms, zero)
+        counts["zero" if zero else "nonzero"] += 1
+    assert counts["zero"] > 1000 and counts["nonzero"] > 1000
+
+
+def test_relator_combination_takes_one_rewrite():
+    """R u rewrites only b_g a_g u: the result cancels every other word,
+    a_g b_g u included when it holds the lead too."""
+    rewritten = []
+
+    class Spy(dict):
+        def pop(self, word, *default):
+            coeff = dict.pop(self, word, *default)
+            if coeff:
+                rewritten.append(word)
+            return coeff
+
+    for genus in range(1, 5):
+        letters, lead, replacement = _rewrite_rule(genus)
+        for u in old_normal_words(letters, lead, 3):
+            rewritten.clear()
+            terms = Spy((m + u, c) for m, c in _relator(genus))
+            assert _normal_form(terms, lead, replacement) == {}
+            assert rewritten == [lead + u]
+
+
+@st.composite
+def combinations(draw):
+    genus = draw(st.integers(1, 4))
+    letters = _rewrite_rule(genus)[0]
+    length = draw(st.integers(0, 8))
+    word = st.text(alphabet=letters, min_size=length, max_size=length)
+    pairs = draw(st.lists(st.tuples(word, st.integers(-4, 4)), max_size=10))
+    terms = {}
+    for w, c in pairs:
+        _add(terms, w, c)
+    return genus, terms
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(combinations())
+def test_combination_normal_form_property(case):
+    assert_combination_normal_form(*case)
+
+
 def test_resolution_reports_match_the_replaced_code():
-    cases = [(g, n) for g in (1, 2, 3) for n in range(6)]
-    cases += [(4, n) for n in range(4)]
+    cases = [(g, n) for g in (1, 2, 3) for n in range(7)]
+    cases += [(4, n) for n in range(5)]
     for genus, n_max in cases:
         assert resolution_check(genus, n_max) == \
             old_resolution_check(genus, n_max), (genus, n_max)

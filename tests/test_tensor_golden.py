@@ -30,6 +30,7 @@ from goldman_forge.tensoralg import (
     exp,
     lie_bracket,
     log,
+    powers,
 )
 from helpers import bch, compose, random_primitive, random_series
 
@@ -80,8 +81,8 @@ def _signature_values(genus, punctures, rng):
             derivation_exp(nilpotent), derivation_exp(both)]
 
     for target in (gen["x1"], a, u):
-        values.append(ad_exp(v, target))
-        values.append(ad_exp(u, target))
+        values.append(ad_exp(powers(v), target))
+        values.append(ad_exp(powers(u), target))
 
     theta = solve_symplectic(genus, punctures, TRUNC)
     inverse = invert_expansion(theta)

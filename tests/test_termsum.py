@@ -9,6 +9,7 @@ TensorSquare is the coproduct oracle's own type, a subclass whose
 fields include a truncation.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -190,3 +191,31 @@ def test_key_checks_still_apply():
     necklace = CyclicSeries(SIG, 4)
     necklace.add_term(("y1", "x1"), 1)
     assert necklace.terms == {NecklaceWord(("x1", "y1")): 1}
+
+
+@pytest.mark.parametrize("den", [1, 2, 6, 12])
+def test_with_totals_matches_added_terms(kind, den):
+    """with_totals(den, totals) is the sum of n / den per key, zero totals
+    dropped, every coefficient a normalised Fraction with its sign; den
+    == 1 takes the gcd-free path."""
+    rng = random.Random("with-totals-%s-%d" % (kind, den))
+    keys = []
+    while len(keys) < 8:
+        key = KINDS[kind][1](rng)
+        if key not in keys:
+            keys.append(key)
+    totals = dict(zip(keys, (3, -1, 0, 12, -4, 6, 0, -12)))
+    empty = KINDS[kind][0]()
+    got = empty.with_totals(den, totals.items())
+    want = KINDS[kind][0]()
+    for key, n in totals.items():
+        want.add_term(key, Fraction(n, den))
+    assert got == want and got._fields() == empty._fields()
+    assert set(got.terms) == {key for key, n in totals.items() if n}
+    signs = set()
+    for key, c in got.terms.items():
+        assert type(c) is Fraction and c.denominator > 0
+        assert math.gcd(c.numerator, c.denominator) == 1
+        assert c * den == totals[key]
+        signs.add(c > 0)
+    assert signs == {True, False} and len(got.terms) < len(totals)
