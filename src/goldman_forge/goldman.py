@@ -8,13 +8,13 @@ one surgered term with an orientation sign.  A chord is a tuple of two
 int end keys and a split (see _draw).  Everything downstream (Goldman
 bracket, loop action on paths, the two-path pairing, induced
 derivations, Dehn-twist certificates) is a bilinear wrapper over that
-one enumeration, ``_surgeries``; each sums the crossing signs times int
-coefficient numerators per coded output word (surface.letter_code), over
-one denominator per call, and decodes and builds each output term once.
+one enumeration, ``_surgeries``, which draws the terms of both operands
+once per call; each sums the crossing signs times int coefficient
+numerators per coded output word (surface.letter_code), over one
+denominator per call, and decodes and builds each output term once.
 """
 
 from fractions import Fraction
-from functools import partial
 from math import comb, factorial
 
 from .magnus import default_expansion, necklace_project, tensor_letter
@@ -213,6 +213,9 @@ def _draw(slot, items, convention):
     Strands through one edge or tail are ranked by (operand tag, stop
     position); the rank is the offset from the edge's left side seen
     from the positive dart, so the offset reverses at the negative dart.
+    Any two items' ends thus keep the order a drawing of those two alone
+    gives them, and _crossings compares nothing else: one drawing of
+    many items has the crossings of every pair.
     The "reversed" convention ranks in the opposite order; outputs of
     the surgeries must not depend on the choice.  The end at a dart
     with an offset has the int key slot[dart] * width + offset; width,
@@ -281,10 +284,11 @@ def _crossings(left_chords, right_chords):
 def _surgeries(u, v, convention):
     """Every pair of terms of two sums on one surface, with its crossings.
 
-    Checks the surfaces and the convention now, so that a zero sum
-    raises too, and looks up the dart map once.  Returns (den, records):
-    den is the lcm of u's coefficient denominators times the lcm of
-    v's, and records yields one record per pair of terms,
+    Checks the surfaces and the convention first, so that a zero sum
+    raises too, then draws the terms of u and then of v as one item list,
+    once (not at all if either sum is zero; exact, see _draw).  Returns
+    (den, records): den is the lcm of u's coefficient denominators times
+    the lcm of v's, and records yields one record per pair of terms,
     (n, a, b, crossings), where n is the int with
     coeff_a * coeff_b == n / den and crossings iterates the
     (sign, chord of a, chord of b) of ``_crossings``.
@@ -293,12 +297,16 @@ def _surgeries(u, v, convention):
         raise ValueError("unknown perturbation convention %r" % (convention,))
     if u.spec != v.spec:
         raise ValueError("operands live on different surfaces")
-    slot = ribbon_structure(u.spec)
     den_u, num_u = u.numerators()
     den_v, num_v = v.numerators()
-    records = ((na * nb, a, b,
-                _crossings(*_draw(slot, (a, b), convention)[1]))
-               for a, na in num_u for b, nb in num_v)
+    if not (num_u and num_v):
+        return den_u * den_v, ()
+    chords = _draw(ribbon_structure(u.spec), [*u.terms, *v.terms],
+                   convention)[1]
+    left, right = chords[:len(num_u)], chords[len(num_u):]
+    records = ((na * nb, a, b, _crossings(ca, cb))
+               for (a, na), ca in zip(num_u, left)
+               for (b, nb), cb in zip(num_v, right))
     return den_u * den_v, records
 
 
@@ -328,8 +336,7 @@ def _tally(like, surgeries, splice, build):
 def goldman_bracket(u, v, convention="default"):
     """Bilinear loop bracket: signed resmoothings at each crossing."""
     out = LoopSum(u.spec, twist=u.twist + v.twist + 1)
-    return _tally(out, _surgeries(u, v, convention),
-                  lambda x, y: partial(splice_normal_form, x + x, y + y),
+    return _tally(out, _surgeries(u, v, convention), splice_normal_form,
                   lambda letter, w: LoopClass.trusted(tuple(map(letter, w))))
 
 
@@ -351,12 +358,12 @@ def kk_action(u, gamma, convention="default"):
 
 def bi_pairing(gamma1, gamma2, convention="default"):
     """Signed exchange pairing of two path sums with disjoint endpoints."""
-    surgeries = _surgeries(gamma1, gamma2, convention)
     tags1 = {gamma1.from_tag, gamma1.to_tag}
     tags2 = {gamma2.from_tag, gamma2.to_tag}
     if tags1 & tags2:
         raise ValueError("path endpoint tags must be disjoint, got %s and %s"
                          % (sorted(tags1), sorted(tags2)))
+    surgeries = _surgeries(gamma1, gamma2, convention)
     def splice(w1, w2):
         return lambda c1, c2: (reduced_product(w1[:c1], w2[c2:]),
                                reduced_product(w2[:c2], w1[c1:]))

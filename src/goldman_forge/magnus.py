@@ -157,9 +157,7 @@ class NecklaceWord:
     __slots__ = ("word",)
 
     def __init__(self, word):
-        word = tuple(word)
-        start = least_rotation(word)
-        self.word = word[start:] + word[:start]
+        self.word = least_rotation(tuple(word))
 
     def __eq__(self, other):
         return isinstance(other, NecklaceWord) and self.word == other.word

@@ -215,22 +215,23 @@ class LoopClass:
 
 
 def least_rotation(seq):
-    """Smallest start of a least rotation of seq (bytes, tuple or list).
-    Unless seq is constant, one starts only where a run of the least item
-    starts, cyclically (one step earlier is smaller); those are compared
-    as slices of seq + seq by a strict <, stopping at one equal to the best
-    (seq is periodic from there): O(n) steps, O(r n) C compares for r runs."""
+    """The least rotation of seq (bytes, tuple or list), as seq's type.
+    Unless seq is constant (then it is seq), one starts only where a run of
+    the least item starts, cyclically (one step earlier is smaller); those
+    are compared as slices of seq + seq by a strict <, stopping at one equal
+    to the best (seq is periodic from there): O(n) steps, O(r n) C compares
+    for r runs."""
     n, double, low = len(seq), seq + seq, min(seq, default=None)
-    i, start, best = n and seq.index(low), 0, None
+    i, best = n and seq.index(low), None
     while i < n:
         if seq[i - 1] != low:
             rotation = double[i:i + n]
             if best is None or rotation < best:
-                start, best = i, rotation
+                best = rotation
             elif rotation == best:
                 break
         i = double.index(low, i + 1)
-    return start
+    return seq if best is None else best
 
 
 @functools.lru_cache(maxsize=64)
@@ -244,28 +245,17 @@ def letter_code(spec):
     return letters, code, bytes if len(letters) <= 256 else tuple
 
 
-def _canonical_word(word):
-    """The canonical rotation of a freely reduced word's class, on an int
-    sequence in which x ^ 1 is the inverse of x (letter keys or codes):
-    strip matching ends, then take the least rotation.  Both normal forms
-    end here, the one place that fixes the rotation."""
-    p, q = 0, len(word) - 1
-    while p < q and word[p] == word[q] ^ 1:
-        p, q = p + 1, q - 1
-    if p:
-        word = word[p:q + 1]
-    start = least_rotation(word)
-    return word[start:] + word[:start]
-
-
 def cyclic_normal_form(word):
     """Cyclic reduction plus the least rotation under letter_key; conjugation
     invariant.  word is any sequence of letters (a FreeWord or a tuple) and
     is trusted: letters are checked where they enter (FreeWord, parse_word)."""
     letters = _reduce_letters(word)
     keys = tuple(map(letter_key, letters))
+    p, q = 0, len(keys) - 1
+    while p < q and keys[p] == keys[q] ^ 1:
+        p, q = p + 1, q - 1
     return LoopClass.trusted(tuple(map(dict(zip(keys, letters)).__getitem__,
-                                       _canonical_word(keys))))
+                                       least_rotation(keys[p:q + 1]))))
 
 
 def reduced_product(x, y):
@@ -277,18 +267,25 @@ def reduced_product(x, y):
     return x[:m - t] + y[t:] if t else x + y
 
 
-def splice_normal_form(aa, bb, i, j):
-    """The canonical coded word of the class of a[i:] + a[:i] + b[j:] +
-    b[:j], for canonical coded words a and b passed doubled (aa = a + a,
-    bb = b + b), so that each rotation is one slice.
-
-    Rotations x, y of canonical words are freely and cyclically reduced,
-    so x y can cancel only at its two junctions: reduced_product cancels
-    at the first, possibly through all of x or y, and the tail shared
-    with cyclic_normal_form strips matching ends, cancelling at the
-    second, and takes the least rotation."""
-    return _canonical_word(reduced_product(aa[i:i + (len(aa) >> 1)],
-                                           bb[j:j + (len(bb) >> 1)]))
+def splice_normal_form(a, b):
+    """The splicer of canonical coded words a and b: (i, j) -> the
+    canonical coded word of the class of a[i:] + a[:i] + b[j:] + b[:j],
+    each rotation a slice of a + a or b + b, built once per pair.  The
+    rotations are freely and cyclically reduced, so their product cancels
+    only at its two junctions: where a's rotation ends and b's begins,
+    possibly through all of either, then at the ends of what is left;
+    least_rotation then fixes the rotation."""
+    m, n, aa, bb = len(a), len(b), a + a, b + b
+    def splice(i, j):
+        t = 0
+        while t < m and t < n and aa[i + m - 1 - t] == bb[j + t] ^ 1:
+            t += 1
+        w = aa[i:i + m - t] + bb[j + t:j + n]
+        p, q = 0, len(w) - 1
+        while p < q and w[p] == w[q] ^ 1:
+            p, q = p + 1, q - 1
+        return least_rotation(w[p:q + 1] if p else w)
+    return splice
 
 
 class Path:

@@ -72,6 +72,10 @@ def as_coeff(value):
                     % type(value).__name__)
 
 
+# n / 1 for 0 < |n| <= 64, built once and never grown; sums share them
+_SMALL_INTS = {n: Fraction(n) for n in range(-64, 65) if n}
+
+
 class TermSum:
     """Sparse exact combination: terms[key] is a nonzero Fraction.
 
@@ -114,9 +118,11 @@ class TermSum:
 
     def with_totals(self, den, totals):
         """Same fields; n / den per key of the (key, int total n) pairs
-        totals with nonzero n, unchecked (den == 1 skips the gcd)."""
-        coeff = Fraction if den == 1 else lambda n: Fraction(n, den)
-        return self._with_terms({key: coeff(n) for key, n in totals if n})
+        totals with nonzero n, unchecked; if den == 1, an n in _SMALL_INTS
+        (crossing counts mostly are) takes the shared Fraction found there."""
+        small = _SMALL_INTS if den == 1 else {}
+        return self._with_terms({key: small.get(n) or Fraction(n, den)
+                                 for key, n in totals if n})
 
     def _fields(self):
         return [getattr(self, name) for name in self.__slots__]

@@ -8,11 +8,16 @@ normal form; it is kept here as the oracle, built from the chords of
 ``_draw``, the crossings of ``_crossings`` and an uncached
 ``ribbon_structure`` directly.  Its rotation is Duval's
 (helpers.duval_least_rotation), not the engine's, so the oracle does
-not check the engine's rotation against itself.
+not check the engine's rotation against itself.  The oracle draws each
+pair of terms alone; the engine draws every term of both operands once
+per call, and the joint-drawing sweep checks that this changes no
+crossing, no crossing order and no output.
 """
 
 import random
 from fractions import Fraction
+
+import pytest
 
 from helpers import (
     assert_same,
@@ -20,12 +25,14 @@ from helpers import (
     random_surface_word,
 )
 
+from goldman_forge import goldman
 from goldman_forge.goldman import (
     LoopSum,
     PathPairSum,
     PathSum,
     _crossings,
     _draw,
+    _surgeries,
     bi_pairing,
     goldman_bracket,
     kk_action,
@@ -286,3 +293,174 @@ def test_int_letter_key_keeps_the_tuple_order():
             assert ((letter_key(x) == letter_key(y))
                     == (old_letter_key(x) == old_letter_key(y))), (x, y)
     assert letter_key(("a2", 1)) < letter_key(("a10", 1))
+
+
+# -- one drawing per call ---------------------------------------------------
+
+JOINT_SEED = 3030
+JOINT_SURFACES = (SurfaceSpec(1, 1), SurfaceSpec(2, 1), SurfaceSpec(1, 3),
+                  SurfaceSpec(0, 4))
+
+
+def per_pair_crossings(u, v, convention):
+    """Per pair of terms, in the engine's pair order: the int numerator
+    product and the (sign, split of a, split of b) of each crossing of a
+    drawing of the two terms alone."""
+    slot = ribbon_structure.__wrapped__(u.spec)
+    den_u, num_u = u.numerators()
+    den_v, num_v = v.numerators()
+    return den_u * den_v, [
+        (na * nb, a, b, [(sign, pu[2], pv[2]) for sign, pu, pv in
+                         _crossings(*_draw(slot, (a, b), convention)[1])])
+        for a, na in num_u for b, nb in num_v]
+
+
+def joint_crossings(u, v, convention):
+    """The same lists from the engine's one drawing per call."""
+    den, records = _surgeries(u, v, convention)
+    return den, [(n, a, b, [(sign, pu[2], pv[2]) for sign, pu, pv in
+                            crossings])
+                 for n, a, b, crossings in records]
+
+
+def mixed_path_sum(rng, spec, tag, nterms, max_len):
+    """The identity path at tag plus nonidentity paths from tag to tag."""
+    out = random_path_sum(rng, spec, tag, tag, nterms, max_len)
+    out.add_term(Path(tag, tag), rng.choice(COEFFS))
+    return out
+
+
+def test_joint_drawing_matches_per_pair_drawing():
+    """Sums of 3-5 terms, a class in both operands, periodic classes and
+    path sums that mix the identity path with others, under both
+    conventions: every pair of terms has the crossings, in the same
+    order, that a drawing of the pair alone gives, and the outputs equal
+    the per-pair oracle's."""
+    rng = random.Random(JOINT_SEED)
+    shapes = {"bracket": 0, "shared": 0, "periodic": 0, "kk": 0,
+              "bipair": 0, "in_both": 0, "power": 0, "identity": 0,
+              "three_plus": 0, "reversed": 0}
+    for case in range(480):
+        spec = JOINT_SURFACES[case % len(JOINT_SURFACES)]
+        convention = CONVENTIONS[(case // len(JOINT_SURFACES)) % 2]
+        kind = ("bracket", "shared", "periodic", "kk", "bipair")[case % 5]
+        max_len = 4 if spec.genus > 1 else 5
+        if kind in ("bracket", "shared", "periodic"):
+            if kind == "periodic":
+                u = periodic_loop_sum(rng, spec, 3)
+                u += random_loop_sum(rng, spec, rng.randint(1, 3), max_len)
+            else:
+                u = random_loop_sum(rng, spec, rng.randint(3, 5), max_len)
+            v = random_loop_sum(rng, spec, rng.randint(3, 5), max_len)
+            if kind == "shared" and not u.is_zero():
+                v.add_term(rng.choice(list(u.terms)), rng.choice(COEFFS))
+                shapes["in_both"] += bool(set(u.terms) & set(v.terms))
+            new = goldman_bracket(u, v, convention)
+            assert_same(new, old_goldman_bracket(u, v, convention),
+                        (spec, convention, u, v))
+            shapes["power"] += kind == "periodic" and any(
+                len(c.word) % 2 == 0 and c.word[:len(c.word) // 2]
+                == c.word[len(c.word) // 2:] for c in u.terms if c.word)
+        elif kind == "kk":
+            u = random_loop_sum(rng, spec, rng.randint(3, 5), max_len)
+            v = mixed_path_sum(rng, spec, rng.choice(spec.tags),
+                               rng.randint(2, 4), max_len)
+            new = kk_action(u, v, convention)
+            assert_same(new, old_kk_action(u, v, convention),
+                        (spec, convention, u, v))
+        else:
+            pair = disjoint_tags(rng, spec)
+            if pair is None:
+                continue
+            (f1, t1), (f2, t2) = pair
+            u = mixed_path_sum(rng, spec, f1, rng.randint(2, 4), max_len)
+            v = random_path_sum(rng, spec, f2, t2, rng.randint(3, 5), max_len)
+            if rng.random() < 0.5:
+                u, v = v, u
+            new = bi_pairing(u, v, convention)
+            assert_same(new, old_bi_pairing(u, v, convention),
+                        (spec, convention, u, v))
+        assert joint_crossings(u, v, convention) == per_pair_crossings(
+            u, v, convention), (spec, convention, u, v)
+        shapes[kind] += not new.is_zero()
+        shapes["identity"] += any(
+            p.is_identity() for s in (u, v) if isinstance(s, PathSum)
+            for p in s.terms) and not new.is_zero()
+        shapes["three_plus"] += min(len(u.terms), len(v.terms)) >= 3
+        shapes["reversed"] += convention == "reversed"
+    assert min(shapes.values()) >= 20, shapes
+
+
+class CountedDraw:
+    """_draw, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return _draw(*args)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    draw = CountedDraw()
+    monkeypatch.setattr(goldman, "_draw", draw)
+    return draw
+
+
+def surgery_calls(spec):
+    """(name, call) pairs: each surgery on nonzero operands of spec."""
+    rng = random.Random(JOINT_SEED + spec.boundary)
+    u, inner = random_loop_sum(rng, spec, 3, 4), LoopSum(spec)
+    while len(inner.terms) < 3:
+        inner = goldman_bracket(random_loop_sum(rng, spec, 3, 5),
+                                random_loop_sum(rng, spec, 3, 5))
+    gamma = mixed_path_sum(rng, spec, 0, 3, 4)
+    calls = [("bracket", lambda: goldman_bracket(u, u)),
+             ("jacobi outer", lambda: goldman_bracket(u, inner)),
+             ("kk", lambda: kk_action(u, gamma))]
+    if spec.boundary >= 3:
+        other = random_path_sum(rng, spec, 1, 2, 3, 4)
+        calls.append(("bipair", lambda: bi_pairing(gamma, other)))
+    return calls, (u, inner, gamma)
+
+
+@pytest.mark.parametrize("spec", JOINT_SURFACES, ids=str)
+def test_one_drawing_per_call(spec, counted):
+    calls, operands = surgery_calls(spec)
+    assert all(len(s.terms) >= 3 for s in operands), operands
+    for name, call in calls:
+        before = counted.calls
+        call()
+        assert counted.calls == before + 1, name
+
+
+@pytest.mark.parametrize("spec", JOINT_SURFACES, ids=str)
+def test_no_drawing_with_a_zero_operand(spec, counted):
+    rng = random.Random(JOINT_SEED)
+    loops = random_loop_sum(rng, spec, 3, 4)
+    path = mixed_path_sum(rng, spec, 0, 3, 4)
+    zero_loops, zero_path = LoopSum(spec), PathSum(spec, 0, 0)
+    for out in (goldman_bracket(zero_loops, loops),
+                goldman_bracket(loops, zero_loops),
+                kk_action(zero_loops, path), kk_action(loops, zero_path)):
+        assert out.is_zero()
+    if spec.boundary >= 3:
+        other = random_path_sum(rng, spec, 1, 2, 3, 4)
+        assert bi_pairing(zero_path, other).is_zero()
+        assert bi_pairing(other, zero_path).is_zero()
+    assert counted.calls == 0
+
+
+def test_bi_pairing_rejects_overlapping_tags_before_drawing(counted):
+    spec = SurfaceSpec(0, 4)
+    rng = random.Random(JOINT_SEED)
+    for (f1, t1), (f2, t2) in (((0, 1), (1, 2)), ((0, 0), (0, 3)),
+                               ((2, 3), (3, 2)), ((1, 1), (1, 1))):
+        g1 = random_path_sum(rng, spec, f1, t1, 3, 4)
+        g2 = random_path_sum(rng, spec, f2, t2, 3, 4)
+        assert not (g1.is_zero() or g2.is_zero())
+        with pytest.raises(ValueError, match="disjoint"):
+            bi_pairing(g1, g2)
+    assert counted.calls == 0

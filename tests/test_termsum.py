@@ -197,14 +197,16 @@ def test_key_checks_still_apply():
 def test_with_totals_matches_added_terms(kind, den):
     """with_totals(den, totals) is the sum of n / den per key, zero totals
     dropped, every coefficient a normalised Fraction with its sign; den
-    == 1 takes the gcd-free path."""
+    == 1 takes the shared small coefficients, inside and past their
+    range."""
     rng = random.Random("with-totals-%s-%d" % (kind, den))
+    values = (3, -1, 0, 12, -4, 6, 0, -12, 64, -64, 65, -65, 10 ** 20)
     keys = []
-    while len(keys) < 8:
+    while len(keys) < len(values):
         key = KINDS[kind][1](rng)
         if key not in keys:
             keys.append(key)
-    totals = dict(zip(keys, (3, -1, 0, 12, -4, 6, 0, -12)))
+    totals = dict(zip(keys, values))
     empty = KINDS[kind][0]()
     got = empty.with_totals(den, totals.items())
     want = KINDS[kind][0]()
@@ -219,3 +221,26 @@ def test_with_totals_matches_added_terms(kind, den):
         assert c * den == totals[key]
         signs.add(c > 0)
     assert signs == {True, False} and len(got.terms) < len(totals)
+
+
+def test_with_totals_shares_small_coefficients(kind):
+    """With den == 1 every total n with 0 < |n| <= 64 maps to one shared
+    Fraction, the same object in every sum; past that range each term
+    gets its own Fraction(n)."""
+    rng = random.Random("shared-totals-%s" % kind)
+    keys = []
+    while len(keys) < 6:
+        key = KINDS[kind][1](rng)
+        if key not in keys:
+            keys.append(key)
+    empty = KINDS[kind][0]()
+    first = empty.with_totals(1, zip(keys, (1, -1, 64, -64, 65, -65)))
+    second = empty.with_totals(1, zip(keys, (1, -1, 64, -64, 65, -65)))
+    for key in keys:
+        assert first.terms[key] == second.terms[key]
+        assert type(first.terms[key]) is Fraction
+        shared = abs(first.terms[key]) <= 64
+        assert (first.terms[key] is second.terms[key]) == shared, key
+    halves = empty.with_totals(2, zip(keys, (1, 2, 3, 4, 5, 6)))
+    assert list(halves.terms.values()) == [Fraction(n, 2)
+                                           for n in (1, 2, 3, 4, 5, 6)]

@@ -1,11 +1,12 @@
 """Word layer: least rotation, cyclic normal form, splices and necklaces.
 
-The differential sweeps compare the slice-comparison least rotation with
-Duval's algorithm, the canonical rotation with the O(n^2)
-min-over-rotations code it replaced, the coded splice canonical form with
-the cyclic normal form of the spliced letters and with the letters+keys
-splice it replaced, and the coded junction-only product of two reduced
-words with their free reduction.  The replaced code is kept here (and
+The differential sweeps compare the least rotation, which is returned
+whole, with the rotation at Duval's index, the canonical rotation with
+the O(n^2) min-over-rotations code it replaced, the per-pair coded
+splicer with the cyclic normal form of the spliced letters, with the
+one-call-per-crossing coded splice and with the letters+keys splice
+before it, and the coded junction-only product of two reduced words
+with their free reduction.  The replaced code is kept here (and
 Duval's rotation in helpers) as oracles.  The hypothesis properties run
 derandomized, so every run sees the same examples.
 """
@@ -16,7 +17,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import (
     assert_same,
@@ -90,6 +91,23 @@ def old_reduced_product(lx, kx, ly, ky):
 def old_splice_normal_form(la, ka, lb, kb, i, j):
     return old_canonical_word(*old_reduced_product(
         la[i:] + la[:i], ka[i:] + ka[:i], lb[j:] + lb[:j], kb[j:] + kb[:j]))
+
+
+def duval_rotation(seq):
+    """The rotation of seq that starts at Duval's index."""
+    start = duval_least_rotation(seq)
+    return seq[start:] + seq[:start]
+
+
+def old_coded_splice(ca, cb, i, j):
+    """The coded splice before the per-pair splicer: rotate both words,
+    cancel the first junction with reduced_product, strip the ends, and
+    rotate at the index of the least rotation (Duval's here)."""
+    w = reduced_product(ca[i:] + ca[:i], cb[j:] + cb[:j])
+    p, q = 0, len(w) - 1
+    while p < q and w[p] == w[q] ^ 1:
+        p, q = p + 1, q - 1
+    return duval_rotation(w[p:q + 1])
 
 
 def keys_of(letters):
@@ -193,9 +211,9 @@ class TestDifferential:
         assert NecklaceWord(("x2", "x10")).word == ("x10", "x2")
 
     def test_periodic_and_empty(self):
-        assert least_rotation(()) == 0
-        assert least_rotation((1, 0) * 3) == 1
-        assert least_rotation((0, 0, 0)) == 0
+        assert least_rotation(()) == ()
+        assert least_rotation((1, 0) * 3) == (0, 1) * 3
+        assert least_rotation((0, 0, 0)) == (0, 0, 0)
         assert cyclic_normal_form(FreeWord()).word == ()
         assert NecklaceWord(()).word == ()
         assert NecklaceWord(("y1", "x1") * 3).word == ("x1", "y1") * 3
@@ -254,8 +272,9 @@ class TestLeastRotation:
         moved = 0
         for shape, seq in cases:
             for form in rotation_forms(seq):
-                assert least_rotation(form) == duval_least_rotation(form), (
-                    shape, form)
+                got = least_rotation(form)
+                assert type(got) is type(form), (shape, form)
+                assert got == duval_rotation(form), (shape, form)
             shapes[shape] = shapes.get(shape, 0) + 1
             moved += duval_least_rotation(seq) > 0
         assert max(len(seq) for _, seq in cases) == 2000
@@ -265,14 +284,14 @@ class TestLeastRotation:
     def test_run_starts(self):
         # the least rotation starts at 0 only because the last item is not
         # the least; a later run of the least item starts at 2
-        assert least_rotation((0, 1, 0, 2)) == 0
-        assert least_rotation(b"\x00\x01\x00\x02") == 0
+        assert least_rotation((0, 1, 0, 2)) == (0, 1, 0, 2)
+        assert least_rotation(b"\x00\x01\x00\x02") == b"\x00\x01\x00\x02"
         # a run that wraps round the end starts at the last index
-        assert least_rotation((0, 1, 2, 0)) == 3
-        # periodic words: the first of the equal least rotations
-        assert least_rotation((1, 0) * 3) == 1
-        assert least_rotation(b"ab" * 4) == 0
-        assert least_rotation(("x2", "x10") * 2) == 1
+        assert least_rotation((0, 1, 2, 0)) == (0, 0, 1, 2)
+        # periodic words: every least rotation is the same sequence
+        assert least_rotation((1, 0) * 3) == (0, 1) * 3
+        assert least_rotation(b"ab" * 4) == b"ab" * 4
+        assert least_rotation(("x2", "x10") * 2) == ("x10", "x2") * 2
 
     @PROPERTY
     @given(st.lists(st.integers(0, 3), max_size=30), st.integers(1, 5),
@@ -283,7 +302,30 @@ class TestLeastRotation:
             shift %= len(seq)
             seq = seq[shift:] + seq[:shift]
         for form in rotation_forms(seq):
-            assert least_rotation(form) == duval_least_rotation(form), form
+            assert least_rotation(form) == duval_rotation(form), form
+
+    @PROPERTY
+    @example([], 1, 0, bytes)
+    @example([2], 5, 0, list)
+    @example([0, 1, 1], 3, 4, tuple)
+    @given(st.integers(1, 4).flatmap(
+               lambda k: st.lists(st.integers(0, k - 1), max_size=10)),
+           st.integers(1, 4), st.integers(0, 40),
+           st.sampled_from((bytes, tuple, list)))
+    def test_returns_the_least_rotation(self, base, k, shift, form):
+        """bytes, tuples and lists, empty, constant (alphabet of one) and
+        periodic (base repeated k times): the least rotation, of the
+        input's type, is the least of all rotations and the one that
+        starts at Duval's index."""
+        seq = base * k
+        if seq:
+            shift %= len(seq)
+            seq = seq[shift:] + seq[:shift]
+        seq = form(seq)
+        got = least_rotation(seq)
+        assert type(got) is type(seq)
+        every = [seq[i:] + seq[:i] for i in range(len(seq))] or [seq]
+        assert got == min(every) == duval_rotation(seq)
 
 
 # -- the splice canonical form -----------------------------------------------
@@ -350,11 +392,13 @@ class TestSplice:
             for a, b in splice_pairs(rng, spec, 60):
                 ka, kb = keys_of(a), keys_of(b)
                 ca, cb = encode(a), encode(b)
+                splice = splice_normal_form(ca, cb)
                 for i in range(len(a)):
                     for j in range(len(b)):
                         x, y = a[i:] + a[:i], b[j:] + b[:j]
-                        coded = splice_normal_form(ca + ca, cb + cb, i, j)
+                        coded = splice(i, j)
                         assert type(coded) is type(ca), (x, y)
+                        assert coded == old_coded_splice(ca, cb, i, j)
                         got = decode(coded)
                         assert got == cyclic_normal_form(x + y).word, (x, y)
                         assert got == old_cyclic_normal_form(
@@ -557,8 +601,7 @@ class TestProperties:
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=24))
     def test_least_rotation_is_argmin(self, seq):
         rotations = [seq[i:] + seq[:i] for i in range(len(seq))]
-        assert least_rotation(seq) == min(range(len(seq)),
-                                          key=rotations.__getitem__)
+        assert least_rotation(seq) == min(rotations)
 
     @PROPERTY
     @given(words_st)
