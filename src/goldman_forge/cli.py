@@ -185,10 +185,10 @@ def cmd_expand(args):
     spec = _surface(args)
     trunc = _trunc(args)
     series = default_expansion(spec, trunc).expand_word(_word(args.word))
-    lines = ["%s: %s" % (" ".join(word) or "1", coeff)
-             for word, coeff in series.terms()]
-    _emit(args, {"truncation": trunc, "series": series.to_json()},
-          lines or ["0"], spec)
+    payload = series.to_json()  # one sort of the terms, for both outputs
+    lines = ["%s: %s" % (" ".join(t["word"]) or "1", t["coeff"])
+             for t in payload["terms"]]
+    _emit(args, {"truncation": trunc, "series": payload}, lines or ["0"], spec)
     return EXIT_OK
 
 

@@ -67,7 +67,8 @@ class LoopSum(TermSum):
 
     @classmethod
     def of(cls, spec, word, coeff=1):
-        """Single class from a FreeWord (normalized here)."""
+        """Single class from a FreeWord of spec's letters (normalized here)."""
+        spec.validate_word(word)
         return cls(spec, [(cyclic_normal_form(word), coeff)])
 
     def _sort_key(self, loop_class):
@@ -99,11 +100,14 @@ class LoopSum(TermSum):
 
 
 class PathSum(TermSum):
-    """Rational combination of paths sharing endpoint tags."""
+    """Rational combination of paths sharing endpoint tags of spec."""
 
     __slots__ = ("spec", "from_tag", "to_tag", "twist")
 
     def __init__(self, spec, from_tag, to_tag, terms=None, twist=0):
+        if not {from_tag, to_tag} <= set(spec.tags):
+            raise ValueError("path tags %r->%r are not boundary tags 0..%d"
+                             % (from_tag, to_tag, spec.boundary - 1))
         self.spec = spec
         self.from_tag = from_tag
         self.to_tag = to_tag
@@ -112,6 +116,7 @@ class PathSum(TermSum):
 
     @classmethod
     def of(cls, spec, path, coeff=1):
+        spec.validate_word(path.word)
         return cls(spec, path.from_tag, path.to_tag, [(path, coeff)])
 
     def add_term(self, path, coeff):

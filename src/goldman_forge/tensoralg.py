@@ -9,9 +9,11 @@ this package.
 
 A series stores int numerators over one common denominator, bucketed
 by weighted degree so truncated products only visit compatible degree
-pairs: the coefficient of a word is _buckets[d][word] / _den.  Words
-are tuples of generator names such as ("x1", "y1").  All operations
-return fresh objects; nothing mutates a series after construction.
+pairs: the coefficient of a word is _buckets[d][code] / _den, code the
+word as a str of chr(position) per letter in GenSignature.gens order
+(products concatenate strs; sorted() is the letter order).  At the API
+words are tuples of names such as ("x1", "y1").  All operations return
+fresh objects; nothing mutates a series after construction.
 
 Series invariant: every bucket key is the weighted degree of its words
 and at most the truncation, the truncation is at least 1, no numerator
@@ -33,8 +35,8 @@ returns a plain {(left, right): Fraction} dict.  Denominators: *
 multiplies them, combination and from_terms take their lcm.
 numerators() is the int view of a series, TermSum.numerators() that of
 a Fraction sum, whose subclasses share the fields in their __slots__.
-Outside this module nothing reads _buckets or _den or calls the bucket
-constructor (tests/test_hygiene.py).
+Outside this module nothing reads _buckets, _den or coded words or
+calls the bucket constructor (tests/test_hygiene.py).
 """
 
 from fractions import Fraction
@@ -180,7 +182,7 @@ class GenSignature:
     degree first and this letter order second.
     """
 
-    __slots__ = ("genus", "punctures", "gens", "_weights", "_pos")
+    __slots__ = ("genus", "punctures", "gens", "_weights", "_codes", "_names")
 
     def __init__(self, genus, punctures):
         if genus < 0 or punctures < 0:
@@ -192,7 +194,8 @@ class GenSignature:
         gens += ["z%d" % k for k in range(1, punctures + 1)]
         self.gens = tuple(gens)
         self._weights = {name: (2 if name[0] == "z" else 1) for name in gens}
-        self._pos = {name: i for i, name in enumerate(gens)}
+        self._codes = {name: chr(i) for i, name in enumerate(gens)}
+        self._names = {chr(i): name for i, name in enumerate(gens)}
 
     def weight(self, name):
         try:
@@ -208,8 +211,14 @@ class GenSignature:
             raise ValueError("unknown generator %s in word" % (bad,)) from None
 
     def sort_key(self, word):
-        pos = self._pos
-        return (self.degree(word), tuple(pos[letter] for letter in word))
+        return (self.degree(word), self._encode(word))
+
+    def _encode(self, word):
+        """The coded word, one character chr(position) per letter."""
+        return "".join(map(self._codes.__getitem__, word))
+
+    def _decode(self, code):
+        return tuple(map(self._names.__getitem__, code))
 
     def __eq__(self, other):
         return (isinstance(other, GenSignature)
@@ -232,10 +241,10 @@ def _check_compat(sig, trunc, s):
 class TensorSeries:
     """Sparse truncated series sum_w c_w * w.
 
-    Storage: _buckets[d][word] == n, a nonzero int, with d the weighted
-    degree of the word and c_w == n / _den; _den > 0 and the gcd of _den
-    and all numerators is 1, no empty buckets (see the module docstring
-    for where that is enforced).  Coefficients leave as Fractions.
+    Storage: _buckets[d][code] == n, a nonzero int, with d the weighted
+    degree of the coded word and c_w == n / _den; _den > 0 and the gcd of
+    _den and all numerators is 1, no empty buckets (see the module
+    docstring for where that is enforced).  Coefficients leave as Fractions.
     """
 
     __slots__ = ("sig", "trunc", "_buckets", "_den")
@@ -277,7 +286,7 @@ class TensorSeries:
             coeff = as_coeff(coeff)
             d = sig.degree(word)
             if d <= trunc:
-                kept.append((d, word, coeff))
+                kept.append((d, sig._encode(word), coeff))
         den = lcm(*{coeff.denominator for _, _, coeff in kept})
         buckets = {}
         for d, word, coeff in kept:
@@ -348,11 +357,11 @@ class TensorSeries:
 
     def coefficient(self, word):
         word = tuple(word)
-        d = self.sig.degree(word)
-        return Fraction(self._buckets.get(d, {}).get(word, 0), self._den)
+        bucket = self._buckets.get(self.sig.degree(word), {})
+        return Fraction(bucket.get(self.sig._encode(word), 0), self._den)
 
     def constant_term(self):
-        return Fraction(self._buckets.get(0, {}).get((), 0), self._den)
+        return Fraction(self._buckets.get(0, {}).get("", 0), self._den)
 
     def valuation(self):
         """Smallest weighted degree carrying a term, or None for the zero series."""
@@ -366,24 +375,24 @@ class TensorSeries:
 
     def items(self):
         """Unordered (word, coeff) pairs; use terms() when order matters."""
-        den = self._den
+        den, decode = self._den, self.sig._decode
         for bucket in self._buckets.values():
-            for word, c in bucket.items():
-                yield word, Fraction(c, den)
+            for code, c in bucket.items():
+                yield decode(code), Fraction(c, den)
 
     def terms(self):
         """(word, coeff) pairs in degree-lexicographic order."""
-        pos = self.sig._pos
-        den = self._den
+        den, decode = self._den, self.sig._decode
         for d in sorted(self._buckets):
             bucket = self._buckets[d]
-            for word in sorted(bucket, key=lambda w: tuple(pos[l] for l in w)):
-                yield word, Fraction(bucket[word], den)
+            for code in sorted(bucket):
+                yield decode(code), Fraction(bucket[code], den)
 
     def numerators(self):
         """(den, [(word, n), ...]): the int view, coefficient n / den."""
-        return self._den, [(w, n) for bucket in self._buckets.values()
-                           for w, n in bucket.items()]
+        decode = self.sig._decode
+        return self._den, [(decode(code), n) for bucket in self._buckets.values()
+                           for code, n in bucket.items()]
 
     def term_count(self):
         return sum(len(b) for b in self._buckets.values())
@@ -418,18 +427,19 @@ class TensorSeries:
     def __mul__(self, other):
         _check_compat(self.sig, self.trunc, other)
         trunc = self.trunc
+        right = [(d2, list(b2.items())) for d2, b2 in other._buckets.items()]
         out = {}
         for d1, b1 in self._buckets.items():
-            for d2, b2 in other._buckets.items():
+            for d2, items2 in right:
                 d = d1 + d2
                 if d > trunc:
                     continue
                 tgt = out.setdefault(d, {})
+                get = tgt.get
                 for w1, c1 in b1.items():
-                    for w2, c2 in b2.items():
+                    for w2, c2 in items2:
                         w = w1 + w2
-                        old = tgt.get(w)
-                        tgt[w] = c1 * c2 if old is None else old + c1 * c2
+                        tgt[w] = get(w, 0) + c1 * c2
         return TensorSeries._settled(self.sig, self.trunc, out,
                                      self._den * other._den)
 
@@ -539,13 +549,15 @@ def coproduct(s):
     sums = {}
     for bucket in s._buckets.values():
         for word, num in bucket.items():
-            splits = [((), ())]
+            splits = [("", "")]
             for a in word:
-                splits = ([(left + (a,), right) for left, right in splits]
-                          + [(left, right + (a,)) for left, right in splits])
+                splits = ([(left + a, right) for left, right in splits]
+                          + [(left, right + a) for left, right in splits])
             for split in splits:
                 sums[split] = sums.get(split, 0) + num
-    return {split: Fraction(n, s._den) for split, n in sums.items() if n}
+    decode = s.sig._decode
+    return {(decode(left), decode(right)): Fraction(n, s._den)
+            for (left, right), n in sums.items() if n}
 
 
 def right_normed_words(word, memo=None):
@@ -643,16 +655,17 @@ class Derivation:
         trunc = self.trunc
         images = self.images
         den = lcm(*[img._den for img in images.values()])
-        scale = {name: den // img._den for name, img in images.items()}
+        coded = {sig._codes[name]: (img, den // img._den, sig.weight(name))
+                 for name, img in images.items()}
         out = {}
         for wdeg, words in s._buckets.items():
             for word, coeff in words.items():
                 for i, letter in enumerate(word):
-                    img = images.get(letter)
-                    if img is None:
+                    found = coded.get(letter)
+                    if found is None:
                         continue
-                    k = coeff * scale[letter]
-                    base = wdeg - sig.weight(letter)
+                    img, scale, weight = found
+                    k, base = coeff * scale, wdeg - weight
                     head, tail = word[:i], word[i + 1:]
                     for d_img, bucket in img._buckets.items():
                         d = base + d_img
@@ -686,7 +699,7 @@ class AlgebraMap:
             sig.weight(name)
             _check_compat(self.sig, self.trunc, image)
             self.images[name] = image
-        self._memo = {(): TensorSeries.unit(sig, trunc)}
+        self._memo = {"": TensorSeries.unit(sig, trunc)}  # by coded word
 
     def image(self, name):
         img = self.images.get(name)
@@ -705,7 +718,7 @@ class AlgebraMap:
             k -= 1
         product = memo[word[:k]]
         for i in range(k, len(word)):
-            product = product * self.image(word[i])
+            product = product * self.image(self.sig._names[word[i]])
             memo[word[:i + 1]] = product
         return product
 

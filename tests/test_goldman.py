@@ -326,6 +326,45 @@ class TestBiPairing:
                                                     convention="reversed")
 
 
+class TestSumsCheckTheirSurface:
+    """A path sum's tags and the words given to LoopSum.of and PathSum.of
+    must belong to the surface: a one-line ValueError names the fault,
+    instead of a KeyError from the chord drawing."""
+
+    SPEC = SurfaceSpec(1, 3)
+
+    @pytest.mark.parametrize("tags", [(0, 3), (7, 0), (-1, 1), ("0", 1),
+                                      (0, None)])
+    def test_tags_outside_the_surface(self, tags):
+        with pytest.raises(ValueError, match="boundary tags 0..2") as err:
+            PathSum(self.SPEC, *tags)
+        assert "\n" not in str(err.value)
+        with pytest.raises(ValueError, match="boundary tags"):
+            PathSum.of(self.SPEC, Path(*tags, FreeWord()))
+
+    @pytest.mark.parametrize("text", ["a2", "b1 c3", "c1 a1' c9"])
+    def test_letters_outside_the_surface(self, text):
+        word = parse_word(text)
+        for make in (lambda: LoopSum.of(self.SPEC, word),
+                     lambda: PathSum.of(self.SPEC, Path(0, 1, word))):
+            with pytest.raises(ValueError, match="not a generator") as err:
+                make()
+            assert "\n" not in str(err.value)
+
+    def test_surgeries_on_checked_sums(self):
+        u = LoopSum.of(self.SPEC, parse_word("a1"))
+        with pytest.raises(ValueError, match="boundary tags"):
+            kk_action(u, PathSum.of(self.SPEC, Path(0, 7, parse_word("b1"))))
+        g1 = PathSum.of(self.SPEC, Path(0, 1, parse_word("b1")))
+        with pytest.raises(ValueError, match="boundary tags"):
+            bi_pairing(g1, PathSum.of(self.SPEC, Path(2, 3, FreeWord())))
+        # every tag and letter of the surface is still accepted
+        for s, t in [(0, 2), (2, 1), (1, 1)]:
+            gamma = PathSum.of(self.SPEC, Path(s, t, parse_word("c2 a1'")))
+            assert kk_action(u, gamma).from_tag == s
+        assert PathSum(self.SPEC, 2, 0).is_zero()
+
+
 class TestKkDerivation:
     def test_trivial_class_gives_zero(self):
         d = kk_derivation(loop(TORUS, "1"), 3)

@@ -6,9 +6,11 @@
     tests may import private names from the module they test.
 (c) Only tensoralg touches the storage of a tensor series: no other
     package module reads ``._buckets`` or the common denominator
-    ``._den``, or builds a series through the bucket constructors
-    (``TensorSeries(...)`` or ``._settled``), so the series invariant is
-    kept in one module.
+    ``._den``, builds a series through the bucket constructors
+    (``TensorSeries(...)`` or ``._settled``), or reads the coded words
+    through a signature's code tables (``._codes``, ``._names``,
+    ``._encode``, ``._decode``), so the series invariant is kept in one
+    module and words leave it as tuples of names.
 (d) Every public function and every public method of a package module
     is referenced outside its own definition: as a name or an attribute
     anywhere in the package, or in the bench harness (names, attributes,
@@ -94,7 +96,8 @@ def private_imports(tree):
                   for alias in node.names if alias.name.startswith("_"))
 
 
-_BUCKET_NAMES = {"_buckets", "_den", "_settled"}
+_BUCKET_NAMES = {"_buckets", "_den", "_settled", "_codes", "_names",
+                 "_encode", "_decode"}
 
 
 def bucket_access(tree):
@@ -335,10 +338,12 @@ def test_the_checks_catch_what_they_look_for():
     assert private_imports(tree) == [(2, "_b")]
     tree = ast.parse("s._buckets\nTensorSeries(g, 2, {})\n"
                      "t.TensorSeries(g, 2, {})\nS._settled(g, 2, {})\n"
-                     "TensorSeries.zero(g, 2)\ns._den\n")
+                     "TensorSeries.zero(g, 2)\ns._den\n"
+                     "s.sig._names['\\x00']\ng._codes\ng.sort_key(w)\n")
     assert bucket_access(tree) == [(1, "_buckets"), (2, "TensorSeries"),
                                    (3, "TensorSeries"), (4, "_settled"),
-                                   (6, "_den")]
+                                   (6, "_den"), (7, "_names"),
+                                   (8, "_codes")]
     tree = ast.parse("__all__ = ['f']\ndef f(): return f()\ndef g(): pass\n"
                      "def k(): pass\nclass C:\n    def m(self): pass\n"
                      "    def n(self): return self.m()\n"

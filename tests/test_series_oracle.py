@@ -4,13 +4,20 @@ The oracle below is the Fraction-coefficient series the engine used
 before it stored int numerators over one common denominator: the same
 degree buckets and kernels, with a Fraction per word.  Every kernel of
 the engine's series, the summing kernel TensorSeries.combination
-among them, is compared with it on seeded inputs over five
+among them, is compared with it on seeded inputs over six
 signatures and truncations 1-6, 360 cases per kernel (5,400 in all):
 values, the Fraction type of every accessor, the serialized JSON
 string, and the storage invariant (nonzero int numerators, a positive
 denominator coprime to them, and denominator 1 for the zero series).
 The inputs include sums that cancel to zero, integral series, scalars
 that share factors with the denominator, and denominators above 10**9.
+
+The engine keys its buckets by coded words, one character per letter in
+generator position order, while the oracle keeps tuples of names.  On
+genus 10 the two orders differ ("x10" < "x2" as names, x2 before x10 by
+position), so the (10, 1) signature checks that terms(), to_json, the
+necklace projection and the products of coded words come out as the
+oracle's.
 """
 
 import json
@@ -21,6 +28,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from goldman_forge.magnus import CyclicSeries, necklace_project
 from goldman_forge.tensoralg import (
     AlgebraMap,
     Derivation,
@@ -32,7 +40,7 @@ from goldman_forge.tensoralg import (
 )
 from helpers import bch, compose, random_word
 
-SIGNATURES = ((1, 0), (1, 1), (2, 0), (2, 1), (1, 2))
+SIGNATURES = ((1, 0), (1, 1), (2, 0), (2, 1), (1, 2), (10, 1))
 CASES_PER_KERNEL = 360
 
 
@@ -77,7 +85,7 @@ class OracleSeries:
             yield from bucket.items()
 
     def terms(self):
-        pos = self.sig._pos
+        pos = {name: i for i, name in enumerate(self.sig.gens)}
         for d in sorted(self.buckets):
             bucket = self.buckets[d]
             for word in sorted(bucket, key=lambda w: tuple(pos[l] for l in w)):
@@ -353,14 +361,19 @@ def assert_same(new, old):
     for word, coeff in items.items():
         assert new.coefficient(word) == coeff
     assert json.dumps(new.to_json()) == json.dumps(old.to_json())
+    # the necklace projection of the coded series, against the necklaces
+    # of the oracle's name tuples summed one Fraction at a time
+    assert json.dumps(necklace_project(new).to_json()) == json.dumps(
+        CyclicSeries(old.sig, old.trunc, old.items()).to_json())
     # storage invariant: nonzero int numerators over a coprime positive
-    # denominator, the bucket key the word's degree; the zero series has 1
+    # denominator, keyed by coded words (one character per letter) under
+    # the bucket of their degree; the zero series has 1
     den = new._den
     nums = [c for b in new._buckets.values() for c in b.values()]
     assert type(den) is int and den > 0
     assert all(type(c) is int and c for c in nums)
     assert gcd(den, *nums) == 1
-    assert all(new.sig.degree(w) == d
+    assert all(type(w) is str and new.sig.degree(new.sig._decode(w)) == d
                for d, b in new._buckets.items() for w in b)
     assert new == TensorSeries.from_terms(new.sig, new.trunc, items.items())
 
@@ -522,7 +535,7 @@ def _sweep(name):
     kernel = KERNELS[name]
     for case in range(CASES_PER_KERNEL):
         genus, punctures = SIGNATURES[case % len(SIGNATURES)]
-        trunc = 1 + case % 6
+        trunc = 1 + case // len(SIGNATURES) % 6
         try:
             kernel(rng, GenSignature(genus, punctures), trunc)
         except AssertionError as err:
@@ -567,7 +580,7 @@ def test_combination_edge_cases():
         sig, 3, iter([(Fraction(1, 3), half), (Fraction(1, 3), half),
                       (Fraction(2, 3), x)]))
     assert got == x
-    assert got._den == 1 and got._buckets == {1: {("x1",): 1}}
+    assert got._den == 1 and got._buckets == {1: {sig._encode(("x1",)): 1}}
 
 
 def test_mul_matches_oracle():
@@ -653,3 +666,64 @@ def test_equality_agrees_with_oracle(a_terms, b_terms, scalar, trunc):
     assert (a2 == b) == (oa == ob)
     assert ((a + b) - b == a) == ((oa + ob) - ob == oa)
     assert ((a * b) == (b * a)) == ((oa * ob) == (ob * oa))
+
+
+# -- coded products against the oracle on a genus-10 alphabet -----------------
+
+_SIG10 = GenSignature(10, 1)
+# name order and position order disagree on these: "x10" < "x2" as
+# strings, while x2 comes before x10 (and every y after every x)
+_LETTERS10 = ("x1", "x2", "x10", "y2", "y10", "z1")
+_FRACTIONS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
+              Fraction(-2, 3), Fraction(5, 6), Fraction(-7, 4),
+              Fraction(1, 10 ** 10 + 1))
+_words10 = st.lists(st.sampled_from(_LETTERS10), max_size=4).map(tuple)
+_terms10 = st.lists(st.tuples(_words10, st.sampled_from(_FRACTIONS)),
+                    max_size=5)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_terms10, _terms10, st.integers(1, 4), st.booleans())
+def test_coded_mul_matches_oracle(a_terms, b_terms, trunc, inverse):
+    """a * b, b * a and b * b against the oracle's products, with
+    denominators > 1 and z letters.  With inverse, b is a's inverse (its
+    geometric series), so every bucket of a * b but the constant one
+    cancels to zero; and a power of a's positive part whose degree
+    passes the truncation is the zero series."""
+    a = TensorSeries.from_terms(_SIG10, trunc, a_terms)
+    b = TensorSeries.from_terms(_SIG10, trunc, b_terms)
+    if inverse:
+        a = a - a.constant_term() + 1
+        minus = (a - 1).scaled(-1)
+        b = TensorSeries.unit(_SIG10, trunc)
+        for _ in range(trunc):
+            b = b * minus + 1
+    oa = OracleSeries.from_terms(_SIG10, trunc, a.items())
+    ob = OracleSeries.from_terms(_SIG10, trunc, b.items())
+    for left, right, oleft, oright in ((a, b, oa, ob), (b, a, ob, oa),
+                                       (b, b, ob, ob)):
+        assert_same(left * right, oleft * oright)
+    if inverse:
+        assert a * b == TensorSeries.unit(_SIG10, trunc) == b * a
+    high = a - a.constant_term()
+    if not high.is_zero():
+        # valuation v and v * k > trunc: a zero product, all truncated
+        k = trunc // high.valuation() + 1
+        power = TensorSeries.unit(_SIG10, trunc)
+        for _ in range(k):
+            power = power * high
+        assert_same(power, OracleSeries(_SIG10, trunc, {}))
+
+
+def test_coded_order_is_position_order_on_genus_10():
+    words = [("x10",), ("x2",), ("y1",), ("x1", "z1"), ("z1", "x1"),
+             ("x10", "x2"), ("x2", "x10"), ("y10", "x1"), ()]
+    s = TensorSeries.from_terms(_SIG10, 3, [(w, 1) for w in words])
+    order = [w for w, _ in s.terms()]
+    pos = {name: i for i, name in enumerate(_SIG10.gens)}
+    assert order == sorted(words, key=lambda w: (_SIG10.degree(w),
+                                                 [pos[l] for l in w]))
+    assert order[:4] == [(), ("x2",), ("x10",), ("y1",)]
+    assert [t["word"] for t in s.to_json()["terms"]] == [list(w) for w in order]
+    assert json.dumps(s.to_json()) == json.dumps(
+        OracleSeries.from_terms(_SIG10, 3, [(w, 1) for w in words]).to_json())

@@ -659,10 +659,10 @@ class TestConventionCheckedEagerly:
         zero = LoopSum(self.spec)
         return zero, LoopSum.of(self.spec, FreeWord([("a1", 1)]))
 
-    def paths(self, from_tag, to_tag):
-        zero = PathSum(self.spec, from_tag, to_tag)
-        one = PathSum.of(self.spec, Path(from_tag, to_tag,
-                                          FreeWord([("b1", 1)])))
+    def paths(self, from_tag, to_tag, spec=None):
+        spec = spec or self.spec
+        zero = PathSum(spec, from_tag, to_tag)
+        one = PathSum.of(spec, Path(from_tag, to_tag, FreeWord([("b1", 1)])))
         return zero, one
 
     @pytest.mark.parametrize("zero_left", (True, False))
@@ -684,8 +684,10 @@ class TestConventionCheckedEagerly:
 
     @pytest.mark.parametrize("zero_left", (True, False))
     def test_bi_pairing(self, zero_left):
-        left_zero, left_one = self.paths(0, 1)
-        right_zero, right_one = self.paths(2, 3)
+        # disjoint tags 0, 1 and 2, 3 need four boundaries
+        four = SurfaceSpec(1, 4)
+        left_zero, left_one = self.paths(0, 1, four)
+        right_zero, right_one = self.paths(2, 3, four)
         g1, g2 = (left_zero, right_one) if zero_left else (left_one,
                                                            right_zero)
         assert bi_pairing(g1, g2).is_zero()
