@@ -8,12 +8,13 @@ automorphism and its certificate checks, Adams-scaling checks, and the
 quadratic-algebra resolution certificate.  All arithmetic is exact.
 """
 
+import re
 from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import groupby, islice, product
 from math import factorial, lcm
-from operator import itemgetter, methodcaller
+from operator import itemgetter
 
 from .surface import SurfaceSpec, boundary_word, least_rotation
 from .tensoralg import (
@@ -685,12 +686,16 @@ def resolution_check(genus, n_max):
     letter keeps words normal (a factor of w[1:] is a factor of w).  The
     surjectivity sweep and the exact matrix-rank cross-checks rerun
     those arguments explicitly on every degree small enough to afford
-    it; _SWEEP_LIMIT and _RANK_LIMIT set the cutoffs.  Words are str,
-    one character per generator (_rewrite_rule); the report holds only
-    dims and flags, so it does not depend on that encoding.
+    it; _SWEEP_LIMIT and _RANK_LIMIT set the cutoffs.  The sweep searches
+    the words _extend yields, 4096 joined by NUL at a time, for the lead
+    after a letter (str.find(w, lead, 1) >= 0); matrix_rank eliminates
+    forward only.  Words are str, one character per generator
+    (_rewrite_rule), which the report of dims and flags does not need.
     """
     if genus < 1:
         raise ValueError("resolution needs genus >= 1")
+    if genus > 557023:  # the last letter, b_g, would pass chr(0x10FFFF)
+        raise ValueError("resolution needs genus <= 557023")
     if n_max < 0:
         raise ValueError("resolution needs max degree >= 0")
     letters, lead, replacement = _rewrite_rule(genus)
@@ -714,6 +719,7 @@ def resolution_check(genus, n_max):
         return basis_cache[m]
 
     relator = {**replacement, lead: -1}  # sum_i (a_i b_i - b_i a_i)
+    lead_inside = re.compile("[^\0]" + re.escape(lead)).search
     rows = []
     passed = True
     for n in range(n_max + 1):
@@ -721,11 +727,13 @@ def resolution_check(genus, n_max):
         composite_ok = not any(
             _normal_form({m + u: c for m, c in relator.items()}, lead,
                          replacement) for u in basis(n))
-        # injectivity: u -> normal form of b_1 u, the a_1 tensor component;
-        # a break leaves fewer images than basis words
-        images = set()
-        for u in basis(n):
-            image = _normal_form({letters[1] + u: 1}, lead, replacement)
+        # injectivity: u -> normal form of b_1 u, the a_1 tensor component,
+        # rewriting words with the lead; a break leaves fewer images (a
+        # dict, as a set built word by word grows a table twice as large)
+        images = dict.fromkeys(map(letters[1].__add__, basis(n)))
+        for w in [w for w in images if lead in w]:
+            del images[w]
+            image = _normal_form({w: 1}, lead, replacement)
             if list(image.values()) != [1]:
                 break
             images.update(image)
@@ -734,10 +742,9 @@ def resolution_check(genus, n_max):
         surjective_swept = dims[n + 2] <= _SWEEP_LIMIT
         surjective_ok = True
         if surjective_swept:
-            words = (basis_cache[n + 2] if len(basis_cache) > n + 2
-                     else _extend(basis(n + 1), letters, lead))
-            surjective_ok = max(map(methodcaller("find", lead, 1), words),
-                                default=-1) < 0
+            words = _extend(basis(n + 1), letters, lead)
+            surjective_ok = not any(map(lead_inside, iter(
+                lambda: "\0".join(islice(words, 4096)), "")))
         rank_identity = dims[n] + dims[n + 2] == 2 * genus * dims[n + 1]
 
         cross_checked = False

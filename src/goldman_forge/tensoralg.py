@@ -775,17 +775,19 @@ def _int_rows(rows, ncols):
     return out
 
 
-def _gauss_jordan(rows, ncols):
+def _eliminate(rows, ncols, reduced):
     """Reduce integer rows in place over ncols columns; return the pivots.
 
     Pivoting is deterministic: leftmost pivot column, smallest row
     index.  Clearing column col of row i against pivot row r with
     entries p and f sets r_i to (p/g) r_i - (f/g) r_r, g = gcd(p, f),
     then divides r_i by the gcd of its entries, so no row leaves the
-    integers.  Invariant: every row is a nonzero integer multiple of the
-    matching row of the rational reduced row echelon form.  Pivot
-    columns, rank and consistency are therefore those of elimination
-    over Q, and row i's RREF entry in column j is
+    integers.  Each pivot clears the rows below it (echelon form, all a
+    rank needs), and when reduced the rows above it too.  Pivot columns
+    and rank are those of elimination over Q.  Invariant when reduced:
+    every row is a nonzero integer multiple of the matching row of the
+    rational reduced row echelon form, so consistency is that of
+    elimination over Q, and row i's RREF entry in column j is
     rows[i][j] / rows[i][pivots[i]].
     """
     m = len(rows)
@@ -804,7 +806,7 @@ def _gauss_jordan(rows, ncols):
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pivot = rows[r]
         p = pivot[col]
-        for i in range(m):
+        for i in range(0 if reduced else r + 1, m):
             f = rows[i][col]
             if f and i != r:
                 g = gcd(p, f)
@@ -821,7 +823,7 @@ def matrix_rank(rows):
     """Exact rank over Q of a list of rows of ints/Fractions."""
     rows = list(rows)
     ncols = len(rows[0]) if rows else 0
-    return len(_gauss_jordan(_int_rows(rows, ncols), ncols))
+    return len(_eliminate(_int_rows(rows, ncols), ncols, reduced=False))
 
 
 def linear_solve(matrix, rhs):
@@ -838,7 +840,7 @@ def linear_solve(matrix, rhs):
         return []
     ncols = len(matrix[0])
     rows = _int_rows([[*row, b] for row, b in zip(matrix, rhs)], ncols + 1)
-    pivots = _gauss_jordan(rows, ncols)
+    pivots = _eliminate(rows, ncols, reduced=True)
     if any(row[ncols] for row in rows[len(pivots):]):
         return None
     solution = [Fraction(0)] * ncols

@@ -192,6 +192,13 @@ class TestCertificateCommands:
         assert "max degree" in err
         assert "Traceback" not in err
 
+    def test_resolution_genus_past_the_encoding_is_usage_error(self, capsys):
+        code, out, err = run_cli(["resolution", "--g", "600000"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip().splitlines() == [
+            "error: resolution needs genus <= 557023"]
+
     def test_resolution_certificate_failure_exits_1(self, capsys,
                                                     monkeypatch):
         def broken(genus, n_max):

@@ -23,6 +23,12 @@ worklist it replaced, one word at a time, is kept as
 old_str_normal_form; old_resolution_check uses it, and every combination
 (relator multiples R u, random ones, ones built to vanish in A) must
 normalise to the sum of its words' old normal forms.
+
+matrix_rank then stopped clearing above its pivots, and the
+surjectivity sweep became a search of NUL-joined chunks of words.  The
+Fraction rank is compared on the certificate's own d1 and d2 blocks,
+and old_resolution_check's per-word find(lead, 1) judges levels with a
+planted word.
 """
 
 import itertools
@@ -606,6 +612,77 @@ def combinations(draw):
 @given(combinations())
 def test_combination_normal_form_property(case):
     assert_combination_normal_form(*case)
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+@pytest.mark.parametrize("position", [0, 1, 3])
+@pytest.mark.parametrize("first", [True, False])
+def test_sweep_flags_a_lead_after_the_first_letter(monkeypatch, genus,
+                                                   position, first):
+    """A word planted first or last in the swept degree-5 level, with the
+    lead at position: past the first letter, stripping that letter
+    leaves a word that is not normal, so the row fails; at position 0 it
+    passes.  At n_max 3 the level is only streamed to the sweep, never
+    listed as a basis (middle_dim > _RANK_LIMIT), and the old sweep
+    agrees.  The sweep joins the words in chunks, so first puts the word
+    at the head of a chunk and last (genus 3: 6,930 words) past a chunk
+    boundary."""
+    from goldman_forge import magnus
+
+    letters, lead, _ = _rewrite_rule(genus)
+    degree = 5
+    planted = (letters[0] * position + lead).ljust(degree, letters[0])
+    extend, words = magnus._extend, old_normal_words
+
+    def plant(level, length):
+        if length != degree:
+            return level
+        return itertools.chain([planted], level) if first else \
+            itertools.chain(level, [planted])
+
+    def planted_extend(level, letters, lead):
+        level = list(extend(level, letters, lead))
+        return iter(plant(level, len(level[0])))
+
+    def planted_words(letters, lead, length):
+        return plant(words(letters, lead, length), length)
+
+    monkeypatch.setattr(magnus, "_extend", planted_extend)
+    monkeypatch.setitem(globals(), "old_normal_words", planted_words)
+    report = resolution_check(genus, 3)
+    assert report == old_resolution_check(genus, 3)
+    row = report["rows"][3]
+    assert row["surjective_swept"] and not row["rank_cross_checked"]
+    assert row["surjective"] is (position == 0)
+    assert report["passed"] is (position == 0)
+    assert all(r["surjective"] for r in report["rows"][:3])
+
+
+def test_matrix_rank_matches_on_the_certificate_blocks(monkeypatch):
+    """The d1 and d2 blocks resolution_check ranks, against the Fraction
+    Gauss-Jordan: every cross-checked n of genus 2 and 3 (up to 224 x 209
+    for genus 2), and genus 1 up to n = 30 (its limit reaches n = 198,
+    which the Fraction code takes most of a minute for)."""
+    from goldman_forge import magnus
+
+    blocks = []
+
+    def spy(rows):
+        blocks.append([list(row) for row in rows])
+        return matrix_rank(rows)
+
+    monkeypatch.setattr(magnus, "matrix_rank", spy)
+    for genus, n_max in ((1, 30), (2, 3), (3, 2)):
+        blocks.clear()
+        report = resolution_check(genus, n_max)
+        checked = [row for row in report["rows"]
+                   if row["rank_cross_checked"]]
+        assert len(blocks) == 2 * len(checked)
+        if genus > 1:  # every n whose middle piece is small enough
+            assert [row["dims"][1] <= _RANK_LIMIT
+                    for row in report["rows"]] == [True] * n_max + [False]
+        for rows in blocks:
+            assert matrix_rank(rows) == old_matrix_rank(rows)
 
 
 def test_resolution_reports_match_the_replaced_code():

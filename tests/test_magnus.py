@@ -822,6 +822,33 @@ class TestResolution:
         with pytest.raises(ValueError, match="max degree"):
             resolution_check(1, -1)
 
+    def test_rejects_genus_past_the_encoding(self):
+        # one character per generator, b_g being the last, chr(64 + 2g):
+        # b_557023 is chr(0x10FFFE), and one genus more has no character
+        from goldman_forge.magnus import _rewrite_rule
+        for genus in (1, 2, 7):
+            assert _rewrite_rule(genus)[0][-1] == chr(64 + 2 * genus)
+        assert chr(64 + 2 * 557023) == chr(0x10FFFE)
+        with pytest.raises(ValueError, match="chr"):
+            chr(64 + 2 * 557024)
+        for genus in (557024, 600000, 10 ** 9):
+            with pytest.raises(ValueError) as err:
+                resolution_check(genus, 0)
+            assert str(err.value) == "resolution needs genus <= 557023"
+
+    def test_peak_memory_of_genus_three(self):
+        # the sweep streams its level and the injectivity images sit in
+        # one table: about 1.5 MiB traced; listing the swept degree-6
+        # level whole would take 3.7 MiB
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            assert resolution_check(3, 5)["passed"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2 ** 20, peak
+
     def test_normal_words_are_lazy_and_lexicographic(self):
         # extending the words of one length level by level, starting from
         # the empty word, must list exactly the words avoiding the
