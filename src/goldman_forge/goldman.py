@@ -10,8 +10,8 @@ bracket, loop action on paths, the two-path pairing, induced
 derivations, Dehn-twist certificates) is a bilinear wrapper over that
 one enumeration, ``_surgeries``, which draws the terms of both operands
 once per call; each sums the crossing signs times int coefficient
-numerators per coded output word (surface.letter_code), over one
-denominator per call, and decodes and builds each output term once.
+numerators per coded output word (surface.letter_code) over one
+denominator, and builds each output term once, a loop class from its key.
 """
 
 from fractions import Fraction
@@ -319,30 +319,33 @@ def _tally(like, surgeries, splice, build):
     """The surgered terms of (den, records) from _surgeries, as a sum of
     the empty sum like's fields.
 
-    splice(x, y) gets the words of a pair of terms coded by letter_code and
-    returns the map (split of a, split of b) -> coded output word or pair;
-    one int dict sums sign * n per output (bytes cache their hash).
-    build(letter, key), letter mapping codes to letters, decodes and makes
-    the term of each output with a nonzero total once; with_totals keeps
-    the totals over den, unchecked: terms carry the operands' own tags."""
-    letters, code, pack = letter_code(like.spec)
-    encode = code.__getitem__
+    splice(x, y) gets the words of a pair of terms coded by letter_code (a
+    class's from its key) and returns the map (split of a, split of b) ->
+    coded output word or pair; one int dict sums sign * n per output
+    (bytes cache their hash).  build(letter, to_key, outs) makes the terms
+    of the outputs with a nonzero total, in order, once each; with_totals
+    keeps the totals over den, unchecked: terms carry the operands' tags."""
+    letters, code, pack, to_code, to_key = letter_code(like.spec)
+    encode, letter = code.__getitem__, letters.__getitem__
     den, records = surgeries
     totals = {}
     for n, a, b, crossings in records:
-        term = splice(pack(map(encode, a.word)), pack(map(encode, b.word)))
+        term = splice(*[to_code(x.key) if x.__class__ is LoopClass
+                        else pack(map(encode, x.word)) for x in (a, b)])
         for sign, (_, _, i), (_, _, j) in crossings:
-            key = term(i, j)
-            totals[key] = totals.get(key, 0) + sign * n
-    return like.with_totals(den, ((build(letters.__getitem__, key), total)
-                                  for key, total in totals.items() if total))
+            w = term(i, j)
+            totals[w] = totals.get(w, 0) + sign * n
+    outs = [w for w, total in totals.items() if total]
+    return like.with_totals(den, zip(build(letter, to_key, outs),
+                                     map(totals.__getitem__, outs)))
 
 
 def goldman_bracket(u, v, convention="default"):
     """Bilinear loop bracket: signed resmoothings at each crossing."""
     out = LoopSum(u.spec, twist=u.twist + v.twist + 1)
     return _tally(out, _surgeries(u, v, convention), splice_normal_form,
-                  lambda letter, w: LoopClass.trusted(tuple(map(letter, w))))
+                  lambda letter, to_key, outs: map(LoopClass.of_key,
+                                                   map(to_key, outs)))
 
 
 def kk_action(u, gamma, convention="default"):
@@ -353,9 +356,9 @@ def kk_action(u, gamma, convention="default"):
         return lambda i, k: reduced_product(
             reduced_product(w[:k], x[i:i + m]), w[k:])
 
-    def build(letter, w):
-        return Path(gamma.from_tag, gamma.to_tag,
-                    FreeWord.trusted(tuple(map(letter, w))))
+    def build(letter, _, outs):
+        return (Path(gamma.from_tag, gamma.to_tag,
+                     FreeWord.trusted(tuple(map(letter, w)))) for w in outs)
     out = PathSum(gamma.spec, gamma.from_tag, gamma.to_tag,
                   twist=u.twist + gamma.twist + 1)
     return _tally(out, _surgeries(u, gamma, convention), splice, build)
@@ -373,10 +376,11 @@ def bi_pairing(gamma1, gamma2, convention="default"):
         return lambda c1, c2: (reduced_product(w1[:c1], w2[c2:]),
                                reduced_product(w2[:c2], w1[c1:]))
     out = PathPairSum(gamma1.spec, twist=gamma1.twist + gamma2.twist + 1)
-    return _tally(out, surgeries, splice, lambda letter, words: tuple(
+    return _tally(out, surgeries, splice, lambda letter, _, outs: (tuple(
         Path(s, t, FreeWord.trusted(tuple(map(letter, w))))
         for s, t, w in ((gamma1.from_tag, gamma2.to_tag, words[0]),
-                        (gamma2.from_tag, gamma1.to_tag, words[1]))))
+                        (gamma2.from_tag, gamma1.to_tag, words[1])))
+        for words in outs))
 
 
 def crossing_trace(spec, left, right):
@@ -409,7 +413,8 @@ def adams(n, u):
         raise ValueError("power maps are indexed by n >= 0")
     out = LoopSum(u.spec, twist=u.twist)
     for cls, coeff in u.terms.items():
-        out.add_term(LoopClass.trusted(cls.word * n), coeff)
+        # w^n is canonical if w is; b"" keys the trivial class
+        out.add_term(LoopClass.of_key(cls.key * n if n else b""), coeff)
     return out
 
 

@@ -11,13 +11,14 @@ Letters of free-group words are pairs (base, exp) with base a generator
 name such as "a1" and exp +1 or -1.  The token syntax is "a1" for the
 generator and "a1'" for its inverse, whitespace separated.
 
-The splices work on coded words: letter_code(spec) numbers the letters
-in letter_key order, code i ^ 1 being the inverse of code i, and packs
-a word one byte per letter up to 256 codes, as a tuple of ints past it.
+A loop class is keyed by its canonical word coded on no surface (_key),
+the splices code words per surface (letter_code); each code keeps
+letter_key order and codes the inverse of code k as k ^ 1.
 """
 
 import functools
 import re
+from operator import methodcaller
 
 __all__ = [
     "SurfaceSpec",
@@ -37,10 +38,6 @@ __all__ = [
 ]
 
 
-# a generator name: kind, then an index in ASCII digits with no leading 0
-_GENERATOR = re.compile(r"([abc])([1-9][0-9]*)")
-
-
 class SurfaceSpec:
     """Genus and boundary count, with one basepoint tag per boundary.
 
@@ -50,7 +47,7 @@ class SurfaceSpec:
     disk (0,1); every other (g, b>=1) has chi <= 0 and is allowed.
     """
 
-    __slots__ = ("genus", "boundary", "punctures")
+    __slots__ = ("genus", "boundary", "punctures", "_gens", "_gen_set")
 
     def __init__(self, genus, boundary):
         if genus < 0 or boundary < 0:
@@ -62,31 +59,27 @@ class SurfaceSpec:
         self.genus = genus
         self.boundary = boundary
         self.punctures = boundary - 1
+        names = ["a%d" % j for j in range(1, genus + 1)]
+        names += ["b%d" % j for j in range(1, genus + 1)]
+        names += ["c%d" % k for k in range(1, self.punctures + 1)]
+        self._gens, self._gen_set = tuple(names), frozenset(names)
 
     @property
     def tags(self):
         return tuple(range(self.boundary))
 
     def generators(self):
-        g, n = self.genus, self.punctures
-        names = ["a%d" % j for j in range(1, g + 1)]
-        names += ["b%d" % j for j in range(1, g + 1)]
-        names += ["c%d" % k for k in range(1, n + 1)]
-        return tuple(names)
+        return self._gens
 
     def has_generator(self, base):
         """Whether base is one of generators(), spelled canonically."""
-        m = _GENERATOR.fullmatch(base)
-        if not m:
-            return False
-        kind, index = m.groups()
-        return int(index) <= (self.punctures if kind == "c" else self.genus)
+        return isinstance(base, str) and base in self._gen_set
 
     def validate_word(self, word):
         for base, _ in word.letters:
             if not self.has_generator(base):
                 raise ValueError("letter %s is not a generator of this surface"
-                                 % base)
+                                 % (base,))
 
     def __eq__(self, other):
         return (isinstance(other, SurfaceSpec)
@@ -179,39 +172,77 @@ class LoopClass:
     """Conjugacy class of a free-group word.
 
     Stored cyclically reduced in the canonical rotation: the
-    lexicographically least rotation under the fixed letter order.  The
-    constructor rejects any other word; cyclic_normal_form skips the check.
+    lexicographically least rotation under the fixed letter order, coded
+    as key (all __eq__ and __hash__ read), and decoded into word at its
+    first read.  The constructor rejects any other word; cyclic_normal_form
+    skips the check.
     """
 
-    __slots__ = ("word",)
+    __slots__ = ("key", "word")
 
     def __init__(self, word):
         letters = FreeWord(word).letters
-        if cyclic_normal_form(letters).word != letters:
+        self.key = cyclic_normal_form(letters).key
+        if _key_letters(self.key) != letters:
             raise ValueError("not a cyclic normal form: %r" % (letters,))
-        self.word = letters
 
     @classmethod
     def trusted(cls, letters):
         """The class whose canonical letter tuple is letters, unchecked."""
+        return cls.of_key(_key(letters))
+
+    @classmethod
+    def of_key(cls, key):
+        """The class whose key is key, unchecked."""
         out = object.__new__(cls)
-        out.word = letters
+        out.key = key
         return out
+
+    def __getattr__(self, name):    # only while a slot is unset
+        if name != "word":
+            raise AttributeError(name)
+        self.word = word = _key_letters(self.key)
+        return word
 
     def free_word(self):
         return FreeWord(self.word)
 
     def __eq__(self, other):
-        return isinstance(other, LoopClass) and self.word == other.word
+        return isinstance(other, LoopClass) and self.key == other.key
 
     def __hash__(self):
-        return hash(self.word)
+        return hash(self.key)
 
     def __repr__(self):
         return "LoopClass(%s)" % render_word(FreeWord(self.word))
 
     def __str__(self):
         return render_word(FreeWord(self.word))
+
+
+# the letters with a byte key, by byte (a dict: map() reads it fastest)
+_BYTE_LETTERS = dict(enumerate(
+    ("%s%d" % (kind, i), e) for kind, top in (("a", 43), ("b", 43), ("c", 42))
+    for i in range(1, top + 1) for e in (1, -1)))
+_BYTE_KEY = {letter: k for k, letter in _BYTE_LETTERS.items()}
+
+
+def _key(letters):
+    """The key of a tuple of letters: a byte per letter, its rank in
+    letter_key order among a1..a43, b1..b43, c1..c42 and their inverses,
+    else the tuple of letter_keys."""
+    try:
+        return bytes(map(_BYTE_KEY.__getitem__, letters))
+    except KeyError:
+        return tuple(map(letter_key, letters))
+
+
+def _key_letters(key):
+    """The letter tuple of a key."""
+    if key.__class__ is bytes:
+        return tuple(map(_BYTE_LETTERS.__getitem__, key))
+    return tuple(("abct"[k >> 40] + str(k >> 1 & (1 << 39) - 1),
+                  1 - 2 * (k & 1)) for k in key)
 
 
 def least_rotation(seq):
@@ -221,8 +252,11 @@ def least_rotation(seq):
     are compared as slices of seq + seq by a strict <, stopping at one equal
     to the best (seq is periodic from there): O(n) steps, O(r n) C compares
     for r runs."""
-    n, double, low = len(seq), seq + seq, min(seq, default=None)
-    i, best = n and seq.index(low), None
+    n = len(seq)
+    if n < 2:
+        return seq
+    double, low, best = seq + seq, min(seq), None
+    i = seq.index(low)
     while i < n:
         if seq[i - 1] != low:
             rotation = double[i:i + n]
@@ -236,13 +270,23 @@ def least_rotation(seq):
 
 @functools.lru_cache(maxsize=64)
 def letter_code(spec):
-    """(letters, code, pack): spec's letters sorted by letter_key, the map
-    from each to its index there (so i ^ 1 codes the inverse of the letter
-    coded i), and bytes, or tuple past 256 codes, to pack a coded word."""
+    """(letters, code, pack, to_code, to_key): spec's letters sorted by
+    letter_key, the map from each to its index there (so i ^ 1 codes the
+    inverse of the letter coded i), bytes, or tuple past 256 codes, to
+    pack a coded word, and the maps from the key of a class on spec to its
+    coded word and back, each one translate if all spec's letters have a
+    byte key."""
     letters = tuple(sorted(((base, e) for base in spec.generators()
                             for e in (1, -1)), key=letter_key))
     code = {letter: i for i, letter in enumerate(letters)}
-    return letters, code, bytes if len(letters) <= 256 else tuple
+    pack = bytes if len(letters) <= 256 else tuple
+    if all(letter in _BYTE_KEY for letter in letters):
+        to_code = bytes(code.get(x, 0) for x in _BYTE_LETTERS.values())
+        return (letters, code, pack, methodcaller("translate", to_code),
+                methodcaller("translate", _key(letters).ljust(256, b"\0")))
+    return (letters, code, pack,
+            lambda key: pack(map(code.__getitem__, _key_letters(key))),
+            lambda coded: _key(tuple(map(letters.__getitem__, coded))))
 
 
 def cyclic_normal_form(word):
@@ -250,12 +294,10 @@ def cyclic_normal_form(word):
     invariant.  word is any sequence of letters (a FreeWord or a tuple) and
     is trusted: letters are checked where they enter (FreeWord, parse_word)."""
     letters = _reduce_letters(word)
-    keys = tuple(map(letter_key, letters))
-    p, q = 0, len(keys) - 1
-    while p < q and keys[p] == keys[q] ^ 1:
+    p, q = 0, len(letters) - 1
+    while p < q and letters[p] == (letters[q][0], -letters[q][1]):
         p, q = p + 1, q - 1
-    return LoopClass.trusted(tuple(map(dict(zip(keys, letters)).__getitem__,
-                                       least_rotation(keys[p:q + 1]))))
+    return LoopClass.of_key(least_rotation(_key(letters[p:q + 1])))
 
 
 def reduced_product(x, y):
@@ -392,7 +434,8 @@ def ribbon_structure(spec):
     return {dart: i for i, dart in enumerate(order)}
 
 
-_TOKEN = re.compile(_GENERATOR.pattern + "(')?")
+# a generator (its index in ASCII digits, no leading 0), ' for the inverse
+_TOKEN = re.compile(r"([abc])([1-9][0-9]*)(')?")
 
 
 def parse_word(text):

@@ -37,6 +37,10 @@
     name-based like (d): a read of that attribute name on any object
     counts.  A name read only through ``getattr``, as ``TermSum`` reads
     the ``__slots__`` fields two sums share, does not.
+(g) Only surface and goldman touch the code of a loop class: no other
+    package module reads ``.key``, builds a class through ``.of_key`` or
+    names ``letter_code`` (the per-surface code and the tables between
+    it and keys), so loop classes leave those two modules as words.
 """
 
 import ast
@@ -112,6 +116,22 @@ def bucket_access(tree):
                     else None)
             if name == "TensorSeries":
                 found.append((node.lineno, name))
+    return sorted(found)
+
+
+_KEY_NAMES = {"key", "of_key", "letter_code"}
+
+
+def key_access(tree):
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _KEY_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in _KEY_NAMES - {"key"}:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in _KEY_NAMES]
     return sorted(found)
 
 
@@ -313,6 +333,14 @@ def test_series_storage_stays_in_tensoralg(path):
     assert bucket_access(_tree(path)) == []
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in _sources(PACKAGE)
+             if os.path.basename(p) not in ("surface.py", "goldman.py")],
+    ids=os.path.basename)
+def test_loop_codes_stay_in_surface_and_goldman(path):
+    assert key_access(_tree(path)) == []
+
+
 @pytest.mark.parametrize("path", _sources(PACKAGE), ids=os.path.basename)
 def test_exported_functions_have_outside_callers(path):
     bench = set().union(*map(_references, _sources(PERFBENCH)))
@@ -344,6 +372,11 @@ def test_the_checks_catch_what_they_look_for():
                                    (3, "TensorSeries"), (4, "_settled"),
                                    (6, "_den"), (7, "_names"),
                                    (8, "_codes")]
+    tree = ast.parse("from .surface import LoopClass, letter_code\n"
+                     "cls.key\nLoopClass.of_key(k)\nletter_code(spec)[3]\n"
+                     "sorted(x, key=len)\nd.keys()\nkey = 1\n")
+    assert key_access(tree) == [(1, "letter_code"), (2, "key"),
+                                (3, "of_key"), (4, "letter_code")]
     tree = ast.parse("__all__ = ['f']\ndef f(): return f()\ndef g(): pass\n"
                      "def k(): pass\nclass C:\n    def m(self): pass\n"
                      "    def n(self): return self.m()\n"

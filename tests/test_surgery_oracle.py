@@ -74,9 +74,7 @@ def old_cyclic_normal_form(word):
         i, j = i + 1, j - 1
     letters = letters[i:j + 1]
     start = duval_least_rotation([old_letter_key(l) for l in letters])
-    cls = object.__new__(LoopClass)
-    cls.word = letters[start:] + letters[:start]
-    return cls
+    return LoopClass.trusted(letters[start:] + letters[:start])
 
 
 def old_surgeries(u, v, convention):

@@ -377,7 +377,7 @@ def splice_pairs(rng, spec, count):
 
 def coder(spec):
     """(encode, decode) through letter_code(spec)."""
-    letters, code, pack = letter_code(spec)
+    letters, code, pack = letter_code(spec)[:3]
     return (lambda word: pack(code[letter] for letter in word),
             lambda coded: tuple(letters[c] for c in coded))
 
@@ -459,7 +459,7 @@ class TestLetterCode:
         (64, 2, tuple), (64, 3, tuple)])
     def test_code(self, genus, boundary, pack):
         spec = SurfaceSpec(genus, boundary)
-        letters, code, got_pack = letter_code(spec)
+        letters, code, got_pack = letter_code(spec)[:3]
         assert got_pack is pack
         assert len(letters) == 2 * len(spec.generators())
         assert set(letters) == {(base, e) for base in spec.generators()
