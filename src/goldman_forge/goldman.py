@@ -10,7 +10,8 @@ bracket, loop action on paths, the two-path pairing, induced
 derivations, Dehn-twist certificates) is a bilinear wrapper over that
 one enumeration, ``_surgeries``, which draws the terms of both operands
 once per call; each sums the crossing signs times int coefficient
-numerators per coded output word (surface.letter_code) over one
+numerators per coded output word (one code per call, surface.word_key's
+wherever the surface allows it, so a class enters as its key) over one
 denominator, and builds each output term once, a loop class from its key.
 """
 
@@ -23,13 +24,14 @@ from .surface import (
     LoopClass,
     Path,
     cyclic_normal_form,
-    letter_code,
+    key_letters,
     letter_key,
     reduced_product,
     render_word,
     ribbon_structure,
     splice_normal_form,
     tail_dart,
+    word_key,
 )
 from .tensoralg import Derivation, TensorSeries, TermSum, lie_bracket
 
@@ -319,33 +321,37 @@ def _tally(like, surgeries, splice, build):
     """The surgered terms of (den, records) from _surgeries, as a sum of
     the empty sum like's fields.
 
-    splice(x, y) gets the words of a pair of terms coded by letter_code (a
-    class's from its key) and returns the map (split of a, split of b) ->
-    coded output word or pair; one int dict sums sign * n per output
-    (bytes cache their hash).  build(letter, to_key, outs) makes the terms
-    of the outputs with a nonzero total, in order, once each; with_totals
-    keeps the totals over den, unchecked: terms carry the operands' tags."""
-    letters, code, pack, to_code, to_key = letter_code(like.spec)
-    encode, letter = code.__getitem__, letters.__getitem__
+    splice(x, y) gets the words of a pair of terms in one code, chosen
+    once per call so that one output word is one totals key: where every
+    letter of the surface has a byte key, a class's key as it stands and
+    a path's word_key, else each word's tuple of letter_keys.  It returns
+    the map (split of a, split of b) -> coded output word or pair; one int
+    dict sums sign * n per output (bytes cache their hash).  build(outs)
+    makes the terms of the outputs with a nonzero total, in order, once
+    each; with_totals keeps the totals over den, unchecked: terms carry
+    the operands' tags."""
+    byte_keyed = like.spec.byte_keyed
     den, records = surgeries
     totals = {}
     for n, a, b, crossings in records:
-        term = splice(*[to_code(x.key) if x.__class__ is LoopClass
-                        else pack(map(encode, x.word)) for x in (a, b)])
+        term = splice(*[(x.key if x.__class__ is LoopClass
+                         else word_key(x.word.letters)) if byte_keyed
+                        else tuple(map(letter_key, x.word)) for x in (a, b)])
         for sign, (_, _, i), (_, _, j) in crossings:
             w = term(i, j)
             totals[w] = totals.get(w, 0) + sign * n
     outs = [w for w, total in totals.items() if total]
-    return like.with_totals(den, zip(build(letter, to_key, outs),
+    return like.with_totals(den, zip(build(outs),
                                      map(totals.__getitem__, outs)))
 
 
 def goldman_bracket(u, v, convention="default"):
     """Bilinear loop bracket: signed resmoothings at each crossing."""
     out = LoopSum(u.spec, twist=u.twist + v.twist + 1)
+    # a tuple of letter_keys is re-keyed: bytes where its letters allow
     return _tally(out, _surgeries(u, v, convention), splice_normal_form,
-                  lambda letter, to_key, outs: map(LoopClass.of_key,
-                                                   map(to_key, outs)))
+                  lambda outs: map(LoopClass.of_key, outs if u.spec.byte_keyed
+                                   else map(word_key, map(key_letters, outs))))
 
 
 def kk_action(u, gamma, convention="default"):
@@ -356,9 +362,9 @@ def kk_action(u, gamma, convention="default"):
         return lambda i, k: reduced_product(
             reduced_product(w[:k], x[i:i + m]), w[k:])
 
-    def build(letter, _, outs):
+    def build(outs):
         return (Path(gamma.from_tag, gamma.to_tag,
-                     FreeWord.trusted(tuple(map(letter, w)))) for w in outs)
+                     FreeWord.trusted(key_letters(w))) for w in outs)
     out = PathSum(gamma.spec, gamma.from_tag, gamma.to_tag,
                   twist=u.twist + gamma.twist + 1)
     return _tally(out, _surgeries(u, gamma, convention), splice, build)
@@ -376,8 +382,8 @@ def bi_pairing(gamma1, gamma2, convention="default"):
         return lambda c1, c2: (reduced_product(w1[:c1], w2[c2:]),
                                reduced_product(w2[:c2], w1[c1:]))
     out = PathPairSum(gamma1.spec, twist=gamma1.twist + gamma2.twist + 1)
-    return _tally(out, surgeries, splice, lambda letter, _, outs: (tuple(
-        Path(s, t, FreeWord.trusted(tuple(map(letter, w))))
+    return _tally(out, surgeries, splice, lambda outs: (tuple(
+        Path(s, t, FreeWord.trusted(key_letters(w)))
         for s, t, w in ((gamma1.from_tag, gamma2.to_tag, words[0]),
                         (gamma2.from_tag, gamma1.to_tag, words[1])))
         for words in outs))

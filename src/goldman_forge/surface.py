@@ -11,14 +11,15 @@ Letters of free-group words are pairs (base, exp) with base a generator
 name such as "a1" and exp +1 or -1.  The token syntax is "a1" for the
 generator and "a1'" for its inverse, whitespace separated.
 
-A loop class is keyed by its canonical word coded on no surface (_key),
-the splices code words per surface (letter_code); each code keeps
-letter_key order and codes the inverse of code k as k ^ 1.
+Words are coded by word_key, on no surface: a byte per letter up to a43,
+b43 and c42, else the tuple of letter_keys.  Either code keeps letter_key
+order and codes the inverse of code k as k ^ 1.  A loop class is keyed by
+its canonical word's code, and the splices take those keys as they stand
+on a surface whose letters all have a byte key (SurfaceSpec.byte_keyed).
 """
 
 import functools
 import re
-from operator import methodcaller
 
 __all__ = [
     "SurfaceSpec",
@@ -29,7 +30,8 @@ __all__ = [
     "splice_normal_form",
     "reduced_product",
     "least_rotation",
-    "letter_code",
+    "word_key",
+    "key_letters",
     "boundary_word",
     "ribbon_structure",
     "tail_dart",
@@ -47,7 +49,8 @@ class SurfaceSpec:
     disk (0,1); every other (g, b>=1) has chi <= 0 and is allowed.
     """
 
-    __slots__ = ("genus", "boundary", "punctures", "_gens", "_gen_set")
+    __slots__ = ("genus", "boundary", "punctures", "byte_keyed", "_gens",
+                 "_gen_set")
 
     def __init__(self, genus, boundary):
         if genus < 0 or boundary < 0:
@@ -63,6 +66,8 @@ class SurfaceSpec:
         names += ["b%d" % j for j in range(1, genus + 1)]
         names += ["c%d" % k for k in range(1, self.punctures + 1)]
         self._gens, self._gen_set = tuple(names), frozenset(names)
+        # every letter has a byte key, so every word's key is bytes
+        self.byte_keyed = all((base, 1) in _BYTE_KEY for base in names)
 
     @property
     def tags(self):
@@ -183,13 +188,8 @@ class LoopClass:
     def __init__(self, word):
         letters = FreeWord(word).letters
         self.key = cyclic_normal_form(letters).key
-        if _key_letters(self.key) != letters:
+        if key_letters(self.key) != letters:
             raise ValueError("not a cyclic normal form: %r" % (letters,))
-
-    @classmethod
-    def trusted(cls, letters):
-        """The class whose canonical letter tuple is letters, unchecked."""
-        return cls.of_key(_key(letters))
 
     @classmethod
     def of_key(cls, key):
@@ -201,7 +201,7 @@ class LoopClass:
     def __getattr__(self, name):    # only while a slot is unset
         if name != "word":
             raise AttributeError(name)
-        self.word = word = _key_letters(self.key)
+        self.word = word = key_letters(self.key)
         return word
 
     def free_word(self):
@@ -227,8 +227,8 @@ _BYTE_LETTERS = dict(enumerate(
 _BYTE_KEY = {letter: k for k, letter in _BYTE_LETTERS.items()}
 
 
-def _key(letters):
-    """The key of a tuple of letters: a byte per letter, its rank in
+def word_key(letters):
+    """The key of a sequence of letters: a byte per letter, its rank in
     letter_key order among a1..a43, b1..b43, c1..c42 and their inverses,
     else the tuple of letter_keys."""
     try:
@@ -237,8 +237,8 @@ def _key(letters):
         return tuple(map(letter_key, letters))
 
 
-def _key_letters(key):
-    """The letter tuple of a key."""
+def key_letters(key):
+    """The letter tuple of a key (bytes or a tuple of letter_keys)."""
     if key.__class__ is bytes:
         return tuple(map(_BYTE_LETTERS.__getitem__, key))
     return tuple(("abct"[k >> 40] + str(k >> 1 & (1 << 39) - 1),
@@ -268,36 +268,17 @@ def least_rotation(seq):
     return seq if best is None else best
 
 
-@functools.lru_cache(maxsize=64)
-def letter_code(spec):
-    """(letters, code, pack, to_code, to_key): spec's letters sorted by
-    letter_key, the map from each to its index there (so i ^ 1 codes the
-    inverse of the letter coded i), bytes, or tuple past 256 codes, to
-    pack a coded word, and the maps from the key of a class on spec to its
-    coded word and back, each one translate if all spec's letters have a
-    byte key."""
-    letters = tuple(sorted(((base, e) for base in spec.generators()
-                            for e in (1, -1)), key=letter_key))
-    code = {letter: i for i, letter in enumerate(letters)}
-    pack = bytes if len(letters) <= 256 else tuple
-    if all(letter in _BYTE_KEY for letter in letters):
-        to_code = bytes(code.get(x, 0) for x in _BYTE_LETTERS.values())
-        return (letters, code, pack, methodcaller("translate", to_code),
-                methodcaller("translate", _key(letters).ljust(256, b"\0")))
-    return (letters, code, pack,
-            lambda key: pack(map(code.__getitem__, _key_letters(key))),
-            lambda coded: _key(tuple(map(letters.__getitem__, coded))))
-
-
 def cyclic_normal_form(word):
     """Cyclic reduction plus the least rotation under letter_key; conjugation
     invariant.  word is any sequence of letters (a FreeWord or a tuple) and
-    is trusted: letters are checked where they enter (FreeWord, parse_word)."""
+    is trusted: letters are checked where they enter (FreeWord, parse_word).
+    The ends cancel on letters, before coding, so a class whose byte-less
+    letters all cancel there is keyed as bytes."""
     letters = _reduce_letters(word)
     p, q = 0, len(letters) - 1
     while p < q and letters[p] == (letters[q][0], -letters[q][1]):
         p, q = p + 1, q - 1
-    return LoopClass.of_key(least_rotation(_key(letters[p:q + 1])))
+    return LoopClass.of_key(least_rotation(word_key(letters[p:q + 1])))
 
 
 def reduced_product(x, y):

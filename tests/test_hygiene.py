@@ -39,8 +39,8 @@
     the ``__slots__`` fields two sums share, does not.
 (g) Only surface and goldman touch the code of a loop class: no other
     package module reads ``.key``, builds a class through ``.of_key`` or
-    names ``letter_code`` (the per-surface code and the tables between
-    it and keys), so loop classes leave those two modules as words.
+    names ``word_key`` or ``key_letters`` (the one word code and its
+    decoding), so loop classes leave those two modules as words.
 """
 
 import ast
@@ -119,7 +119,7 @@ def bucket_access(tree):
     return sorted(found)
 
 
-_KEY_NAMES = {"key", "of_key", "letter_code"}
+_KEY_NAMES = {"key", "of_key", "word_key", "key_letters"}
 
 
 def key_access(tree):
@@ -372,11 +372,13 @@ def test_the_checks_catch_what_they_look_for():
                                    (3, "TensorSeries"), (4, "_settled"),
                                    (6, "_den"), (7, "_names"),
                                    (8, "_codes")]
-    tree = ast.parse("from .surface import LoopClass, letter_code\n"
-                     "cls.key\nLoopClass.of_key(k)\nletter_code(spec)[3]\n"
-                     "sorted(x, key=len)\nd.keys()\nkey = 1\n")
-    assert key_access(tree) == [(1, "letter_code"), (2, "key"),
-                                (3, "of_key"), (4, "letter_code")]
+    tree = ast.parse("from .surface import LoopClass, word_key\n"
+                     "cls.key\nLoopClass.of_key(k)\nword_key(letters)\n"
+                     "sorted(x, key=len)\nd.keys()\nkey = 1\n"
+                     "surface.key_letters(k)\n")
+    assert key_access(tree) == [(1, "word_key"), (2, "key"),
+                                (3, "of_key"), (4, "word_key"),
+                                (8, "key_letters")]
     tree = ast.parse("__all__ = ['f']\ndef f(): return f()\ndef g(): pass\n"
                      "def k(): pass\nclass C:\n    def m(self): pass\n"
                      "    def n(self): return self.m()\n"

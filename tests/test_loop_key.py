@@ -4,19 +4,20 @@ A LoopClass holds ``key``, its canonical word coded independently of
 the surface: one byte per letter for the 256 letters a1..a43, b1..b43,
 c1..c42 and their inverses, the tuple of letter_keys once a letter is
 past them.  __eq__ and __hash__ read only the key, ``word`` is decoded
-on its first read, and the bracket builds its outputs from coded words
-with one translate each, decoding no letters.  The class it replaced
+on its first read, and the bracket splices keys as they stand and builds
+its outputs from them, decoding no letters.  The class it replaced
 (equal and hashed by its letter tuple), its cyclic normal form, its sort
 key and JSON, and the letters-decoding tally are kept here as oracles,
 and a seeded sweep and a derandomized hypothesis property compare the
 two.  The regex generator check that SurfaceSpec.has_generator replaced
-is kept as an oracle too.
+is kept as an oracle too.  The key function's own tests check what the
+splices rely on: the inverse of code k is k ^ 1, codes keep letter_key
+order, and a word falls back to a tuple past a43, b43 and c42.
 """
 
 import random
 import re
 from fractions import Fraction
-from operator import methodcaller
 
 import pytest
 from hypothesis import given, settings
@@ -34,10 +35,11 @@ from goldman_forge.surface import (
     SurfaceSpec,
     _reduce_letters,
     cyclic_normal_form,
-    letter_code,
+    key_letters,
     letter_key,
     render_word,
     splice_normal_form,
+    word_key,
 )
 
 SWEEP_SEED = 3301
@@ -101,15 +103,16 @@ def old_to_json(spec, twist, terms):
 
 
 def old_bracket(u, v, convention="default"):
-    """The bracket's tally before keys: every output decoded to letters
-    and made a letter-tuple class; {OldLoopClass: Fraction}."""
-    letters, code, pack = letter_code(u.spec)[:3]
-    encode = code.__getitem__
+    """The bracket's tally before keys: words coded as tuples of
+    letter_keys, every output decoded to letters through a dict and made
+    a letter-tuple class; {OldLoopClass: Fraction}."""
+    letters = {letter_key((base, e)): (base, e)
+               for base in u.spec.generators() for e in (1, -1)}
     den, records = _surgeries(u, v, convention)
     totals = {}
     for n, a, b, crossings in records:
-        term = splice_normal_form(pack(map(encode, a.word)),
-                                  pack(map(encode, b.word)))
+        term = splice_normal_form(tuple(map(letter_key, a.word)),
+                                  tuple(map(letter_key, b.word)))
         for sign, (_, _, i), (_, _, j) in crossings:
             key = term(i, j)
             totals[key] = totals.get(key, 0) + sign * n
@@ -134,7 +137,7 @@ def as_old(terms):
 
 def as_sum(spec, old_terms, twist):
     """An oracle result as a LoopSum, each class rebuilt from its letters."""
-    return LoopSum(spec, [(LoopClass.trusted(cls.word), c)
+    return LoopSum(spec, [(cyclic_normal_form(cls.word), c)
                           for cls, c in old_terms.items()], twist=twist)
 
 
@@ -159,7 +162,7 @@ def assert_keyed(cls, old):
                              else tuple), old.word
     again = LoopClass.of_key(cls.key)
     assert again.word == cls.word and again == cls
-    assert LoopClass.trusted(cls.word).key == cls.key
+    assert word_key(cls.word) == cls.key
     assert hash(again) == hash(cls)
 
 
@@ -201,8 +204,7 @@ class TestKeyedClass:
 
     def test_equal_and_hashed_alike_on_two_surfaces(self):
         """A class made on one surface, from letters, from its key, and
-        as a bracket output through another surface's translate tables,
-        is one dict key."""
+        as a bracket output on another surface, is one dict key."""
         rng = random.Random(SWEEP_SEED + 1)
         small, big = SurfaceSpec(1, 1), SurfaceSpec(2, 3)
         outputs = 0
@@ -213,9 +215,7 @@ class TestKeyedClass:
                 (other,) = on_big.terms
                 assert other == cls and hash(other) == hash(cls)
                 assert {cls: 1}[other] == 1
-                for spec in (small, big):
-                    to_code, to_key = letter_code(spec)[3:]
-                    assert to_key(to_code(cls.key)) == cls.key
+                assert word_key(key_letters(cls.key)) == cls.key
                 outputs += 1
         assert outputs >= 200
 
@@ -260,7 +260,7 @@ class TestKeyedClass:
     def test_tuple_fallback(self, genus, boundary):
         spec = SurfaceSpec(genus, boundary)
         rng = random.Random(SWEEP_SEED + genus + boundary)
-        to_code, to_key = letter_code(spec)[3:]
+        assert spec.byte_keyed == (genus == 43)
         kinds = set()
         for _ in range(40):
             u = loop_sum(rng, spec, 2, 5, wide_word)
@@ -269,17 +269,49 @@ class TestKeyedClass:
             assert_matches(new, old_bracket(u, v), (u, v))
             for cls in [*u.terms, *v.terms, *new.terms]:
                 assert_keyed(cls, OldLoopClass(cls.word))
-                assert to_key(to_code(cls.key)) == cls.key
                 kinds.add(type(cls.key))
         assert kinds == ({bytes} if genus == 43 else {bytes, tuple})
 
-    def test_tables_are_translates_while_every_letter_has_a_byte(self):
-        for genus, boundary, translate in [(1, 1, True), (43, 43, True),
-                                           (43, 44, False), (44, 1, False),
-                                           (64, 3, False)]:
-            to_code = letter_code(SurfaceSpec(genus, boundary))[3]
-            assert isinstance(to_code, methodcaller) == translate, (
-                genus, boundary)
+
+# -- the key function ---------------------------------------------------------
+
+def every_letter(spec):
+    return [(base, e) for base in spec.generators() for e in (1, -1)]
+
+
+class TestWordKey:
+    @pytest.mark.parametrize("genus,boundary,kind", [
+        (1, 1, bytes), (0, 3, bytes), (11, 1, bytes), (43, 43, bytes),
+        (43, 44, tuple), (44, 1, tuple), (64, 1, tuple), (64, 2, tuple),
+        (64, 3, tuple)])
+    def test_tuple_past_a43_b43_c42(self, genus, boundary, kind):
+        spec = SurfaceSpec(genus, boundary)
+        letters = every_letter(spec)
+        assert type(word_key(letters)) is kind
+        assert spec.byte_keyed == (kind is bytes)
+        assert all(type(word_key([x])) is bytes for x in letters
+                   if has_byte(x))
+        assert key_letters(word_key(letters)) == tuple(letters)
+
+    @pytest.mark.parametrize("genus,boundary", [(43, 43), (64, 3)])
+    def test_inverse_is_code_xor_one(self, genus, boundary):
+        letters = every_letter(SurfaceSpec(genus, boundary))
+        for code in (word_key, lambda w: tuple(map(letter_key, w))):
+            for base, e in letters:
+                (k,), (inverse,) = code([(base, e)]), code([(base, -e)])
+                assert inverse == k ^ 1, (base, e)
+
+    @pytest.mark.parametrize("genus,boundary", [(43, 43), (64, 3)])
+    def test_codes_keep_the_letter_key_order(self, genus, boundary):
+        letters = sorted(every_letter(SurfaceSpec(genus, boundary)),
+                         key=letter_key)
+        codes = list(word_key(letters))
+        assert codes == sorted(set(codes))
+        # the letters with a byte key take the bytes from 0 up, in order;
+        # on (43, 43) they are all 256
+        codes = list(word_key([x for x in letters if has_byte(x)]))
+        assert codes == list(range(len(codes)))
+        assert (len(codes) == 256) == (genus == 43)
 
 
 # -- the property ---------------------------------------------------------
@@ -305,8 +337,7 @@ def test_keyed_class_agrees_with_the_letter_class(first, second):
     assert (hash(new) == hash(other)) >= (new == other)
     conjugated = cyclic_normal_form(y * x * y.inverse())
     assert conjugated == new and hash(conjugated) == hash(new)
-    to_code, to_key = letter_code(spec)[3:]
-    assert to_key(to_code(other.key)) == other.key
+    assert word_key(key_letters(other.key)) == other.key
 
 
 # -- SurfaceSpec: names built once, a set lookup in place of the regex -------

@@ -12,12 +12,21 @@ not check the engine's rotation against itself.  The oracle draws each
 pair of terms alone; the engine draws every term of both operands once
 per call, and the joint-drawing sweep checks that this changes no
 crossing, no crossing order and no output.
+
+Two identities tie the three surgeries together, on the surfaces above
+and on a surface with letters past a byte key: closing a path from a
+tag back to itself into its loop class takes the action to the bracket
+(trace), and the action of the class of a path alpha from tag s back to
+s on a path gamma off s is the pairing of alpha with gamma, each pair
+(p, q) composed as q then p (composition).
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     assert_same,
@@ -43,9 +52,11 @@ from goldman_forge.surface import (
     Path,
     SurfaceSpec,
     _reduce_letters,
+    cyclic_normal_form,
     letter_key,
     parse_word,
     ribbon_structure,
+    word_key,
 )
 
 SWEEP_SEED = 1212
@@ -74,7 +85,7 @@ def old_cyclic_normal_form(word):
         i, j = i + 1, j - 1
     letters = letters[i:j + 1]
     start = duval_least_rotation([old_letter_key(l) for l in letters])
-    return LoopClass.trusted(letters[start:] + letters[:start])
+    return LoopClass.of_key(word_key(letters[start:] + letters[:start]))
 
 
 def old_surgeries(u, v, convention):
@@ -462,3 +473,143 @@ def test_bi_pairing_rejects_overlapping_tags_before_drawing(counted):
         with pytest.raises(ValueError, match="disjoint"):
             bi_pairing(g1, g2)
     assert counted.calls == 0
+
+
+# -- trace and composition identities ---------------------------------------
+
+IDENTITY_SEED = 1710
+IDENTITY_SURFACES = (SurfaceSpec(1, 1), SurfaceSpec(2, 1), SurfaceSpec(1, 2),
+                     SurfaceSpec(1, 3), SurfaceSpec(0, 3), SurfaceSpec(0, 4),
+                     SurfaceSpec(2, 2))
+IDENTITY_PROPERTY = settings(derandomize=True, max_examples=150,
+                             deadline=None)
+WIDE = SurfaceSpec(64, 3)
+# a44, b64 have no byte key; a1, a43, b1, c1, c2 have one
+WIDE_BASES = ("a1", "a43", "a44", "b1", "b64", "c1", "c2")
+
+
+def closure(gamma):
+    """|gamma|: each path of a sum from a tag back to itself, closed into
+    its free loop class."""
+    out = LoopSum(gamma.spec)
+    for path, coeff in gamma.terms.items():
+        out.add_term(cyclic_normal_form(path.word), coeff)
+    return out
+
+
+def trace_sides(u, gamma, convention):
+    """|kk_action(u, gamma)| and goldman_bracket(u, |gamma|), gamma from
+    a tag back to itself, as term dicts."""
+    return (closure(kk_action(u, gamma, convention)).terms,
+            goldman_bracket(u, closure(gamma), convention).terms)
+
+
+def composition_sides(alpha, gamma, convention):
+    """kk_action(|alpha|, gamma) and the sum of q.p over the terms (p, q)
+    of bi_pairing(alpha, gamma), alpha from a tag s back to s and gamma
+    off s, as term dicts."""
+    composed = PathSum(gamma.spec, gamma.from_tag, gamma.to_tag)
+    for (p, q), coeff in bi_pairing(alpha, gamma, convention).terms.items():
+        composed.add_term(q.compose(p), coeff)
+    return (kk_action(closure(alpha), gamma, convention).terms,
+            composed.terms)
+
+
+def identity_tags(rng, spec):
+    """A tag s and, if the surface has another, two tags off s."""
+    s = rng.choice(spec.tags)
+    others = [t for t in spec.tags if t != s]
+    return s, (rng.choice(others), rng.choice(others)) if others else None
+
+
+def wide_path_sum(rng, from_tag, to_tag):
+    out = PathSum(WIDE, from_tag, to_tag)
+    for _ in range(rng.randint(1, 2)):
+        word = FreeWord([(rng.choice(WIDE_BASES), rng.choice((1, -1)))
+                         for _ in range(rng.randint(0, 5))]).reduce()
+        out.add_term(Path(from_tag, to_tag, word), rng.choice(COEFFS))
+    return out
+
+
+def test_trace_and_composition_identities():
+    rng = random.Random(IDENTITY_SEED)
+    counts = {"trace": 0, "trace nonzero": 0, "composition": 0,
+              "composition nonzero": 0}
+    for spec in IDENTITY_SURFACES:
+        for convention in CONVENTIONS:
+            for _ in range(60):
+                s, off = identity_tags(rng, spec)
+                u = random_loop_sum(rng, spec, rng.randint(1, 2), 4)
+                gamma = random_path_sum(rng, spec, s, s, rng.randint(1, 2), 4)
+                left, right = trace_sides(u, gamma, convention)
+                assert left == right, (spec, convention, u, gamma)
+                counts["trace"] += 1
+                counts["trace nonzero"] += bool(right)
+                if off is None:
+                    continue
+                alpha = random_path_sum(rng, spec, s, s, rng.randint(1, 2), 4)
+                gamma = random_path_sum(rng, spec, *off, rng.randint(1, 2), 4)
+                left, right = composition_sides(alpha, gamma, convention)
+                assert left == right, (spec, convention, alpha, gamma)
+                counts["composition"] += 1
+                counts["composition nonzero"] += bool(right)
+    assert counts["trace"] == 840 and counts["composition"] == 600, counts
+    assert (counts["trace nonzero"] >= 300
+            and counts["composition nonzero"] >= 250), counts
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_trace_and_composition_identities_past_a_byte(convention):
+    """On (64, 3) every word of a call is coded as its tuple of
+    letter_keys, and a path with a byte-less letter at both ends closes
+    into a class whose key is bytes once those ends cancel."""
+    rng = random.Random(IDENTITY_SEED + len(convention))
+    counts = {"trace nonzero": 0, "composition nonzero": 0, "bytes": 0}
+    for _ in range(750):
+        s, (t1, t2) = identity_tags(rng, WIDE)
+        u = closure(wide_path_sum(rng, s, s))
+        gamma = wide_path_sum(rng, s, s)
+        left, right = trace_sides(u, gamma, convention)
+        assert left == right, (convention, u, gamma)
+        counts["trace nonzero"] += bool(right)
+        counts["bytes"] += any(type(c.key) is bytes for c in right) and any(
+            type(word_key(p.word.letters)) is tuple for p in gamma.terms)
+        alpha, gamma = wide_path_sum(rng, s, s), wide_path_sum(rng, t1, t2)
+        left, right = composition_sides(alpha, gamma, convention)
+        assert left == right, (convention, alpha, gamma)
+        counts["composition nonzero"] += bool(right)
+    assert (counts["trace nonzero"] >= 300
+            and counts["composition nonzero"] >= 400
+            and counts["bytes"] >= 30), counts
+
+
+@st.composite
+def identity_operands(draw):
+    spec = draw(st.sampled_from(IDENTITY_SURFACES))
+    letters = st.tuples(st.sampled_from(spec.generators()),
+                        st.sampled_from((1, -1)))
+    words = st.lists(letters, max_size=5).map(
+        lambda w: FreeWord(w).reduce())
+
+    def path_sum(from_tag, to_tag):
+        return PathSum(spec, from_tag, to_tag, [
+            (Path(from_tag, to_tag, draw(words)), draw(st.sampled_from(
+                COEFFS))) for _ in range(draw(st.integers(1, 2)))])
+
+    s = draw(st.sampled_from(spec.tags))
+    others = [t for t in spec.tags if t != s]
+    off = (draw(st.sampled_from(others)), draw(st.sampled_from(others))
+           ) if others else None
+    return (draw(st.sampled_from(CONVENTIONS)), closure(path_sum(s, s)),
+            path_sum(s, s), path_sum(s, s), off and path_sum(*off))
+
+
+@IDENTITY_PROPERTY
+@given(identity_operands())
+def test_trace_and_composition_property(operands):
+    convention, u, gamma, alpha, off_gamma = operands
+    left, right = trace_sides(u, gamma, convention)
+    assert left == right
+    if off_gamma is not None:
+        left, right = composition_sides(alpha, off_gamma, convention)
+        assert left == right

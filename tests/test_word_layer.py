@@ -6,14 +6,17 @@ the O(n^2) min-over-rotations code it replaced, the per-pair coded
 splicer with the cyclic normal form of the spliced letters, with the
 one-call-per-crossing coded splice and with the letters+keys splice
 before it, and the coded junction-only product of two reduced words
-with their free reduction.  The replaced code is kept here (and
+with their free reduction.  On surfaces with letters past a byte key,
+the surgeries match the letters+keys splices, and a bracket whose pairs
+of terms mix words with and without such letters is the sum of its
+pairs' brackets.  The replaced code is kept here (and
 Duval's rotation in helpers) as oracles.  The hypothesis properties run
 derandomized, so every run sees the same examples.
 """
 
+import hashlib
+import json
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -43,11 +46,13 @@ from goldman_forge.surface import (
     SurfaceSpec,
     _reduce_letters,
     cyclic_normal_form,
+    key_letters,
     least_rotation,
-    letter_code,
     letter_key,
+    parse_word,
     reduced_product,
     splice_normal_form,
+    word_key,
 )
 
 SWEEP_SEED = 20240
@@ -376,10 +381,12 @@ def splice_pairs(rng, spec, count):
 
 
 def coder(spec):
-    """(encode, decode) through letter_code(spec)."""
-    letters, code, pack = letter_code(spec)[:3]
-    return (lambda word: pack(code[letter] for letter in word),
-            lambda coded: tuple(letters[c] for c in coded))
+    """(encode, decode) in the code the splices use on spec: word_key
+    where every letter of spec has a byte key, else the tuple of
+    letter_keys."""
+    if spec.byte_keyed:
+        return word_key, key_letters
+    return (lambda word: tuple(map(letter_key, word)), key_letters)
 
 
 class TestSplice:
@@ -451,38 +458,11 @@ class TestSplice:
         assert min(shapes.values()) >= 20, shapes
 
 
-# -- the letter code ----------------------------------------------------------
-
-class TestLetterCode:
-    @pytest.mark.parametrize("genus,boundary,pack", [
-        (1, 1, bytes), (0, 3, bytes), (11, 1, bytes), (64, 1, bytes),
-        (64, 2, tuple), (64, 3, tuple)])
-    def test_code(self, genus, boundary, pack):
-        spec = SurfaceSpec(genus, boundary)
-        letters, code, got_pack = letter_code(spec)[:3]
-        assert got_pack is pack
-        assert len(letters) == 2 * len(spec.generators())
-        assert set(letters) == {(base, e) for base in spec.generators()
-                                for e in (1, -1)}
-        assert list(letters) == sorted(letters, key=letter_key)
-        for letter, i in code.items():
-            assert letters[i] == letter
-            assert letters[i ^ 1] == (letter[0], -letter[1])
-        assert letter_code(SurfaceSpec(genus, boundary)) is letter_code(spec)
-
-    def test_built_on_first_use(self):
-        """Importing the engine builds no code: set-up pays for none."""
-        probe = ("import goldman_forge, goldman_forge.cli, "
-                 "goldman_forge.suites\n"
-                 "from goldman_forge.surface import letter_code\n"
-                 "assert letter_code.cache_info().currsize == 0\n")
-        subprocess.run([sys.executable, "-c", probe], check=True)
-
-
 # -- surfaces past one byte: tuple-coded words --------------------------------
 
 WIDE = SurfaceSpec(64, 3)
-# codes: a1..a64 take 0..127, b1..b64 128..255, c1 and c2 256..259
+# a44..a64 and b44..b64 have no byte key, so every word of a surgery call
+# on WIDE is coded as its tuple of letter_keys; c1 and c2 have byte keys
 WIDE_BASES = ("a2", "a10", "a64", "b1", "b64", "c1", "c2")
 
 
@@ -493,8 +473,8 @@ def oracle_bracket(u, v, convention):
     for n, a, b, crossings in records:
         ka, kb = keys_of(a.word), keys_of(b.word)
         for sign, (_, _, i), (_, _, j) in crossings:
-            out.add_term(LoopClass.trusted(old_splice_normal_form(
-                a.word, ka, b.word, kb, i, j)), Fraction(sign * n, den))
+            out.add_term(LoopClass.of_key(word_key(old_splice_normal_form(
+                a.word, ka, b.word, kb, i, j))), Fraction(sign * n, den))
     return out
 
 
@@ -554,14 +534,67 @@ def wide_path_sum(rng, from_tag, to_tag):
 
 
 def _high(letters):
-    """Whether a letter tuple holds a letter whose code passes 255."""
-    return any(base[0] == "c" for base, _ in letters)
+    """Whether a letter tuple holds a letter with no byte key."""
+    return any(int(base[1:]) > 43 for base, _ in letters)
+
+
+# (44, 1): a44 has no byte key, a1 and b1 have one.  The bracket below
+# puts |b1'| on two pairs of terms, (|a1 a44'|, |a1' a44 b1'|) and
+# (|a1 b1'|, |a1'|), with opposite signs; it cancels only if the words
+# of both pairs are in one code.
+PINNED = SurfaceSpec(44, 1)
+PINNED_BRACKET = ((("a1 a44'", 1), ("a1 b1'", -1)),
+                  (("a1'", 1), ("a1' a44 b1'", 1)))
+# the sha256 of the JSON of every joint bracket of the sweep below, as
+# the code before one word code per surgery call gave it
+PINNED_SWEEP_DIGEST = (
+    "feb2daf869498f04ebd612fc8cde41c1325724bbe54becd959406ee754c7aa27")
+PINNED_COEFFS = (1, -1, 2, -3)
+
+
+def pinned_letters(rng, bases, lo, hi):
+    return [(rng.choice(bases), rng.choice((1, -1)))
+            for _ in range(rng.randint(lo, hi))]
+
+
+def pinned_loop_sum(rng, words):
+    return LoopSum(PINNED, [(cyclic_normal_form(w), rng.choice(PINNED_COEFFS))
+                            for w in words])
+
+
+def pinned_operands(rng, echo):
+    """Two loop sums on PINNED over a1, b1 and a44: random, or (echo) of
+    the pinned bracket's shape |x a44'|, |x y| against |x'|, |x' a44 y|
+    for byte words x and y, whose two pairs of terms share |y|."""
+    if not echo:
+        return tuple(pinned_loop_sum(rng, [
+            pinned_letters(rng, ("a1", "b1", "a44"), 1, 4)
+            for _ in range(rng.randint(1, 3))]) for _ in range(2))
+    x = pinned_letters(rng, ("a1", "b1"), 1, 2)
+    y = pinned_letters(rng, ("a1", "b1"), 1, 2)
+    xi = list(FreeWord(x).inverse().letters)
+    return (pinned_loop_sum(rng, [x + [("a44", -1)], x + y]),
+            pinned_loop_sum(rng, [xi, xi + [("a44", 1)] + y]))
+
+
+def split_bracket(u, v, convention):
+    """The sum of the brackets of each pair of terms alone, and the
+    classes those pairs give, split by whether the pair has a word with
+    no byte key."""
+    total, outputs = LoopSum(u.spec, twist=1), {False: set(), True: set()}
+    for a, ca in u.terms.items():
+        for b, cb in v.terms.items():
+            part = goldman_bracket(LoopSum(u.spec, [(a, ca)]),
+                                   LoopSum(v.spec, [(b, cb)]), convention)
+            total = total + part
+            outputs[tuple in (type(a.key), type(b.key))].update(part.terms)
+    return total, outputs
 
 
 class TestWideSurface:
     @pytest.mark.parametrize("convention", CONVENTIONS)
     def test_operations_match_oracle_splices(self, convention):
-        assert letter_code(WIDE)[2] is tuple
+        assert not WIDE.byte_keyed
         rng = random.Random(6403 + len(convention))
         shapes = {"bracket": 0, "kk": 0, "bipair": 0, "high": 0}
         for _ in range(60):
@@ -588,6 +621,38 @@ class TestWideSurface:
             shapes["high"] += any(_high(p.word.letters)
                                   for pair in new.terms for p in pair)
         assert min(shapes.values()) >= 20, shapes
+
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_pinned_bracket_cancels_across_codes(self, convention):
+        u, v = (LoopSum(PINNED, [(cyclic_normal_form(parse_word(text)), c)
+                                 for text, c in terms])
+                for terms in PINNED_BRACKET)
+        joint = goldman_bracket(u, v, convention)
+        total, outputs = split_bracket(u, v, convention)
+        b1 = cyclic_normal_form(parse_word("b1'"))
+        assert b1 in outputs[False] and b1 in outputs[True]
+        assert b1 not in joint.terms and not joint.is_zero()
+        assert_same(joint, total, convention)
+
+    def test_joint_bracket_is_the_sum_of_split_ones(self):
+        """Brackets on PINNED whose pairs of terms mix words with and
+        without a byte-less letter equal the sum of their pairs' brackets,
+        and give what the code before one word code per call gave."""
+        rng = random.Random(4401)
+        digest = hashlib.sha256()
+        shapes = {"nonzero": 0, "shared": 0}
+        for case in range(1000):
+            convention = CONVENTIONS[case % 2]
+            u, v = pinned_operands(rng, echo=case % 4 >= 2)
+            joint = goldman_bracket(u, v, convention)
+            total, outputs = split_bracket(u, v, convention)
+            assert_same(joint, total, (u, v, convention))
+            digest.update(json.dumps(joint.to_json()).encode())
+            shapes["nonzero"] += not joint.is_zero()
+            # one output word from pairs in both codes: one totals key
+            shapes["shared"] += bool(outputs[False] & outputs[True])
+        assert digest.hexdigest() == PINNED_SWEEP_DIGEST
+        assert shapes["nonzero"] >= 600 and shapes["shared"] >= 100, shapes
 
 
 # -- hypothesis properties ------------------------------------------------
