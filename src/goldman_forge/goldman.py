@@ -13,6 +13,10 @@ once per call; each sums the crossing signs times int coefficient
 numerators per coded output word (one code per call, surface.word_key's
 wherever the surface allows it, so a class enters as its key) over one
 denominator, and builds each output term once, a loop class from its key.
+In the bracket, crossings along a run both loops share splice alike
+(s the shared letter: s P s Q ~ P s Q s, P s s^-1 R = P R ~ s P R s^-1),
+so _tally sums their signs first, and the bigon pairs of inessential
+crossings (Goldman 1986) cancel unspliced.
 """
 
 from fractions import Fraction
@@ -325,21 +329,42 @@ def _tally(like, surgeries, splice, build):
     once per call so that one output word is one totals key: where every
     letter of the surface has a byte key, a class's key as it stands and
     a path's word_key, else each word's tuple of letter_keys.  It returns
-    the map (split of a, split of b) -> coded output word or pair; one int
-    dict sums sign * n per output (bytes cache their hash).  build(outs)
-    makes the terms of the outputs with a nonzero total, in order, once
-    each; with_totals keeps the totals over den, unchecked: terms carry
-    the operands' tags."""
-    byte_keyed = like.spec.byte_keyed
+    the map (split i of x, split j of y) -> coded output word or pair.
+    In the bracket, with s the letter before split i of x, (i, j) splices
+    as (i-1, j-1) if s also precedes split j of y (s P s Q ~ P s Q s), and
+    as (i-1, j+1) if s^-1 follows it (P s s^-1 R = P R ~ s P R s^-1):
+    signs summed per run start (at most len(x) steps back, cyclically)
+    are exact, and a bigon's cancel unspliced.  Pairs with len(x) * len(y)
+    under 12, and the path surgeries, whose splices cost less, splice each
+    crossing: there grouping costs more than it saves.
+    build(outs) makes the terms of the outputs with a nonzero total, in
+    order, once each; with_totals keeps the totals over den, unchecked:
+    terms carry the operands' tags."""
+    byte_keyed, loops = like.spec.byte_keyed, like.__class__ is LoopSum
     den, records = surgeries
     totals = {}
     for n, a, b, crossings in records:
-        term = splice(*[(x.key if x.__class__ is LoopClass
-                         else word_key(x.word.letters)) if byte_keyed
-                        else tuple(map(letter_key, x.word)) for x in (a, b)])
+        x, y = [(t.key if t.__class__ is LoopClass
+                 else word_key(t.word.letters)) if byte_keyed
+                else tuple(map(letter_key, t.word)) for t in (a, b)]
+        term, lx, ly = splice(x, y), len(x), len(y)
+        if not loops or lx * ly < 12:
+            for sign, (_, _, i), (_, _, j) in crossings:
+                w = term(i, j)
+                totals[w] = totals.get(w, 0) + sign * n
+            continue
+        starts = {}
         for sign, (_, _, i), (_, _, j) in crossings:
-            w = term(i, j)
-            totals[w] = totals.get(w, 0) + sign * n
+            t = lx
+            while t and (d := -1 if x[i - 1] == y[j - 1] else
+                         1 if x[i - 1] == y[j] ^ 1 else 0):
+                i, j, t = (i - 1) % lx, (j + d) % ly, t - 1
+            key = i * ly + j
+            starts[key] = starts.get(key, 0) + sign
+        for key, sign in starts.items():
+            if sign:
+                w = term(*divmod(key, ly))
+                totals[w] = totals.get(w, 0) + sign * n
     outs = [w for w, total in totals.items() if total]
     return like.with_totals(den, zip(build(outs),
                                      map(totals.__getitem__, outs)))

@@ -21,7 +21,10 @@ s on a path gamma off s is the pairing of alpha with gamma, each pair
 (p, q) composed as q then p (composition).
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -43,6 +46,7 @@ from goldman_forge.goldman import (
     _draw,
     _surgeries,
     bi_pairing,
+    crossing_trace,
     goldman_bracket,
     kk_action,
 )
@@ -55,7 +59,9 @@ from goldman_forge.surface import (
     cyclic_normal_form,
     letter_key,
     parse_word,
+    reduced_product,
     ribbon_structure,
+    splice_normal_form,
     word_key,
 )
 
@@ -205,6 +211,92 @@ def fixed_loop_sum(spec, terms):
                           for text, coeff in terms])
 
 
+# -- shared runs ------------------------------------------------------------
+
+# The bracket sums the crossing signs of a pair of terms per start of the
+# run their words share before splicing (pairs with len(x) * len(y) >= 12);
+# the path surgeries splice each crossing.  Words of four or more letters
+# related by rotation, inversion, powers or a common run share long runs.
+RUN_SURFACES = (SurfaceSpec(1, 1), SurfaceSpec(2, 1), SurfaceSpec(1, 3),
+                SurfaceSpec(0, 4), SurfaceSpec(44, 1), SurfaceSpec(64, 3))
+# on the wide surfaces a few letters, with and without a byte key
+RUN_BASES = {(44, 1): ("a1", "a44", "b1", "b44"),
+             (64, 3): ("a1", "a43", "a44", "b1", "b64", "c1", "c2")}
+RUN_KINDS = ("rotation", "inverse", "power", "run", "inverse run", "same")
+
+
+def run_bases(spec):
+    return RUN_BASES.get((spec.genus, spec.boundary), spec.generators())
+
+
+def cyclic_letters(rng, spec, length):
+    """A reduced, cyclically reduced letter list of the given length."""
+    bases = run_bases(spec)
+    while True:
+        letters = []
+        while len(letters) < length:
+            letter = (rng.choice(bases), rng.choice((1, -1)))
+            if not letters or letters[-1] != (letter[0], -letter[1]):
+                letters.append(letter)
+        if letters[0] != (letters[-1][0], -letters[-1][1]):
+            return letters
+
+
+def inverse_letters(letters):
+    return [(base, -e) for base, e in reversed(letters)]
+
+
+def related_letters(kind, letters, r, k, tail):
+    """A word sharing runs with letters: its rotation by r, its inverse,
+    its k-th power, itself, or a run of k letters of its rotation by r
+    (of its inverse's, for "inverse run") followed by tail."""
+    if kind == "rotation":
+        return letters[r:] + letters[:r]
+    if kind == "inverse":
+        return inverse_letters(letters)
+    if kind == "power":
+        return letters * k
+    if kind == "same":
+        return list(letters)
+    source = inverse_letters(letters) if kind == "inverse run" else letters
+    return (source[r:] + source[:r])[:k] + list(tail)
+
+
+def run_operands(spec, x, y, coeffs):
+    """Loop sums of the classes of x and y, the path along y from tag 0
+    to tag 1 (to 0 on one boundary), and, with three tags, a path along x
+    from the last tag to itself and the empty path from 1 to 0."""
+    u = LoopSum(spec, [(old_cyclic_normal_form(x), coeffs[0])])
+    v = LoopSum(spec, [(old_cyclic_normal_form(y), coeffs[1])])
+    to = min(1, spec.boundary - 1)
+    gamma = PathSum(spec, 0, to, [(Path(0, to, FreeWord(y)), coeffs[2])])
+    if spec.boundary < 3:
+        return u, v, gamma, None, None
+    last = spec.boundary - 1
+    alpha = PathSum(spec, last, last,
+                    [(Path(last, last, FreeWord(x)), coeffs[0])])
+    return u, v, gamma, alpha, PathSum(spec, 1, 0, [(Path(1, 0), coeffs[1])])
+
+
+def check_run_operands(u, v, gamma, alpha, empty, convention):
+    """Every surgery of the operands equals the per-crossing code: the
+    bracket both ways and of u with itself, the action on gamma and on
+    the empty path, and the pairing of alpha with each, both ways."""
+    case = (convention, u, v, gamma, alpha)
+    for left, right in ((u, v), (v, u), (u, u)):
+        assert_same(goldman_bracket(left, right, convention),
+                    old_goldman_bracket(left, right, convention), case)
+    paths = [gamma] if empty is None else [gamma, empty]
+    for path in paths:
+        assert_same(kk_action(u, path, convention),
+                    old_kk_action(u, path, convention), case)
+    if alpha is not None:
+        for path in paths:
+            for left, right in ((alpha, path), (path, alpha)):
+                assert_same(bi_pairing(left, right, convention),
+                            old_bi_pairing(left, right, convention), case)
+
+
 # -- the sweep --------------------------------------------------------------
 
 def test_surgeries_match_per_crossing_code():
@@ -286,6 +378,34 @@ def test_surgeries_match_per_crossing_code():
                 alone = goldman_bracket(LoopSum(spec, [(a, coeff)]), v,
                                         convention)
                 assert alone.terms[cancelled], (a, convention)
+    # words sharing long runs, on byte-keyed and tuple-keyed surfaces
+    runs = dict.fromkeys(RUN_KINDS, 0)
+    runs.update({"cancelled": 0, "wide": 0, "bipair": 0, "empty path": 0,
+                 "path start": 0, "path end": 0, "reversed": 0})
+    for case in range(240):
+        spec = RUN_SURFACES[case % len(RUN_SURFACES)]
+        convention = CONVENTIONS[(case // len(RUN_SURFACES)) % 2]
+        kind = RUN_KINDS[(case // 12) % len(RUN_KINDS)]
+        x = cyclic_letters(rng, spec, rng.randint(4, 6))
+        y = related_letters(kind, x, rng.randrange(len(x)),
+                            rng.randint(2, len(x) if "run" in kind else 3),
+                            cyclic_letters(rng, spec, rng.randint(1, 4)))
+        u, v, gamma, alpha, empty = run_operands(
+            spec, x, y, [rng.choice(COEFFS) for _ in range(3)])
+        check_run_operands(u, v, gamma, alpha, empty, convention)
+        runs[kind] += 1
+        runs["cancelled"] += any(0 in counts.values() for _, counts in
+                                 splice_counts(u, v, convention))
+        runs["wide"] += spec.genus > 43
+        runs["bipair"] += alpha is not None
+        runs["empty path"] += empty is not None
+        runs["reversed"] += convention == "reversed"
+        for _, _, path, crossings in per_pair_crossings(
+                u, gamma, convention)[1]:
+            splits = {k for _, _, k in crossings}
+            runs["path start"] += 0 in splits
+            runs["path end"] += len(path.word.letters) in splits
+    assert min(runs.values()) >= 30 and runs["cancelled"] >= 150, runs
 
 
 # -- the letter order --------------------------------------------------------
@@ -613,3 +733,144 @@ def test_trace_and_composition_property(operands):
     if off_gamma is not None:
         left, right = composition_sides(alpha, off_gamma, convention)
         assert left == right
+
+
+# -- grouped crossings -------------------------------------------------------
+
+RUN_PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+@st.composite
+def shared_run_operands(draw):
+    """A surface, a convention and two words sharing runs (see
+    related_letters), drawn letter by letter."""
+    spec = draw(st.sampled_from(RUN_SURFACES))
+    letters = st.tuples(st.sampled_from(run_bases(spec)),
+                        st.sampled_from((1, -1)))
+    x = old_cyclic_normal_form(draw(st.lists(letters, min_size=3,
+                                             max_size=7))).word
+    if not x:
+        x = (draw(letters),)
+    kind = draw(st.sampled_from(RUN_KINDS))
+    y = related_letters(kind, list(x), draw(st.integers(0, len(x) - 1)),
+                        draw(st.integers(2, max(2, len(x)))),
+                        draw(st.lists(letters, max_size=4)))
+    coeffs = [draw(st.sampled_from(COEFFS)) for _ in range(3)]
+    return draw(st.sampled_from(CONVENTIONS)), run_operands(spec, list(x),
+                                                            y, coeffs)
+
+
+@RUN_PROPERTY
+@given(shared_run_operands())
+def test_shared_runs_match_per_crossing_code(operands):
+    convention, (u, v, gamma, alpha, empty) = operands
+    check_run_operands(u, v, gamma, alpha, empty, convention)
+
+
+GROUPING_SEED = 3535
+# the benchmark's bracket shape: two-term sums of six-letter classes
+GROUPING_SURFACES = (SurfaceSpec(1, 1), SurfaceSpec(2, 1), SurfaceSpec(1, 2),
+                     SurfaceSpec(0, 3), SurfaceSpec(1, 3), SurfaceSpec(0, 4))
+
+
+class Splices:
+    """The splices the surgeries make: every call of a bracket term, and
+    every reduced_product, two per splice of the action or the pairing."""
+
+    def __init__(self):
+        self.bracket = self.products = 0
+
+    def splicer(self, a, b):
+        term = splice_normal_form(a, b)
+
+        def counted(i, j):
+            self.bracket += 1
+            return term(i, j)
+        return counted
+
+    def product(self, x, y):
+        self.products += 1
+        return reduced_product(x, y)
+
+
+@pytest.fixture
+def splices(monkeypatch):
+    counter = Splices()
+    monkeypatch.setattr(goldman, "splice_normal_form", counter.splicer)
+    monkeypatch.setattr(goldman, "reduced_product", counter.product)
+    return counter
+
+
+def six_letter_sum(rng, spec):
+    return LoopSum(spec, [(old_cyclic_normal_form(
+        cyclic_letters(rng, spec, 6)), rng.choice(COEFFS)) for _ in range(2)])
+
+
+def test_bracket_splices_each_run_start_once(splices):
+    """Grouping by shared runs is not a no-op: over seeded brackets the
+    bracket splices at most 70% as often as its pairs of terms cross,
+    while the action and the pairing splice once per crossing."""
+    rng = random.Random(GROUPING_SEED)
+    crossings = 0
+    for case in range(60):
+        spec = GROUPING_SURFACES[case % len(GROUPING_SURFACES)]
+        u, v = six_letter_sum(rng, spec), six_letter_sum(rng, spec)
+        crossings += sum(c for c, _ in splice_counts(u, v, "default"))
+        goldman_bracket(u, v)
+    assert crossings >= 3000 and splices.bracket <= 0.7 * crossings, (
+        splices.bracket, crossings)
+    path_crossings = 0
+    for case in range(60):
+        spec = GROUPING_SURFACES[case % len(GROUPING_SURFACES)]
+        x = cyclic_letters(rng, spec, 6)
+        u = LoopSum(spec, [(old_cyclic_normal_form(x), 1)])
+        gamma = PathSum(spec, 0, 0, [(Path(0, 0, FreeWord(x[1:] + x)), 1)])
+        operands = [(kk_action, u, gamma)]
+        if spec.boundary >= 3:
+            operands.append((bi_pairing, gamma, PathSum(spec, 1, 2, [
+                (Path(1, 2, FreeWord(x + x[:3])), 1)])))
+        for surgery, left, right in operands:
+            path_crossings += sum(len(c) for *_, c in per_pair_crossings(
+                left, right, "default")[1])
+            surgery(left, right)
+    assert splices.products == 2 * path_crossings >= 6000
+
+
+def test_trace_lists_both_crossings_of_a_bigon():
+    """crossing_trace reports every raw crossing, the two of each bigon
+    pair too, while the bracket keeps none of the classes they cancel."""
+    spec = SurfaceSpec(1, 1)
+    a = old_cyclic_normal_form(parse_word("a1 b1 a1' b1'"))
+    b = old_cyclic_normal_form(parse_word("a1 a1 b1 b1"))
+    u, v = LoopSum(spec, [(a, 1)]), LoopSum(spec, [(b, 1)])
+    trace = crossing_trace(spec, a, b)
+    (crossings, counts), = splice_counts(u, v, "default")
+    bracket = goldman_bracket(u, v)
+    assert len(trace) == crossings == 6 > len(bracket.terms)
+    assert sorted(record["sign"] for record in trace) == [-1] * 3 + [1] * 3
+    cancelled = {cls for cls, count in counts.items() if count == 0}
+    assert len(cancelled) == 3 and not cancelled & set(bracket.terms)
+
+
+SURGERY_COUNTS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tools", "surgery_counts.py")
+
+
+def test_surgery_counts_tool():
+    """tools/surgery_counts.py on the seed-1 surgery round (run apart: it
+    re-imports the engine): the bracket keeps its 19,092 output terms and
+    splices at most 70% as often as it crosses; the action and the
+    pairing splice once per crossing."""
+    out = subprocess.run([sys.executable, SURGERY_COUNTS, "--seed", "1"],
+                         capture_output=True, text=True, check=True).stdout
+    rows = {cells[0]: [int(c) for c in cells[1:]] for cells in (
+        [c.strip() for c in line.strip("|").split("|")]
+        for line in out.splitlines() if line.startswith("| ")
+        and not line.startswith("| surgery"))}
+    calls, crossings, splices, terms = rows["goldman_bracket"]
+    assert (calls, terms) == (648, 19092) and splices <= 0.7 * crossings
+    for name in ("kk_action", "bi_pairing"):
+        calls, crossings, splices, terms = rows[name]
+        assert calls and splices == crossings, (name, rows[name])
+    assert rows["all"] == [sum(r[k] for n, r in rows.items() if n != "all")
+                           for k in range(4)]
