@@ -2,11 +2,10 @@
 
 A Magnus expansion sends each surface generator to a group-like series;
 its necklace shadow identifies conjugacy classes with cyclic words.  On
-top of those two constructions this module carries the graded necklace
-bracket, the symplectic-expansion solver, the induced tangential
-automorphism and its certificate checks, Adams-scaling checks, and the
-quadratic-algebra resolution certificate.  All arithmetic is exact.
-"""
+top of them sit the graded action of a necklace series and its trace,
+the graded necklace bracket; the symplectic-expansion solver; the
+induced tangential automorphism and its certificate checks; Adams-scaling
+checks; and the quadratic-algebra resolution certificate.  All exact."""
 
 import re
 from bisect import insort
@@ -19,6 +18,7 @@ from operator import itemgetter
 from .surface import SurfaceSpec, boundary_word, least_rotation
 from .tensoralg import (
     AlgebraMap,
+    Derivation,
     GenSignature,
     TensorSeries,
     TermSum,
@@ -41,6 +41,7 @@ __all__ = [
     "default_expansion",
     "expand_class",
     "necklace_project",
+    "gr_action",
     "gr_necklace_bracket",
     "transported_bracket",
     "omega",
@@ -240,40 +241,38 @@ def expand_class(loop_class, theta):
     return necklace_project(theta.expand_word(loop_class.free_word()))
 
 
-def gr_necklace_bracket(u, v):
-    """Lowest-weight contraction bracket on necklace words.
+def gr_action(u):
+    """The graded (Hamiltonian) derivation of a necklace series u.
 
-    For necklaces p, q: sum over letter positions i, j of
-    <p_i, q_j> (+-1 on dual x_j, y_j; z letters pair 0) times the
-    necklace obtained by cutting both necklaces open at the paired
-    letters, dropping them, and concatenating.  That weighs
-    w(p) + w(q) - 2, so pairs that weigh past the truncation are skipped;
-    cp * cq * sign is summed as ints over the inputs' denominators.
-    """
-    if u.sig != v.sig or u.trunc != v.trunc:
-        raise ValueError("cyclic series mismatch")
-    pairing = {}
-    for j in range(1, u.sig.genus + 1):
-        x, y = "x%d" % j, "y%d" % j
-        pairing[x, y], pairing[y, x] = 1, -1
-    degree = u.sig.degree
-    den_u, num_u = u.numerators()
-    den_v, num_v = v.numerators()
-    by_v = [(q.word, cq, degree(q.word)) for q, cq in num_v]
-    totals = {}
-    for necklace, cp in num_u:
+    Per letter p_i of a necklace p of u, P_i = p_{i+1} ... p_{i-1}: one
+    table gives the partner q of p_i the image <p_i, q> P_i, where
+    <x_j, y_j> = 1 = -<y_j, x_j>, and z_k the image z_k P_i - P_i z_k if
+    p_i = z_k, times p's coefficient.  That is the graded double bracket
+    {{x_j, y_j}} = 1 (x) 1, {{z_k, z_k}} = z_k (x) 1 - 1 (x) z_k, in the
+    engine's signs: Kawazumi-Kuno, "The logarithms of Dehn twists" (2014),
+    and Alekseev-Kawazumi-Kuno-Naef, "The Goldman-Turaev Lie bialgebra
+    and the Kashiwara-Vergne problem in higher genera" (2018)."""
+    sig, trunc, g, gens = u.sig, u.trunc, u.sig.genus, u.sig.gens
+    table = {z: [(z, 1, (z,), ()), (z, -1, (), (z,))] for z in gens[2 * g:]}
+    for x, y in zip(gens, gens[g:2 * g]):
+        table[x], table[y] = [(y, 1, (), ())], [(x, -1, (), ())]
+    images = {}
+    for necklace, c in u.terms.items():
         p = necklace.word
-        room = u.trunc + 2 - degree(p)
-        for q, cq, wq in by_v:
-            if wq > room:
-                continue
-            for i, j in product(range(len(p)), range(len(q))):
-                sign = pairing.get((p[i], q[j]))
-                if sign:
-                    key = NecklaceWord(p[i + 1:] + p[:i] + q[j + 1:] + q[:j])
-                    totals[key] = totals.get(key, 0) + sign * cp * cq
-    return CyclicSeries(u.sig, u.trunc, twist=u.twist + v.twist + 1
-                        ).with_totals(den_u * den_v, totals.items())
+        for i, letter in enumerate(p):
+            for q, sign, left, right in table[letter]:
+                images.setdefault(q, []).append(
+                    (left + p[i + 1:] + p[:i] + right, sign * c))
+    return Derivation(sig, trunc, {q: TensorSeries.from_terms(sig, trunc, terms)
+                                   for q, terms in images.items()})
+
+
+def gr_necklace_bracket(u, v):
+    """The trace of gr_action(u) on v, |D(q)| summed over v's necklaces q;
+    twists add plus 1, and unequal signatures or truncations raise."""
+    return necklace_project(gr_action(u).apply(TensorSeries.from_terms(
+        v.sig, v.trunc, ((n.word, c) for n, c in v.terms.items()))),
+        twist=u.twist + v.twist + 1)
 
 
 def transported_bracket(u, v, theta):

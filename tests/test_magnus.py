@@ -22,6 +22,7 @@ from goldman_forge.magnus import (
     default_expansion,
     dynkin_leading_split,
     expand_class,
+    gr_action,
     gr_necklace_bracket,
     invert_expansion,
     is_symplectic,
@@ -192,6 +193,13 @@ class TestGradedBracket:
         assert gr_necklace_bracket(z, other).is_zero()
         assert gr_necklace_bracket(other, z).is_zero()
 
+    def test_mismatch_rejected(self):
+        u = self.make(GenSignature(1, 1), 4, ["x1"])
+        for v in (self.make(GenSignature(1, 0), 4, ["y1"]),
+                  self.make(GenSignature(1, 1), 5, ["y1"])):
+            with pytest.raises(ValueError):
+                gr_necklace_bracket(u, v)
+
     def test_non_dual_letters_commute(self):
         sig = GenSignature(2, 0)
         u = self.make(sig, 4, ["x1"])
@@ -206,38 +214,68 @@ class TestGradedBracket:
         out = gr_necklace_bracket(u, v)
         assert out == CyclicSeries(sig, 4, {("y1",): Fraction(1)}, twist=1)
 
+    def test_action_images(self):
+        # p = x1 z1 y1: x1's partner y1 gets +|z1 y1|, y1's partner x1
+        # gets -|x1 z1|, and z1 gets z1 P - P z1 with P = y1 x1
+        sig = GenSignature(1, 1)
+        d = gr_action(self.make(sig, 6, ["x1", "z1", "y1"]))
+        assert d.images == {
+            "x1": series(sig, 6, (("x1", "z1"), -1)),
+            "y1": series(sig, 6, (("z1", "y1"), 1)),
+            "z1": series(sig, 6, (("z1", "y1", "x1"), 1),
+                         (("y1", "x1", "z1"), -1)),
+        }
+
+    def test_shared_boundary_letter_splices(self):
+        # p = z1 x1, q = z1 y1: x1 against y1 gives |z1 z1|, and the
+        # shared z1 (P = x1, Q = y1) gives |z1 x1 y1| - |x1 z1 y1|
+        sig = GenSignature(1, 1)
+        u = self.make(sig, 8, ["z1", "x1"])
+        v = self.make(sig, 8, ["z1", "y1"])
+        assert gr_necklace_bracket(u, v) == CyclicSeries(sig, 8, {
+            ("z1", "z1"): 1, ("x1", "y1", "z1"): 1, ("x1", "z1", "y1"): -1},
+            twist=1)
+
     def test_antisymmetry(self):
-        sig = GenSignature(2, 1)
         rng = random.Random(11)
-        for _ in range(30):
-            u = self._random_necklace(rng, sig, 5)
-            v = self._random_necklace(rng, sig, 5)
-            lhs = gr_necklace_bracket(u, v)
-            rhs = gr_necklace_bracket(v, u).scaled(-1)
-            assert lhs.terms == rhs.terms
+        for sig in (GenSignature(2, 1), GenSignature(1, 1), GenSignature(0, 3)):
+            for _ in range(30):
+                u = self._random_necklace(rng, sig, 5)
+                v = self._random_necklace(rng, sig, 5)
+                lhs = gr_necklace_bracket(u, v)
+                rhs = gr_necklace_bracket(v, u).scaled(-1)
+                assert lhs.terms == rhs.terms
 
     def test_jacobi(self):
-        sig = GenSignature(2, 0)
+        # with punctures, at truncation 20, where no inner bracket of
+        # inputs of weight <= 6 is dropped
         rng = random.Random(13)
-        for _ in range(15):
-            u = self._random_necklace(rng, sig, 6)
-            v = self._random_necklace(rng, sig, 6)
-            w = self._random_necklace(rng, sig, 6)
-            total = {}
-            for a, b, c in ((u, v, w), (v, w, u), (w, u, v)):
-                term = gr_necklace_bracket(a, gr_necklace_bracket(b, c))
-                for necklace, coeff in term.terms.items():
-                    cc = total.get(necklace, 0) + coeff
-                    if cc:
-                        total[necklace] = cc
-                    else:
-                        total.pop(necklace, None)
-            assert not total
+        for sig, trunc, count in ((GenSignature(2, 0), 6, 15),
+                                  (GenSignature(1, 1), 20, 60),
+                                  (GenSignature(0, 3), 20, 60)):
+            nonzero = 0
+            for _ in range(count):
+                u = self._random_necklace(rng, sig, trunc)
+                v = self._random_necklace(rng, sig, trunc)
+                w = self._random_necklace(rng, sig, trunc)
+                total = {}
+                for a, b, c in ((u, v, w), (v, w, u), (w, u, v)):
+                    term = gr_necklace_bracket(a, gr_necklace_bracket(b, c))
+                    nonzero += not term.is_zero()
+                    for necklace, coeff in term.terms.items():
+                        cc = total.get(necklace, 0) + coeff
+                        if cc:
+                            total[necklace] = cc
+                        else:
+                            total.pop(necklace, None)
+                assert not total
+            assert nonzero >= 5, sig
 
     def _random_necklace(self, rng, sig, trunc):
-        word = helpers.random_word(rng, sig, max_len=3, max_degree=trunc)
+        weight = min(trunc, 6)
+        word = helpers.random_word(rng, sig, max_len=3, max_degree=weight)
         while not word:
-            word = helpers.random_word(rng, sig, max_len=3, max_degree=trunc)
+            word = helpers.random_word(rng, sig, max_len=3, max_degree=weight)
         return CyclicSeries(sig, trunc,
                             {tuple(word): helpers.random_coeff(rng)})
 
