@@ -517,17 +517,17 @@ def kk_derivation(u, trunc):
 
 # -- Dehn twist fixtures -------------------------------------------------
 
-# image = generator * companion^eps; identity on everything else
+# moved -> moved * companion^eps, identity elsewhere: a twist about companion
 _TWIST_TABLES = {
     (1, 1): {
-        "ta": ("b1", "a1", 1, "a1"),
-        "tb": ("a1", "b1", -1, "b1"),
+        "ta": ("b1", "a1", 1),
+        "tb": ("a1", "b1", -1),
     },
     (2, 1): {
-        "ta1": ("b1", "a1", 1, "a1"),
-        "tb1": ("a1", "b1", -1, "b1"),
-        "ta2": ("b2", "a2", 1, "a2"),
-        "tb2": ("a2", "b2", -1, "b2"),
+        "ta1": ("b1", "a1", 1),
+        "tb1": ("a1", "b1", -1),
+        "ta2": ("b2", "a2", 1),
+        "tb2": ("a2", "b2", -1),
     },
 }
 
@@ -547,7 +547,7 @@ def _twist_entry(spec, curve):
 
 def dehn_twist(spec, curve, word, power=1):
     """Image of a word under a tabulated twist automorphism."""
-    moved, companion, eps, _core = _twist_entry(spec, curve)
+    moved, companion, eps = _twist_entry(spec, curve)
     if power < 0:
         eps = -eps
     image = {1: ((moved, 1), (companion, eps)),
@@ -567,15 +567,14 @@ def dehn_twist(spec, curve, word, power=1):
 def twist_derivation(spec, curve, trunc):
     """Square-of-logarithm lift of a twist curve, as a derivation.
 
-    The class-level lift of half the squared logarithm of the curve:
+    The class-level lift of half the squared log of alpha, the companion:
       L = 1/2 sum_{r>=2} (-1)^r h_r sum_k C(r,k) (-1)^(r-k) |alpha^k|,
       h_r = sum_{n=1}^{r-1} 1/(n(r-n)),
     truncated at r = trunc+2 (the action shifts degree by two), then
     pushed through kk_derivation.  The exponential of the result must
     reproduce the tabulated twist automorphism on generator images.
     """
-    _moved, _companion, _eps, core = _twist_entry(spec, curve)
-    alpha = (core, 1)
+    alpha = (_twist_entry(spec, curve)[1], 1)
     lift = LoopSum(spec)
     for r in range(2, trunc + 3):
         h_r = sum(Fraction(1, n * (r - n)) for n in range(1, r))

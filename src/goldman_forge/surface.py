@@ -6,6 +6,8 @@ generator a1..ag, b1..bg, c1..cn, and a counterclockwise cyclic order
 of half-edges at the vertex.  Boundary faces of the thickened graph
 realize the boundary words; a marked tail half-edge in each boundary
 face realizes the tangential basepoint of that boundary component.
+The vertex order is stated in closed form (ribbon_structure); the tests
+walk its faces and check them against the prescribed ones.
 
 Letters of free-group words are pairs (base, exp) with base a generator
 name such as "a1" and exp +1 or -1.  The token syntax is "a1" for the
@@ -360,11 +362,6 @@ def boundary_word(spec):
     return FreeWord(letters)
 
 
-def dart_rev(dart):
-    base, e = dart
-    return (base, -e)
-
-
 def tail_dart(tag):
     """The tail dart marking the basepoint of boundary tag."""
     return ("t%d" % tag, 0)
@@ -380,38 +377,22 @@ def ribbon_structure(spec):
     the vertex when the generator is traversed positively, the -1 dart
     where it returns.  Tails tail_dart(k) = ("t<k>", 0) are dangling
     marks for the basepoints and never take part in face traversal.
-    Faces are prescribed: face 0 spells the surface relation word as its
-    dart cycle and face k is the monogon reading c_k inverse; the vertex
-    order is derived from them.  The derived order must be a single
-    cycle (one vertex) or the model is inconsistent for this spec.
+    The order, in closed form: t0, the blocks c_k^-1 t_k c_k (k = n..1)
+    and b_j a_j^-1 b_j^-1 a_j (j = g..1), then the last dart moved to
+    the front.  A face steps from a real dart to the real dart before
+    its reversal: a_j, b_j, a_j^-1 go to b_j, a_j^-1, b_j^-1, and b_j^-1
+    and c_k to the last real dart before their block (a_(j+1), c_1,
+    c_(k+1) or the front dart); so face 0 spells the relation word, and
+    face k is the monogon c_k^-1 holding tail k.
     Cached per spec: every caller shares one result, never mutated.
     """
-    gamma0 = boundary_word(spec)
-    cycles = [tuple(gamma0.letters)]
-    for k in range(1, spec.punctures + 1):
-        cycles.append((("c%d" % k, -1),))
-    phi_inv = {}
-    for cycle in cycles:
-        for i, d in enumerate(cycle):
-            phi_inv[cycle[(i + 1) % len(cycle)]] = d
-    darts = set(phi_inv)
-    sigma = {d: dart_rev(phi_inv[d]) for d in darts}
-    start = cycles[0][0]
-    walk = [start]
-    d = sigma[start]
-    while d != start:
-        walk.append(d)
-        d = sigma[d]
-    if len(walk) != len(darts):
-        raise ValueError("derived vertex order is not a single cycle for %r"
-                         % (spec,))
-    insert_after = {start: [tail_dart(0)]}
-    for k in range(1, spec.punctures + 1):
-        insert_after.setdefault(("c%d" % k, -1), []).append(tail_dart(k))
-    order = []
-    for d in walk:
-        order.append(d)
-        order.extend(insert_after.get(d, ()))
+    order = [tail_dart(0)]
+    for k in range(spec.punctures, 0, -1):
+        order += [("c%d" % k, -1), tail_dart(k), ("c%d" % k, 1)]
+    for j in range(spec.genus, 0, -1):
+        a, b = "a%d" % j, "b%d" % j
+        order += [(b, 1), (a, -1), (b, -1), (a, 1)]
+    order.insert(0, order.pop())
     return {dart: i for i, dart in enumerate(order)}
 
 

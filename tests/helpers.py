@@ -14,9 +14,10 @@ from goldman_forge.magnus import (
 )
 from goldman_forge.surface import (
     FreeWord,
-    dart_rev,
+    boundary_word,
     letter_key,
     ribbon_structure,
+    tail_dart,
 )
 from goldman_forge.tensoralg import (
     AlgebraMap,
@@ -151,7 +152,7 @@ def faces(slot):
     """
     real = real_darts_ccw(slot)
     position = {d: i for i, d in enumerate(real)}
-    phi = {d: real[position[dart_rev(d)] - 1] for d in real}
+    phi = {d: real[position[(d[0], -d[1])] - 1] for d in real}
     seen = set()
     cycles = []
     for start in sorted(real, key=letter_key):
@@ -166,6 +167,41 @@ def faces(slot):
             d = phi[d]
         cycles.append(tuple(cycle))
     return [FreeWord(cycle) for cycle in cycles]
+
+
+def walked_ribbon_structure(spec):
+    """The vertex order derived from the prescribed faces, as
+    ribbon_structure returned it before the order was stated in closed
+    form; kept as its oracle.  Face 0 spells the surface relation word
+    and face k is the monogon reading c_k inverse.  The face permutation
+    phi follows each face's dart cycle; the vertex permutation is
+    sigma(d) = reverse of phi^-1(d), walked from the relation word's
+    first dart, which must give one cycle (one vertex).  Tail 0 follows
+    that first dart and tail k follows c_k inverse."""
+    cycles = [boundary_word(spec).letters]
+    cycles += [(("c%d" % k, -1),) for k in range(1, spec.punctures + 1)]
+    phi_inv = {}
+    for cycle in cycles:
+        for i, d in enumerate(cycle):
+            phi_inv[cycle[(i + 1) % len(cycle)]] = d
+    sigma = {d: (base, -e) for d, (base, e) in phi_inv.items()}
+    start = cycles[0][0]
+    walk = [start]
+    d = sigma[start]
+    while d != start:
+        walk.append(d)
+        d = sigma[d]
+    if len(walk) != len(phi_inv):
+        raise ValueError("derived vertex order is not a single cycle for %r"
+                         % (spec,))
+    insert_after = {start: [tail_dart(0)]}
+    for k in range(1, spec.punctures + 1):
+        insert_after.setdefault(("c%d" % k, -1), []).append(tail_dart(k))
+    order = []
+    for d in walk:
+        order.append(d)
+        order.extend(insert_after.get(d, ()))
+    return {dart: i for i, dart in enumerate(order)}
 
 
 def random_primitive(rng, sig, trunc, nterms=3, max_depth=3):

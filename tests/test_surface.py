@@ -14,7 +14,7 @@ from goldman_forge.surface import (
     ribbon_structure,
     tail_dart,
 )
-from helpers import faces, real_darts_ccw
+from helpers import faces, real_darts_ccw, walked_ribbon_structure
 
 
 def W(text):
@@ -195,6 +195,17 @@ class TestRibbonStructure:
                 want += [cyclic_normal_form(W("c%d'" % k))
                          for k in range(1, spec.punctures + 1)]
                 assert got == sorted(str(c) for c in want)
+
+    # every surface up to genus 12 and 12 boundaries, and three past the
+    # byte-keyed letters
+    WALKED = [(g, b) for g in range(13) for b in range(1, 13)
+              if (g, b) != (0, 1)] + [(43, 1), (44, 1), (64, 3)]
+
+    def test_closed_form_is_the_face_walk(self):
+        for gb in self.WALKED:
+            spec = SurfaceSpec(*gb)
+            assert (ribbon_structure.__wrapped__(spec)
+                    == walked_ribbon_structure(spec)), gb
 
     def test_one_ribbon_per_surface(self):
         spec = SurfaceSpec(2, 3)
