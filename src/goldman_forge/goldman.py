@@ -5,20 +5,21 @@ chord families inside the single vertex disk; parallel strands through
 an edge are separated by a deterministic rule, crossings are read off
 from endpoint alternation around the disk, and each crossing contributes
 one surgered term with an orientation sign.  A chord is a tuple of two
-int end keys and a split (see _draw).  Everything downstream (Goldman
+int end keys and a split (see _chords).  Everything downstream (Goldman
 bracket, loop action on paths, the two-path pairing, induced
 derivations, Dehn-twist certificates) is a bilinear wrapper over that
-one enumeration, ``_surgeries``, which draws the terms of both operands
-once per call; each sums the crossing signs times int coefficient
-numerators per coded output word (one code per call, surface.word_key's
-wherever the surface allows it, so a class enters as its key) over one
-denominator, and builds each output term once, a loop class from its key.
+one enumeration, ``_surgeries``, which reads chord ends from one table
+per surface and convention (_chord_ends; only the trace draws); each
+sums the crossing signs times int coefficient numerators per coded
+output word (one code per call, _codes, so a class enters as its key)
+over one denominator, and builds each output term once.
 In the bracket, crossings along a run both loops share splice alike
 (s the shared letter: s P s Q ~ P s Q s, P s s^-1 R = P R ~ s P R s^-1),
 so _tally sums their signs first, and the bigon pairs of inessential
 crossings (Goldman 1986) cancel unspliced.
 """
 
+import functools
 from fractions import Fraction
 from math import comb, factorial
 
@@ -218,23 +219,18 @@ def _stops(item):
 
 
 def _draw(slot, items, convention):
-    """(width, one chord list per operand), under one perturbation rule;
-    slot is the dart-position map of ribbon_structure.
+    """(width, one _chords list per operand), under one perturbation rule;
+    slot is the dart-position map of ribbon_structure.  Only the trace
+    and the tests draw: the surgeries read _chord_ends.
 
     Strands through one edge or tail are ranked by (operand tag, stop
     position); the rank is the offset from the edge's left side seen
     from the positive dart, so the offset reverses at the negative dart.
-    Any two items' ends thus keep the order a drawing of those two alone
-    gives them, and _crossings compares nothing else: one drawing of
-    many items has the crossings of every pair.
     The "reversed" convention ranks in the opposite order; outputs of
     the surgeries must not depend on the choice.  The end at a dart
     with an offset has the int key slot[dart] * width + offset; width,
     the number of stops, exceeds every offset, so keys order the ends
-    as the pairs (slot[dart], offset) do.  Chord j of an operand is
-    (in key, out key, split): it runs from stop j, entering at the
-    reverse of that stop's dart, to stop j+1 (cyclically for a loop),
-    and splits the word at the position of that second stop.
+    as the pairs (slot[dart], offset) do.
     """
     stops = [_stops(item) for item in items]
     darts = [dart for item_stops in stops for dart in item_stops]
@@ -256,20 +252,68 @@ def _draw(slot, items, convention):
     chords, end = [], 0
     for item, item_stops in zip(items, stops):
         start, end = end, end + len(item_stops)
-        starts, ends = ins[start:end], outs[start:end]
-        if isinstance(item, LoopClass):
-            legs = zip(starts, ends[1:] + ends[:1], [*range(1, len(ends)), 0])
-        elif item.is_identity():
-            legs = ()                   # identity path draws nothing
-        else:
-            legs = zip(starts[:-1], ends[1:], range(len(ends) - 1))
-        chords.append(list(legs))
+        chords.append(_chords(item, ins[start:end], outs[start:end]))
     return width, chords
+
+
+def _chords(item, ins, outs):
+    """item's chords from the keys where it enters each stop (ins, at the
+    dart's reverse) and leaves it (outs).  Chord j, (in key, out key,
+    split), runs from stop j to stop j+1, cyclically for a loop, and
+    splits the word there: a loop's splits 1..n-1, 0; tail to tail on a
+    path; none on the identity path."""
+    if isinstance(item, LoopClass):
+        return [*zip(ins, outs[1:], range(1, len(outs))),
+                (ins[-1], outs[0], 0)] if ins else []
+    if item.is_identity():
+        return []
+    return [*zip(ins, outs[1:], range(len(outs) - 1))]
+
+
+def _codes(item, byte_keyed):
+    """The coded word of a LoopClass or Path, one code per surface: if
+    byte_keyed, a class's key as it stands and a path's word_key, else
+    the tuple of letter_keys."""
+    if not byte_keyed:
+        return tuple(map(letter_key, item.word))
+    if item.__class__ is LoopClass:
+        return item.key
+    return word_key(item.word.letters)
+
+
+def _stop_codes(item, byte_keyed):
+    """The codes of _stops(item): _codes' word, a path's between the
+    letter_keys of its two tails."""
+    codes = _codes(item, byte_keyed)
+    if item.__class__ is LoopClass:
+        return codes
+    return (letter_key(tail_dart(item.from_tag)), *codes,
+            letter_key(tail_dart(item.to_tag)))
+
+
+@functools.lru_cache(maxsize=64)
+def _chord_ends(spec, convention):
+    """Per operand, the maps from the code of a stop (_stop_codes)
+    to the key of a chord end entering it (at its dart's reverse) and
+    leaving it; cached per (spec, convention), never mutated.  Exact:
+    _crossings reads only the order of the four ends of a chord of each
+    operand, and _draw orders those by slot and, at a dart both pass,
+    puts the first operand's strand (its stops come first) lower at a
+    positive dart and upper at a negative one, the reverse if "reversed":
+    key 2 * slot + 1 for the upper.  No tail is passed by both operands,
+    nor a dart by both ends of a chord (words are reduced)."""
+    slot, flip = ribbon_structure(spec), convention == "reversed"
+    code = ((lambda dart: word_key((dart,))[0]) if spec.byte_keyed
+            else letter_key)            # a tail's code is its letter_key
+    keys = [{(base, e): 2 * s + (e != 0 and side ^ (e < 0) ^ flip)
+             for (base, e), s in slot.items()} for side in (False, True)]
+    return [({code(d): key[(d[0], -d[1])] for d in key},
+             {code(d): k for d, k in key.items()}) for key in keys]
 
 
 def _crossings(left_chords, right_chords):
     """(sign, left chord, right chord) at every crossing of two chord
-    lists of one _draw.
+    lists of one _draw or of _chord_ends' keys.
 
     Sign rule, with disk positions increasing counterclockwise: a right
     chord crosses the left chord from a to b when exactly one of its
@@ -296,13 +340,14 @@ def _surgeries(u, v, convention):
     """Every pair of terms of two sums on one surface, with its crossings.
 
     Checks the surfaces and the convention first, so that a zero sum
-    raises too, then draws the terms of u and then of v as one item list,
-    once (not at all if either sum is zero; exact, see _draw).  Returns
-    (den, records): den is the lcm of u's coefficient denominators times
-    the lcm of v's, and records yields one record per pair of terms,
+    raises too, then builds the chords of u's terms and of v's from
+    _chord_ends (not at all if either sum is zero).  Returns (den,
+    records): den is the lcm of u's coefficient denominators times the
+    lcm of v's, and records yields one record per pair of terms,
     (n, a, b, crossings), where n is the int with
     coeff_a * coeff_b == n / den and crossings iterates the
-    (sign, chord of a, chord of b) of ``_crossings``.
+    (sign, chord of a, chord of b) of ``_crossings``, as in _draw's
+    drawing of a and b alone.
     """
     if convention not in CONVENTIONS:
         raise ValueError("unknown perturbation convention %r" % (convention,))
@@ -312,9 +357,12 @@ def _surgeries(u, v, convention):
     den_v, num_v = v.numerators()
     if not (num_u and num_v):
         return den_u * den_v, ()
-    chords = _draw(ribbon_structure(u.spec), [*u.terms, *v.terms],
-                   convention)[1]
-    left, right = chords[:len(num_u)], chords[len(num_u):]
+    left, right = [[_chords(t, [*map(ins.__getitem__, stops)],
+                            [*map(outs.__getitem__, stops)])
+                    for t, _ in nums
+                    for stops in [_stop_codes(t, u.spec.byte_keyed)]]
+                   for nums, (ins, outs) in zip(
+                       (num_u, num_v), _chord_ends(u.spec, convention))]
     records = ((na * nb, a, b, _crossings(ca, cb))
                for (a, na), ca in zip(num_u, left)
                for (b, nb), cb in zip(num_v, right))
@@ -325,10 +373,8 @@ def _tally(like, surgeries, splice, build):
     """The surgered terms of (den, records) from _surgeries, as a sum of
     the empty sum like's fields.
 
-    splice(x, y) gets the words of a pair of terms in one code, chosen
-    once per call so that one output word is one totals key: where every
-    letter of the surface has a byte key, a class's key as it stands and
-    a path's word_key, else each word's tuple of letter_keys.  It returns
+    splice(x, y) gets the words of a pair of terms in _codes' code, one
+    per call, so that one output word is one totals key.  It returns
     the map (split i of x, split j of y) -> coded output word or pair.
     In the bracket, with s the letter before split i of x, (i, j) splices
     as (i-1, j-1) if s also precedes split j of y (s P s Q ~ P s Q s), and
@@ -344,9 +390,7 @@ def _tally(like, surgeries, splice, build):
     den, records = surgeries
     totals = {}
     for n, a, b, crossings in records:
-        x, y = [(t.key if t.__class__ is LoopClass
-                 else word_key(t.word.letters)) if byte_keyed
-                else tuple(map(letter_key, t.word)) for t in (a, b)]
+        x, y = _codes(a, byte_keyed), _codes(b, byte_keyed)
         term, lx, ly = splice(x, y), len(x), len(y)
         if not loops or lx * ly < 12:
             for sign, (_, _, i), (_, _, j) in crossings:

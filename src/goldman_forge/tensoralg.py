@@ -134,9 +134,12 @@ class TermSum:
 
     def numerators(self):
         """(L, [(key, coeff * L), ...]), L the lcm of the denominators."""
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        return den, [(key, c.numerator * (den // c.denominator))
-                     for key, c in self.terms.items()]
+        dens = [c.denominator for c in self.terms.values()]
+        if dens.count(1) == len(dens):      # all ints: no lcm to take
+            return 1, [(key, c.numerator) for key, c in self.terms.items()]
+        den = lcm(*dens)
+        return den, [(key, c.numerator * (den // d))
+                     for (key, c), d in zip(self.terms.items(), dens)]
 
     def copy(self):
         return self._with_terms(dict(self.terms))

@@ -551,7 +551,7 @@ class TestTrace:
             crossing_trace(TORUS, "a1", Path(0, 0, parse_word("b1")))
 
 
-def test_ribbon_is_built_once_per_surgery_call(monkeypatch):
+def test_ribbon_is_read_once_per_surface_and_convention(monkeypatch):
     import goldman_forge.goldman as goldman
     calls = []
     real = goldman.ribbon_structure
@@ -561,17 +561,22 @@ def test_ribbon_is_built_once_per_surgery_call(monkeypatch):
         return real(spec)
 
     monkeypatch.setattr(goldman, "ribbon_structure", counted)
+    goldman._chord_ends.cache_clear()
     u = loop(TORUS, "a1") + loop(TORUS, "b1 a1", 2) + loop(TORUS, "a1 b1'")
     v = loop(TORUS, "b1") + loop(TORUS, "a1 a1 b1", -1)
     gamma = based(TORUS, "b1") + based(TORUS, "a1 b1")
     path = PathSum.of(SurfaceSpec(0, 4), Path(0, 2))
     other = PathSum.of(SurfaceSpec(0, 4), Path(1, 3))
-    assert not goldman_bracket(u, v).is_zero()
-    assert not kk_action(u, gamma).is_zero()
-    assert not bi_pairing(path, other).is_zero()
+    for _ in range(2):
+        assert not goldman_bracket(u, v).is_zero()
+        assert not kk_action(u, gamma).is_zero()
+        assert not bi_pairing(path, other).is_zero()
+        assert not goldman_bracket(u, v, "reversed").is_zero()
+    # once per new (surface, convention), not per call or pair of terms
+    assert calls == [TORUS, SurfaceSpec(0, 4), TORUS]
+    # the trace draws, so it reads the ribbon on every call
     assert crossing_trace(TORUS, cyclic_normal_form(parse_word("a1")),
                           Path(0, 0, parse_word("b1")))
-    # one ribbon per call, not one per pair of terms (6 + 6 + 1 + 1)
     assert len(calls) == 4
 
 

@@ -9,9 +9,10 @@ normal form; it is kept here as the oracle, built from the chords of
 ``ribbon_structure`` directly.  Its rotation is Duval's
 (helpers.duval_least_rotation), not the engine's, so the oracle does
 not check the engine's rotation against itself.  The oracle draws each
-pair of terms alone; the engine draws every term of both operands once
-per call, and the joint-drawing sweep checks that this changes no
-crossing, no crossing order and no output.
+pair of terms alone; the engine draws nothing, reading each chord end
+from one table per surface and convention (``_chord_ends``), and the
+joint-drawing sweep and property check that this changes no crossing,
+no crossing order and no output.
 
 Two identities tie the three surgeries together, on the surfaces above
 and on a surface with letters past a byte key: closing a path from a
@@ -154,10 +155,19 @@ def splice_counts(u, v, convention):
 
 # -- seeded inputs ----------------------------------------------------------
 
+def surface_word(rng, spec, max_len):
+    """random_surface_word, in run_bases(spec) letters on the wide
+    surfaces."""
+    if (spec.genus, spec.boundary) not in RUN_BASES:
+        return random_surface_word(rng, spec, max_len)
+    return FreeWord([(rng.choice(run_bases(spec)), rng.choice((1, -1)))
+                     for _ in range(rng.randrange(max_len + 1))]).reduce()
+
+
 def random_loop_sum(rng, spec, nterms, max_len):
     out = LoopSum(spec)
     for _ in range(nterms):
-        word = random_surface_word(rng, spec, max_len)
+        word = surface_word(rng, spec, max_len)
         out.add_term(old_cyclic_normal_form(word), rng.choice(COEFFS))
     return out
 
@@ -167,7 +177,7 @@ def periodic_loop_sum(rng, spec, max_len):
     powers collide, and their counts cancel."""
     word = FreeWord()
     while not word.letters:
-        word = random_surface_word(rng, spec, max_len)
+        word = surface_word(rng, spec, max_len)
     out = LoopSum(spec)
     for k in rng.sample((1, 2, 3), rng.randint(1, 2)):
         out.add_term(old_cyclic_normal_form(word.letters * k),
@@ -178,7 +188,7 @@ def periodic_loop_sum(rng, spec, max_len):
 def random_path_sum(rng, spec, from_tag, to_tag, nterms, max_len):
     out = PathSum(spec, from_tag, to_tag)
     for _ in range(nterms):
-        path = Path(from_tag, to_tag, random_surface_word(rng, spec, max_len))
+        path = Path(from_tag, to_tag, surface_word(rng, spec, max_len))
         out.add_term(path, rng.choice(COEFFS))
     return out
 
@@ -424,11 +434,34 @@ def test_int_letter_key_keeps_the_tuple_order():
     assert letter_key(("a2", 1)) < letter_key(("a10", 1))
 
 
-# -- one drawing per call ---------------------------------------------------
+# -- chord ends from one table ---------------------------------------------
 
 JOINT_SEED = 3030
 JOINT_SURFACES = (SurfaceSpec(1, 1), SurfaceSpec(2, 1), SurfaceSpec(1, 3),
                   SurfaceSpec(0, 4))
+# the sweep adds a surface whose words are coded as tuples of letter_keys
+JOINT_SWEEP = JOINT_SURFACES + (SurfaceSpec(64, 3),)
+JOINT_PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
+JOINT_PROPERTY_SURFACES = (SurfaceSpec(1, 1), SurfaceSpec(0, 3),
+                           SurfaceSpec(1, 2))
+
+
+def chord_splits(item):
+    """The splits of item's chords, in the order they are listed: a
+    loop's 1..n-1, 0; a path's from tail to tail; none for the identity
+    path."""
+    if isinstance(item, LoopClass):
+        n = len(item.word)
+        return [*range(1, n), 0] if n else []
+    return [] if item.is_identity() else [*range(len(item.word.letters) + 1)]
+
+
+def pair_drawing(slot, a, b, convention):
+    """The chords of a drawing of a and b alone, in chord_splits order."""
+    chords = _draw(slot, (a, b), convention)[1]
+    for item, item_chords in zip((a, b), chords):
+        assert [split for *_, split in item_chords] == chord_splits(item)
+    return chords
 
 
 def per_pair_crossings(u, v, convention):
@@ -440,39 +473,49 @@ def per_pair_crossings(u, v, convention):
     den_v, num_v = v.numerators()
     return den_u * den_v, [
         (na * nb, a, b, [(sign, pu[2], pv[2]) for sign, pu, pv in
-                         _crossings(*_draw(slot, (a, b), convention)[1])])
+                         _crossings(*pair_drawing(slot, a, b, convention))])
         for a, na in num_u for b, nb in num_v]
 
 
 def joint_crossings(u, v, convention):
-    """The same lists from the engine's one drawing per call."""
+    """The same lists from the engine's chords, built from _chord_ends."""
     den, records = _surgeries(u, v, convention)
     return den, [(n, a, b, [(sign, pu[2], pv[2]) for sign, pu, pv in
                             crossings])
                  for n, a, b, crossings in records]
 
 
-def mixed_path_sum(rng, spec, tag, nterms, max_len):
-    """The identity path at tag plus nonidentity paths from tag to tag."""
-    out = random_path_sum(rng, spec, tag, tag, nterms, max_len)
-    out.add_term(Path(tag, tag), rng.choice(COEFFS))
+def mixed_path_sum(rng, spec, from_tag, to_tag, nterms, max_len):
+    """The empty path plus other paths from from_tag to to_tag: the
+    identity path on one tag, one chord from tail to tail between two."""
+    out = random_path_sum(rng, spec, from_tag, to_tag, nterms, max_len)
+    out.add_term(Path(from_tag, to_tag), rng.choice(COEFFS))
     return out
+
+
+def tail_to_tail(records):
+    """Whether an empty path between two tags crosses in records."""
+    return any(isinstance(t, Path) and t.from_tag != t.to_tag
+               and not t.word.letters and crossings
+               for _, a, b, crossings in records for t in (a, b))
 
 
 def test_joint_drawing_matches_per_pair_drawing():
     """Sums of 3-5 terms, a class in both operands, periodic classes and
-    path sums that mix the identity path with others, under both
-    conventions: every pair of terms has the crossings, in the same
-    order, that a drawing of the pair alone gives, and the outputs equal
-    the per-pair oracle's."""
+    path sums that mix the empty path with others (the identity path, or
+    one chord from tail to tail), under both conventions and on a
+    surface past a byte key: every pair of terms has the crossings, in
+    the same order, that a drawing of the pair alone gives, and the
+    outputs equal the per-pair oracle's."""
     rng = random.Random(JOINT_SEED)
     shapes = {"bracket": 0, "shared": 0, "periodic": 0, "kk": 0,
               "bipair": 0, "in_both": 0, "power": 0, "identity": 0,
-              "three_plus": 0, "reversed": 0}
-    for case in range(480):
-        spec = JOINT_SURFACES[case % len(JOINT_SURFACES)]
-        convention = CONVENTIONS[(case // len(JOINT_SURFACES)) % 2]
-        kind = ("bracket", "shared", "periodic", "kk", "bipair")[case % 5]
+              "tail_to_tail": 0, "wide": 0, "three_plus": 0, "reversed": 0}
+    for case in range(600):
+        spec = JOINT_SWEEP[case % len(JOINT_SWEEP)]
+        convention = CONVENTIONS[(case // len(JOINT_SWEEP)) % 2]
+        kind = ("bracket", "shared", "periodic", "kk", "bipair")[
+            case // len(JOINT_SWEEP) % 5]
         max_len = 4 if spec.genus > 1 else 5
         if kind in ("bracket", "shared", "periodic"):
             if kind == "periodic":
@@ -493,7 +536,8 @@ def test_joint_drawing_matches_per_pair_drawing():
         elif kind == "kk":
             u = random_loop_sum(rng, spec, rng.randint(3, 5), max_len)
             v = mixed_path_sum(rng, spec, rng.choice(spec.tags),
-                               rng.randint(2, 4), max_len)
+                               rng.choice(spec.tags), rng.randint(2, 4),
+                               max_len)
             new = kk_action(u, v, convention)
             assert_same(new, old_kk_action(u, v, convention),
                         (spec, convention, u, v))
@@ -502,19 +546,22 @@ def test_joint_drawing_matches_per_pair_drawing():
             if pair is None:
                 continue
             (f1, t1), (f2, t2) = pair
-            u = mixed_path_sum(rng, spec, f1, rng.randint(2, 4), max_len)
-            v = random_path_sum(rng, spec, f2, t2, rng.randint(3, 5), max_len)
+            u = mixed_path_sum(rng, spec, f1, f1, rng.randint(2, 4), max_len)
+            v = mixed_path_sum(rng, spec, f2, t2, rng.randint(3, 5), max_len)
             if rng.random() < 0.5:
                 u, v = v, u
             new = bi_pairing(u, v, convention)
             assert_same(new, old_bi_pairing(u, v, convention),
                         (spec, convention, u, v))
-        assert joint_crossings(u, v, convention) == per_pair_crossings(
-            u, v, convention), (spec, convention, u, v)
+        oracle = per_pair_crossings(u, v, convention)
+        assert joint_crossings(u, v, convention) == oracle, (
+            spec, convention, u, v)
         shapes[kind] += not new.is_zero()
         shapes["identity"] += any(
             p.is_identity() for s in (u, v) if isinstance(s, PathSum)
             for p in s.terms) and not new.is_zero()
+        shapes["tail_to_tail"] += tail_to_tail(oracle[1])
+        shapes["wide"] += not spec.byte_keyed and not new.is_zero()
         shapes["three_plus"] += min(len(u.terms), len(v.terms)) >= 3
         shapes["reversed"] += convention == "reversed"
     assert min(shapes.values()) >= 20, shapes
@@ -545,7 +592,7 @@ def surgery_calls(spec):
     while len(inner.terms) < 3:
         inner = goldman_bracket(random_loop_sum(rng, spec, 3, 5),
                                 random_loop_sum(rng, spec, 3, 5))
-    gamma = mixed_path_sum(rng, spec, 0, 3, 4)
+    gamma = mixed_path_sum(rng, spec, 0, 0, 3, 4)
     calls = [("bracket", lambda: goldman_bracket(u, u)),
              ("jacobi outer", lambda: goldman_bracket(u, inner)),
              ("kk", lambda: kk_action(u, gamma))]
@@ -556,20 +603,60 @@ def surgery_calls(spec):
 
 
 @pytest.mark.parametrize("spec", JOINT_SURFACES, ids=str)
-def test_one_drawing_per_call(spec, counted):
+def test_no_surgery_draws(spec, counted):
     calls, operands = surgery_calls(spec)
     assert all(len(s.terms) >= 3 for s in operands), operands
-    for name, call in calls:
-        before = counted.calls
+    for _, call in calls:
         call()
-        assert counted.calls == before + 1, name
+    assert counted.calls == 0
+
+
+@st.composite
+def joint_operands(draw):
+    """Two sums on (1,1), (0,3) or (1,2) that some surgery takes: loops
+    and loops, loops and paths, or paths on disjoint tags; path words
+    may be empty."""
+    spec = draw(st.sampled_from(JOINT_PROPERTY_SURFACES))
+    letters = st.tuples(st.sampled_from(spec.generators()),
+                        st.sampled_from((1, -1)))
+    words = st.lists(letters, max_size=5).map(lambda w: FreeWord(w).reduce())
+    sizes, coeffs = st.integers(1, 4), st.sampled_from(COEFFS)
+
+    def loops():
+        return LoopSum(spec, [(old_cyclic_normal_form(draw(words)),
+                               draw(coeffs)) for _ in range(draw(sizes))])
+
+    def paths(tags):
+        from_tag, to_tag = draw(st.sampled_from(tags)), draw(
+            st.sampled_from(tags))
+        return PathSum(spec, from_tag, to_tag, [
+            (Path(from_tag, to_tag, draw(words)), draw(coeffs))
+            for _ in range(draw(sizes))])
+
+    kind = draw(st.sampled_from(("bracket", "kk", "bipair")))
+    if kind == "bracket":
+        return loops(), loops()
+    if kind == "kk" or spec.boundary == 1:
+        return loops(), paths(spec.tags)
+    tags = draw(st.permutations(spec.tags))
+    split = draw(st.integers(1, len(tags) - 1))
+    return paths(tags[:split]), paths(tags[split:])
+
+
+@JOINT_PROPERTY
+@given(joint_operands())
+def test_joint_drawing_property(operands):
+    u, v = operands
+    for convention in CONVENTIONS:
+        assert joint_crossings(u, v, convention) == per_pair_crossings(
+            u, v, convention), convention
 
 
 @pytest.mark.parametrize("spec", JOINT_SURFACES, ids=str)
 def test_no_drawing_with_a_zero_operand(spec, counted):
     rng = random.Random(JOINT_SEED)
     loops = random_loop_sum(rng, spec, 3, 4)
-    path = mixed_path_sum(rng, spec, 0, 3, 4)
+    path = mixed_path_sum(rng, spec, 0, 0, 3, 4)
     zero_loops, zero_path = LoopSum(spec), PathSum(spec, 0, 0)
     for out in (goldman_bracket(zero_loops, loops),
                 goldman_bracket(loops, zero_loops),
@@ -860,17 +947,18 @@ def test_surgery_counts_tool():
     """tools/surgery_counts.py on the seed-1 surgery round (run apart: it
     re-imports the engine): the bracket keeps its 19,092 output terms and
     splices at most 70% as often as it crosses; the action and the
-    pairing splice once per crossing."""
+    pairing splice once per crossing; no surgery draws."""
     out = subprocess.run([sys.executable, SURGERY_COUNTS, "--seed", "1"],
                          capture_output=True, text=True, check=True).stdout
     rows = {cells[0]: [int(c) for c in cells[1:]] for cells in (
         [c.strip() for c in line.strip("|").split("|")]
         for line in out.splitlines() if line.startswith("| ")
         and not line.startswith("| surgery"))}
-    calls, crossings, splices, terms = rows["goldman_bracket"]
+    calls, crossings, splices, terms, _ = rows["goldman_bracket"]
     assert (calls, terms) == (648, 19092) and splices <= 0.7 * crossings
     for name in ("kk_action", "bi_pairing"):
-        calls, crossings, splices, terms = rows[name]
+        calls, crossings, splices, terms, _ = rows[name]
         assert calls and splices == crossings, (name, rows[name])
     assert rows["all"] == [sum(r[k] for n, r in rows.items() if n != "all")
-                           for k in range(4)]
+                           for k in range(5)]
+    assert all(drawings == 0 for *_, drawings in rows.values()), rows
