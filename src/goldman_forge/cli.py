@@ -2,18 +2,22 @@
 
 Words are whitespace-separated tokens like "a1 b1'"; paths are
 "from:to:word" with the tag numbers of their endpoints.  Each command
-takes only the options it reads.  It prints text by default and a
-stable JSON document under --json (kvi-check always prints JSON);
-identical inputs and seeds print byte-identical JSON.  Exit codes:
-0 success, 1 a checked property failed, 2 usage or parse errors, each
-reported on one stderr line.
+takes only the options it reads, and its arguments are parsed by its
+own parser (the full parser only when no command comes first).  It
+prints text by default and a stable JSON document under --json
+(kvi-check always prints JSON); identical inputs and seeds print
+byte-identical JSON, in the form json.dumps(..., sort_keys=True,
+indent=2) gives: sorted keys, two-space indent, ASCII escapes, and only
+objects, arrays, strings, ints, booleans and null (no floats).  Exit
+codes: 0 success, 1 a checked property failed, 2 usage or parse
+errors, each reported on one stderr line.
 """
 
 import argparse
 import functools
 import inspect
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import suites
 from .barcx import chen_pairing, open_model, parse_bar
@@ -100,6 +104,37 @@ def _trunc(args):
     return args.N
 
 
+def _json(value, indent="\n"):
+    """value as json.dumps(value, sort_keys=True, indent=2) writes it, for
+    the values payloads hold: dicts with str keys, lists, str, int, bool
+    and None; anything else raises TypeError.  indent is the line break
+    and indent before value's closing bracket; its items sit two spaces
+    deeper."""
+    cls = value.__class__
+    if cls is str:
+        return encode_basestring_ascii(value)
+    if cls is int:
+        return int.__repr__(value)
+    if cls is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        return "{%s%s%s}" % (inner, ("," + inner).join([
+            encode_basestring_ascii(key) + ": " + _json(value[key], inner)
+            for key in sorted(value)]), indent)
+    if cls is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[%s%s%s]" % (inner, ("," + inner).join(
+            [_json(item, inner) for item in value]), indent)
+    if value is None:
+        return "null"
+    if cls is bool:
+        return "true" if value else "false"
+    raise TypeError("a JSON payload holds no %s" % cls.__name__)
+
+
 def _emit(args, payload, lines, spec=None):
     """Print lines, or under --json the payload in its envelope: the
     command, the schema marker and, given spec, the surface."""
@@ -107,7 +142,7 @@ def _emit(args, payload, lines, spec=None):
         payload.update(command=args.command, schema=SCHEMA)
         if spec is not None:
             payload["surface"] = [spec.genus, spec.boundary]
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json(payload))
     else:
         for line in lines:
             print(line)
@@ -348,12 +383,14 @@ def build_parser():
         prog="goldman-forge",
         description="Exact loop-surgery computations on bordered surfaces.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # command name -> its subparser, which main parses the rest with
+    parser.commands = sub.choices
 
     def command(name, handler, summary, shared):
         p = sub.add_parser(name, help=summary)
         for option in shared.split():
             p.add_argument("--" + option, **_SHARED_OPTIONS[option])
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, command=name)
         return p
 
     p = command("bracket", cmd_bracket, "bracket of two loop words",
@@ -409,8 +446,15 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    # a named command's arguments go straight to its own parser, the one
+    # the full parser would hand them to; the full parser handles the
+    # rest (no command, a top-level option, an unknown command)
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = build_parser().parse_args(argv)
+        args = (command.parse_args(argv[1:]) if command
+                else parser.parse_args(argv))
         return args.handler(args)
     except UsageError as err:
         print("error: %s" % err, file=sys.stderr)

@@ -11,8 +11,8 @@ derivations, Dehn-twist certificates) is a bilinear wrapper over that
 one enumeration, ``_surgeries``, which reads chord ends from one table
 per surface and convention (_chord_ends; only the trace draws); each
 sums the crossing signs times int coefficient numerators per coded
-output word (one code per call, _codes, so a class enters as its key)
-over one denominator, and builds each output term once.
+output word (each term coded once per call, _codes, so a class enters
+as its key) over one denominator, and builds each output term once.
 In the bracket, crossings along a run both loops share splice alike
 (s the shared letter: s P s Q ~ P s Q s, P s s^-1 R = P R ~ s P R s^-1),
 so _tally sums their signs first, and the bigon pairs of inessential
@@ -281,10 +281,9 @@ def _codes(item, byte_keyed):
     return word_key(item.word.letters)
 
 
-def _stop_codes(item, byte_keyed):
-    """The codes of _stops(item): _codes' word, a path's between the
-    letter_keys of its two tails."""
-    codes = _codes(item, byte_keyed)
+def _stop_codes(item, codes):
+    """The codes of _stops(item) from its _codes word: a loop's word, a
+    path's between the letter_keys of its two tails."""
     if item.__class__ is LoopClass:
         return codes
     return (letter_key(tail_dart(item.from_tag)), *codes,
@@ -340,14 +339,14 @@ def _surgeries(u, v, convention):
     """Every pair of terms of two sums on one surface, with its crossings.
 
     Checks the surfaces and the convention first, so that a zero sum
-    raises too, then builds the chords of u's terms and of v's from
-    _chord_ends (not at all if either sum is zero).  Returns (den,
-    records): den is the lcm of u's coefficient denominators times the
-    lcm of v's, and records yields one record per pair of terms,
-    (n, a, b, crossings), where n is the int with
-    coeff_a * coeff_b == n / den and crossings iterates the
-    (sign, chord of a, chord of b) of ``_crossings``, as in _draw's
-    drawing of a and b alone.
+    raises too, then codes each term once (_codes) and builds the chords
+    of u's terms and of v's from _chord_ends (not at all if either sum
+    is zero).  Returns (den, records): den is the lcm of u's coefficient
+    denominators times the lcm of v's, and records yields one record per
+    pair of terms, (n, a, x, b, y, crossings), where n is the int with
+    coeff_a * coeff_b == n / den, x and y are the coded words of a and b,
+    and crossings iterates the (sign, chord of a, chord of b) of
+    ``_crossings``, as in _draw's drawing of a and b alone.
     """
     if convention not in CONVENTIONS:
         raise ValueError("unknown perturbation convention %r" % (convention,))
@@ -357,15 +356,16 @@ def _surgeries(u, v, convention):
     den_v, num_v = v.numerators()
     if not (num_u and num_v):
         return den_u * den_v, ()
-    left, right = [[_chords(t, [*map(ins.__getitem__, stops)],
-                            [*map(outs.__getitem__, stops)])
-                    for t, _ in nums
-                    for stops in [_stop_codes(t, u.spec.byte_keyed)]]
+    byte_keyed = u.spec.byte_keyed
+    left, right = [[(x, _chords(t, [*map(ins.__getitem__, stops)],
+                                [*map(outs.__getitem__, stops)]))
+                    for t, _ in nums for x in [_codes(t, byte_keyed)]
+                    for stops in [_stop_codes(t, x)]]
                    for nums, (ins, outs) in zip(
                        (num_u, num_v), _chord_ends(u.spec, convention))]
-    records = ((na * nb, a, b, _crossings(ca, cb))
-               for (a, na), ca in zip(num_u, left)
-               for (b, nb), cb in zip(num_v, right))
+    records = ((na * nb, a, x, b, y, _crossings(ca, cb))
+               for (a, na), (x, ca) in zip(num_u, left)
+               for (b, nb), (y, cb) in zip(num_v, right))
     return den_u * den_v, records
 
 
@@ -373,8 +373,8 @@ def _tally(like, surgeries, splice, build):
     """The surgered terms of (den, records) from _surgeries, as a sum of
     the empty sum like's fields.
 
-    splice(x, y) gets the words of a pair of terms in _codes' code, one
-    per call, so that one output word is one totals key.  It returns
+    splice(x, y) gets the coded words of a pair of terms, as the records
+    carry them, so that one output word is one totals key.  It returns
     the map (split i of x, split j of y) -> coded output word or pair.
     In the bracket, with s the letter before split i of x, (i, j) splices
     as (i-1, j-1) if s also precedes split j of y (s P s Q ~ P s Q s), and
@@ -386,11 +386,10 @@ def _tally(like, surgeries, splice, build):
     build(outs) makes the terms of the outputs with a nonzero total, in
     order, once each; with_totals keeps the totals over den, unchecked:
     terms carry the operands' tags."""
-    byte_keyed, loops = like.spec.byte_keyed, like.__class__ is LoopSum
+    loops = like.__class__ is LoopSum
     den, records = surgeries
     totals = {}
-    for n, a, b, crossings in records:
-        x, y = _codes(a, byte_keyed), _codes(b, byte_keyed)
+    for n, _, x, _, y, crossings in records:
         term, lx, ly = splice(x, y), len(x), len(y)
         if not loops or lx * ly < 12:
             for sign, (_, _, i), (_, _, j) in crossings:

@@ -123,7 +123,8 @@ class TermSum:
         totals with nonzero n, unchecked; if den == 1, an n in _SMALL_INTS
         (crossing counts mostly are) takes the shared Fraction found there."""
         small = _SMALL_INTS if den == 1 else {}
-        return self._with_terms({key: small.get(n) or Fraction(n, den)
+        return self._with_terms({key: small[n] if n in small
+                                 else Fraction(n, den)
                                  for key, n in totals if n})
 
     def _fields(self):

@@ -5,7 +5,6 @@ output must be byte-stable for fixed inputs and seed, and every JSON
 document carries the schema marker.
 """
 
-import argparse
 import hashlib
 import inspect
 import json
@@ -17,6 +16,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldman_forge import cli, suites
 from goldman_forge.goldman import (
@@ -35,6 +36,7 @@ from goldman_forge.surface import (
     render_word,
 )
 from helpers import random_surface_word
+from test_cli_golden import GOLDEN
 
 
 def run_cli(argv, capsys):
@@ -269,14 +271,17 @@ def test_verify_rejects_truncation_below_one(suite, trunc, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
+OUTSIDE_THE_SURFACE = [
     ["bar-pair", "--g", "1", "--b", "1", "[xi1]", "c1"],
     ["bar-pair", "--g", "1", "--b", "2", "[xi1]", "a2 c1"],
     ["bipair", "--g", "0", "--b", "4", "0:2:a1", "1:3:c1"],
     ["bipair", "--g", "0", "--b", "4", "0:2:c1", "1:9:c1"],
     ["bipair", "--g", "0", "--b", "4", "0:-1:c1", "1:3:c1"],
     ["bipair", "--g", "1", "--b", "1", "0:0:a1", "0:1:b1"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", OUTSIDE_THE_SURFACE)
 def test_letters_and_tags_outside_the_surface(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
@@ -324,12 +329,11 @@ UNREAD = [(command, option) for command, (read, _) in COMMANDS.items()
 
 class TestOptions:
     def test_each_command_takes_only_the_options_it_reads(self):
-        sub = next(action for action in cli.build_parser()._actions
-                   if isinstance(action, argparse._SubParsersAction))
-        assert set(sub.choices) == set(COMMANDS)
+        commands = cli.build_parser().commands
+        assert set(commands) == set(COMMANDS)
         own = {"adams": {"n"}, "resolution": {"max_n"},
                "twist-check": {"surface"}}
-        for name, parser in sub.choices.items():
+        for name, parser in commands.items():
             settable = {action.dest for action in parser._actions
                         if action.option_strings and action.dest != "help"}
             assert settable == (set(COMMANDS[name][0].split())
@@ -355,7 +359,7 @@ class TestOptions:
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv,says", [
+USAGE_ERRORS = [
     (["adams", "a1"], "--n"),
     (["bracket", "--N", "x", "a1", "b1"], "--N"),
     (["no-such-command"], "no-such-command"),
@@ -363,7 +367,10 @@ class TestOptions:
     (["twist-check", "--surface", "1"], "--surface"),
     (["twist-check", "--surface", "1,x"], "--surface"),
     (["twist-check", "--surface", "1,1,1"], "--surface"),
-])
+]
+
+
+@pytest.mark.parametrize("argv,says", USAGE_ERRORS)
 def test_usage_errors_are_one_line(argv, says, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
@@ -372,13 +379,16 @@ def test_usage_errors_are_one_line(argv, says, capsys):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("argv,named", [
+UNRECOGNIZED = [
     # the unknown option takes the next token as its value, so argparse
     # would also name the real positional it pushed out
     (["adams", "--n", "2", "--N", "5", "a1"], "--N"),
     (["kk", "--N", "3", "a1", "0:0:b1"], "--N"),
     (["bracket", "a1", "b1", "c1"], "c1"),
-])
+]
+
+
+@pytest.mark.parametrize("argv,named", UNRECOGNIZED)
 def test_unrecognized_arguments_name_the_options(argv, named, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
@@ -431,6 +441,108 @@ def test_console_entry_point():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "1 |a1 b1|" in proc.stdout
+
+
+
+# -- one parse: main hands a named command's arguments to its parser ---------
+
+def full_parser_main(argv):
+    """main as it read before it dispatched: the full parser parses
+    every argv."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+        return args.handler(args)
+    except cli.UsageError as err:
+        print("error: %s" % err, file=sys.stderr)
+        return cli.EXIT_USAGE
+
+
+def run_full_parser(argv, capsys):
+    try:
+        code = full_parser_main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+DISPATCH_ARGVS = (
+    readme_examples()
+    + [argv + form for argv, *_ in GOLDEN for form in ([], ["--json"])]
+    + [argv for argv, _ in USAGE_ERRORS + UNRECOGNIZED]
+    + OUTSIDE_THE_SURFACE
+    + [[command] + COMMANDS[command][1] + SHARED[option][0]
+       for command, option in UNREAD]
+    + [["verify", suite, "--N", "0"] for suite in sorted(suites.SUITES)]
+    + [["adams", "--help"], ["--help"], [], ["no-such-command", "a1"],
+       ["adams", "--n", "2", "--no-such-option", "a1"],
+       ["--json", "adams", "--n", "2", "a1"],
+       ["bracket", "--", "a1", "b1"], ["verify", "nonsense"]])
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS,
+                         ids=[" ".join(argv) or "[]"
+                              for argv in DISPATCH_ARGVS])
+def test_dispatch_matches_the_full_parser(argv, capsys):
+    assert run_cli(argv, capsys) == run_full_parser(argv, capsys)
+
+
+def test_a_command_parser_gives_the_full_parsers_namespace():
+    parser = cli.build_parser()
+    parsed = 0
+    for argv in DISPATCH_ARGVS:
+        try:
+            full = parser.parse_args(argv)
+        except (cli.UsageError, SystemExit):
+            continue
+        own = parser.commands[argv[0]].parse_args(argv[1:])
+        assert vars(own) == vars(full), argv
+        assert own.command == argv[0]
+        parsed += 1
+    assert parsed >= len(COMMANDS)
+
+
+# -- the --json writer: json.dumps(..., sort_keys=True, indent=2) -------------
+
+def dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+# quotes, backslashes, control characters, the line separators JavaScript
+# rejects, non-ASCII in and past the BMP
+AWKWARD = "\"\\/\x00\x1f\x7f\b\f\n\r\t\u2028\u2029aZ \u00e9\u20ac\U0001f600"
+STRINGS = st.text(alphabet=st.sampled_from(AWKWARD)) | st.text()
+INTS = st.integers() | st.integers(min_value=-2 ** 200, max_value=2 ** 200)
+PAYLOADS = st.recursive(
+    st.none() | st.booleans() | INTS | STRINGS,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.dictionaries(STRINGS, inner, max_size=5)),
+    max_leaves=30)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(PAYLOADS)
+def test_writer_matches_json_dumps(value):
+    assert cli._json(value) == dumps(value)
+
+
+def test_writer_pinned_cases():
+    cases = [{}, [], "", 0, True, False, None, -2 ** 100, AWKWARD,
+             {"b": [], "a": {}, "": [{}, [[]]]},
+             {"z": 1, "y": [True, None, "x"], "a": {"d": -3, "c": [1, 2]}}]
+    for value in cases:
+        assert cli._json(value) == dumps(value)
+    # keys are sorted whatever their order of insertion
+    assert cli._json({"b": 1, "a": 2}) == '{\n  "a": 2,\n  "b": 1\n}'
+
+
+@pytest.mark.parametrize("value", [
+    1.5, (1, 2), {1}, Fraction(1, 2), {1: "a"}, {"a": 1, 2: "b"},
+    [1, 0.5], {"a": (1,)}, {"a": [{"b": {2}}]}, b"a"],
+    ids=repr)
+def test_writer_rejects_what_payloads_never_hold(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
 
 
 # -- sum lines: the sums spell their own terms ------------------------------

@@ -110,7 +110,7 @@ def old_bracket(u, v, convention="default"):
                for base in u.spec.generators() for e in (1, -1)}
     den, records = _surgeries(u, v, convention)
     totals = {}
-    for n, a, b, crossings in records:
+    for n, a, _, b, _, crossings in records:
         term = splice_normal_form(tuple(map(letter_key, a.word)),
                                   tuple(map(letter_key, b.word)))
         for sign, (_, _, i), (_, _, j) in crossings:

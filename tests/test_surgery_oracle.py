@@ -478,11 +478,16 @@ def per_pair_crossings(u, v, convention):
 
 
 def joint_crossings(u, v, convention):
-    """The same lists from the engine's chords, built from _chord_ends."""
+    """The same lists from the engine's chords, built from _chord_ends;
+    each record carries the coded words of its own two terms."""
     den, records = _surgeries(u, v, convention)
-    return den, [(n, a, b, [(sign, pu[2], pv[2]) for sign, pu, pv in
-                            crossings])
-                 for n, a, b, crossings in records]
+    out = []
+    for n, a, x, b, y, crossings in records:
+        assert (x, y) == (goldman._codes(a, u.spec.byte_keyed),
+                          goldman._codes(b, u.spec.byte_keyed))
+        out.append((n, a, b, [(sign, pu[2], pv[2])
+                              for sign, pu, pv in crossings]))
+    return den, out
 
 
 def mixed_path_sum(rng, spec, from_tag, to_tag, nterms, max_len):

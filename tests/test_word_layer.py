@@ -470,7 +470,7 @@ def oracle_bracket(u, v, convention):
     """The bracket through the letters+keys splice it replaced."""
     out = LoopSum(u.spec, twist=u.twist + v.twist + 1)
     den, records = _surgeries(u, v, convention)
-    for n, a, b, crossings in records:
+    for n, a, _, b, _, crossings in records:
         ka, kb = keys_of(a.word), keys_of(b.word)
         for sign, (_, _, i), (_, _, j) in crossings:
             out.add_term(LoopClass.of_key(word_key(old_splice_normal_form(
@@ -482,7 +482,7 @@ def oracle_kk_action(u, gamma, convention):
     out = PathSum(gamma.spec, gamma.from_tag, gamma.to_tag,
                   twist=u.twist + gamma.twist + 1)
     den, records = _surgeries(u, gamma, convention)
-    for n, a, path, crossings in records:
+    for n, a, _, path, _, crossings in records:
         la, w = a.word, path.word.letters
         ka, kw = keys_of(la), keys_of(w)
         for sign, (_, _, i), (_, _, k) in crossings:
@@ -497,7 +497,7 @@ def oracle_kk_action(u, gamma, convention):
 def oracle_bi_pairing(gamma1, gamma2, convention):
     out = PathPairSum(gamma1.spec, twist=gamma1.twist + gamma2.twist + 1)
     den, records = _surgeries(gamma1, gamma2, convention)
-    for n, p1, p2, crossings in records:
+    for n, p1, _, p2, _, crossings in records:
         w1, w2 = p1.word.letters, p2.word.letters
         k1, k2 = keys_of(w1), keys_of(w2)
         for sign, (_, _, c1), (_, _, c2) in crossings:
