@@ -8,35 +8,22 @@ the end terms of the general formula die under the augmentation because
 bar letters live in positive degree.
 
 "Integration" of a bar word against a loop or path is Chen's iterated
-integral: the coefficient of the generator monomial in the default
-expansion of the word, which Chen's product formula reads off the
-letters by one integer recurrence (`chen_pairing`). The moving
-basepoint evaluations (`eval_hat_cs`, `eval_hat_kk`) integrate the
-partial-edge transport exactly: each edge contributes ordered-simplex
-volumes, so every identity tested downstream holds in exact rational
-arithmetic.
+integral. A letter of the open model is read as the surface generator it
+is dual to (x_j, y_j or z_k in the expansion), and the value is the
+coefficient of that generator monomial in the default expansion of the
+word, which Chen's product formula reads off the word's own letters by
+one integer recurrence (`chen_pairing`). The moving basepoint
+evaluations (`eval_hat_cs`, `eval_hat_kk`) integrate the partial-edge
+transport exactly: each edge contributes ordered-simplex volumes, so
+every identity tested downstream holds in exact rational arithmetic.
 """
 
-import functools
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from .magnus import tensor_letter
 from .surface import FreeWord, LoopClass, SurfaceSpec
 from .tensoralg import TermSum
-
-_LETTER_PREFIX = {"xi": "x", "eta": "y", "zeta": "z"}
-
-
-@functools.lru_cache(maxsize=None)
-def _tensor_name(letter):
-    """Map a degree-1 model letter to its expansion generator."""
-    for prefix, gen in _LETTER_PREFIX.items():
-        if letter.startswith(prefix) and letter[len(prefix):].isdigit():
-            return gen + letter[len(prefix):]
-    raise ValueError(f"letter {letter!r} does not pair with a generator")
-
 
 class DgaModel:
     """Finite graded-commutative model with zero differential.
@@ -54,6 +41,9 @@ class DgaModel:
                 raise ValueError(f"letter {letter!r} has degree {deg}")
         self.products = {pair: dict(vals) for pair, vals in products.items()}
         self.surface = surface
+        # given a surface, the letters in order are dual to its generators
+        self.duals = None if surface is None else dict(
+            zip(self.degrees, surface.generators(), strict=True))
         self._order = {letter: i for i, letter in enumerate(self.degrees)}
 
     def degree(self, letter):
@@ -84,16 +74,13 @@ class DgaModel:
 
 
 def open_model(spec):
-    """Degree-1 letters of a surface with boundary; all wedges vanish."""
+    """Degree-1 letters of a surface with boundary, each read as the
+    generator it is dual to: xi_j, eta_j, zeta_k as a_j, b_j, c_k (x_j,
+    y_j, z_k in the expansion). All wedges vanish."""
     if not isinstance(spec, SurfaceSpec):
         raise TypeError("open_model wants a SurfaceSpec")
-    degrees = {}
-    for j in range(1, spec.genus + 1):
-        degrees[f"xi{j}"] = 1
-    for j in range(1, spec.genus + 1):
-        degrees[f"eta{j}"] = 1
-    for k in range(1, spec.boundary):
-        degrees[f"zeta{k}"] = 1
+    names = {"a": "xi", "b": "eta", "c": "zeta"}
+    degrees = {names[base[0]] + base[1:]: 1 for base in spec.generators()}
     return DgaModel("open", degrees, {}, surface=spec)
 
 
@@ -101,11 +88,8 @@ def closed_model(genus):
     """Letters of a closed surface: dual pairs wedge to the top class."""
     if genus < 1:
         raise ValueError("closed model needs genus >= 1")
-    degrees = {}
-    for j in range(1, genus + 1):
-        degrees[f"xi{j}"] = 1
-    for j in range(1, genus + 1):
-        degrees[f"eta{j}"] = 1
+    degrees = {f"{name}{j}": 1 for name in ("xi", "eta")
+               for j in range(1, genus + 1)}
     degrees["omega"] = 2
     products = {}
     for j in range(1, genus + 1):
@@ -208,15 +192,15 @@ def shuffle_product(e1, e2):
 
 
 def _open_letters(model, gamma):
-    """gamma's letters as (generator, sign), checked against the surface."""
-    if model.surface is None:
+    """gamma's checked (generator, sign) letters and the dual of a letter."""
+    if model.duals is None:
         raise ValueError("pairing needs the open-surface model")
     if isinstance(gamma, LoopClass):
         gamma = gamma.free_word()
     elif not isinstance(gamma, FreeWord):
         raise TypeError(f"cannot pair against {type(gamma).__name__}")
     model.surface.validate_word(gamma)
-    return [(tensor_letter(base), e) for base, e in gamma.letters]
+    return gamma.letters, model.duals.__getitem__
 
 
 def _chen_row(letters, mono, start):
@@ -248,22 +232,23 @@ def _run(mono, gen):
 def chen_pairing(e, gamma):
     """Pair a bar combination against a loop or path word.
 
-    The value of [w_1|...|w_r] is the coefficient of its generator
-    monomial in the default expansion of the word, the product of the
-    exp(eps g) over its letters g^eps. By Chen's product formula that is
-    a sum over the cuts of the monomial into runs, one per letter in
-    order, where a run of k copies of the letter's own generator weighs
-    eps^k/k! and any other run 0. Times c!, each cut of a length-c
-    monomial weighs a signed multinomial, so `_chen_row` runs on ints
-    and the sum over e divides once. Linear in e and multiplicative
-    under the shuffle product.
+    The value of [w_1|...|w_r] is the coefficient of its dual generator
+    monomial (each bar letter read as the surface generator it is dual
+    to, x_j, y_j or z_k) in the default expansion of the word, the
+    product of the exp(eps g) over its letters g^eps. By Chen's product
+    formula that is a sum over the cuts of the monomial into runs, one
+    per letter in order, where a run of k copies of the letter's own
+    generator weighs eps^k/k! and any other run 0. Times c!, each cut of
+    a length-c monomial weighs a signed multinomial, so `_chen_row` runs
+    on ints and the sum over e divides once. Linear in e and
+    multiplicative under the shuffle product.
     """
-    letters = _open_letters(e.model, gamma)
+    letters, dual = _open_letters(e.model, gamma)
     den, nums = e.numerators()
     top = factorial(max(map(len, e.terms), default=0))
     total = 0
     for word, n in nums:
-        mono = tuple(map(_tensor_name, word))
+        mono = tuple(map(dual, word))
         total += (n * _chen_row(letters, mono, 0)[-1]
                   * (top // factorial(len(mono))))
     return Fraction(total, den * top)
@@ -300,13 +285,13 @@ def eval_hat_cs(e, w, gamma):
     model = e.model
     if model.degree(w) != 1:
         raise ValueError(f"integrand letter {w!r} must have degree 1")
-    letters = _open_letters(model, gamma)
-    w_gen = _tensor_name(w)
+    letters, dual = _open_letters(model, gamma)
+    w_gen = dual(w)
     den, nums = e.numerators()
     top = factorial(max(map(len, e.terms), default=0) + 1)
     total = 0
     for word, n in nums:
-        mono = tuple(map(_tensor_name, word))
+        mono = tuple(map(dual, word))
         r = len(mono)
         pmax, smin = _run(mono, w_gen), r - _run(mono[::-1], w_gen)
         acc = 0
@@ -337,10 +322,10 @@ def eval_hat_kk(middle, gamma, model):
         raise ValueError(f"integrand letter {w!r} must have degree 1")
     for letter in (*left, *right):
         model.degree(letter)
-    letters = _open_letters(model, gamma)
-    w_gen = _tensor_name(w)
-    mono_left = tuple(map(_tensor_name, left))
-    mono_right = tuple(map(_tensor_name, right))
+    letters, dual = _open_letters(model, gamma)
+    w_gen = dual(w)
+    mono_left = tuple(map(dual, left))
+    mono_right = tuple(map(dual, right))
     j, r = len(mono_left), len(mono_left) + len(mono_right)
     imin = j - _run(mono_left[::-1], w_gen)
     kmax = j + _run(mono_right, w_gen)

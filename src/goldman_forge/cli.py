@@ -17,6 +17,7 @@ import argparse
 import functools
 import inspect
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import suites
@@ -136,8 +137,9 @@ def _json(value, indent="\n"):
 
 
 def _emit(args, payload, lines, spec=None):
-    """Print lines, or under --json the payload in its envelope: the
-    command, the schema marker and, given spec, the surface."""
+    """Print lines (any iterable, read only here), or under --json the
+    payload in its envelope: the command, the schema marker and, given
+    spec, the surface."""
     if args.json:
         payload.update(command=args.command, schema=SCHEMA)
         if spec is not None:
@@ -149,19 +151,22 @@ def _emit(args, payload, lines, spec=None):
 
 
 def _sum_lines(label, s):
-    """Human lines for a loop, path, or path-pair sum."""
+    """Human lines for a loop, path, or path-pair sum, spelled as printed."""
     if s.is_zero():
-        return ["%s: 0" % label]
-    return ["%s: %s" % (label, sum_text(s)), "twist: %d" % s.twist]
+        yield "%s: 0" % label
+    else:
+        yield "%s: %s" % (label, sum_text(s))
+        yield "twist: %d" % s.twist
 
 
-def _trace(args, payload, lines, spec, left, right):
-    """Under --trace, add the crossing records of left and right."""
-    if args.trace:
-        records = crossing_trace(spec, left, right)
-        payload["trace"] = records
-        lines.extend("crossing %d: sign %+d" % (i, r["sign"])
-                     for i, r in enumerate(records))
+def _trace(args, payload, spec, left, right):
+    """Under --trace, add the crossing records of left and right to the
+    payload and return their lines."""
+    if not args.trace:
+        return ()
+    payload["trace"] = records = crossing_trace(spec, left, right)
+    return ("crossing %d: sign %+d" % (i, r["sign"])
+            for i, r in enumerate(records))
 
 
 def cmd_bracket(args):
@@ -185,10 +190,10 @@ def cmd_bracket(args):
         "expansion": expansion.to_json(),
         "filtration": vals,
     }
-    lines = _sum_lines("bracket", bracket)
-    lines.append("valuations: left %s, right %s, bracket %s"
-                 % (vals["left"], vals["right"], vals["bracket"]))
-    _trace(args, payload, lines, spec, left, right)
+    lines = chain(_sum_lines("bracket", bracket),
+                  ["valuations: left %s, right %s, bracket %s"
+                   % (vals["left"], vals["right"], vals["bracket"])],
+                  _trace(args, payload, spec, left, right))
     _emit(args, payload, lines, spec)
     return EXIT_OK
 
@@ -200,8 +205,8 @@ def cmd_kk(args):
     gamma = _path(args.path)
     out = _usage(kk_action, u, PathSum.of(spec, gamma))
     payload = {"action": out.to_json()}
-    lines = _sum_lines("action", out)
-    _trace(args, payload, lines, spec, loop, gamma)
+    lines = chain(_sum_lines("action", out),
+                  _trace(args, payload, spec, loop, gamma))
     _emit(args, payload, lines, spec)
     return EXIT_OK
 

@@ -57,7 +57,7 @@ from .surface import (
     boundary_word,
     cyclic_normal_form,
 )
-from .tensoralg import derivation_exp, log, matrix_rank, right_normed_bracket
+from .tensoralg import derivation_exp, lie_bracket, log, matrix_rank
 
 DEFAULT_SEED = 7
 
@@ -462,7 +462,7 @@ def adams(trunc=8, seed=DEFAULT_SEED):
     primitives = [
         log(theta.expand_word(_random_word(rng, spec, 3))),
         log(theta.expand_word(_random_word(rng, spec, 4))),
-        right_normed_bracket(theta.sig, trunc, ("x1", "y1")),
+        lie_bracket(theta.logs["a1"], theta.logs["b1"]),
     ]
     for p in primitives:
         for n in (2, 3):

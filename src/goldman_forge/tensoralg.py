@@ -54,7 +54,6 @@ __all__ = [
     "log",
     "lie_bracket",
     "right_normed_words",
-    "right_normed_bracket",
     "coproduct",
     "is_primitive",
     "is_group_like",
@@ -582,11 +581,6 @@ def right_normed_words(word, memo=None):
             found = {w: c for w, c in found.items() if c}
         memo[word] = found
     return found
-
-
-def right_normed_bracket(sig, trunc, word):
-    return TensorSeries.from_terms(sig, trunc,
-                                   right_normed_words(tuple(word)).items())
 
 
 def is_primitive(s):

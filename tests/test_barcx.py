@@ -14,6 +14,7 @@ import pytest
 
 from goldman_forge.barcx import (
     BarElement,
+    DgaModel,
     bar_differential,
     chen_pairing,
     closed_model,
@@ -54,6 +55,14 @@ class TestModels:
         assert om.letters == ["xi1", "xi2", "eta1", "eta2", "zeta1", "zeta2"]
         assert all(om.degree(letter) == 1 for letter in om.letters)
         assert om.wedge("xi1", "eta1") == {}
+        # each letter is read as the generator it is dual to
+        assert om.duals == {"xi1": "a1", "xi2": "a2", "eta1": "b1",
+                            "eta2": "b2", "zeta1": "c1", "zeta2": "c2"}
+        assert closed_model(2).duals is None
+
+    def test_surface_model_has_one_letter_per_generator(self):
+        with pytest.raises(ValueError):
+            DgaModel("open", {"xi1": 1}, {}, surface=TORUS)
 
     def test_closed_model_products(self):
         cm = closed_model(2)

@@ -628,7 +628,7 @@ def test_sum_lines_match_the_replaced_code():
     for seed in range(150):
         for s in seeded_sums(random.Random(seed)):
             js = s.to_json()
-            assert cli._sum_lines("sum", s) == old_sum_lines("sum", js)
+            assert list(cli._sum_lines("sum", s)) == old_sum_lines("sum", js)
             seen.add((type(s).__name__, s.is_zero()))
             if any(c.denominator > 1 for c in s.terms.values()):
                 seen.add("fraction")
@@ -639,6 +639,21 @@ def test_sum_lines_match_the_replaced_code():
     assert seen == {(kind, zero) for kind in ("LoopSum", "PathSum",
                                               "PathPairSum")
                     for zero in (False, True)} | {"fraction", "identity path"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["adams", "--json", "--n", "3", "a1 b1'"],
+    ["bracket", "--json", "--trace", "a1 b1", "a1 b1'"],
+    ["kk", "--json", "--trace", "a1", "0:0:b1"],
+    ["bipair", "--json", "--g", "0", "--b", "4", "0:2:1", "1:3:1"],
+], ids=" ".join)
+def test_json_requests_spell_no_text_lines(argv, capsys, monkeypatch):
+    """Under --json the text lines are never made: no sum is spelled."""
+    def spelled(s):
+        raise AssertionError("a --json request spelled %r" % (s,))
+    monkeypatch.setattr(cli, "sum_text", spelled)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and out.startswith("{")
 
 
 def test_reprs_spell_terms_as_the_cli_does():

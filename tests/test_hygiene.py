@@ -41,11 +41,17 @@
     package module reads ``.key``, builds a class through ``.of_key`` or
     names ``word_key`` or ``key_letters`` (the one word code and its
     decoding), so loop classes leave those two modules as words.
+(h) The package's import graph is the table IMPORTS: each module imports
+    from the package exactly the modules listed for it, an import inside
+    a function listed as (function, module), and the imports at module
+    level form no cycle.  A new edge, a new module or a dropped edge
+    needs an edit of the table.
 """
 
 import ast
 import collections
 import functools
+import graphlib
 import os
 
 import pytest
@@ -61,6 +67,19 @@ def _sources(folder):
 
 
 SOURCES = _sources(PACKAGE) + _sources(TESTS)
+
+# the package modules each package module imports; ("f", "m") is an
+# import of m inside function f
+IMPORTS = {
+    "surface": set(),
+    "tensoralg": set(),
+    # goldman builds on magnus; one magnus helper calls back into it
+    "magnus": {"surface", "tensoralg", ("transported_bracket", "goldman")},
+    "barcx": {"surface", "tensoralg"},
+    "goldman": {"magnus", "surface", "tensoralg"},
+    "suites": {"barcx", "goldman", "magnus", "surface", "tensoralg"},
+    "cli": {"barcx", "goldman", "magnus", "suites", "surface"},
+}
 
 
 def _tree(path):
@@ -133,6 +152,26 @@ def key_access(tree):
             found += [(node.lineno, alias.name) for alias in node.names
                       if alias.name in _KEY_NAMES]
     return sorted(found)
+
+
+def package_imports(tree):
+    """The package modules a module imports by relative import: a name
+    for an import at module level, (function, name) for one inside the
+    innermost function around it."""
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom) and child.level:
+                names = ([child.module.split(".")[0]] if child.module
+                         else [alias.name for alias in child.names])
+                found.update(name if function is None else (function, name)
+                             for name in names)
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(tree, None)
+    return found
 
 
 def public_functions(tree):
@@ -360,6 +399,15 @@ def test_stored_attributes_are_read(path):
             if attr not in reads] == []
 
 
+def test_import_graph_is_the_table():
+    found = {os.path.basename(path)[:-3]: package_imports(_tree(path))
+             for path in _sources(PACKAGE)}
+    assert found == IMPORTS
+    top = {module: {name for name in names if isinstance(name, str)}
+           for module, names in IMPORTS.items()}
+    graphlib.TopologicalSorter(top).prepare()  # raises CycleError on one
+
+
 def test_the_checks_catch_what_they_look_for():
     tree = ast.parse("import os\nfrom .a import _b, c\n__all__ = ['c']\n")
     assert unused_imports(tree) == [(1, "os"), (2, "_b")]
@@ -420,3 +468,8 @@ def test_the_checks_catch_what_they_look_for():
                                        ("C", "d"), ("C", "f")]
     assert {"b", "d"} <= attribute_reads(tree)
     assert not {"a", "c", "f"} & attribute_reads(tree)
+    tree = ast.parse("import os\nfrom . import a, b\nfrom .c.d import e\n"
+                     "from os import path\nclass K:\n    def m(self):\n"
+                     "        from .f import g\n"
+                     "        def h():\n            from .i import j\n")
+    assert package_imports(tree) == {"a", "b", "c", ("m", "f"), ("h", "i")}

@@ -53,7 +53,6 @@ from goldman_forge.tensoralg import (
     linear_solve,
     log,
     powers,
-    right_normed_bracket,
     right_normed_words,
 )
 from helpers import compose_automorphism
@@ -61,6 +60,12 @@ from helpers import compose_automorphism
 
 def series(sig, trunc, *terms):
     return TensorSeries.from_terms(sig, trunc, terms)
+
+
+def right_normed(sig, trunc, word):
+    """[w1,[w2,[...,wn]]] of a nonempty word as a series."""
+    return TensorSeries.from_terms(sig, trunc,
+                                   right_normed_words(tuple(word)).items())
 
 
 def _omega_fixing_automorphism(trunc):
@@ -283,10 +288,10 @@ class TestGradedBracket:
 class TestDynkin:
     def test_right_normed_bracket_small(self):
         sig = GenSignature(1, 0)
-        got = right_normed_bracket(sig, 4, ("x1", "y1"))
+        got = right_normed(sig, 4, ("x1", "y1"))
         assert got == lie_bracket(TensorSeries.generator(sig, 4, "x1"),
                                   TensorSeries.generator(sig, 4, "y1"))
-        got3 = right_normed_bracket(sig, 4, ("x1", "y1", "x1"))
+        got3 = right_normed(sig, 4, ("x1", "y1", "x1"))
         x = TensorSeries.generator(sig, 4, "x1")
         y = TensorSeries.generator(sig, 4, "y1")
         assert got3 == lie_bracket(x, lie_bracket(y, x))
@@ -321,7 +326,7 @@ class TestDynkin:
 
     def test_empty_word_is_a_value_error(self):
         with pytest.raises(ValueError, match="nonempty word"):
-            right_normed_bracket(GenSignature(1, 1), 3, ())
+            right_normed(GenSignature(1, 1), 3, ())
 
     def test_split_of_a_constant_term_is_a_value_error(self):
         sig = GenSignature(1, 1)
@@ -642,7 +647,7 @@ def _solve_bracket_block(rhs, z, degree):
         columns = []
         usable = []
         for w in _words_of_multidegree(counts):
-            bracket = lie_bracket(right_normed_bracket(sig, trunc, w), z)
+            bracket = lie_bracket(right_normed(sig, trunc, w), z)
             if bracket.is_zero():
                 continue
             columns.append(bracket)
@@ -656,7 +661,7 @@ def _solve_bracket_block(rhs, z, degree):
             return None
         for w, c in zip(usable, solution):
             if c:
-                result = result + right_normed_bracket(sig, trunc, w).scaled(c)
+                result = result + right_normed(sig, trunc, w).scaled(c)
     return result
 
 

@@ -9,10 +9,8 @@ untimed, with goldman's attributes wrapped to count: the calls of each
 surgery (goldman_bracket, kk_action, bi_pairing), the crossings of
 their pairs of terms (``_crossings``), the splices they make (the terms
 of ``splice_normal_form`` for the bracket, two ``reduced_product`` calls
-per splice of the action and the pairing), the terms of their outputs
-and the chord drawings they make (``_draw``; the surgeries read their
-chord ends from a table instead, so this reads 0).  It prints one
-Markdown table of those counts per round.  A
+per splice of the action and the pairing) and the terms of their
+outputs.  It prints one Markdown table of those counts per round.  A
 bracket sums the signs of the crossings along a shared run before it
 splices, so it splices fewer times than its pairs cross; the path
 surgeries splice every crossing.  Stdlib only; it reports and never
@@ -31,7 +29,7 @@ import harness  # noqa: E402
 import workloads  # noqa: E402
 
 SURGERIES = ("goldman_bracket", "kk_action", "bi_pairing")
-COLUMNS = ("calls", "crossings", "splices", "terms out", "drawings")
+COLUMNS = ("calls", "crossings", "splices", "terms out")
 
 
 class Counter:
@@ -45,7 +43,6 @@ class Counter:
         for name in SURGERIES:
             setattr(goldman, name, self._entry(name, getattr(goldman, name)))
         for name, wrap in (("_crossings", self._crossings),
-                           ("_draw", self._draw),
                            ("splice_normal_form", self._splicer),
                            ("reduced_product", self._product)):
             setattr(goldman, name, wrap(getattr(goldman, name)))
@@ -68,12 +65,6 @@ class Counter:
                 self.counts[self.current]["crossings"] += 1
                 yield crossing
         return crossings
-
-    def _draw(self, original):
-        def draw(*args):
-            self.counts[self.current]["drawings"] += 1
-            return original(*args)
-        return draw
 
     def _splicer(self, original):
         def splicer(a, b):
