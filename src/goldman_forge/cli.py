@@ -8,8 +8,10 @@ prints text by default and a stable JSON document under --json
 (kvi-check always prints JSON); identical inputs and seeds print
 byte-identical JSON, in the form json.dumps(..., sort_keys=True,
 indent=2) gives: sorted keys, two-space indent, ASCII escapes, and only
-objects, arrays, strings, ints, booleans and null (no floats).  Exit
-codes: 0 success, 1 a checked property failed, 2 usage or parse
+objects, arrays, strings, ints, booleans and null (no floats).  Under
+--trace each crossing's record gives each chord's ends ("in", "out") as
+[dart, side], side 0 the lower strand through the dart and 1 the upper.
+Exit codes: 0 success, 1 a checked property failed, 2 usage or parse
 errors, each reported on one stderr line.
 """
 

@@ -1,15 +1,15 @@
 """Loop surgery on a one-vertex ribbon model: bracket, action, pairings.
 
 Free homotopy classes and boundary-to-boundary paths are drawn as taut
-chord families inside the single vertex disk; parallel strands through
-an edge are separated by a deterministic rule, crossings are read off
+chord families inside the single vertex disk; where the two operands
+pass one edge their strands take its two sides, crossings are read off
 from endpoint alternation around the disk, and each crossing contributes
 one surgered term with an orientation sign.  A chord is a tuple of two
 int end keys and a split (see _chords).  Everything downstream (Goldman
 bracket, loop action on paths, the two-path pairing, induced
 derivations, Dehn-twist certificates) is a bilinear wrapper over that
 one enumeration, ``_surgeries``, which reads chord ends from one table
-per surface and convention (_chord_ends; only the trace draws); each
+per surface and convention (_chord_ends, as crossing_trace does); each
 sums the crossing signs times int coefficient numerators per coded
 output word (each term coded once per call, _codes, so a class enters
 as its key) over one denominator, and builds each output term once.
@@ -207,55 +207,6 @@ def _dart_name(dart):
     return base if base[0] == "t" else base + ("+" if e > 0 else "-")
 
 
-def _stops(item):
-    """The darts a LoopClass or Path stops at, in traversal order: a
-    loop's letters, a path's letters between the tails of its two tags."""
-    if isinstance(item, LoopClass):
-        return list(item.word)
-    if isinstance(item, Path):
-        return ([tail_dart(item.from_tag)] + list(item.word.letters)
-                + [tail_dart(item.to_tag)])
-    raise TypeError("surgery operands must be LoopClass or Path values")
-
-
-def _draw(slot, items, convention):
-    """(width, one _chords list per operand), under one perturbation rule;
-    slot is the dart-position map of ribbon_structure.  Only the trace
-    and the tests draw: the surgeries read _chord_ends.
-
-    Strands through one edge or tail are ranked by (operand tag, stop
-    position); the rank is the offset from the edge's left side seen
-    from the positive dart, so the offset reverses at the negative dart.
-    The "reversed" convention ranks in the opposite order; outputs of
-    the surgeries must not depend on the choice.  The end at a dart
-    with an offset has the int key slot[dart] * width + offset; width,
-    the number of stops, exceeds every offset, so keys order the ends
-    as the pairs (slot[dart], offset) do.
-    """
-    stops = [_stops(item) for item in items]
-    darts = [dart for item_stops in stops for dart in item_stops]
-    width = len(darts)
-    strands = {}
-    for g, (base, _e) in enumerate(darts):
-        strands.setdefault(base, []).append(g)
-    ins, outs = [0] * width, [0] * width
-    for base, through in strands.items():
-        # g runs over the stops in (tag, position) order: ranked already
-        if convention == "reversed":
-            through.reverse()
-        last = len(through) - 1
-        for r, g in enumerate(through):
-            e = darts[g][1]
-            # a tail (e == 0) is its own reverse, at offset r both ways
-            outs[g] = slot[(base, e)] * width + (r if e >= 0 else last - r)
-            ins[g] = slot[(base, -e)] * width + (r if e <= 0 else last - r)
-    chords, end = [], 0
-    for item, item_stops in zip(items, stops):
-        start, end = end, end + len(item_stops)
-        chords.append(_chords(item, ins[start:end], outs[start:end]))
-    return width, chords
-
-
 def _chords(item, ins, outs):
     """item's chords from the keys where it enters each stop (ins, at the
     dart's reverse) and leaves it (outs).  Chord j, (in key, out key,
@@ -281,30 +232,37 @@ def _codes(item, byte_keyed):
     return word_key(item.word.letters)
 
 
-def _stop_codes(item, codes):
-    """The codes of _stops(item) from its _codes word: a loop's word, a
-    path's between the letter_keys of its two tails."""
-    if item.__class__ is LoopClass:
-        return codes
-    return (letter_key(tail_dart(item.from_tag)), *codes,
-            letter_key(tail_dart(item.to_tag)))
+def _coded_chords(item, byte_keyed, ends):
+    """(its _codes word, its _chords keyed by ends, one operand's maps of
+    _chord_ends) of a LoopClass or Path; a path also stops at its tails."""
+    x = stops = _codes(item, byte_keyed)
+    if item.__class__ is not LoopClass:
+        stops = (letter_key(tail_dart(item.from_tag)), *x,
+                 letter_key(tail_dart(item.to_tag)))
+    ins, outs = ends
+    return x, _chords(item, [*map(ins.__getitem__, stops)],
+                      [*map(outs.__getitem__, stops)])
 
 
 @functools.lru_cache(maxsize=64)
 def _chord_ends(spec, convention):
-    """Per operand, the maps from the code of a stop (_stop_codes)
-    to the key of a chord end entering it (at its dart's reverse) and
-    leaving it; cached per (spec, convention), never mutated.  Exact:
-    _crossings reads only the order of the four ends of a chord of each
-    operand, and _draw orders those by slot and, at a dart both pass,
-    puts the first operand's strand (its stops come first) lower at a
-    positive dart and upper at a negative one, the reverse if "reversed":
-    key 2 * slot + 1 for the upper.  No tail is passed by both operands,
-    nor a dart by both ends of a chord (words are reduced)."""
+    """Per operand, the maps from the code of a stop (a letter, or a
+    tail as _coded_chords codes it) to the key of a chord end entering
+    it (at its dart's reverse) and leaving it; cached per (spec,
+    convention), never mutated.  Key 2 * slot + side.  Side rule: at a
+    dart both operands pass, strands keep their order through the edge,
+    seen the opposite way round from its other end, so the first
+    operand's is the lower (side 0) at a positive dart or a tail and the
+    upper at a negative one; "reversed" swaps them.  Exact: _crossings
+    reads only the order of the four ends of one chord of each operand,
+    which the slots and the side rule fix (ends of different operands
+    never tie, nor do both ends of a chord share a dart: words are
+    reduced), so how one operand's own strands rank never enters.
+    Oracle: tests/helpers._draw, which ranks every strand."""
     slot, flip = ribbon_structure(spec), convention == "reversed"
     code = ((lambda dart: word_key((dart,))[0]) if spec.byte_keyed
             else letter_key)            # a tail's code is its letter_key
-    keys = [{(base, e): 2 * s + (e != 0 and side ^ (e < 0) ^ flip)
+    keys = [{(base, e): 2 * s + (side ^ (e < 0) ^ flip)
              for (base, e), s in slot.items()} for side in (False, True)]
     return [({code(d): key[(d[0], -d[1])] for d in key},
              {code(d): k for d, k in key.items()}) for key in keys]
@@ -312,7 +270,7 @@ def _chord_ends(spec, convention):
 
 def _crossings(left_chords, right_chords):
     """(sign, left chord, right chord) at every crossing of two chord
-    lists of one _draw or of _chord_ends' keys.
+    lists keyed by one _chord_ends table.
 
     Sign rule, with disk positions increasing counterclockwise: a right
     chord crosses the left chord from a to b when exactly one of its
@@ -339,14 +297,15 @@ def _surgeries(u, v, convention):
     """Every pair of terms of two sums on one surface, with its crossings.
 
     Checks the surfaces and the convention first, so that a zero sum
-    raises too, then codes each term once (_codes) and builds the chords
-    of u's terms and of v's from _chord_ends (not at all if either sum
-    is zero).  Returns (den, records): den is the lcm of u's coefficient
-    denominators times the lcm of v's, and records yields one record per
-    pair of terms, (n, a, x, b, y, crossings), where n is the int with
-    coeff_a * coeff_b == n / den, x and y are the coded words of a and b,
-    and crossings iterates the (sign, chord of a, chord of b) of
-    ``_crossings``, as in _draw's drawing of a and b alone.
+    raises too, then codes each term once and builds the chords of u's
+    terms and of v's from _chord_ends (_coded_chords; not at all if
+    either sum is zero).  Returns (den, records): den is the lcm of u's
+    coefficient denominators times the lcm of v's, and records yields
+    one record per pair of terms, (n, a, x, b, y, crossings), where n is
+    the int with coeff_a * coeff_b == n / den, x and y are the coded
+    words of a and b, and crossings iterates the (sign, chord of a,
+    chord of b) of ``_crossings``, as crossing_trace(spec, a, b) lists
+    them under the default convention.
     """
     if convention not in CONVENTIONS:
         raise ValueError("unknown perturbation convention %r" % (convention,))
@@ -357,12 +316,9 @@ def _surgeries(u, v, convention):
     if not (num_u and num_v):
         return den_u * den_v, ()
     byte_keyed = u.spec.byte_keyed
-    left, right = [[(x, _chords(t, [*map(ins.__getitem__, stops)],
-                                [*map(outs.__getitem__, stops)]))
-                    for t, _ in nums for x in [_codes(t, byte_keyed)]
-                    for stops in [_stop_codes(t, x)]]
-                   for nums, (ins, outs) in zip(
-                       (num_u, num_v), _chord_ends(u.spec, convention))]
+    left, right = [[_coded_chords(t, byte_keyed, ends) for t, _ in nums]
+                   for nums, ends in zip((num_u, num_v),
+                                         _chord_ends(u.spec, convention))]
     records = ((na * nb, a, x, b, y, _crossings(ca, cb))
                for (a, na), (x, ca) in zip(num_u, left)
                for (b, nb), (y, cb) in zip(num_v, right))
@@ -460,21 +416,25 @@ def bi_pairing(gamma1, gamma2, convention="default"):
 def crossing_trace(spec, left, right):
     """Debug view: every default-convention crossing, sign and chords.
 
-    left and right are LoopClass or Path values; the trace lists the
-    raw crossings before any normalization collapses terms.  A chord
-    shows its owner (operand tag, chord index) and, at each end, the
-    dart and offset that divmod(key, width) gives back.
+    left and right are LoopClass or Path values; the trace lists the raw
+    crossings of the chords the surgeries read (_coded_chords), before
+    any normalization collapses terms.  A chord shows its owner (operand
+    tag, chord index) and [dart, side] at each end, divmod(key, 2): side
+    0 is the lower strand through the dart and 1 the upper.
     """
+    if not all(isinstance(item, (LoopClass, Path)) for item in (left, right)):
+        raise TypeError("surgery operands must be LoopClass or Path values")
     slot = ribbon_structure(spec)
     darts = sorted(slot, key=slot.get)
-    width, chords = _draw(slot, (left, right), "default")
+    chords = [_coded_chords(item, spec.byte_keyed, ends)[1] for item, ends
+              in zip((left, right), _chord_ends(spec, "default"))]
     index = [{chord: j for j, chord in enumerate(cs)} for cs in chords]
 
     def passage(tag, chord):
-        (i, di), (o, do) = divmod(chord[0], width), divmod(chord[1], width)
+        (i, si), (o, so) = divmod(chord[0], 2), divmod(chord[1], 2)
         return {"owner": [tag, index[tag][chord]],
-                "in": [_dart_name(darts[i]), di],
-                "out": [_dart_name(darts[o]), do]}
+                "in": [_dart_name(darts[i]), si],
+                "out": [_dart_name(darts[o]), so]}
     return [{"sign": sign, "left": passage(0, pu), "right": passage(1, pv)}
             for sign, pu, pv in _crossings(*chords)]
 

@@ -55,6 +55,9 @@ class SurfaceSpec:
                  "_gen_set")
 
     def __init__(self, genus, boundary):
+        if type(genus) is not int or type(boundary) is not int:
+            raise ValueError("genus and boundary count must be ints, got %r"
+                             " and %r" % (genus, boundary))
         if genus < 0 or boundary < 0:
             raise ValueError("genus and boundary count must be nonnegative")
         if boundary == 0:

@@ -6,7 +6,13 @@ every test passes its own seed.
 
 from fractions import Fraction
 
-from goldman_forge.goldman import _crossings, _dart_name, _draw
+from goldman_forge.goldman import (
+    _chord_ends,
+    _chords,
+    _coded_chords,
+    _crossings,
+    _dart_name,
+)
 from goldman_forge.magnus import (
     MagnusExpansion,
     default_expansion,
@@ -14,6 +20,8 @@ from goldman_forge.magnus import (
 )
 from goldman_forge.surface import (
     FreeWord,
+    LoopClass,
+    Path,
     boundary_word,
     letter_key,
     ribbon_structure,
@@ -234,20 +242,85 @@ def decode_word(chars):
     return tuple(RESOLUTION_NAME[c] for c in chars)
 
 
-def trace_records(spec, left, right, convention):
-    """goldman.crossing_trace's records under either convention: the
-    trace draws under the default one only."""
-    slot = ribbon_structure(spec)
-    darts = sorted(slot, key=slot.get)
-    width, chords = _draw(slot, (left, right), convention)
-    index = [{chord: j for j, chord in enumerate(cs)} for cs in chords]
+# -- the per-pair drawing, kept as the oracle of the chord-end table --
 
-    def end(key):
-        at, offset = divmod(key, width)
-        return [_dart_name(darts[at]), offset]
+def _stops(item):
+    """The darts a LoopClass or Path stops at, in traversal order: a
+    loop's letters, a path's letters between the tails of its two tags."""
+    if isinstance(item, LoopClass):
+        return list(item.word)
+    if isinstance(item, Path):
+        return ([tail_dart(item.from_tag)] + list(item.word.letters)
+                + [tail_dart(item.to_tag)])
+    raise TypeError("surgery operands must be LoopClass or Path values")
+
+
+def _draw(slot, items, convention):
+    """(width, one _chords list per operand), under one perturbation rule;
+    slot is the dart-position map of ribbon_structure.  The engine's
+    drawing until its trace read _chord_ends, kept as that table's oracle.
+
+    Strands through one edge or tail are ranked by (operand tag, stop
+    position); the rank is the offset from the edge's left side seen
+    from the positive dart, so the offset reverses at the negative dart.
+    The "reversed" convention ranks in the opposite order; outputs of
+    the surgeries must not depend on the choice.  The end at a dart
+    with an offset has the int key slot[dart] * width + offset; width,
+    the number of stops, exceeds every offset, so keys order the ends
+    as the pairs (slot[dart], offset) do.
+    """
+    stops = [_stops(item) for item in items]
+    darts = [dart for item_stops in stops for dart in item_stops]
+    width = len(darts)
+    strands = {}
+    for g, (base, _e) in enumerate(darts):
+        strands.setdefault(base, []).append(g)
+    ins, outs = [0] * width, [0] * width
+    for base, through in strands.items():
+        # g runs over the stops in (tag, position) order: ranked already
+        if convention == "reversed":
+            through.reverse()
+        last = len(through) - 1
+        for r, g in enumerate(through):
+            e = darts[g][1]
+            # a tail (e == 0) is its own reverse, at offset r both ways
+            outs[g] = slot[(base, e)] * width + (r if e >= 0 else last - r)
+            ins[g] = slot[(base, -e)] * width + (r if e <= 0 else last - r)
+    chords, end = [], 0
+    for item, item_stops in zip(items, stops):
+        start, end = end, end + len(item_stops)
+        chords.append(_chords(item, ins[start:end], outs[start:end]))
+    return width, chords
+
+
+def _trace(chords, end):
+    """crossing_trace's records of a pair of chord lists, each end
+    spelled by end(key)."""
+    index = [{chord: j for j, chord in enumerate(cs)} for cs in chords]
 
     def passage(tag, chord):
         return {"owner": [tag, index[tag][chord]],
                 "in": end(chord[0]), "out": end(chord[1])}
     return [{"sign": sign, "left": passage(0, pu), "right": passage(1, pv)}
             for sign, pu, pv in _crossings(*chords)]
+
+
+def trace_records(spec, left, right, convention):
+    """goldman.crossing_trace's records under either convention, read
+    from _chord_ends as the trace reads them: the trace reads the
+    default one only."""
+    slot = ribbon_structure(spec)
+    darts = sorted(slot, key=slot.get)
+    chords = [_coded_chords(item, spec.byte_keyed, ends)[1] for item, ends
+              in zip((left, right), _chord_ends(spec, convention))]
+    return _trace(chords, lambda key: [_dart_name(darts[key // 2]), key % 2])
+
+
+def draw_trace(spec, left, right, convention):
+    """The records of _draw's drawing, each end [dart, offset]: the
+    trace's records before it read _chord_ends."""
+    slot = ribbon_structure(spec)
+    darts = sorted(slot, key=slot.get)
+    width, chords = _draw(slot, (left, right), convention)
+    return _trace(chords, lambda key: [_dart_name(darts[key // width]),
+                                       key % width])

@@ -1,14 +1,21 @@
-"""Crossing layer: int-keyed chord tuples against the Passage chords.
+"""Crossing layer: int-keyed chord tuples against the Passage chords,
+and the trace against both drawings.
 
-``_draw`` keys each chord end by one int, slot * width + offset, and
-returns plain (in key, out key, split) tuples; ``_crossings`` compares
-those ints.  The code they replaced drew one ``Passage`` object per
-chord and compared (slot, offset) tuples; it is kept here as the
+``helpers._draw`` keys each chord end by one int, slot * width + offset,
+and returns plain (in key, out key, split) tuples; ``_crossings``
+compares those ints.  The code it replaced drew one ``Passage`` object
+per chord and compared (slot, offset) tuples; it is kept here as the
 oracle.  Both must yield the same crossings, with the same signs and
 splits, in the same order, under both perturbation conventions, and
-the trace records (owner, darts, offsets decoded from the keys) of
-``crossing_trace`` and of ``helpers.trace_records`` must equal the old
-``Passage.to_json`` records.
+the records of ``helpers.draw_trace`` (owner, darts, offsets decoded
+from the keys) must equal the old ``Passage.to_json`` records.
+
+The engine's trace reads the chord-end table the surgeries read
+(``_chord_ends``), whose ends carry a side of their dart, not an
+offset: ``crossing_trace`` and ``helpers.trace_records`` must list the
+same crossings as those drawings, with the same signs, owners and dart
+names, and the key 2 * slot + side of each end it lists must give the
+record's sign under ``_crossings``' rule.
 The hypothesis property runs derandomized, so every run sees the same
 examples.
 """
@@ -17,12 +24,12 @@ import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import random_surface_word, trace_records
+from helpers import _draw, draw_trace, random_surface_word, trace_records
 
 from goldman_forge.goldman import (
     CONVENTIONS,
     _crossings,
-    _draw,
+    _dart_name,
     crossing_trace,
 )
 from goldman_forge.surface import (
@@ -170,16 +177,27 @@ def new_records(slot, left, right, convention):
     return [(sign, pu[2], pv[2]) for sign, pu, pv in _crossings(*chords)]
 
 
+def without_offsets(records):
+    """Sign, owners and dart names of each trace record: what a drawing
+    and the two-sided table must agree on."""
+    return [(r["sign"], *((p["owner"], p["in"][0], p["out"][0])
+                          for p in (r["left"], r["right"])))
+            for r in records]
+
+
 def assert_same_crossings(spec, left, right):
     slot = ribbon_structure(spec)
     for convention in CONVENTIONS:
         case = (spec, convention, left, right)
+        old = old_trace(slot, left, right, convention)
         assert (new_records(slot, left, right, convention)
                 == old_records(slot, left, right, convention)), case
-        assert (trace_records(spec, left, right, convention)
-                == old_trace(slot, left, right, convention)), case
-    assert (crossing_trace(spec, left, right)
-            == old_trace(slot, left, right, "default")), (spec, left, right)
+        assert draw_trace(spec, left, right, convention) == old, case
+        assert (without_offsets(trace_records(spec, left, right, convention))
+                == without_offsets(old)), case
+    assert (without_offsets(crossing_trace(spec, left, right))
+            == without_offsets(old_trace(slot, left, right, "default"))), (
+                spec, left, right)
     return len(old_records(slot, left, right, "default"))
 
 
@@ -243,3 +261,95 @@ def operand_pairs(draw):
 @given(operand_pairs())
 def test_chords_match_passage_chords_property(case):
     assert_same_crossings(*case)
+
+
+# -- the trace against the drawing ------------------------------------------
+
+TRACE_SEED = 4343
+# letters past a byte key (a44, b44, c43) and a few below it, so that
+# the tuple-coded surfaces' operands share darts as often as small ones'
+TRACE_SURFACES = ((SurfaceSpec(1, 1), None), (SurfaceSpec(2, 1), None),
+                  (SurfaceSpec(1, 2), None), (SurfaceSpec(0, 3), None),
+                  (SurfaceSpec(1, 3), None), (SurfaceSpec(0, 4), None),
+                  (SurfaceSpec(44, 1), ("a1", "b1", "a44", "b44")),
+                  (SurfaceSpec(1, 44), ("a1", "b1", "c1", "c43")))
+
+
+def trace_operand(rng, spec, bases, kind):
+    """A loop class or a path, in bases only if given; paths on the
+    surfaces with many tags end at 0, 1 or the last tag."""
+    if bases is None:
+        return random_operand(rng, spec, kind)
+    word = FreeWord([(rng.choice(bases), rng.choice((1, -1)))
+                     for _ in range(rng.choice((0, 2, 4, 7)))]).reduce()
+    if kind == "loop":
+        return cyclic_normal_form(word)
+    tags = sorted({0, 1, spec.tags[-1]} & set(spec.tags))
+    return Path(rng.choice(tags), rng.choice(tags), word)
+
+
+def trace_pairs(cases=1200):
+    """(spec, left, right) of the seeded sweep, each pair in both operand
+    orders."""
+    rng = random.Random(TRACE_SEED)
+    for case in range(cases):
+        spec, bases = TRACE_SURFACES[case % len(TRACE_SURFACES)]
+        kinds = rng.choice((("loop", "loop"), ("loop", "path"),
+                            ("path", "path")))
+        a, b = (trace_operand(rng, spec, bases, kind) for kind in kinds)
+        yield spec, a, b
+        yield spec, b, a
+
+
+def test_trace_matches_the_drawing_apart_from_offsets():
+    """crossing_trace lists the crossings helpers._draw's drawing gives,
+    in its order, with the same signs, owners and dart names; only the
+    number after each dart changes, an offset there and a side here.
+    trace_records reads the table as the trace does, under both
+    conventions."""
+    shapes = {"loop-loop": 0, "loop-path": 0, "path-loop": 0,
+              "path-path": 0, "trivial class": 0, "identity path": 0,
+              "same tail": 0, "tuple-coded": 0, "offset is not side": 0}
+    for spec, left, right in trace_pairs():
+        trace = crossing_trace(spec, left, right)
+        case = (spec, left, right)
+        assert trace == trace_records(spec, left, right, "default"), case
+        for convention in CONVENTIONS:
+            assert (without_offsets(trace_records(spec, left, right,
+                                                  convention))
+                    == without_offsets(draw_trace(spec, left, right,
+                                                  convention))), case
+        drawn = draw_trace(spec, left, right, "default")
+        kinds = ["loop" if isinstance(x, LoopClass) else "path"
+                 for x in (left, right)]
+        shapes["-".join(kinds)] += bool(trace)
+        shapes["trivial class"] += any(
+            isinstance(x, LoopClass) and not x.word for x in (left, right))
+        shapes["identity path"] += any(
+            isinstance(x, Path) and x.is_identity() for x in (left, right))
+        shapes["same tail"] += kinds == ["path", "path"] and bool(trace) and (
+            bool({left.from_tag, left.to_tag} & {right.from_tag, right.to_tag}))
+        shapes["tuple-coded"] += not spec.byte_keyed and bool(trace)
+        shapes["offset is not side"] += trace != drawn
+    assert min(shapes.values()) >= 20, shapes
+
+
+def test_trace_keys_give_the_record_sign():
+    """Rebuilt from ribbon_structure alone, each listed end's key
+    2 * slot[dart] + side puts the two chords of a record across each
+    other under _crossings' sign rule, with the record's sign."""
+    checked = 0
+    for spec, left, right in trace_pairs(400):
+        slot = {_dart_name(d): s for d, s in ribbon_structure(spec).items()}
+
+        def chord(passage):
+            (i, si), (o, so) = passage["in"], passage["out"]
+            assert {si, so} <= {0, 1}, passage
+            return 2 * slot[i] + si, 2 * slot[o] + so, None
+
+        for record in crossing_trace(spec, left, right):
+            found = _crossings([chord(record["left"])],
+                               [chord(record["right"])])
+            assert [sign for sign, *_ in found] == [record["sign"]], record
+            checked += 1
+    assert checked >= 1000, checked

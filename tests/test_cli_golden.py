@@ -52,10 +52,10 @@ GOLDEN = [
      "f7bd0b9ed4ca59b4dcf53f4a28632a42d389ad9739e5530dc9636c28aebc61a7",
      "3cbbf90cb42b225c6bbde720eb3cc25ef383bc152f04dfe3a6e203da3a9e63b3"),
     (["bracket", "--trace", "--g", "2", "--b", "1", "a1 b2 a2'", "b1 a2"], 0,
-     "003fe3a50346eb2eaed1405b69664848c1875018349e977304c80570664d0e7f",
+     "81bdf9c0d463cd3b1a3a0539b70fc969216765777aadfefacd3cde4fba222b62",
      "bf2f96e531286eca5e17c03afab3721065cbe810e92b3d37e2527fab27d2c486"),
     (["kk", "--trace", "--g", "1", "--b", "2", "a1 c1", "0:1:b1"], 0,
-     "cd9f17859f3c69973f03a4fb3d132aa1889463eb6f61432c7722c5d88c6c3d52",
+     "9ee07b5dec20674f607284d8c87ad7a038538be3e12c062793ab00e56d614f15",
      "e1fef0c77442b06b9d2716fed25630a3a3801cdae70d1308b46b035e24a8cb5b"),
     (["bracket", "--g", "2", "--b", "2", "a1 b1 c1", "a2 b1' c1'"], 0,
      "9382948f9175dd6112b257fe900815543adbb52970a0426dbe09fce9f8e6e9bf",

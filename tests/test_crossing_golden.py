@@ -2,15 +2,16 @@
 
 A seeded sweep of brackets, loop actions and path pairings on seven
 surfaces, under both perturbation conventions, with one- and two-term
-operands, trivial classes and identity paths.  One sha256 covers the
-JSON of every surgery output and the crossing_trace records of every
-pair of terms in both operand orders (crossing_trace draws under the
-default convention only; the reversed records are decoded from the
-chords by ``helpers.trace_records``, which gives the same records as
-``crossing_trace`` under the default convention), so any change to a chord, a
-crossing sign, a split or a term order shows up as a digest mismatch.
+operands, trivial classes and identity paths.  Two sha256 digests: one
+covers the JSON of every surgery output, the other the crossing_trace
+records of every pair of terms in both operand orders (crossing_trace
+reads the default convention only; the reversed records are read from
+_chord_ends by ``helpers.trace_records``, which gives the same records
+as ``crossing_trace`` under the default convention).  Any change to a
+chord, a crossing sign, a split or a term order shows up as a mismatch,
+and a change to how the trace spells a chord end moves only the second.
 A deliberate change to the crossing layer's output must update the
-digest in the same commit.
+digests in the same commit.
 """
 
 import hashlib
@@ -32,7 +33,8 @@ from helpers import random_surface_word, trace_records
 
 SURFACES = ((1, 1), (2, 1), (1, 2), (0, 3), (1, 3), (0, 4), (2, 2))
 CASES = 300
-DIGEST = "4b2194104bf564233200c821d093adbee97a92a5d656dcb58116c0c8e086f3bf"
+OUTPUTS_DIGEST = "fe29605e622a74186af9bfa27f8789238d6a5fd4cf50341896e7bab4824ef831"
+TRACE_DIGEST = "8b2da5345f68d6f34be1fe67c63159bce12e7e36d58369b9df91bcaffe63aa69"
 
 
 def _loop_sum(rng, spec):
@@ -66,8 +68,9 @@ def _traces(spec, left, right, convention):
 
 
 def crossing_records(cases=CASES, seed=2024):
+    """(the surgery outputs' records, the trace records) of the sweep."""
     rng = random.Random(seed)
-    records = []
+    outputs, traces = [], []
     for case in range(cases):
         spec = SurfaceSpec(*SURFACES[case % len(SURFACES)])
         convention = CONVENTIONS[(case // len(SURFACES)) % 2]
@@ -89,14 +92,18 @@ def crossing_records(cases=CASES, seed=2024):
             right = _path_sum(rng, spec, (rng.choice(ends2),
                                           rng.choice(ends2)))
             out = bi_pairing(left, right, convention)
-        records.append({"case": case, "kind": kind, "convention": convention,
+        outputs.append({"case": case, "kind": kind, "convention": convention,
                         "out": out.to_json()})
-        for trace in _traces(spec, left, right, convention):
-            records.append(trace)
-    return records
+        traces.extend(_traces(spec, left, right, convention))
+    return outputs, traces
+
+
+def digest(records):
+    blob = "\n".join(json.dumps(r, sort_keys=True) for r in records)
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def test_crossing_layer_matches_golden_digest():
-    records = crossing_records()
-    blob = "\n".join(json.dumps(r, sort_keys=True) for r in records)
-    assert hashlib.sha256(blob.encode()).hexdigest() == DIGEST
+    outputs, traces = crossing_records()
+    assert digest(outputs) == OUTPUTS_DIGEST
+    assert digest(traces) == TRACE_DIGEST

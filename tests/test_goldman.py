@@ -543,8 +543,8 @@ class TestTrace:
         assert record["sign"] == 1
         assert record["left"]["owner"] == [0, 0]
         assert record["right"]["owner"] == [1, 1]
-        dart, sub = record["left"]["in"]
-        assert dart == "a1-" and sub == 0
+        # the first operand's strand is the upper one at a negative dart
+        assert record["left"]["in"] == ["a1-", 1]
 
     def test_rejects_other_operands(self):
         with pytest.raises(TypeError):
@@ -574,7 +574,8 @@ def test_ribbon_is_read_once_per_surface_and_convention(monkeypatch):
         assert not goldman_bracket(u, v, "reversed").is_zero()
     # once per new (surface, convention), not per call or pair of terms
     assert calls == [TORUS, SurfaceSpec(0, 4), TORUS]
-    # the trace draws, so it reads the ribbon on every call
+    # the trace reads the cached table too, and the ribbon once per call
+    # for the dart names
     assert crossing_trace(TORUS, cyclic_normal_form(parse_word("a1")),
                           Path(0, 0, parse_word("b1")))
     assert len(calls) == 4

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -35,6 +36,17 @@ class TestSurfaceSpec:
             SurfaceSpec(0, 1)
         with pytest.raises(ValueError):
             SurfaceSpec(-1, 2)
+
+    @pytest.mark.parametrize("genus,boundary", [
+        ("a", 1), (1.0, 1), (1, 2.0), (1, "2"), (None, 1), (True, 1),
+        (1, Fraction(2))])
+    def test_rejects_other_than_ints_in_one_line(self, genus, boundary):
+        # before the check: a TypeError from a comparison, or a failure
+        # later inside range()
+        with pytest.raises(ValueError, match="must be ints") as info:
+            SurfaceSpec(genus, boundary)
+        assert "\n" not in str(info.value)
+        assert repr(genus) in str(info.value)
 
     def test_generators(self):
         assert SurfaceSpec(2, 2).generators() == ("a1", "a2", "b1", "b2", "c1")

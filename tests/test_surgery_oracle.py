@@ -5,7 +5,7 @@ term and over every pair of terms, the crossing signs times int
 coefficient numerators, and divide by one denominator per call.  The
 code they replaced added one Fraction term per crossing, with a tuple letter order and a FreeWord-validated cyclic
 normal form; it is kept here as the oracle, built from the chords of
-``_draw``, the crossings of ``_crossings`` and an uncached
+``helpers._draw``, the crossings of ``_crossings`` and an uncached
 ``ribbon_structure`` directly.  Its rotation is Duval's
 (helpers.duval_least_rotation), not the engine's, so the oracle does
 not check the engine's rotation against itself.  The oracle draws each
@@ -33,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _draw,
     assert_same,
     duval_least_rotation,
     random_surface_word,
@@ -44,7 +45,6 @@ from goldman_forge.goldman import (
     PathPairSum,
     PathSum,
     _crossings,
-    _draw,
     _surgeries,
     bi_pairing,
     crossing_trace,
@@ -572,22 +572,22 @@ def test_joint_drawing_matches_per_pair_drawing():
     assert min(shapes.values()) >= 20, shapes
 
 
-class CountedDraw:
-    """_draw, counting its calls."""
+class CountedTable:
+    """_chord_ends, counting its calls (hits of its cache included)."""
 
-    def __init__(self):
-        self.calls = 0
+    def __init__(self, table):
+        self.table, self.calls = table, 0
 
     def __call__(self, *args):
         self.calls += 1
-        return _draw(*args)
+        return self.table(*args)
 
 
 @pytest.fixture
 def counted(monkeypatch):
-    draw = CountedDraw()
-    monkeypatch.setattr(goldman, "_draw", draw)
-    return draw
+    table = CountedTable(goldman._chord_ends)
+    monkeypatch.setattr(goldman, "_chord_ends", table)
+    return table
 
 
 def surgery_calls(spec):
@@ -609,11 +609,16 @@ def surgery_calls(spec):
 
 @pytest.mark.parametrize("spec", JOINT_SURFACES, ids=str)
 def test_no_surgery_draws(spec, counted):
+    """The engine has no per-pair drawing left (it lives on as the tests'
+    helpers._draw), and each surgery reads the chord-end table once per
+    call, not once per pair of terms."""
+    assert not hasattr(goldman, "_draw") and not hasattr(goldman, "_stops")
     calls, operands = surgery_calls(spec)
     assert all(len(s.terms) >= 3 for s in operands), operands
-    for _, call in calls:
+    for name, call in calls:
+        before = counted.calls
         call()
-    assert counted.calls == 0
+        assert counted.calls == before + 1, name
 
 
 @st.composite
