@@ -200,7 +200,7 @@ def _word_key_letters(letters):
     return (len(letters), tuple(letter_key(l) for l in letters))
 
 
-# -- the chord drawing ---------------------------------------------------
+# -- the chord ends ------------------------------------------------------
 
 def _dart_name(dart):
     base, e = dart
