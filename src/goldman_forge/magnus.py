@@ -685,7 +685,9 @@ def resolution_check(genus, n_max):
     letter keeps words normal (a factor of w[1:] is a factor of w).  The
     surjectivity sweep and the exact matrix-rank cross-checks rerun
     those arguments explicitly on every degree small enough to afford
-    it; _SWEEP_LIMIT and _RANK_LIMIT set the cutoffs.  The sweep searches
+    it; _SWEEP_LIMIT and _RANK_LIMIT set the cutoffs.  A rank
+    cross-check feeds the row flag it tests: rank d2 = dim A_n goes into
+    `injective`, rank d1 = dim A_{n+2} into `surjective`.  The sweep searches
     the words _extend yields, 4096 joined by NUL at a time, for the lead
     after a letter (str.find(w, lead, 1) >= 0); matrix_rank eliminates
     forward only.  Words are str, one character per generator
@@ -768,10 +770,9 @@ def resolution_check(genus, n_max):
                                          replacement).items():
                     column[index_n2[w]] += c
                 d1_cols.append(column)
-            rank_d2 = matrix_rank(d2_cols)  # columns as rows: row rank = rank
-            rank_d1 = matrix_rank(d1_cols)
-            if rank_d2 != dims[n] or rank_d1 != dims[n + 2]:
-                passed = False
+            # columns as rows: row rank = rank
+            injective_ok &= matrix_rank(d2_cols) == dims[n]
+            surjective_ok &= matrix_rank(d1_cols) == dims[n + 2]
             cross_checked = True
 
         ok = composite_ok and injective_ok and surjective_ok and rank_identity

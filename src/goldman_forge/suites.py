@@ -1,16 +1,18 @@
 """Named verification suites behind the command line's `verify`.
 
 Each suite draws its cases from a seeded generator, runs a batch of
-exact-arithmetic checks, and returns a JSON-ready report.  The same
-functions back the acceptance tests, so a CLI run and a pytest run see
-identical cases for identical parameters.  Failures carry a repr of the
-offending input; replaying with the same seed reproduces them.
+exact-arithmetic checks, and returns a JSON-ready report.  A check is
+the list of its outcomes, one per case in case order: a failure message,
+or None for a pass; its `cases` is their number.  The same functions
+back the acceptance tests, so a CLI run and a pytest run see identical
+cases for identical parameters.  Failures carry a repr of the offending
+input; replaying with the same seed reproduces them.
 """
 
 import inspect
-import itertools
 import random
 from fractions import Fraction
+from itertools import product, starmap
 
 from .barcx import (
     BarElement,
@@ -64,15 +66,14 @@ DEFAULT_SEED = 7
 MAX_REPORTED_FAILURES = 5
 
 
-def _run_cases(case, inputs):
-    """Failure messages of the cases that fail, in input order."""
-    return [r for r in map(case, inputs) if r is not None]
-
-
-def _check(name, cases, failures):
+def _check(name, outcomes):
+    """A check from its cases' outcomes, in case order: a failure
+    message, or None for a pass."""
+    outcomes = list(outcomes)
+    failures = [o for o in outcomes if o is not None]
     return {
         "name": name,
-        "cases": cases,
+        "cases": len(outcomes),
         "passed": not failures,
         "failures": failures[:MAX_REPORTED_FAILURES],
     }
@@ -99,6 +100,15 @@ def _random_word(rng, spec, max_len, min_len=1):
 
 def _random_loop(rng, spec, max_len):
     return LoopSum.of(spec, _random_word(rng, spec, max_len))
+
+
+def _random_path_sum(rng, spec, max_len, tags=None):
+    """One path of a word of length <= max_len, possibly empty, between
+    tags, a pair of boundary tags drawn when not given."""
+    if tags is None:
+        tags = (rng.randrange(spec.boundary), rng.randrange(spec.boundary))
+    return PathSum.of(spec, Path(*tags, _random_word(rng, spec, max_len,
+                                                     min_len=0)))
 
 
 def _random_loop_sum(rng, spec, max_len):
@@ -154,13 +164,11 @@ def jacobi(genus=1, boundary=1, seed=DEFAULT_SEED):
     triples = [tuple(_random_loop(rng, spec, max_len) for _ in range(3))
                for _ in range(count)]
 
-    def antisymmetry(triple):
-        u, v, _ = triple
+    def antisymmetry(u, v, _):
         if not (goldman_bracket(u, v) + goldman_bracket(v, u)).is_zero():
             return "antisymmetry fails: %r, %r" % (u, v)
 
-    def cyclic_sum(triple):
-        u, v, w = triple
+    def cyclic_sum(u, v, w):
         total = (goldman_bracket(u, goldman_bracket(v, w))
                  + goldman_bracket(v, goldman_bracket(w, u))
                  + goldman_bracket(w, goldman_bracket(u, v)))
@@ -168,8 +176,8 @@ def jacobi(genus=1, boundary=1, seed=DEFAULT_SEED):
             return "jacobi fails: %r, %r, %r" % (u, v, w)
 
     checks = [
-        _check("antisymmetry", count, _run_cases(antisymmetry, triples)),
-        _check("jacobi", count, _run_cases(cyclic_sum, triples)),
+        _check("antisymmetry", starmap(antisymmetry, triples)),
+        _check("jacobi", starmap(cyclic_sum, triples)),
     ]
     return _report("jacobi", checks, surface=[genus, boundary], count=count,
                    max_len=max_len, seed=seed)
@@ -180,30 +188,21 @@ def perturbation(genus=1, boundary=1, seed=DEFAULT_SEED):
     count, max_len = 200, 6
     spec = SurfaceSpec(genus, boundary)
     rng = random.Random(seed)
-    cases = []
-    for _ in range(count):
-        u = _random_loop(rng, spec, max_len)
-        v = _random_loop(rng, spec, max_len)
-        t1 = rng.randrange(boundary)
-        t2 = rng.randrange(boundary)
-        g = PathSum.of(spec, Path(t1, t2, _random_word(rng, spec, max_len,
-                                                       min_len=0)))
-        cases.append((u, v, g))
+    cases = [(_random_loop(rng, spec, max_len),
+              _random_loop(rng, spec, max_len),
+              _random_path_sum(rng, spec, max_len)) for _ in range(count)]
 
-    def bracket_case(args):
-        u, v, _ = args
-        if goldman_bracket(u, v) != goldman_bracket(u, v,
-                                                    convention="reversed"):
+    def bracket_case(u, v, _):
+        if goldman_bracket(u, v) != goldman_bracket(u, v, "reversed"):
             return "bracket depends on the ordering: %r, %r" % (u, v)
 
-    def action_case(args):
-        u, _, g = args
-        if kk_action(u, g) != kk_action(u, g, convention="reversed"):
+    def action_case(u, _, g):
+        if kk_action(u, g) != kk_action(u, g, "reversed"):
             return "action depends on the ordering: %r, %r" % (u, g)
 
     checks = [
-        _check("bracket", count, _run_cases(bracket_case, cases)),
-        _check("action", count, _run_cases(action_case, cases)),
+        _check("bracket", starmap(bracket_case, cases)),
+        _check("action", starmap(action_case, cases)),
     ]
     return _report("perturbation", checks, surface=[genus, boundary],
                    count=count, max_len=max_len, seed=seed)
@@ -220,27 +219,21 @@ def gr_bracket(genus=1, boundary=1, trunc=6, seed=DEFAULT_SEED):
                       _random_loop_sum(rng, spec, 4).reduced())
                      for _ in range(count)]
 
-    def bracket_shift(args):
-        u, v = args
+    def bracket_shift(u, v):
         return _shift_failure(
-            "bracket", args, [expand_loop_sum(w, theta) for w in args],
+            "bracket", (u, v), [expand_loop_sum(w, theta) for w in (u, v)],
             expand_loop_sum(goldman_bracket(u, v), theta).valuation())
 
     action_cases = []
     for _ in range(count):
         u = _random_loop_sum(rng, spec, 4).reduced()
-        t1 = rng.randrange(boundary)
-        t2 = rng.randrange(boundary)
-        g = PathSum.of(spec, Path(t1, t2, _random_word(rng, spec, 4,
-                                                       min_len=0)))
-        g = g - PathSum.of(spec, Path(t1, t2, _random_word(rng, spec, 4,
-                                                           min_len=0)))
-        action_cases.append((u, g))
+        g = _random_path_sum(rng, spec, 4)
+        action_cases.append((u, g - _random_path_sum(
+            rng, spec, 4, (g.from_tag, g.to_tag))))
 
-    def action_shift(args):
-        u, g = args
+    def action_shift(u, g):
         return _shift_failure(
-            "action", args,
+            "action", (u, g),
             [expand_loop_sum(u, theta), expand_path_sum(g, theta)],
             expand_path_sum(kk_action(u, g), theta).valuation())
 
@@ -248,35 +241,39 @@ def gr_bracket(genus=1, boundary=1, trunc=6, seed=DEFAULT_SEED):
     # bracket is the necklace bracket of the lowest-weight slices; the
     # draws are capped, since on some surfaces no pair is admissible
     # (genus 0 at truncation 1: every expansion vanishes)
-    checked = 0
-    failures = []
+    admissible = []
     for _ in range(10 * pairs):
-        if checked == pairs:
+        if len(admissible) == pairs:
             break
         u = _random_loop_sum(rng, spec, 4)
         v = _random_loop_sum(rng, spec, 4)
         cu = expand_loop_sum(u.reduced(), theta)
         cv = expand_loop_sum(v.reduced(), theta)
         m, n = cu.valuation(), cv.valuation()
-        if m is None or n is None or m + n - 2 > trunc:
-            continue
-        checked += 1
+        if m is not None and n is not None and m + n - 2 <= trunc:
+            admissible.append((u, v, cu, cv))
+
+    def graded_case(u, v, cu, cv):
+        m, n = cu.valuation(), cv.valuation()
         lhs = expand_loop_sum(goldman_bracket(u, v),
                               theta).homogeneous_component(m + n - 2)
         rhs = gr_necklace_bracket(cu.homogeneous_component(m),
                                   cv.homogeneous_component(n))
         if lhs.terms != rhs.terms:
-            failures.append("graded bracket disagrees: %r, %r" % (u, v))
-    if checked < pairs:
-        failures.insert(0, "only %d of %d admissible pairs in %d draws"
-                        % (checked, pairs, 10 * pairs))
+            return "graded bracket disagrees: %r, %r" % (u, v)
+
+    graded = _check("graded_agreement", starmap(graded_case, admissible))
+    if len(admissible) < pairs:
+        graded["passed"] = False
+        graded["failures"] = [
+            "only %d of %d admissible pairs in %d draws"
+            % (len(admissible), pairs, 10 * pairs),
+            *graded["failures"]][:MAX_REPORTED_FAILURES]
 
     checks = [
-        _check("bracket_shift", count, _run_cases(bracket_shift,
-                                                  bracket_cases)),
-        _check("action_shift", count, _run_cases(action_shift,
-                                                 action_cases)),
-        _check("graded_agreement", checked, failures),
+        _check("bracket_shift", starmap(bracket_shift, bracket_cases)),
+        _check("action_shift", starmap(action_shift, action_cases)),
+        graded,
     ]
     return _report("gr-bracket", checks, surface=[genus, boundary],
                    trunc=trunc, count=count, pairs=pairs, seed=seed)
@@ -297,15 +294,12 @@ def leibniz(genus=1, boundary=1, trunc=5, seed=DEFAULT_SEED):
     word_cases = []
     for _ in range(count):
         u = _random_loop(rng, spec, 4)
-        t0 = rng.randrange(boundary)
-        t1 = rng.randrange(boundary)
-        t2 = rng.randrange(boundary)
+        t0, t1, t2 = (rng.randrange(boundary) for _ in range(3))
         g = Path(t0, t1, _random_word(rng, spec, 4, min_len=0))
         m = Path(t1, t2, _random_word(rng, spec, 4, min_len=0))
         word_cases.append((u, g, m))
 
-    def leibniz_case(args):
-        u, g, m = args
+    def leibniz_case(u, g, m):
         lhs = kk_action(u, PathSum.of(spec, g.compose(m)))
         rhs = PathSum(spec, g.from_tag, m.to_tag, twist=lhs.twist)
         for p, c in kk_action(u, PathSum.of(spec, g)).terms.items():
@@ -317,13 +311,11 @@ def leibniz(genus=1, boundary=1, trunc=5, seed=DEFAULT_SEED):
 
     # the derivation drops degree, and the commutator drops it twice,
     # so build two orders high and compare below the starved slots
-    lie_count = count // 3
     theta_hi = default_expansion(spec, trunc + 2)
     lie_cases = [(_random_loop(rng, spec, 3), _random_loop(rng, spec, 3))
-                 for _ in range(lie_count)]
+                 for _ in range(count // 3)]
 
-    def lie_case(args):
-        u, v = args
+    def lie_case(u, v):
         du = kk_derivation(u, trunc + 2)
         dv = kk_derivation(v, trunc + 2)
         db = kk_derivation(goldman_bracket(u, v), trunc + 2)
@@ -336,16 +328,18 @@ def leibniz(genus=1, boundary=1, trunc=5, seed=DEFAULT_SEED):
                 return "bracket action differs from the commutator: " \
                     "%r, %r at %s" % (u, v, name)
 
-    unit_failures = []
     unit = LoopSum.of(spec, FreeWord())
     d_unit = kk_derivation(unit, trunc)
-    for name in spec.generators():
+    unit_paths = [PathSum.of(spec, Path(0, 0, _random_word(rng, spec, 4)))
+                  for _ in range(10)]
+
+    def unit_image(name):
         if not d_unit.image(name).is_zero():
-            unit_failures.append("unit derivation hits %s" % name)
-    for _ in range(10):
-        g = PathSum.of(spec, Path(0, 0, _random_word(rng, spec, 4)))
+            return "unit derivation hits %s" % name
+
+    def unit_action(g):
         if not kk_action(unit, g).is_zero():
-            unit_failures.append("unit action hits %r" % g)
+            return "unit action hits %r" % g
 
     log_target = bch_right_side(theta_hi.sig, trunc + 1)
     log_cases = [_random_loop_sum(rng, spec, 4)
@@ -356,23 +350,21 @@ def leibniz(genus=1, boundary=1, trunc=5, seed=DEFAULT_SEED):
         if not d.apply(log_target).truncated(trunc).is_zero():
             return "boundary logarithm escapes the kernel: %r" % (u,)
 
-    kernel_failures = []
-    for max_len, n in ((2, 4), (3, 6)):
+    def kernel_case(max_len, n):
         classes, rank = _kernel_rank_sample(max_len, n)
         if rank != classes:
-            kernel_failures.append(
-                "kernel exceeds the unit span: classes of length <= %d at "
-                "truncation %d give rank %d of %d" % (max_len, n, rank,
-                                                      classes))
+            return ("kernel exceeds the unit span: classes of length <= %d "
+                    "at truncation %d give rank %d of %d"
+                    % (max_len, n, rank, classes))
 
     checks = [
-        _check("leibniz", count, _run_cases(leibniz_case, word_cases)),
-        _check("lie_action", lie_count, _run_cases(lie_case, lie_cases)),
-        _check("unit_acts_by_zero", len(spec.generators()) + 10,
-               unit_failures),
-        _check("boundary_log_in_kernel", len(log_cases),
-               _run_cases(log_case, log_cases)),
-        _check("kernel_spanned_by_unit", 2, kernel_failures),
+        _check("leibniz", starmap(leibniz_case, word_cases)),
+        _check("lie_action", starmap(lie_case, lie_cases)),
+        _check("unit_acts_by_zero", [*map(unit_image, d_unit.sig.gens),
+                                     *map(unit_action, unit_paths)]),
+        _check("boundary_log_in_kernel", map(log_case, log_cases)),
+        _check("kernel_spanned_by_unit", starmap(kernel_case,
+                                                 ((2, 4), (3, 6)))),
     ]
     return _report("leibniz", checks, surface=[genus, boundary], trunc=trunc,
                    count=count, seed=seed)
@@ -392,14 +384,14 @@ def _kernel_rank_sample(max_len, trunc):
     alphabet = [(g, s) for g in spec.generators() for s in (1, -1)]
     seen = {}
     for n in range(1, max_len + 1):
-        for combo in itertools.product(alphabet, repeat=n):
+        for combo in product(alphabet, repeat=n):
             cls = cyclic_normal_form(combo)
             if cls.word:
                 seen[cls.word] = cls
     classes = list(seen.values())
     monomials = []
     for d in range(trunc + 1):
-        monomials.extend(w for w in itertools.product(sig.gens, repeat=d)
+        monomials.extend(w for w in product(sig.gens, repeat=d)
                          if sig.degree(w) <= trunc)
     index = {w: i for i, w in enumerate(monomials)}
     gens = spec.generators()
@@ -421,30 +413,25 @@ def adams(trunc=8, seed=DEFAULT_SEED):
     theta = default_expansion(spec, trunc)
     rng = random.Random(seed)
 
-    definition_failures = []
-    for _ in range(20):
-        w = _random_word(rng, spec, 4)
-        n = rng.randrange(2, 5)
-        power = FreeWord()
-        for _ in range(n):
-            power = power * w
-        if adams_operation(n, LoopSum.of(spec, w)) != LoopSum.of(spec,
-                                                                 power):
-            definition_failures.append("power map misses %r^%d" % (w, n))
+    powers = [(_random_word(rng, spec, 4), rng.randrange(2, 5))
+              for _ in range(20)]
     u0 = _random_loop_sum(rng, spec, 4)
-    if adams_operation(1, u0) != u0:
-        definition_failures.append("exponent 1 is not the identity")
-    if adams_operation(0, u0) != LoopSum.of(spec, FreeWord(),
-                                            u0.augmentation()):
-        definition_failures.append("exponent 0 is not the augmentation")
+
+    def power_case(w, n):
+        if adams_operation(n, LoopSum.of(spec, w)) != \
+                LoopSum.of(spec, FreeWord(w.letters * n)):
+            return "power map misses %r^%d" % (w, n)
+
+    def exponent_case(n, image, name):
+        if adams_operation(n, u0) != image:
+            return "exponent %d is not the %s" % (n, name)
 
     composition_cases = []
     for _ in range(count):
         m, n = rng.choice(((2, 2), (2, 3), (3, 2), (2, 4), (5, 3)))
         composition_cases.append((m, n, _random_loop_sum(rng, spec, 4)))
 
-    def composition_case(args):
-        m, n, u = args
+    def composition_case(m, n, u):
         if adams_operation(m, adams_operation(n, u)) != \
                 adams_operation(m * n, u):
             return "composition fails: %d, %d, %r" % (m, n, u)
@@ -453,43 +440,44 @@ def adams(trunc=8, seed=DEFAULT_SEED):
                          _random_loop_sum(rng, spec, 4).reduced())
                         for _ in range(count)]
 
-    filtration_failures, scaling_failures, scaled_cases = [], [], 0
-    for n, u in filtration_cases:
-        cu = expand_loop_sum(u, theta)
-        image = expand_loop_sum(adams_operation(n, u), theta)
+    # (n, u, expansion of u, expansion of its n-th power), each built once
+    expanded = [(n, u, expand_loop_sum(u, theta),
+                 expand_loop_sum(adams_operation(n, u), theta))
+                for n, u in filtration_cases]
+
+    def filtration_case(n, u, cu, image):
         vu, vn = cu.valuation(), image.valuation()
         if vn is not None and vn < (trunc + 1 if vu is None else vu):
-            filtration_failures.append("power map drops the valuation: "
-                                       "%d, %r" % (n, u))
-        if vu == 1:
-            scaled_cases += 1
-            if image.homogeneous_component(1) != \
-                    cu.homogeneous_component(1).scaled(n):
-                scaling_failures.append("weight-1 slice not scaled by %d: "
-                                        "%r" % (n, u))
+            return "power map drops the valuation: %d, %r" % (n, u)
 
-    series_failures = []
-    series_cases = 0
+    def scaling_case(n, u, cu, image):
+        if image.homogeneous_component(1) != \
+                cu.homogeneous_component(1).scaled(n):
+            return "weight-1 slice not scaled by %d: %r" % (n, u)
+
     primitives = [
         log(theta.expand_word(_random_word(rng, spec, 3))),
         log(theta.expand_word(_random_word(rng, spec, 4))),
         lie_bracket(theta.logs["a1"], theta.logs["b1"]),
     ]
-    for p in primitives:
-        for n in (2, 3):
-            for k in (1, 2, 3, 4):
-                series_cases += 1
-                if not adams_series_check(n, p, k):
-                    series_failures.append(
-                        "symmetric piece %d not scaled by %d^%d" % (k, n, k))
+
+    def series_case(p, n, k):
+        if not adams_series_check(n, p, k):
+            return "symmetric piece %d not scaled by %d^%d" % (k, n, k)
 
     checks = [
-        _check("power_map_definition", 22, definition_failures),
-        _check("composition", count, _run_cases(composition_case,
-                                                composition_cases)),
-        _check("filtration_preserved", count, filtration_failures),
-        _check("weight_one_scaling", scaled_cases, scaling_failures),
-        _check("symmetric_scaling", series_cases, series_failures),
+        _check("power_map_definition", [
+            *starmap(power_case, powers),
+            *starmap(exponent_case, [
+                (1, u0, "identity"),
+                (0, LoopSum.of(spec, FreeWord(), u0.augmentation()),
+                 "augmentation")])]),
+        _check("composition", starmap(composition_case, composition_cases)),
+        _check("filtration_preserved", starmap(filtration_case, expanded)),
+        _check("weight_one_scaling", starmap(scaling_case, [
+            case for case in expanded if case[2].valuation() == 1])),
+        _check("symmetric_scaling", starmap(series_case, product(
+            primitives, (2, 3), (1, 2, 3, 4)))),
     ]
     return _report("adams", checks, trunc=trunc, count=count, seed=seed)
 
@@ -502,88 +490,80 @@ def bar(seed=DEFAULT_SEED):
     letters = list(om.letters)
     rng = random.Random(seed)
 
-    square_failures = []
-    square_cases = 0
-    for model in (om, closed_model(1), closed_model(2)):
-        for length in range(square_len + 1):
-            for word in itertools.product(model.letters, repeat=length):
-                square_cases += 1
-                e = BarElement.word(model, word)
-                if not bar_differential(bar_differential(e)).is_zero():
-                    square_failures.append("d^2 misses zero on %r in %s"
-                                           % (word, model.name))
+    square_cases = [(model, word)
+                    for model in (om, closed_model(1), closed_model(2))
+                    for length in range(square_len + 1)
+                    for word in product(model.letters, repeat=length)]
+
+    def square_case(model, word):
+        e = BarElement.word(model, word)
+        if not bar_differential(bar_differential(e)).is_zero():
+            return "d^2 misses zero on %r in %s" % (word, model.name)
+
+    def random_letters(max_len):
+        return tuple(rng.choice(letters)
+                     for _ in range(rng.randrange(max_len + 1)))
 
     def random_bar(max_len):
-        return BarElement.word(om, tuple(rng.choice(letters)
-                                         for _ in range(rng.randrange(
-                                             max_len + 1))))
+        return BarElement.word(om, random_letters(max_len))
 
-    shuffle_failures = []
-    for _ in range(eval_count):
-        e1, e2 = random_bar(3), random_bar(3)
-        gamma = _random_word(rng, spec, 5, min_len=0)
+    def random_word(max_len):
+        return _random_word(rng, spec, max_len, min_len=0)
+
+    shuffle_cases = [(random_bar(3), random_bar(3), random_word(5))
+                     for _ in range(eval_count)]
+    coproduct_cases = [(random_letters(3), random_word(4), random_word(4))
+                       for _ in range(eval_count)]
+    conjugation_cases = [(random_bar(2), rng.choice(letters), random_word(4),
+                          random_word(3)) for _ in range(conj_count)]
+    hat_cs_cases = [(random_bar(3), rng.choice(letters), random_word(5))
+                    for _ in range(eval_count)]
+    hat_kk_cases = [(random_letters(2), random_letters(2),
+                     rng.choice(letters), random_word(5))
+                    for _ in range(eval_count)]
+
+    def shuffle_case(e1, e2, gamma):
         lhs = chen_pairing(shuffle_product(e1, e2), gamma)
         if lhs != chen_pairing(e1, gamma) * chen_pairing(e2, gamma):
-            shuffle_failures.append("pairing not multiplicative: %r, %r, %r"
-                                    % (e1, e2, gamma))
+            return "pairing not multiplicative: %r, %r, %r" % (e1, e2, gamma)
 
-    coproduct_failures = []
-    for _ in range(eval_count):
-        word = tuple(rng.choice(letters) for _ in range(rng.randrange(4)))
-        g1 = _random_word(rng, spec, 4, min_len=0)
-        g2 = _random_word(rng, spec, 4, min_len=0)
+    def coproduct_case(word, g1, g2):
         lhs = chen_pairing(BarElement.word(om, word), g1 * g2)
         rhs = sum((chen_pairing(BarElement.word(om, word[:i]), g1)
                    * chen_pairing(BarElement.word(om, word[i:]), g2))
                   for i in range(len(word) + 1))
         if lhs != rhs:
-            coproduct_failures.append("deconcatenation fails: %r, %r, %r"
-                                      % (word, g1, g2))
+            return "deconcatenation fails: %r, %r, %r" % (word, g1, g2)
 
-    conjugation_failures = []
-    for _ in range(conj_count):
-        e = random_bar(2)
-        w = rng.choice(letters)
-        gamma = _random_word(rng, spec, 4, min_len=0)
-        g = _random_word(rng, spec, 3, min_len=0)
+    def conjugation_case(e, w, gamma, g):
         inserted = dual_cs(e, w)
         if (chen_pairing(inserted, gamma)
                 != chen_pairing(inserted, g * gamma * g.inverse())):
-            conjugation_failures.append("class function moves under "
-                                        "conjugation: %r, %s, %r, %r"
-                                        % (e, w, gamma, g))
+            return ("class function moves under conjugation: %r, %s, %r, %r"
+                    % (e, w, gamma, g))
 
-    hat_cs_failures = []
-    for _ in range(eval_count):
-        e = random_bar(3)
-        w = rng.choice(letters)
-        gamma = _random_word(rng, spec, 5, min_len=0)
+    def hat_cs_case(e, w, gamma):
         if eval_hat_cs(e, w, gamma) != chen_pairing(dual_cs(e, w), gamma):
-            hat_cs_failures.append("direct evaluation disagrees: %r, %s, %r"
-                                   % (e, w, gamma))
+            return "direct evaluation disagrees: %r, %s, %r" % (e, w, gamma)
 
-    hat_kk_failures = []
-    for _ in range(eval_count):
-        left = tuple(rng.choice(letters) for _ in range(rng.randrange(3)))
-        right = tuple(rng.choice(letters) for _ in range(rng.randrange(3)))
-        w = rng.choice(letters)
-        gamma = _random_word(rng, spec, 5, min_len=0)
+    def hat_kk_case(left, right, w, gamma):
         lhs = eval_hat_kk((left, w, right), gamma, om)
         if lhs != chen_pairing(BarElement.word(om, left + (w,) + right),
                                gamma):
-            hat_kk_failures.append("middle insertion disagrees: %r, %s, "
-                                   "%r, %r" % (left, w, right, gamma))
+            return ("middle insertion disagrees: %r, %s, %r, %r"
+                    % (left, w, right, gamma))
 
     checks = [
-        _check("differential_squares_to_zero", square_cases,
-               square_failures),
-        _check("shuffle_pairing_multiplicative", eval_count,
-               shuffle_failures),
-        _check("composition_coproduct", eval_count, coproduct_failures),
-        _check("class_function_conjugation", conj_count,
-               conjugation_failures),
-        _check("eval_hat_cs", eval_count, hat_cs_failures),
-        _check("eval_hat_kk", eval_count, hat_kk_failures),
+        _check("differential_squares_to_zero",
+               starmap(square_case, square_cases)),
+        _check("shuffle_pairing_multiplicative",
+               starmap(shuffle_case, shuffle_cases)),
+        _check("composition_coproduct",
+               starmap(coproduct_case, coproduct_cases)),
+        _check("class_function_conjugation",
+               starmap(conjugation_case, conjugation_cases)),
+        _check("eval_hat_cs", starmap(hat_cs_case, hat_cs_cases)),
+        _check("eval_hat_kk", starmap(hat_kk_case, hat_kk_cases)),
     ]
     return _report("bar", checks, conj_count=conj_count,
                    eval_count=eval_count, square_len=square_len, seed=seed)
@@ -596,15 +576,11 @@ def kvi(trunc=6):
         theta = solve_symplectic(g, b - 1, trunc)
         symplectic = is_symplectic(theta)
         cert = kvi_check(invert_expansion(theta))
-        ok = bool(symplectic and cert["passed"])
-        failures = []
-        if not ok:
-            failures.append("certificate fails on (%d,%d): symplectic=%s, "
-                            "omega=%s, graded=%s"
-                            % (g, b, symplectic,
-                               cert["omega_image_matches"],
-                               cert["gr_identity"]))
-        entry = _check("surface_%d_%d" % (g, b), 1, failures)
+        failure = None if symplectic and cert["passed"] else (
+            "certificate fails on (%d,%d): symplectic=%s, omega=%s, "
+            "graded=%s" % (g, b, symplectic, cert["omega_image_matches"],
+                           cert["gr_identity"]))
+        entry = _check("surface_%d_%d" % (g, b), [failure])
         entry["certificate"] = {
             "symplectic": bool(symplectic),
             "omega_image_matches": cert["omega_image_matches"],
@@ -632,30 +608,25 @@ def twist_formula_rows(spec, trunc):
 
 def twist(trunc=5):
     """Twist logarithm formula and boundary-fixing of the fixtures."""
-    formula_failures = []
-    formula_cases = 0
-    for curve, name, _, match in twist_formula_rows(SurfaceSpec(1, 1), trunc):
-        formula_cases += 1
+    def formula_case(curve, name, _, match):
         if not match:
-            formula_failures.append("logarithm formula misses %s on %s"
-                                    % (curve, name))
+            return "logarithm formula misses %s on %s" % (curve, name)
 
-    fixture_failures = []
-    fixture_cases = 0
-    for g, b in ((1, 1), (2, 1)):
-        fixture_spec = SurfaceSpec(g, b)
-        sigma = boundary_word(fixture_spec)
-        for curve in twist_curve_names(fixture_spec):
-            for power in (1, -1, 2):
-                fixture_cases += 1
-                if dehn_twist(fixture_spec, curve, sigma,
-                              power=power) != sigma:
-                    fixture_failures.append("%s^%d moves the boundary on "
-                                            "(%d,%d)" % (curve, power, g, b))
+    fixture_cases = [(spec, curve, power)
+                     for spec in (SurfaceSpec(1, 1), SurfaceSpec(2, 1))
+                     for curve in twist_curve_names(spec)
+                     for power in (1, -1, 2)]
+
+    def fixture_case(spec, curve, power):
+        sigma = boundary_word(spec)
+        if dehn_twist(spec, curve, sigma, power=power) != sigma:
+            return "%s^%d moves the boundary on (%d,%d)" % (
+                curve, power, spec.genus, spec.boundary)
 
     checks = [
-        _check("logarithm_formula", formula_cases, formula_failures),
-        _check("fixtures_fix_boundary", fixture_cases, fixture_failures),
+        _check("logarithm_formula", starmap(formula_case, twist_formula_rows(
+            SurfaceSpec(1, 1), trunc))),
+        _check("fixtures_fix_boundary", starmap(fixture_case, fixture_cases)),
     ]
     return _report("twist", checks, trunc=trunc)
 
@@ -663,18 +634,25 @@ def twist(trunc=5):
 def resolution():
     """Exactness certificates for the surface-algebra resolution."""
     n_max = 6
+
+    def row_case(genus, row):
+        false = [flag for flag in ("composite_zero", "injective",
+                                   "surjective", "rank_identity")
+                 if not row[flag]]
+        if false:
+            return "certificate fails for genus %d at degree %d: %s" % (
+                genus, row["n"], ", ".join(false))
+
     checks = []
     for genus in (1, 2, 3):
+        name = "genus_%d" % genus
         try:
             report = resolution_check(genus, n_max)
-            failures = [] if report["passed"] else [
-                "certificate fails for genus %d" % genus]
-            dims = report["dims"]
         except AssertionError as err:
-            failures, dims = [str(err)], None
-        entry = _check("genus_%d" % genus, n_max + 1, failures)
-        if dims is not None:
-            entry["dims"] = dims
+            checks.append(_check(name, [str(err)]))
+            continue
+        entry = _check(name, [row_case(genus, row) for row in report["rows"]])
+        entry["dims"] = report["dims"]
         checks.append(entry)
     return _report("resolution", checks, n_max=n_max)
 
@@ -687,88 +665,80 @@ def bipair(trunc=5, seed=DEFAULT_SEED):
     theta = default_expansion(spec, trunc)
     rng = random.Random(seed)
 
-    def random_path_sum(t1, t2, centered=False):
-        g = PathSum.of(spec, Path(t1, t2, _random_word(rng, spec, 3,
-                                                       min_len=0)),
-                       rng.choice((1, -1, 2)))
-        if centered or rng.random() < 0.5:
-            g = g - PathSum.of(spec, Path(t1, t2,
-                                          _random_word(rng, spec, 3,
-                                                       min_len=0)))
-        return g
+    def random_path_sum(tags, centered=False):
+        # centered: c times the difference of two distinct paths, a
+        # nonzero sum with augmentation 0
+        g = _random_path_sum(rng, spec, 3, tags)
+        c = rng.choice((1, -1, 2))
+        if not centered:
+            g = g.scaled(c)
+            if rng.random() < 0.5:
+                g = g - _random_path_sum(rng, spec, 3, tags)
+            return g
+        h = g
+        while h == g:
+            h = _random_path_sum(rng, spec, 3, tags)
+        return (g - h).scaled(c)
 
-    bilinear_failures = []
-    for _ in range(count):
-        g1 = random_path_sum(0, 1)
-        g2 = random_path_sum(0, 1)
-        h = random_path_sum(2, 2)
-        scale = Fraction(rng.randrange(-3, 4) or 2)
-        lhs = bi_pairing(g1.scaled(scale) + g2, h)
-        rhs = bi_pairing(g1, h).scaled(scale) + bi_pairing(g2, h)
-        if lhs != rhs:
-            bilinear_failures.append("left linearity fails: %r, %r, %r"
-                                     % (g1, g2, h))
-        lhs = bi_pairing(h, g1.scaled(scale) + g2)
-        rhs = bi_pairing(h, g1).scaled(scale) + bi_pairing(h, g2)
-        if lhs != rhs:
-            bilinear_failures.append("right linearity fails: %r, %r, %r"
-                                     % (g1, g2, h))
+    bilinear_cases = [(random_path_sum((0, 1)), random_path_sum((0, 1)),
+                       random_path_sum((2, 2)),
+                       Fraction(rng.randrange(-3, 4) or 2))
+                      for _ in range(count)]
 
-    shift_cases = [(random_path_sum(0, 1, centered=True),
-                    random_path_sum(2, 2, centered=True))
+    def linearity(side, g1, g2, h, scale):
+        def pair(g):
+            return bi_pairing(g, h) if side == "left" else bi_pairing(h, g)
+        if pair(g1.scaled(scale) + g2) != pair(g1).scaled(scale) + pair(g2):
+            return "%s linearity fails: %r, %r, %r" % (side, g1, g2, h)
+
+    shift_cases = [(random_path_sum((0, 1), centered=True),
+                    random_path_sum((2, 2), centered=True))
                    for _ in range(count)]
 
-    def degree_shift(args):
-        g1, g2 = args
+    def degree_shift(g1, g2):
         return _shift_failure(
-            "pairing", args, [expand_path_sum(g, theta) for g in args],
+            "pairing", (g1, g2), [expand_path_sum(g1, theta),
+                                  expand_path_sum(g2, theta)],
             _pair_valuation(bi_pairing(g1, g2), theta))
+
+    def corridor(tags, word=FreeWord()):
+        return PathSum.of(four, Path(*tags, word))
 
     # nested and disjoint corridor chords never cross, whatever c2
     # winding rides along inside them
-    noncrossing_failures = []
-    noncrossing_cases = 0
     c2 = FreeWord((("c2", 1),))
-    for k in (-2, -1, 0, 1, 2):
-        wind = FreeWord()
-        for _ in range(abs(k)):
-            wind = wind * (c2 if k > 0 else c2.inverse())
-        for tags1, tags2 in (((0, 1), (2, 3)), ((0, 3), (2, 1))):
-            noncrossing_cases += 1
-            g1 = PathSum.of(four, Path(tags1[0], tags1[1], FreeWord()))
-            g2 = PathSum.of(four, Path(tags2[0], tags2[1], wind))
-            if not bi_pairing(g1, g2).is_zero():
-                noncrossing_failures.append("disjoint corridors cross: "
-                                            "%r, %r" % (g1, g2))
+    disjoint_cases = [
+        (corridor(tags1), corridor(tags2, FreeWord(
+            (c2 if k > 0 else c2.inverse()).letters * abs(k))))
+        for k in (-2, -1, 0, 1, 2)
+        for tags1, tags2 in (((0, 1), (2, 3)), ((0, 3), (2, 1)))]
+
+    def disjoint_case(g1, g2):
+        if not bi_pairing(g1, g2).is_zero():
+            return "disjoint corridors cross: %r, %r" % (g1, g2)
+
     # the c2 detour reroutes the 1->3 strand off the 0->2 corridor; the
     # cancellation is a pinned engine value
-    noncrossing_cases += 1
-    g1 = PathSum.of(four, Path(0, 2, FreeWord()))
-    g2 = PathSum.of(four, Path(1, 3, c2))
-    if not bi_pairing(g1, g2).is_zero():
-        noncrossing_failures.append("rerouted corridor still crosses")
+    rerouted = None if bi_pairing(corridor((0, 2)), corridor(
+        (1, 3), c2)).is_zero() else "rerouted corridor still crosses"
 
-    example_failures = []
-    g1 = PathSum.of(four, Path(0, 2, FreeWord()))
-    g2 = PathSum.of(four, Path(1, 3, FreeWord()))
-    expect = PathPairSum(four, twist=1)
-    expect.add_term((Path(0, 3, FreeWord()), Path(1, 2, FreeWord())), -1)
-    if bi_pairing(g1, g2) != expect:
-        example_failures.append("bare crossing corridors value moved")
-    g2 = PathSum.of(four, Path(1, 3, FreeWord((("c3", -1),))))
-    expect = PathPairSum(four, twist=1)
-    expect.add_term((Path(0, 3, FreeWord((("c3", -1),))),
-                     Path(1, 2, FreeWord())), -1)
-    if bi_pairing(g1, g2) != expect:
-        example_failures.append("c3-inverse corridor value moved")
+    def example_case(word, message):
+        # the pinned pairing of 0->2 with 1->3 along word
+        expect = PathPairSum(four, twist=1)
+        expect.add_term((Path(0, 3, word), Path(1, 2, FreeWord())), -1)
+        if bi_pairing(corridor((0, 2)), corridor((1, 3), word)) != expect:
+            return message
 
     checks = [
-        _check("bilinearity", 2 * count, bilinear_failures),
-        _check("degree_shift", count, _run_cases(degree_shift,
-                                                 shift_cases)),
-        _check("noncrossing_vanishes", noncrossing_cases,
-               noncrossing_failures),
-        _check("crossing_example", 2, example_failures),
+        _check("bilinearity", starmap(linearity, [
+            (side, *case) for case in bilinear_cases
+            for side in ("left", "right")])),
+        _check("degree_shift", starmap(degree_shift, shift_cases)),
+        _check("noncrossing_vanishes", [
+            *starmap(disjoint_case, disjoint_cases), rerouted]),
+        _check("crossing_example", starmap(example_case, [
+            (FreeWord(), "bare crossing corridors value moved"),
+            (FreeWord((("c3", -1),)), "c3-inverse corridor value moved")])),
     ]
     return _report("bipair", checks, trunc=trunc, count=count, seed=seed)
 

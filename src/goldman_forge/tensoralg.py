@@ -643,6 +643,7 @@ class Derivation:
     def image(self, name):
         img = self.images.get(name)
         if img is None:
+            self.sig.weight(name)  # validates
             return TensorSeries.zero(self.sig, self.trunc)
         return img
 

@@ -156,7 +156,7 @@ def _record(monkeypatch, suite, trunc):
 @pytest.mark.parametrize("suite, trunc, expected", [
     ("gr-bracket", 6, {"bracket": (200, 20, 172, 11),
                        "action": (200, 32, 154, 26)}),
-    ("bipair", 5, {"pairing": (60, 10, 2, 6)}),
+    ("bipair", 5, {"pairing": (60, 6, 41, 25)}),
 ])
 def test_every_shift_case_is_decided_and_none_is_vacuous(monkeypatch, suite,
                                                          trunc, expected):

@@ -269,6 +269,14 @@ class TestDerivation:
             b = random_series(rng, SIG11, 4, nterms=3, max_len=2)
             assert d.apply(a * b) == d.apply(a) * b + a * d.apply(b)
 
+    def test_image_of_a_name_outside_the_signature_is_an_error(self):
+        # a surface generator's name is not a tensor letter: a1 is x1
+        d = self.d_x_to_z()
+        assert d.image("y1").is_zero()
+        for name in ("a1", "x2"):
+            with pytest.raises(ValueError, match="unknown generator"):
+                d.image(name)
+
     def test_exp_nilpotent(self):
         phi = derivation_exp(self.d_x_to_z())
         assert phi.image("x1") == gen(SIG11, 4, "x1") + gen(SIG11, 4, "z1")
