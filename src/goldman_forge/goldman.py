@@ -78,6 +78,10 @@ class LoopSum(TermSum):
         spec.validate_word(word)
         return cls(spec, [(cyclic_normal_form(word), coeff)])
 
+    def add_term(self, loop_class, coeff):
+        self.spec.validate_word(loop_class.key)
+        TermSum.add_term(self, loop_class, coeff)
+
     def _sort_key(self, loop_class):
         return _word_key_letters(loop_class.word)
 
@@ -123,7 +127,6 @@ class PathSum(TermSum):
 
     @classmethod
     def of(cls, spec, path, coeff=1):
-        spec.validate_word(path.word)
         return cls(spec, path.from_tag, path.to_tag, [(path, coeff)])
 
     def add_term(self, path, coeff):
@@ -131,6 +134,7 @@ class PathSum(TermSum):
             raise ValueError("path endpoints %s->%s do not match sum %s->%s"
                              % (path.from_tag, path.to_tag,
                                 self.from_tag, self.to_tag))
+        self.spec.validate_word(path.word)
         TermSum.add_term(self, path, coeff)
 
     def _sort_key(self, path):
@@ -448,7 +452,8 @@ def adams(n, u):
     out = LoopSum(u.spec, twist=u.twist)
     for cls, coeff in u.terms.items():
         # w^n is canonical if w is; b"" keys the trivial class
-        out.add_term(LoopClass.of_key(cls.key * n if n else b""), coeff)
+        TermSum.add_term(out, LoopClass.of_key(cls.key * n if n else b""),
+                         coeff)
     return out
 
 

@@ -11,7 +11,7 @@ import re
 from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, islice, product
+from itertools import groupby, product
 from math import factorial, lcm
 from operator import itemgetter
 
@@ -643,10 +643,10 @@ def _normal_form(terms, lead, replacement):
 
 
 def _extend(words, letters, lead):
-    """Words avoiding lead, one letter longer, lazily and in lex order."""
+    """The list of words avoiding lead one letter longer, in lex order."""
     after_bg = letters.replace(lead[1], "")
-    for w in words:
-        yield from map(w.__add__, after_bg if w.endswith(lead[0]) else letters)
+    return [w + q for w in words
+            for q in (after_bg if w.endswith(lead[0]) else letters)]
 
 
 def _normal_counts(letters, lead, max_len):
@@ -687,9 +687,9 @@ def resolution_check(genus, n_max):
     those arguments explicitly on every degree small enough to afford
     it; _SWEEP_LIMIT and _RANK_LIMIT set the cutoffs.  A rank
     cross-check feeds the row flag it tests: rank d2 = dim A_n goes into
-    `injective`, rank d1 = dim A_{n+2} into `surjective`.  The sweep searches
-    the words _extend yields, 4096 joined by NUL at a time, for the lead
-    after a letter (str.find(w, lead, 1) >= 0); matrix_rank eliminates
+    `injective`, rank d1 = dim A_{n+2} into `surjective`.  The sweep joins
+    by NUL what _extend lists for blocks of basis(n + 1), at most 4096 words
+    a string, and finds any lead after a letter; matrix_rank eliminates
     forward only.  Words are str, one character per generator
     (_rewrite_rule), which the report of dims and flags does not need.
     """
@@ -712,7 +712,7 @@ def resolution_check(genus, n_max):
 
     def basis(m):
         for k in range(len(basis_cache), m + 1):
-            words = list(_extend(basis_cache[-1], letters, lead))
+            words = _extend(basis_cache[-1], letters, lead)
             if len(words) != dims[k]:
                 raise AssertionError("enumeration disagrees with the "
                                      "transfer count at degree %d" % k)
@@ -721,6 +721,7 @@ def resolution_check(genus, n_max):
 
     relator = {**replacement, lead: -1}  # sum_i (a_i b_i - b_i a_i)
     lead_inside = re.compile("[^\0]" + re.escape(lead)).search
+    step = max(1, 4096 // (2 * genus))  # sweep block: <= 4096 words extended
     rows = []
     passed = True
     for n in range(n_max + 1):
@@ -741,11 +742,9 @@ def resolution_check(genus, n_max):
         injective_ok = len(images) == dims[n]
         # surjectivity: strip the first letter of each target basis word
         surjective_swept = dims[n + 2] <= _SWEEP_LIMIT
-        surjective_ok = True
-        if surjective_swept:
-            words = _extend(basis(n + 1), letters, lead)
-            surjective_ok = not any(map(lead_inside, iter(
-                lambda: "\0".join(islice(words, 4096)), "")))
+        surjective_ok = not surjective_swept or not any(lead_inside("\0".join(
+            _extend(basis(n + 1)[i:i + step], letters, lead)))
+            for i in range(0, dims[n + 1], step))
         rank_identity = dims[n] + dims[n + 2] == 2 * genus * dims[n + 1]
 
         cross_checked = False

@@ -52,7 +52,7 @@ class SurfaceSpec:
     """
 
     __slots__ = ("genus", "boundary", "punctures", "byte_keyed", "_gens",
-                 "_gen_set")
+                 "_gen_set", "_key_bytes")
 
     def __init__(self, genus, boundary):
         if type(genus) is not int or type(boundary) is not int:
@@ -71,8 +71,11 @@ class SurfaceSpec:
         names += ["b%d" % j for j in range(1, genus + 1)]
         names += ["c%d" % k for k in range(1, self.punctures + 1)]
         self._gens, self._gen_set = tuple(names), frozenset(names)
-        # every letter has a byte key, so every word's key is bytes
-        self.byte_keyed = all((base, 1) in _BYTE_KEY for base in names)
+        # the byte keys of these letters and their inverses; if every
+        # letter has one, every word's key is bytes
+        self._key_bytes = bytes(_BYTE_KEY[base, e] for base in names
+                                for e in (1, -1) if (base, e) in _BYTE_KEY)
+        self.byte_keyed = len(self._key_bytes) == 2 * len(names)
 
     @property
     def tags(self):
@@ -86,7 +89,13 @@ class SurfaceSpec:
         return isinstance(base, str) and base in self._gen_set
 
     def validate_word(self, word):
-        for base, _ in word.letters:
+        """ValueError for the first letter of word (a FreeWord, or a
+        word_key) outside generators(); a bytes key takes one translate."""
+        if word.__class__ is bytes and not word.translate(
+                None, self._key_bytes):
+            return
+        for base, _ in (word.letters if word.__class__ is FreeWord
+                        else key_letters(word)):
             if not self.has_generator(base):
                 raise ValueError("letter %s is not a generator of this surface"
                                  % (base,))

@@ -364,6 +364,65 @@ class TestSumsCheckTheirSurface:
             assert kk_action(u, gamma).from_tag == s
         assert PathSum(self.SPEC, 2, 0).is_zero()
 
+    # every way a sum takes a term from outside: (name, build(spec, word))
+    BUILDERS = [
+        ("LoopSum.of", lambda spec, w: LoopSum.of(spec, w)),
+        ("LoopSum", lambda spec, w: LoopSum(spec, {cyclic_normal_form(w): 1})),
+        ("LoopSum.add_term", lambda spec, w: LoopSum(spec).add_term(
+            cyclic_normal_form(w), 2)),
+        ("PathSum.of", lambda spec, w: PathSum.of(spec, Path(0, 0, w))),
+        ("PathSum", lambda spec, w: PathSum(spec, 0, 0, {Path(0, 0, w): 1})),
+        ("PathSum.add_term", lambda spec, w: PathSum(spec, 0, 0).add_term(
+            Path(0, 0, w), 3)),
+    ]
+    WIDE = SurfaceSpec(44, 1)   # a44 and b44 have no byte key
+    # (surface, word, its one foreign letter); byte keys, then tuple keys
+    FOREIGN = [(SPEC, "a2", "a2"), (SPEC, "b1 c3", "c3"),
+               (SPEC, "c1 a43'", "a43"), (SPEC, "a1 a44'", "a44"),
+               (WIDE, "c1 a3", "c1"), (WIDE, "a44 c1'", "c1"),
+               (WIDE, "a45 b1", "a45"), (WIDE, "b44 t1", "t1")]
+
+    @pytest.mark.parametrize("build", [b for _, b in BUILDERS],
+                             ids=[name for name, _ in BUILDERS])
+    @pytest.mark.parametrize("spec, text, letter", FOREIGN)
+    def test_each_builder_rejects_each_foreign_letter(self, build, spec,
+                                                      text, letter):
+        word = FreeWord([(base.rstrip("'"), -1 if base.endswith("'") else 1)
+                         for base in text.split()])
+        with pytest.raises(ValueError) as err:
+            build(spec, word)
+        assert str(err.value) == \
+            "letter %s is not a generator of this surface" % letter
+
+    def test_a_foreign_letter_that_cancels_is_rejected(self):
+        with pytest.raises(ValueError, match="letter a2 is not"):
+            LoopSum.of(self.SPEC, parse_word("b1 a2 a2'"))
+        with pytest.raises(ValueError, match="letter a45 is not"):
+            LoopSum.of(self.WIDE, parse_word("a44 a45 a45'"))
+
+    def test_valid_sums_are_unchanged(self, monkeypatch):
+        for spec, text in ((self.SPEC, "c2 a1' b1"), (self.WIDE, "a44 b3'"),
+                           (self.WIDE, "")):
+            word = parse_word(text)
+            cls, path = cyclic_normal_form(word), Path(0, 0, word)
+            loops = [build(spec, word) for name, build in self.BUILDERS
+                     if name.startswith("Loop")]
+            paths = [build(spec, word) for name, build in self.BUILDERS
+                     if name.startswith("Path")]
+            assert [u.terms for u in loops[:2]] == [{cls: 1}, {cls: 1}]
+            assert [g.terms for g in paths[:2]] == [{path: 1}, {path: 1}]
+            u, gamma = loops[0], paths[0]
+            calls = []
+            monkeypatch.setattr(SurfaceSpec, "validate_word",
+                                lambda self, word: calls.append(word))
+            # sums built from admitted terms take them unchecked
+            for derived in (u + u, u - u, u.scaled(2), u.copy(),
+                            u.with_totals(1, [(cls, 5)]), adams(2, u),
+                            gamma + gamma, gamma.scaled(-1)):
+                assert derived.spec == spec
+            assert calls == []
+            monkeypatch.undo()
+
 
 class TestKkDerivation:
     def test_trivial_class_gives_zero(self):

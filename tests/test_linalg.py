@@ -29,6 +29,10 @@ surjectivity sweep became a search of NUL-joined chunks of words.  The
 Fraction rank is compared on the certificate's own d1 and d2 blocks,
 and old_resolution_check's per-word find(lead, 1) judges levels with a
 planted word.
+
+_extend then stopped yielding words one at a time and returned each level
+as a list, which the sweep takes in blocks of the level below; every level
+must equal old_normal_words', and the blocks' strings the level above.
 """
 
 import itertools
@@ -44,6 +48,7 @@ import helpers
 from goldman_forge.magnus import (
     _RANK_LIMIT,
     _SWEEP_LIMIT,
+    _extend,
     _normal_counts,
     _normal_form,
     _rewrite_rule,
@@ -624,15 +629,17 @@ def test_sweep_flags_a_lead_after_the_first_letter(monkeypatch, genus,
     leaves a word that is not normal, so the row fails; at position 0 it
     passes.  At n_max 3 the level is only streamed to the sweep, never
     listed as a basis (middle_dim > _RANK_LIMIT), and the old sweep
-    agrees.  The sweep joins the words in chunks, so first puts the word
-    at the head of a chunk and last (genus 3: 6,930 words) past a chunk
-    boundary."""
+    agrees.  The sweep extends the level below in blocks, so first puts
+    the word at the head of the first block's list and last (genus 3:
+    6,930 words, from two blocks) past a block boundary."""
     from goldman_forge import magnus
 
     letters, lead, _ = _rewrite_rule(genus)
     degree = 5
     planted = (letters[0] * position + lead).ljust(degree, letters[0])
     extend, words = magnus._extend, old_normal_words
+    below = list(words(letters, lead, degree - 1))
+    blocks = []
 
     def plant(level, length):
         if length != degree:
@@ -640,9 +647,16 @@ def test_sweep_flags_a_lead_after_the_first_letter(monkeypatch, genus,
         return itertools.chain([planted], level) if first else \
             itertools.chain(level, [planted])
 
-    def planted_extend(level, letters, lead):
-        level = list(extend(level, letters, lead))
-        return iter(plant(level, len(level[0])))
+    def planted_extend(block, letters, lead):
+        level = extend(block, letters, lead)
+        if len(level[0]) != degree:
+            return level
+        blocks.append(block)
+        if first and len(blocks) == 1:
+            return [planted] + level
+        if not first and block[-1] == below[-1]:
+            return level + [planted]
+        return level
 
     def planted_words(letters, lead, length):
         return plant(words(letters, lead, length), length)
@@ -651,11 +665,70 @@ def test_sweep_flags_a_lead_after_the_first_letter(monkeypatch, genus,
     monkeypatch.setitem(globals(), "old_normal_words", planted_words)
     report = resolution_check(genus, 3)
     assert report == old_resolution_check(genus, 3)
+    swept = sum(blocks, [])  # in order; a lead in a block ends the sweep
+    assert swept and swept == below[:len(swept)]
+    if position == 0 or not first:
+        assert swept == below and len(blocks) == genus - 1
     row = report["rows"][3]
     assert row["surjective_swept"] and not row["rank_cross_checked"]
     assert row["surjective"] is (position == 0)
     assert report["passed"] is (position == 0)
     assert all(r["surjective"] for r in report["rows"][:3])
+
+
+def test_extend_lists_each_level_as_the_old_enumeration():
+    """Level by level from the one-word level [""], _extend lists what
+    old_normal_words yields, in order, up to the first level above 50,000
+    words (genus 1, whose degree-k level has k + 1 words, to degree 64)."""
+    for genus in (1, 2, 3, 4):
+        letters, lead, _ = _rewrite_rule(genus)
+        level, k = [""], 0
+        while len(level) <= 50_000 and k < 64:
+            level, k = _extend(level, letters, lead), k + 1
+            assert level == list(old_normal_words(letters, lead, k)), \
+                (genus, k)
+
+
+@pytest.mark.parametrize("genus, n_max", [
+    (1, 6), (2, 6), (3, 5), (4, 3),
+    (45, 0),    # A_1: 90 words, two blocks of 45
+    (95, 0),    # A_1: 190 words, nine blocks of 21 and one of one word
+])
+def test_sweep_joins_each_level_in_blocks(monkeypatch, genus, n_max):
+    """The strings the sweep searches: for every swept row n, split at
+    NUL and concatenated, they are A_{n+2}'s words in old_normal_words
+    order, one per block of max(1, 4096 // 2g) words of A_{n+1}, each
+    holding at most 4,096 words."""
+    import re
+    import types
+
+    from goldman_forge import magnus
+
+    searched = []
+
+    def compile(pattern):
+        search = re.compile(pattern).search
+
+        def spy(text):
+            searched.append(text)
+            return search(text)
+        return types.SimpleNamespace(search=spy)
+
+    monkeypatch.setattr(magnus, "re", types.SimpleNamespace(
+        compile=compile, escape=re.escape))
+    report = resolution_check(genus, n_max)
+    assert report == old_resolution_check(genus, n_max) and report["passed"]
+    letters, lead, _ = _rewrite_rule(genus)
+    step, dims = max(1, 4096 // (2 * genus)), report["dims"]
+    swept = [row["n"] for row in report["rows"] if row["surjective_swept"]]
+    assert swept
+    for n in swept:
+        strings = [text for text in searched
+                   if len(text.split("\0", 1)[0]) == n + 2]
+        assert len(strings) == -(-dims[n + 1] // step)
+        assert all(text.count("\0") < 4096 for text in strings)
+        assert "\0".join(strings).split("\0") == \
+            list(old_normal_words(letters, lead, n + 2))
 
 
 def test_matrix_rank_matches_on_the_certificate_blocks(monkeypatch):
